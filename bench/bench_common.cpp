@@ -1,22 +1,14 @@
 #include "bench_common.hpp"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <mutex>
-#include <queue>
 #include <sstream>
-#include <thread>
 
 #include "data/bell_generator.hpp"
 #include "data/c3o_generator.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/string_utils.hpp"
-#include "util/timer.hpp"
 
 namespace bellamy::bench {
 
@@ -225,157 +217,6 @@ eval::ExperimentResult cached_cross_environment(const BenchOptions& opts) {
                                        cross_environment_config(opts));
   save_result(path, sig, result);
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Queue-contention microbench
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Faithful copy of the pre-stealing ThreadPool (one shared std::queue, one
-// mutex, one condition_variable, notify on every submit).  It exists ONLY as
-// the comparison baseline for the contention grid: the work-stealing
-// scheduler's win must be measured against the thing it replaced, not
-// inferred.  Kept bench-local so the library carries exactly one scheduler.
-class MutexQueuePool {
- public:
-  explicit MutexQueuePool(std::size_t num_threads) {
-    workers_.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~MutexQueuePool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-  }
-
-  void submit(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.push(std::move(task));
-    }
-    cv_.notify_one();
-  }
-
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-  }
-
- private:
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-        if (stopping_ && tasks_.empty()) return;
-        task = std::move(tasks_.front());
-        tasks_.pop();
-        ++active_;
-      }
-      task();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --active_;
-        if (tasks_.empty() && active_ == 0) idle_cv_.notify_all();
-      }
-    }
-  }
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
-  bool stopping_ = false;
-};
-
-// Drives one (pool, submitters) cell: every submitter fires
-// tasks_per_submitter increments, the elapsed window covers first submit to
-// fully drained.  Returns tasks/s; aborts on a lost/duplicated task.
-template <typename Pool>
-double contention_tasks_per_s(Pool& pool, std::size_t submitters,
-                              std::size_t tasks_per_submitter) {
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  threads.reserve(submitters);
-  for (std::size_t s = 0; s < submitters; ++s) {
-    threads.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::size_t i = 0; i < tasks_per_submitter; ++i) {
-        pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  util::Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
-  pool.wait_idle();
-  const double seconds = timer.seconds();
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(submitters) * tasks_per_submitter;
-  if (executed.load() != expected) {
-    std::fprintf(stderr,
-                 "pool_contention: exactly-once violated (%llu of %llu tasks ran)\n",
-                 static_cast<unsigned long long>(executed.load()),
-                 static_cast<unsigned long long>(expected));
-    std::abort();
-  }
-  return static_cast<double>(expected) / std::max(seconds, 1e-12);
-}
-
-}  // namespace
-
-std::vector<PoolContentionCell> pool_contention_grid(
-    std::size_t workers, const std::vector<std::size_t>& submitter_counts,
-    std::size_t tasks_per_submitter) {
-  std::vector<PoolContentionCell> grid;
-  grid.reserve(submitter_counts.size());
-  for (const std::size_t submitters : submitter_counts) {
-    PoolContentionCell cell;
-    cell.submitters = submitters;
-    cell.workers = workers;
-    cell.tasks = submitters * tasks_per_submitter;
-    {
-      parallel::ThreadPool pool(workers);
-      // Warm-up outside the timed window (spawns + first-touch).
-      contention_tasks_per_s(pool, submitters, tasks_per_submitter / 10 + 1);
-      cell.ws_tasks_per_s = contention_tasks_per_s(pool, submitters, tasks_per_submitter);
-    }
-    {
-      MutexQueuePool pool(workers);
-      contention_tasks_per_s(pool, submitters, tasks_per_submitter / 10 + 1);
-      cell.mutex_tasks_per_s = contention_tasks_per_s(pool, submitters, tasks_per_submitter);
-    }
-    grid.push_back(cell);
-  }
-  return grid;
-}
-
-void write_pool_contention_json(std::FILE* f, const std::vector<PoolContentionCell>& grid) {
-  std::fprintf(f, "\"pool_contention\": {");
-  if (!grid.empty()) std::fprintf(f, "\"workers\": %zu,\n", grid.front().workers);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    const PoolContentionCell& c = grid[i];
-    std::fprintf(f,
-                 "    \"submitters_%zu\": {\"ws_tasks_per_s\": %.0f, "
-                 "\"mutex_tasks_per_s\": %.0f, \"contention_speedup\": %.2f}%s\n",
-                 c.submitters, c.ws_tasks_per_s, c.mutex_tasks_per_s, c.speedup(),
-                 i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(f, "  }");
 }
 
 }  // namespace bellamy::bench

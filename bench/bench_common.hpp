@@ -54,35 +54,4 @@ void save_result(const std::string& path, const std::string& signature,
 bool load_result(const std::string& path, const std::string& signature,
                  eval::ExperimentResult& out);
 
-/// One cell of the queue-contention microbench: N external submitter
-/// threads fire tiny tasks at an M-worker pool as fast as they can, and the
-/// cell records end-to-end tasks/s (first submit to drained) for the
-/// work-stealing ThreadPool vs a reference single-mutex + condvar pool (a
-/// faithful copy of the pre-stealing scheduler, kept in bench_common.cpp as
-/// the comparison baseline).  Both pools run the exact same submit API and
-/// task body, so the ratio isolates the scheduler.
-struct PoolContentionCell {
-  std::size_t submitters = 0;
-  std::size_t workers = 0;
-  std::size_t tasks = 0;  ///< total tasks executed per pool (exactly-once checked)
-  double ws_tasks_per_s = 0.0;
-  double mutex_tasks_per_s = 0.0;
-  double speedup() const {
-    return mutex_tasks_per_s > 0 ? ws_tasks_per_s / mutex_tasks_per_s : 0.0;
-  }
-};
-
-/// Runs the contention grid at the given submitter counts (typically
-/// {1, 4, 8}) against `workers` pool workers, `tasks_per_submitter` tiny
-/// tasks each.  Aborts (via std::abort after an stderr report) on any
-/// lost or duplicated task — the bench doubles as an exactly-once check.
-std::vector<PoolContentionCell> pool_contention_grid(
-    std::size_t workers, const std::vector<std::size_t>& submitter_counts,
-    std::size_t tasks_per_submitter);
-
-/// Appends the standard JSON object for the contention grid to `f` as
-///   "pool_contention": {"workers": W, "submitters_N": {...}, ...}
-/// (no trailing comma or newline; caller owns surrounding punctuation).
-void write_pool_contention_json(std::FILE* f, const std::vector<PoolContentionCell>& grid);
-
 }  // namespace bellamy::bench

@@ -38,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "serve/serve.hpp"
@@ -321,22 +320,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(qos.interactive.max_dispatch_lag_us));
   }
 
-  // ---- queue contention cell: the dispatcher's ThreadPool under external
-  // submitters, work-stealing vs the retired single-mutex queue.  Sized to
-  // the serve deployment (`--workers` dispatcher threads); the 8-submitter
-  // ratio is the serve-side view of the scheduler acceptance cell in
-  // bench_train_step (>= 2x on multi-core; measured ratio reported when the
-  // host is hardware-bound).
-  const std::vector<bench::PoolContentionCell> contention =
-      bench::pool_contention_grid(workers, {1, 4, 8}, /*tasks_per_submitter=*/20000);
-  for (const auto& c : contention) {
-    std::fprintf(stderr,
-                 "pool contention: %zu submitter(s) x %zu worker(s): stealing %.0f "
-                 "tasks/s vs mutex-queue %.0f tasks/s (%.2fx)\n",
-                 c.submitters, c.workers, c.ws_tasks_per_s, c.mutex_tasks_per_s,
-                 c.speedup());
-  }
-
   std::fprintf(stderr, "predictions identical to the serial loop: %s\n",
                all_identical ? "yes" : "NO");
   std::fprintf(stderr,
@@ -382,9 +365,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(am.coalesced_requests),
           static_cast<unsigned long long>(am.starved_flushes),
           static_cast<unsigned long long>(am.max_dispatch_lag_us));
-      std::fprintf(f, "  ");
-      bench::write_pool_contention_json(f, contention);
-      std::fprintf(f, ",\n");
       std::fprintf(
           f,
           "  \"qos\": {\"interactive_unloaded_p50_us\": %.1f, "

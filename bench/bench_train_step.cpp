@@ -1,13 +1,9 @@
 // Throughput of the batched training engine and the blocked GEMM kernels.
 //
-//   ./build/bench/bench_train_step [--epochs=N] [--json=PATH] [--skip-1024]
+//   ./build/bench/bench_train_step [--epochs=N] [--json=PATH]
 //
 // Section 1 — GEMM: blocked matmul / matmul_tn / matmul_nt vs the naive
 // matmul*_ref triple loops at 512x512x512 (acceptance floor: 3x for matmul).
-//
-// Section 1b — threaded GEMM: the blocked kernel split across a ThreadPool
-// at 512^3 and 1024^3 with 1/4/8 threads, verified bit-identical to the
-// serial kernel.
 //
 // Section 2 — pre-training epochs at batch size 64: the per-sample baseline
 // (one singleton train_step per run, gradients accumulated and scaled by
@@ -15,14 +11,6 @@
 // dedup gather per mini-batch, one stacked forward/backward).  Both modes
 // follow the same parameter trajectory, so their final losses must agree to
 // 1e-9; the acceptance floor for the epoch speedup is 4x.
-//
-// Section 3 — queue contention: N external submitter threads firing tiny
-// tasks at a 4-worker pool, tasks/s end-to-end, work-stealing scheduler vs
-// the retired single-mutex queue (reference copy in bench_common.cpp).  The
-// acceptance target is >= 2x at 8 submitters on multi-core hardware; on a
-// hardware-bound host (single core: every thread timeslices one CPU, so
-// submitters and workers cannot actually contend in parallel) the measured
-// ratio is reported and committed instead of gated.
 //
 // --json writes the measurements as a small JSON document (CI artifact;
 // scripts/bench-compare.py diffs it against bench/baselines/).
@@ -34,16 +22,13 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "core/bellamy_model.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "nn/matrix.hpp"
 #include "nn/optimizer.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -80,43 +65,6 @@ GemmResult bench_gemm(const char* name, const nn::Matrix& a, const nn::Matrix& b
   res.max_diff = nn::Matrix::max_abs_diff(out_blocked, out_ref);
   res.blocked_s = best_of(3, [&] { out_blocked = blocked(a, b); });
   res.ref_s = best_of(3, [&] { out_blocked = ref(a, b); });
-  return res;
-}
-
-struct ThreadedGemmResult {
-  std::size_t size = 0;
-  double serial_s = 0.0;
-  std::size_t threads[3] = {1, 4, 8};
-  double threaded_s[3] = {0.0, 0.0, 0.0};
-  bool identical = true;
-  double speedup_t8() const { return serial_s / std::max(threaded_s[2], 1e-12); }
-};
-
-// Serial vs pool-split blocked GEMM at one size; each thread count runs on
-// its own pool and the output is checked bit-identical to the serial kernel.
-ThreadedGemmResult bench_threaded_gemm(std::size_t size, std::uint64_t seed) {
-  using nn::Matrix;
-  util::Rng rng(seed);
-  const Matrix a = Matrix::randn(size, size, rng);
-  const Matrix b = Matrix::randn(size, size, rng);
-  const std::size_t saved_flops = Matrix::gemm_min_flops();
-
-  ThreadedGemmResult res;
-  res.size = size;
-  Matrix::set_gemm_min_flops(static_cast<std::size_t>(-1));  // force serial
-  Matrix serial = Matrix::matmul(a, b);
-  res.serial_s = best_of(3, [&] { serial = Matrix::matmul(a, b); });
-
-  Matrix::set_gemm_min_flops(0);  // always thread
-  for (int t = 0; t < 3; ++t) {
-    parallel::ThreadPool pool(res.threads[t]);
-    Matrix::set_gemm_pool(&pool);
-    Matrix out = Matrix::matmul(a, b);
-    if (!(out == serial)) res.identical = false;
-    res.threaded_s[t] = best_of(3, [&] { out = Matrix::matmul(a, b); });
-    Matrix::set_gemm_pool(nullptr);
-  }
-  Matrix::set_gemm_min_flops(saved_flops);
   return res;
 }
 
@@ -220,8 +168,6 @@ EpochResult bench_epochs(const std::vector<data::JobRun>& runs, std::size_t epoc
 }
 
 void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
-                const std::vector<ThreadedGemmResult>& threaded,
-                const std::vector<bench::PoolContentionCell>& contention,
                 const EpochResult& epoch, std::size_t num_runs, std::size_t epochs,
                 std::size_t batch_size) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -238,20 +184,7 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
                  g.name, g.blocked_s * 1e3, g.ref_s * 1e3, g.speedup(), g.max_diff,
                  i + 1 < gemms.size() ? "," : "");
   }
-  std::fprintf(f, "  },\n  \"gemm_threaded\": {\n");
-  for (std::size_t i = 0; i < threaded.size(); ++i) {
-    const auto& t = threaded[i];
-    std::fprintf(f,
-                 "    \"size_%zu\": {\"serial_ms\": %.3f, \"t1_ms\": %.3f, "
-                 "\"t4_ms\": %.3f, \"t8_ms\": %.3f, \"speedup_t8\": %.2f, "
-                 "\"identical\": %s}%s\n",
-                 t.size, t.serial_s * 1e3, t.threaded_s[0] * 1e3, t.threaded_s[1] * 1e3,
-                 t.threaded_s[2] * 1e3, t.speedup_t8(), t.identical ? "true" : "false",
-                 i + 1 < threaded.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n  ");
-  bench::write_pool_contention_json(f, contention);
-  std::fprintf(f, ",\n");
+  std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"pretrain_epoch\": {\"runs\": %zu, \"epochs\": %zu, \"batch_size\": %zu, "
                "\"per_sample_ms\": %.2f, \"batched_ms\": %.2f, \"speedup\": %.2f, "
@@ -267,16 +200,13 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
 int main(int argc, char** argv) {
   std::size_t epochs = 5;
   std::string json_path;
-  bool skip_1024 = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--epochs=", 9) == 0) {
       epochs = std::max(1, std::atoi(argv[i] + 9));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--skip-1024") == 0) {
-      skip_1024 = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--epochs=N] [--json=PATH] [--skip-1024]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--epochs=N] [--json=PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -303,24 +233,6 @@ int main(int argc, char** argv) {
   std::printf("blocked matmul speedup: %.2fx (acceptance floor: 3x)\n\n",
               gemms[0].speedup());
 
-  // ---- Section 1b: threaded blocked GEMM -----------------------------------
-  std::vector<ThreadedGemmResult> threaded;
-  threaded.push_back(bench_threaded_gemm(512, 5));
-  if (!skip_1024) threaded.push_back(bench_threaded_gemm(1024, 6));
-
-  std::printf("threaded GEMM (blocked kernel split over a ThreadPool)\n");
-  std::printf("%-10s %11s %11s %11s %11s %10s %10s\n", "size", "serial ms", "1 thr ms",
-              "4 thr ms", "8 thr ms", "8-thr spd", "identical");
-  bool threaded_identical = true;
-  for (const auto& t : threaded) {
-    std::printf("%zu^3%6s %11.1f %11.1f %11.1f %11.1f %9.2fx %10s\n", t.size, "",
-                t.serial_s * 1e3, t.threaded_s[0] * 1e3, t.threaded_s[1] * 1e3,
-                t.threaded_s[2] * 1e3, t.speedup_t8(), t.identical ? "yes" : "NO");
-    threaded_identical = threaded_identical && t.identical;
-  }
-  std::printf("threaded == serial bit-identical: %s\n\n",
-              threaded_identical ? "yes" : "NO");
-
   // ---- Section 2: pre-training epoch, per-sample vs batched ----------------
   data::C3OGeneratorConfig gen_cfg;
   gen_cfg.seed = 71;
@@ -340,25 +252,8 @@ int main(int argc, char** argv) {
   const bool losses_match = epoch.loss_diff() <= 1e-9;
   std::printf("losses match to 1e-9: %s\n\n", losses_match ? "yes" : "NO");
 
-  // ---- Section 3: queue contention, work-stealing vs mutex queue -----------
-  const std::vector<bench::PoolContentionCell> contention =
-      bench::pool_contention_grid(/*workers=*/4, {1, 4, 8}, /*tasks_per_submitter=*/20000);
-  std::printf("queue contention (4 workers, tiny tasks, tasks/s first-submit to drained)\n");
-  std::printf("%-11s %10s %14s %14s %10s\n", "submitters", "tasks", "stealing/s",
-              "mutex-q/s", "speedup");
-  for (const auto& c : contention) {
-    std::printf("%-11zu %10zu %14.0f %14.0f %9.2fx\n", c.submitters, c.tasks,
-                c.ws_tasks_per_s, c.mutex_tasks_per_s, c.speedup());
-  }
-  std::printf(
-      "8-submitter target: >=2x on multi-core; on a single-core host the ratio is\n"
-      "hardware-bound (submitters and workers timeshare one CPU) and is reported,\n"
-      "not gated.  hardware_concurrency here: %u\n",
-      std::thread::hardware_concurrency());
-
   if (!json_path.empty()) {
-    write_json(json_path, gemms, threaded, contention, epoch, runs.size(), epochs,
-               kBatchSize);
+    write_json(json_path, gemms, epoch, runs.size(), epochs, kBatchSize);
   }
-  return (losses_match && threaded_identical) ? 0 : 1;
+  return losses_match ? 0 : 1;
 }

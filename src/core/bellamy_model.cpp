@@ -404,11 +404,11 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   }
   // Very large batches go memory-bound in a single stacked pass on one core
   // (the B=4096 dip), so they are split into contiguous chunks across the
-  // global ThreadPool.  Every output row's arithmetic is independent of the
-  // batch it rides in and every chunk writes a disjoint output range, so
-  // the chunked result is bit-identical under any schedule the
-  // work-stealing pool picks (chunks only need to run exactly once, and
-  // the caller's helping wait assembles them in submission order).
+  // global ThreadPool; at B=4096 that is 1.42M/s against 677k/s unchunked
+  // (bench/baselines/BENCH_predict.json).  Every output row's arithmetic is
+  // independent of the batch it rides in and every chunk writes a disjoint
+  // output range, so the chunked result is bit-identical under any schedule
+  // (chunks only need to run exactly once).
   if (predict_chunk_threshold_ > 0 && runs.size() >= predict_chunk_threshold_ &&
       parallel::ThreadPool::global().size() > 1) {
     return predict_batch_chunked(runs);

@@ -171,9 +171,8 @@ void evaluate_context(const std::vector<data::JobRun>& runs,
     return;
   }
   // parallel_map returns partials in split_tasks order no matter how the
-  // work-stealing pool schedules the tasks (each writes its own slot; the
-  // waiter assembles in submission order), so the concatenation below is as
-  // deterministic as the serial branch above.
+  // pool schedules the tasks (each writes its own slot), so the
+  // concatenation below is as deterministic as the serial branch above.
   const std::vector<ExperimentResult> partials = parallel::parallel_map(
       split_tasks,
       [&](const SplitTask& task) {

@@ -1,9 +1,7 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,8 +11,6 @@
 #endif
 
 #include "nn/simd.hpp"
-#include "parallel/parallel_for.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -412,27 +408,25 @@ GemmTileFn pick_gemm_tile() {
   return gemm_tile_portable;
 }
 
-// Shared blocked kernel over the output range [i_begin, i_end) x
-// [j_begin, j_end): C (m x n, zero-initialized) = A (m x k, row-major) *
-// op(B).  Range bounds must lie on tile boundaries (or the matrix edge) so a
-// sub-range computes exactly the tiles — and the accumulation order — that
-// the full-range call would.  All three public matmul variants route here
-// via gemm_dispatch; matmul_tn first materializes Aᵀ (O(mk) — negligible
-// against the O(mkn) product).
-void gemm_blocked(std::size_t k, const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, bool b_trans, double* c, std::size_t ldc,
-                  std::size_t i_begin, std::size_t i_end, std::size_t j_begin,
-                  std::size_t j_end) {
-  if (i_begin >= i_end || j_begin >= j_end || k == 0) return;
+// Shared serial blocked kernel: C (m x n, zero-initialized) = A (m x k,
+// row-major) * op(B).  All three public matmul variants route here;
+// matmul_tn first materializes Aᵀ (O(mk) — negligible against the O(mkn)
+// product).  The model's widest product is B x 40 x 8, far too small for a
+// tile split across threads to pay; callers parallelize over rows instead
+// (chunked predict), which the per-row accumulation order makes exact.
+void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                  std::size_t lda, const double* b, std::size_t ldb, bool b_trans,
+                  double* c, std::size_t ldc) {
+  if (m == 0 || n == 0 || k == 0) return;
   static const GemmTileFn tile = pick_gemm_tile();
   // Per-thread scratch so small products don't pay a malloc per call.
   thread_local std::vector<double> panel;
-  for (std::size_t j0 = j_begin; j0 < j_end; j0 += kTileJ) {
-    const std::size_t w = std::min(kTileJ, j_end - j0);
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
+    const std::size_t w = std::min(kTileJ, n - j0);
     if (panel.size() < k * w) panel.resize(k * w);
     pack_b_panel(b, ldb, b_trans, k, j0, w, panel.data());
-    for (std::size_t i0 = i_begin; i0 < i_end; i0 += kTileI) {
-      const std::size_t mi = std::min(kTileI, i_end - i0);
+    for (std::size_t i0 = 0; i0 < m; i0 += kTileI) {
+      const std::size_t mi = std::min(kTileI, m - i0);
       for (std::size_t k0 = 0; k0 < k; k0 += kTileK) {
         const std::size_t kk = std::min(kTileK, k - k0);
         tile(a + i0 * lda + k0, lda, panel.data() + k0 * w, w, mi, kk, c + i0 * ldc + j0,
@@ -442,88 +436,7 @@ void gemm_blocked(std::size_t k, const double* a, std::size_t lda, const double*
   }
 }
 
-// ---- threading --------------------------------------------------------------
-//
-// The blocked kernel is split by whole output tiles across a ThreadPool:
-// column-panel groups when op(B) is wide enough (each task reuses its packed
-// panels), row groups for tall-skinny shapes.  Group boundaries always land
-// on tile boundaries and every C tile is written by exactly one task with
-// the k-accumulation order unchanged, so the threaded product is
-// bit-identical to the serial one.  This relies ONLY on the pool's
-// exactly-once contract, never on execution order — the work-stealing
-// scheduler may run panel tasks in any interleaving (LIFO on the
-// submitter's deque, stolen FIFO elsewhere) and the product cannot tell.
-// Small products (under the flop threshold) stay serial — the fork/join
-// overhead would dominate.
-
-std::atomic<std::size_t> g_gemm_min_flops{std::size_t{1} << 23};  // 8M flops
-std::atomic<parallel::ThreadPool*> g_gemm_pool{nullptr};
-
-void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                   std::size_t lda, const double* b, std::size_t ldb, bool b_trans,
-                   double* c, std::size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  parallel::ThreadPool* pool = g_gemm_pool.load(std::memory_order_relaxed);
-  if (!pool) pool = &parallel::ThreadPool::global();
-  const std::size_t workers = pool->size();
-  const std::size_t min_flops = g_gemm_min_flops.load(std::memory_order_relaxed);
-  // 2*m*n*k with saturation so absurd shapes can't wrap around the compare.
-  const auto sat_mul = [](std::size_t x, std::size_t y) {
-    return (y != 0 && x > std::numeric_limits<std::size_t>::max() / y)
-               ? std::numeric_limits<std::size_t>::max()
-               : x * y;
-  };
-  const std::size_t flops = sat_mul(2, sat_mul(m, sat_mul(n, k)));
-  if (workers <= 1 || flops < min_flops) {
-    gemm_blocked(k, a, lda, b, ldb, b_trans, c, ldc, 0, m, 0, n);
-    return;
-  }
-  const std::size_t jpanels = (n + kTileJ - 1) / kTileJ;
-  const std::size_t ipanels = (m + kTileI - 1) / kTileI;
-  // Prefer the column split (each task packs only its own panels); fall back
-  // to rows for tall-skinny products where there are too few column panels.
-  if (jpanels >= ipanels || jpanels >= workers) {
-    const std::size_t groups = std::min(workers, jpanels);
-    const std::size_t per = jpanels / groups;
-    const std::size_t rem = jpanels % groups;
-    parallel::parallel_for(
-        groups,
-        [&](std::size_t g) {
-          const std::size_t p0 = g * per + std::min(g, rem);
-          const std::size_t p1 = p0 + per + (g < rem ? 1 : 0);
-          gemm_blocked(k, a, lda, b, ldb, b_trans, c, ldc, 0, m, p0 * kTileJ,
-                       std::min(n, p1 * kTileJ));
-        },
-        pool);
-  } else {
-    const std::size_t groups = std::min(workers, ipanels);
-    const std::size_t per = ipanels / groups;
-    const std::size_t rem = ipanels % groups;
-    parallel::parallel_for(
-        groups,
-        [&](std::size_t g) {
-          const std::size_t p0 = g * per + std::min(g, rem);
-          const std::size_t p1 = p0 + per + (g < rem ? 1 : 0);
-          gemm_blocked(k, a, lda, b, ldb, b_trans, c, ldc, p0 * kTileI,
-                       std::min(m, p1 * kTileI), 0, n);
-        },
-        pool);
-  }
-}
-
 }  // namespace
-
-void Matrix::set_gemm_min_flops(std::size_t flops) {
-  g_gemm_min_flops.store(flops, std::memory_order_relaxed);
-}
-
-std::size_t Matrix::gemm_min_flops() {
-  return g_gemm_min_flops.load(std::memory_order_relaxed);
-}
-
-void Matrix::set_gemm_pool(parallel::ThreadPool* pool) {
-  g_gemm_pool.store(pool, std::memory_order_relaxed);
-}
 
 Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
   if (a.cols_ != b.rows_) {
@@ -531,8 +444,8 @@ Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
                                 " * " + b.shape_str());
   }
   Matrix out(a.rows_, b.cols_, 0.0);
-  gemm_dispatch(a.rows_, b.cols_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
-                /*b_trans=*/false, out.data_.data(), out.cols_);
+  gemm_blocked(a.rows_, b.cols_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
+               /*b_trans=*/false, out.data_.data(), out.cols_);
   return out;
 }
 
@@ -543,8 +456,8 @@ Matrix Matrix::matmul_tn(const Matrix& a, const Matrix& b) {
   }
   const Matrix at = a.transposed();
   Matrix out(a.cols_, b.cols_, 0.0);
-  gemm_dispatch(at.rows_, b.cols_, at.cols_, at.data_.data(), at.cols_, b.data_.data(),
-                b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
+  gemm_blocked(at.rows_, b.cols_, at.cols_, at.data_.data(), at.cols_, b.data_.data(),
+               b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
   return out;
 }
 
@@ -554,8 +467,8 @@ Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
                                 b.shape_str() + "ᵀ");
   }
   Matrix out(a.rows_, b.rows_, 0.0);
-  gemm_dispatch(a.rows_, b.rows_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
-                /*b_trans=*/true, out.data_.data(), out.cols_);
+  gemm_blocked(a.rows_, b.rows_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
+               /*b_trans=*/true, out.data_.data(), out.cols_);
   return out;
 }
 

@@ -18,10 +18,6 @@ namespace bellamy::util {
 class Rng;
 }
 
-namespace bellamy::parallel {
-class ThreadPool;
-}
-
 namespace bellamy::nn {
 
 class Matrix {
@@ -110,9 +106,7 @@ class Matrix {
   /// Matrix product: (m x k) * (k x n) -> (m x n).  Register-blocked,
   /// cache-tiled kernel (packed B panel, i/k/j loop order, 64x64 tiles);
   /// every output row is accumulated in ascending-k order, so results are
-  /// independent of how rows are batched or chunked.  Products above the
-  /// gemm_min_flops threshold are split by whole output tiles across a
-  /// ThreadPool — bit-identical to the serial kernel at any thread count.
+  /// independent of how rows are batched or chunked.
   static Matrix matmul(const Matrix& a, const Matrix& b);
   /// aᵀ * b: (k x m)ᵀ (k x n) -> (m x n).  Materializes aᵀ (O(km), negligible
   /// against the O(mkn) product) so the blocked kernel streams rows.
@@ -126,19 +120,6 @@ class Matrix {
   static Matrix matmul_ref(const Matrix& a, const Matrix& b);
   static Matrix matmul_tn_ref(const Matrix& a, const Matrix& b);
   static Matrix matmul_nt_ref(const Matrix& a, const Matrix& b);
-
-  // ---- GEMM threading knobs (process-wide) ---------------------------------
-  // Products with at least `min_flops` multiply-adds (2*m*n*k) are split by
-  // output tile across a ThreadPool; every output tile is written by exactly
-  // one task with unchanged accumulation order, so the threaded result is
-  // bit-identical to the serial kernel.  Small products stay serial.
-  /// Flop threshold for threading (default 8M; SIZE_MAX forces serial,
-  /// 0 threads everything the pool allows).
-  static void set_gemm_min_flops(std::size_t flops);
-  static std::size_t gemm_min_flops();
-  /// Pool used by the threaded GEMM (nullptr = the global pool).  The caller
-  /// keeps ownership; used by benches/tests to sweep thread counts.
-  static void set_gemm_pool(parallel::ThreadPool* pool);
 
   /// Broadcast-add a row vector (1 x cols) to every row.
   Matrix add_row_broadcast(const Matrix& row_vec) const;

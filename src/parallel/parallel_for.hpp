@@ -3,26 +3,19 @@
 //
 // parallel_for(n, body)        — body(i) for i in [0, n), order unspecified.
 // parallel_map(items, fn)      — element-wise transform preserving order.
-// parallel_reduce(n, init, ...)— tree-free chunked reduction.
 //
 // The first exception thrown by any body is rethrown on the calling thread
-// after all chunks complete.
+// after all chunks complete, so no chunk outlives the caller's frame.
 //
 // Nested use is supported: called from a worker of the SAME pool, the caller
 // helps drain the pool while it waits (running its own share — and anything
-// else claimable — inline), so nested fan-out can never deadlock and still
-// uses every worker.  Under the work-stealing scheduler a nested call's
-// chunks land on the calling worker's own deque and are popped LIFO by the
-// helping loop (or stolen by idle peers), so the nested loop's work stays
-// cache-local without any change here.  The chunking still sees the pool's
-// full worker count, so callers that size work by pool.size() (e.g. the
-// GEMM panel split) behave identically at any nesting depth.
+// else queued — inline), so nested fan-out can never deadlock and still
+// uses every worker.
 //
 // Determinism note: the pool promises exactly-once execution, not order.
-// parallel_for writes disjoint indices, parallel_map/parallel_reduce write
-// disjoint slots and combine them in SUBMISSION order on the waiting
-// thread — which is why their results are bit-identical to the serial loop
-// at any worker count and under any steal schedule (stress-checked in
+// parallel_for writes disjoint indices and parallel_map writes disjoint
+// slots, which is why their results are bit-identical to the serial loop at
+// any worker count and under any schedule (stress-checked in
 // tests/parallel/test_pool_stress.cpp).
 
 #include <chrono>
@@ -96,40 +89,6 @@ auto parallel_map(const std::vector<T>& items, Fn&& fn, ThreadPool* pool = nullp
   parallel_for(
       items.size(), [&](std::size_t i) { out[i] = fn(items[i]); }, pool);
   return out;
-}
-
-/// Chunked reduction: combine(acc, value(i)). `combine` must be associative.
-template <typename Acc, typename ValueFn, typename CombineFn>
-Acc parallel_reduce(std::size_t n, Acc init, ValueFn&& value, CombineFn&& combine,
-                    ThreadPool* pool = nullptr) {
-  if (n == 0) return init;
-  ThreadPool& p = pool ? *pool : ThreadPool::global();
-  const std::size_t workers = p.size();
-  if (workers <= 1) {
-    Acc acc = init;
-    for (std::size_t i = 0; i < n; ++i) acc = combine(acc, value(i));
-    return acc;
-  }
-  const std::size_t chunks = std::min(n, workers * 4);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  const bool help = p.owns_current_thread();
-  std::vector<std::future<Acc>> futures;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    if (begin >= n) break;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    futures.push_back(p.submit([&, begin, end] {
-      Acc acc = init;
-      for (std::size_t i = begin; i < end; ++i) acc = combine(acc, value(i));
-      return acc;
-    }));
-  }
-  Acc total = init;
-  for (auto& f : futures) {
-    detail::wait_helping(p, help, f);
-    total = combine(total, f.get());
-  }
-  return total;
 }
 
 }  // namespace bellamy::parallel

@@ -16,10 +16,12 @@ void Strand::post(std::function<void()> task) {
     }
   }
   if (start_drain) {
-    // The drain loop's future is intentionally dropped: drain() never throws
-    // (tasks that do would unwind a pool worker first), and completion is
-    // observed through wait_idle(), not the future.
-    pool_.submit([this] { drain(); });
+    // The lambda is noexcept so a throwing task reaches std::terminate, as
+    // strand.hpp documents.  Without it the pool's packaged_task would store
+    // the exception in a future nobody reads and leave draining_ stuck at
+    // true: later posts would never run and ~Strand would hang.  The future
+    // is dropped; completion is observed through wait_idle().
+    pool_.submit([this]() noexcept { drain(); });
   }
 }
 
@@ -85,12 +87,10 @@ void Strand::wait_idle() {
     return;
   }
   if (pool_.owns_current_thread()) {
-    // Called from a pool worker: parking would let strand work queued BEHIND
-    // this worker's slot deadlock the wait.  Help the pool instead.  Under
-    // the work-stealing scheduler the drainer task this wait depends on may
-    // sit in ANY worker's deque or injection stripe; try_run_pending_task
-    // claims across all of them (own pop, stripe scan, steal round), so the
-    // helping loop reaches it no matter where the post() landed.
+    // Called from a pool worker: parking could leave the drainer task this
+    // wait depends on queued with no free worker to run it.  Help the pool
+    // instead: try_run_pending_task pops from the shared queue, so the
+    // helping loop reaches the drainer wherever it sits in line.
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -1,331 +1,109 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-
-#include "parallel/work_stealing_deque.hpp"
 
 namespace bellamy::parallel {
 
-// ---------------------------------------------------------------------------
-// Sleep/wake + idle protocol (the part a lock-free queue does NOT give you).
-//
-// Two counters drive it:
-//   queued_  — tasks made visible (pushed) but not yet claimed.  Incremented
-//              BEFORE the push, decremented at claim, so it is an upper
-//              bound that is never negative and never undercounts.
-//   pending_ — queued + claimed-but-running.  Incremented with queued_,
-//              decremented only after the task body finished.
-//
-// Lost-wakeup freedom is a Dekker argument, run twice:
-//
-//   producer: queued_++ (seq_cst) ... then loads sleepers_
-//   sleeper:  sleepers_++ (seq_cst, under sleep_mutex_) ... then loads queued_
-//
-// In the seq_cst total order one of the two stores precedes the other, so
-// either the producer sees sleepers_ > 0 and notifies (the notify itself is
-// made under sleep_mutex_, which serializes with the sleeper's park-and-
-// check, so it cannot fall between "checked queued_" and "began waiting"),
-// or the sleeper sees queued_ > 0 and never parks.  The same pair with
-// pending_ / idle_waiters_ covers wait_idle: the finisher of the LAST
-// pending task sees the waiter or the waiter sees pending_ == 0.
-//
-// Spin phase + wake filter.  A notify with parked waiters is a futex
-// syscall, and with tiny tasks a naive "notify on every push" spends more
-// time in the kernel than in task bodies (measured: ~1 notify and ~0.6
-// park/unpark round-trips PER TASK on the contention bench).  So at most
-// ONE worker pool-wide sits in a bounded spin (claim attempts interleaved
-// with yields) before parking, and producers skip the notify while a
-// spinner is registered — the spinner is already scanning and will find
-// the push.  This stays lost-wakeup-free because it only filters the
-// SYSCALL, not the Dekker protocol: the producer loads spinners_ after its
-// queued_++; the spinner clears spinners_ before the park-and-check; in
-// the seq_cst order either the producer sees spinners_ == 0 and falls
-// through to the sleepers_ check above, or the spinner's park predicate
-// (which re-reads queued_ under sleep_mutex_) sees the producer's push and
-// refuses to sleep.  A spinner that DOES claim work passes the wake baton
-// before running it (notify_one if queued_ > 0 and sleepers_ > 0), so on
-// multi-core hosts parallelism ramps back up even though producers went
-// quiet.
-//
-// This fixes for good the wait_idle defect the mutex-queue pool was exposed
-// to: its idle condition was "queue empty && active == 0", where active was
-// maintained in two separate critical sections by helping threads — a task
-// CLAIMED by a helper but not yet counted could make the pool look idle.
-// Here a task is pending_ from before it is visible until after it ran, no
-// matter which thread runs it (tests/parallel/test_thread_pool.cpp:
-// WaitIdleSeesTaskClaimedByExternalHelper).
-// ---------------------------------------------------------------------------
-
-struct ThreadPool::Worker {
-  WorkStealingDeque<Task*> deque;
-  // Rotating victim cursor so the steal scan does not always hammer worker
-  // 0 first (plain member: only touched by the owning worker thread).
-  std::size_t next_victim = 0;
-};
-
-struct ThreadPool::InjectStripe {
-  std::mutex mutex;
-  std::deque<Task*> queue;
-};
+// Idle accounting.  A task is counted in pending_ from the moment submit
+// queues it until its body has returned, and both edges happen under
+// mutex_.  wait_idle therefore cannot observe a task that was popped (queue
+// empty) but is still running, whichever thread — worker or external helper
+// — popped it (tests/parallel/test_thread_pool.cpp:
+// WaitIdleSeesTaskClaimedByExternalHelper).  An "empty queue && no active
+// worker" test would miss exactly that window.
 
 namespace {
-
-// Owning pool of the current thread (nullptr outside any pool worker) and
-// the worker index within it.  t_worker_index is only meaningful while
-// t_current_pool matches the pool asking.
+// Owning pool of the current thread (nullptr outside any pool worker).
 thread_local const ThreadPool* t_current_pool = nullptr;
-thread_local std::size_t t_worker_index = 0;
-
-// Stable per-thread token for picking an injection stripe: consecutive
-// external submitter threads land on different stripes, so N submitters
-// contend on ~N distinct mutexes instead of one.
-std::size_t submitter_token() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t token = next.fetch_add(1, std::memory_order_relaxed);
-  return token;
-}
-
-// Spin laps before a failed claimant parks.  Each lap is one yield plus one
-// full claim scan: cheap when the host is otherwise busy (yield reschedules
-// real work), bounded to tens of microseconds when it is not.
-constexpr int kSpinLaps = 64;
-
-// Tasks a WORKER drags from an injection stripe into its own deque per lock
-// acquisition (external helpers take exactly one).  Amortizes the stripe
-// mutex across a burst and turns the follow-up claims into lock-free pops;
-// the moved tasks stay counted in queued_ and stay stealable, so no
-// protocol invariant moves.
-constexpr int kClaimBatch = 16;
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  worker_state_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    worker_state_.push_back(std::make_unique<Worker>());
-  }
-  // One stripe per worker up to 8: enough to spread submitter contention,
-  // small enough that the workers' claim scan stays cheap.
-  const std::size_t stripes = std::min<std::size_t>(num_threads, 8);
-  inject_.reserve(stripes);
-  for (std::size_t i = 0; i < stripes; ++i) {
-    inject_.push_back(std::make_unique<InjectStripe>());
-  }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    // stopping_ is set under BOTH the sleep mutex (so no worker parks after
-    // missing it) and every stripe mutex (so an external enqueue either
-    // completed its push before this point — and a worker will run it before
-    // exiting, see worker_loop — or observes stopping_ and throws).
-    std::unique_lock<std::mutex> sleep_lock(sleep_mutex_);
-    std::vector<std::unique_lock<std::mutex>> stripe_locks;
-    stripe_locks.reserve(inject_.size());
-    for (auto& stripe : inject_) stripe_locks.emplace_back(stripe->mutex);
-    stopping_.store(true, std::memory_order_seq_cst);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
   cv_.notify_all();
+  // Workers drain the queue before exiting (worker_loop), so every task
+  // submitted before this point runs exactly once.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
-  }
-  // Workers drain every queue before exiting, so nothing should remain; be
-  // defensive anyway (a Task* leak would trip the ASan lane).
-  for (auto& stripe : inject_) {
-    for (Task* task : stripe->queue) delete task;
-  }
-  for (auto& worker : worker_state_) {
-    while (Task* task = worker->deque.pop()) delete task;
   }
 }
 
 bool ThreadPool::owns_current_thread() const { return t_current_pool == this; }
 
 void ThreadPool::enqueue(Task task) {
-  if (stopping_.load(std::memory_order_seq_cst)) {
-    throw std::runtime_error("ThreadPool::submit after shutdown");
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) throw std::runtime_error("ThreadPool::submit after shutdown");
+    tasks_.push(std::move(task));
+    ++pending_;
   }
-  Task* node = new Task(std::move(task));
-  if (t_current_pool == this) {
-    // Worker-local fast path: lock-free push onto our own deque.  The
-    // pushing worker cannot exit before draining its own deque (its
-    // queued_++ below is program-ordered before any later exit check), so
-    // even a push racing the destructor is executed, exactly once.
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    queued_.fetch_add(1, std::memory_order_seq_cst);
-    worker_state_[t_worker_index]->deque.push(node);
-  } else {
-    InjectStripe& stripe = *inject_[submitter_token() % inject_.size()];
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    if (stopping_.load(std::memory_order_seq_cst)) {
-      delete node;
-      throw std::runtime_error("ThreadPool::submit after shutdown");
-    }
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    queued_.fetch_add(1, std::memory_order_seq_cst);
-    stripe.queue.push_back(node);
-  }
-  // Dekker partner of the sleeper's park-and-check; see the protocol note.
-  // The spinners_ filter skips the syscall while a worker is spin-scanning
-  // (it will find this push); safety is carried by the park predicate.
-  if (spinners_.load(std::memory_order_seq_cst) == 0 &&
-      sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    cv_.notify_one();
-  }
+  cv_.notify_one();
 }
 
-ThreadPool::Task* ThreadPool::claim_task(std::ptrdiff_t self) {
-  Task* task = nullptr;
-  Worker* me = self >= 0 ? worker_state_[static_cast<std::size_t>(self)].get() : nullptr;
-  // 1. Own deque, LIFO: freshest work, still hot in this core's cache.
-  if (me) task = me->deque.pop();
-  // 2. Injection stripes, FIFO: external submitters' work.  Start at a
-  //    caller-dependent stripe so claimants do not convoy on stripe 0.
-  if (!task) {
-    const std::size_t stripes = inject_.size();
-    const std::size_t start =
-        self >= 0 ? static_cast<std::size_t>(self) : submitter_token();
-    for (std::size_t i = 0; i < stripes && !task; ++i) {
-      InjectStripe& stripe = *inject_[(start + i) % stripes];
-      std::lock_guard<std::mutex> lock(stripe.mutex);
-      if (!stripe.queue.empty()) {
-        task = stripe.queue.front();
-        stripe.queue.pop_front();
-        // Batch refill: pushing onto our own deque is owner-only, and
-        // claim_task runs on the owning thread, so this is race-free.
-        for (int k = 1; me && k < kClaimBatch && !stripe.queue.empty(); ++k) {
-          me->deque.push(stripe.queue.front());
-          stripe.queue.pop_front();
-        }
-      }
-    }
-  }
-  // 3. Steal one round over the other workers, oldest task first.
-  if (!task) {
-    const std::size_t n = worker_state_.size();
-    std::size_t start = me ? me->next_victim : submitter_token();
-    for (std::size_t i = 0; i < n && !task; ++i) {
-      const std::size_t victim = (start + i) % n;
-      if (self >= 0 && victim == static_cast<std::size_t>(self)) continue;
-      task = worker_state_[victim]->deque.steal();
-      if (task && me) me->next_victim = victim;
-    }
-  }
-  if (task) queued_.fetch_sub(1, std::memory_order_seq_cst);
-  return task;
+void ThreadPool::run(Task& task) {
+  task();  // exceptions are captured by the packaged_task wrapper
+  task = nullptr;  // drop captures before the task stops counting as pending
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (--pending_ == 0) idle_cv_.notify_all();
 }
 
-void ThreadPool::run_task(Task* task) {
-  (*task)();  // exceptions are captured by the packaged_task wrapper
-  delete task;
-  // Last pending task published idleness: Dekker partner of wait_idle's
-  // register-then-check (see the protocol note).
-  if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-      idle_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    idle_cv_.notify_all();
-  }
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   t_current_pool = this;
-  t_worker_index = index;
   for (;;) {
-    if (Task* task = claim_task(static_cast<std::ptrdiff_t>(index))) {
-      run_task(task);
-      continue;
+    Task task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop();
     }
-    // Spin phase: become THE spinner (at most one pool-wide) and re-scan
-    // with yields for a bounded number of laps before paying the futex
-    // park.  Producers skip their notify while we are registered here; the
-    // protocol note explains why that cannot lose a wakeup.
-    int expected_spinners = 0;
-    if (spinners_.compare_exchange_strong(expected_spinners, 1,
-                                          std::memory_order_seq_cst)) {
-      Task* task = nullptr;
-      for (int lap = 0; lap < kSpinLaps && !task; ++lap) {
-        if (stopping_.load(std::memory_order_seq_cst)) break;
-        std::this_thread::yield();
-        task = claim_task(static_cast<std::ptrdiff_t>(index));
-      }
-      spinners_.store(0, std::memory_order_seq_cst);
-      if (task) {
-        // Wake baton: producers went quiet while we spun, so if there is
-        // more visible work and everyone else is parked, wake one before
-        // disappearing into the task body.
-        if (queued_.load(std::memory_order_seq_cst) > 0 &&
-            sleepers_.load(std::memory_order_seq_cst) > 0) {
-          std::lock_guard<std::mutex> lock(sleep_mutex_);
-          cv_.notify_one();
-        }
-        run_task(task);
-        continue;
-      }
-    }
-    // Park.  sleepers_++ BEFORE the queued_ re-check (under the mutex) is
-    // the sleeper half of the Dekker pair; the cv predicate re-checks on
-    // every wake so a notify can never be consumed without effect.
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.wait(lock, [this] {
-      return queued_.load(std::memory_order_seq_cst) > 0 ||
-             stopping_.load(std::memory_order_seq_cst);
-    });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    if (stopping_.load(std::memory_order_seq_cst) &&
-        queued_.load(std::memory_order_seq_cst) == 0) {
-      // Shutdown AND nothing left to claim anywhere: the destructor holds
-      // every stripe mutex when it sets stopping_, so any task counted in
-      // queued_ before this read is already pushed and will be claimed —
-      // by us on the next lap if queued_ > 0 here, by someone else if a
-      // racing claim just took it (their run finishes before their exit).
-      return;
-    }
+    run(task);
   }
 }
 
 bool ThreadPool::try_run_pending_task() {
-  const std::ptrdiff_t self =
-      t_current_pool == this ? static_cast<std::ptrdiff_t>(t_worker_index) : -1;
-  Task* task = claim_task(self);
-  if (!task) return false;
-  run_task(task);
+  Task task;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop();
+  }
+  run(task);
   return true;
 }
 
 void ThreadPool::wait_idle() {
   if (owns_current_thread()) {
-    // Helping wait: parking a worker inside wait_idle could deadlock (the
-    // remaining work may sit in OUR deque, and with one worker there is
-    // nobody else).  Drain instead; yield covers the claimed-but-running
-    // tail where there is nothing left to help with.
-    while (pending_.load(std::memory_order_seq_cst) > 0) {
+    // Helping wait: parking a worker here could deadlock (with one worker
+    // nobody else would drain the queue).  Yield covers the tail where the
+    // remaining tasks are running on other threads.
+    while (pending_approx() > 0) {
       if (!try_run_pending_task()) std::this_thread::yield();
     }
     return;
   }
-  if (pending_.load(std::memory_order_seq_cst) == 0) return;
-  std::unique_lock<std::mutex> lock(sleep_mutex_);
-  idle_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  idle_cv_.wait(lock, [this] {
-    return pending_.load(std::memory_order_seq_cst) == 0;
-  });
-  idle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 std::size_t ThreadPool::pending_approx() const {
-  const std::int64_t p = pending_.load(std::memory_order_seq_cst);
-  return p > 0 ? static_cast<std::size_t>(p) : 0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return pending_;
 }
 
 ThreadPool& ThreadPool::global() {

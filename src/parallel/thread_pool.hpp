@@ -1,37 +1,27 @@
 #pragma once
-// Work-stealing thread pool.
+// Fixed-size thread pool with one shared FIFO task queue.
 //
-// Every worker owns a Chase–Lev deque (work_stealing_deque.hpp): a task
-// submitted FROM a pool worker is pushed lock-free onto that worker's own
-// deque (LIFO for the owner — nested parallel_for chunks stay cache-hot),
-// and idle workers steal from the top (FIFO — oldest work first).  Tasks
-// submitted from OUTSIDE the pool land in a small set of mutex-striped
-// injection queues; the stripe mutex is uncontended in the common case and
-// external submitters never touch the workers' deques.
+// One mutex guards the queue, the pending count and the shutdown flag; one
+// condition variable wakes workers, another wakes wait_idle().  The model's
+// fan-outs are a handful of coarse tasks (predict chunks, refit strands,
+// cross-validation splits — the paper used Ray Tune for the latter), so a
+// lock-free scheduler buys nothing measurable here.  Exceptions thrown by
+// tasks are captured and rethrown to the caller via the returned
+// std::future.
 //
-// Sleep/wake uses an eventcount-style protocol (see thread_pool.cpp): the
-// fast path — submit with every worker busy, or a worker finding work —
-// takes no lock and makes no syscall.  The evaluation harness fans out
-// independent cross-validation splits and hyper-parameter trials over this
-// pool (the paper used Ray Tune for the same purpose); threaded GEMM, the
-// chunked batch predictor, refit Strands, and the serve dispatcher all
-// share it.  Exceptions thrown by tasks are captured and rethrown to the
-// caller via the returned std::future.
-//
-// Scheduling freedom vs determinism: the pool makes NO ordering promise
-// between tasks — only that each runs exactly once.  Bit-identical results
-// (threaded GEMM, chunked predict, parallel_reduce) come from the CALLERS
-// writing disjoint output slots and combining them in submission order, so
-// they hold under any interleaving this scheduler can produce.
+// Scheduling freedom vs determinism: the pool promises only that each task
+// runs exactly once — helping threads (try_run_pending_task) may run tasks
+// out of queue order.  Bit-identical results (chunked predict, parallel_map)
+// come from the CALLERS writing disjoint output slots and combining them in
+// submission order, so they hold under any interleaving.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -67,7 +57,7 @@ class ThreadPool {
   /// Block until all currently queued and running tasks finish — including
   /// tasks they spawn before the pending count reaches zero, and tasks a
   /// helping thread claimed via try_run_pending_task but has not finished
-  /// (the count covers claimed-but-running work, not just the queues).
+  /// (the count covers claimed-but-running work, not just the queue).
   /// Called from a worker of THIS pool it helps (drains tasks inline)
   /// instead of parking, so it is deadlock-free at any nesting depth.
   void wait_idle();
@@ -79,17 +69,15 @@ class ThreadPool {
   /// worker is left to run.
   bool owns_current_thread() const;
 
-  /// Pop and execute one task on the calling thread, if any can be claimed.
-  /// Returns false when nothing was claimable.  A pool worker drains its own
-  /// deque first, then the injection stripes, then steals; any other thread
-  /// acts as a pure thief (injection stripes, then steals).  This is the
-  /// helping primitive for nested fan-out: a thread that blocks on futures
-  /// of this pool calls it in its wait loop, so the caller runs its share of
-  /// the nested work inline and the pool can never deadlock on nested
-  /// parallel_for.
+  /// Pop and execute the oldest queued task on the calling thread, if any.
+  /// Returns false when the queue was empty.  Any thread may call it.  This
+  /// is the helping primitive for nested fan-out: a thread that blocks on
+  /// futures of this pool calls it in its wait loop, so the caller runs its
+  /// share of the nested work inline and the pool can never deadlock on
+  /// nested parallel_for.
   bool try_run_pending_task();
 
-  /// Queued-or-running task count right now.  Racy snapshot, for tests and
+  /// Queued-or-running task count right now.  Snapshot, for tests and
   /// metrics only.
   std::size_t pending_approx() const;
 
@@ -99,39 +87,20 @@ class ThreadPool {
  private:
   using Task = std::function<void()>;
 
-  struct Worker;        // per-worker deque + steal cursor (thread_pool.cpp)
-  struct InjectStripe;  // mutex + FIFO for external submitters
-
-  /// Type-erased submit: routes to the caller's own deque (pool workers) or
-  /// an injection stripe (external threads), then wakes a sleeper if any.
   void enqueue(Task task);
+  /// Run a task already popped under the lock, then retire it.
+  void run(Task& task);
+  void worker_loop();
 
-  /// Claim one task: own deque (self >= 0), injection stripes, then steal a
-  /// round over the other workers.  Decrements queued_ on success.
-  Task* claim_task(std::ptrdiff_t self);
-
-  /// Run a claimed task, retire it, and publish idleness when it was the
-  /// last pending one.
-  void run_task(Task* task);
-
-  void worker_loop(std::size_t index);
-
-  std::vector<std::unique_ptr<Worker>> worker_state_;
-  std::vector<std::unique_ptr<InjectStripe>> inject_;
   std::vector<std::thread> workers_;
-
-  // Counters (all seq_cst at the use sites: they form Dekker pairs with
-  // sleepers_/idle_waiters_ — see the protocol note in thread_pool.cpp).
-  std::atomic<std::int64_t> queued_{0};   ///< pushed but not yet claimed (upper bound)
-  std::atomic<std::int64_t> pending_{0};  ///< queued + running
-  std::atomic<int> sleepers_{0};          ///< workers parked or about to park
-  std::atomic<int> spinners_{0};          ///< 0 or 1: a worker spin-scanning for work
-  std::atomic<int> idle_waiters_{0};      ///< threads parked in wait_idle
-  std::atomic<bool> stopping_{false};
-
-  std::mutex sleep_mutex_;  ///< guards cv_/idle_cv_ park-and-check only
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;       ///< queue non-empty or stopping
+  std::condition_variable idle_cv_;  ///< pending_ reached zero
+  std::queue<Task> tasks_;
+  /// Queued + running.  Incremented at submit, decremented only after the
+  /// task body returned, whichever thread ran it.
+  std::size_t pending_ = 0;
+  bool stopping_ = false;
 };
 
 }  // namespace bellamy::parallel

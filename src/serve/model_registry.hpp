@@ -111,8 +111,8 @@ struct RefitJob {
 /// on the process-wide ThreadPool; tasks capture the entry's shared_ptr, so
 /// an erase()d entry finishes its in-flight refit harmlessly off-registry.
 /// The strand's ordering is its own (drainer chaining), not the pool's: the
-/// work-stealing scheduler is free to run the drainer task from any worker
-/// or helper thread, and refits still execute one at a time in post order.
+/// drainer task may run on any worker or helper thread, and refits still
+/// execute one at a time in post order.
 struct RegistryEntry {
   ModelKey key;
   mutable std::mutex mutex;

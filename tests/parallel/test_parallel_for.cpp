@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace bellamy::parallel {
 namespace {
@@ -64,21 +68,22 @@ TEST(ParallelMap, EmptyInput) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
+// A throwing chunk must not let parallel_for return while sibling chunks
+// are still running: they read `body` and everything it captures by
+// reference from the caller's frame.
+TEST(ParallelFor, ThrowingChunkWaitsForEverySibling) {
   ThreadPool pool(4);
-  const std::size_t n = 10000;
-  const double total = parallel_reduce(
-      n, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-      [](double a, double b) { return a + b; }, &pool);
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-TEST(ParallelReduce, EmptyReturnsInit) {
-  ThreadPool pool(2);
-  const double total = parallel_reduce(
-      0, 42.0, [](std::size_t) { return 1.0; }, [](double a, double b) { return a + b; },
-      &pool);
-  EXPECT_DOUBLE_EQ(total, 42.0);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(
+                   16,
+                   [&](std::size_t i) {
+                     if (i == 0) throw std::runtime_error("chunk 0 failed");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                     finished.fetch_add(1);
+                   },
+                   &pool),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 15) << "parallel_for returned before its sibling chunks finished";
 }
 
 TEST(ParallelFor, LargeWorkStress) {
@@ -111,17 +116,21 @@ TEST(ParallelFor, NestedFromPoolWorkerCompletes) {
 // plain future wait.
 TEST(ParallelFor, AllWorkersNestingSimultaneously) {
   ThreadPool pool(4);
-  std::atomic<long long> sum{0};
+  std::vector<long long> slots(8 * 1000, -1);
   parallel_for(
       8,
-      [&](std::size_t) {
-        const long long local = parallel_reduce(
-            1000, 0LL, [](std::size_t i) { return static_cast<long long>(i); },
-            [](long long a, long long b) { return a + b; }, &pool);
-        sum.fetch_add(local);
+      [&](std::size_t outer) {
+        parallel_for(
+            1000,
+            [&](std::size_t inner) {
+              slots[outer * 1000 + inner] = static_cast<long long>(inner);
+            },
+            &pool);
       },
       &pool);
-  EXPECT_EQ(sum.load(), 8LL * (1000LL * 999 / 2));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i], static_cast<long long>(i % 1000));
+  }
 }
 
 TEST(ParallelFor, NestedExceptionPropagates) {

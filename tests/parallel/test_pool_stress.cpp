@@ -1,4 +1,4 @@
-// Concurrency stress suite for the work-stealing ThreadPool (ctest labels:
+// Concurrency stress suite for the ThreadPool (ctest labels:
 // parallel + stress; the TSan CI lane runs it under -fsanitize=thread).
 //
 // The seeded soak mixes every submission path the rest of the codebase
@@ -9,9 +9,9 @@
 //   1. exactly-once execution (every task id claimed once, none lost),
 //   2. no lost wakeups (every wait_idle returns within a bounded wall-clock
 //      budget — a missed notify would park a waiter forever),
-//   3. bit-identical parallel_reduce sums vs serial (integer arithmetic, so
-//      associativity is exact and any scheduling of the chunks must produce
-//      the same bits).
+//   3. bit-identical parallel_map results vs serial (integer arithmetic,
+//      summed serially afterwards, so any scheduling of the chunks must
+//      produce the same bits).
 //
 // Acceptance: 20/20 seeds green.  Each seed derives its worker count, task
 // mix, and burst shape from a SplitMix64 stream, so the 20 runs cover the
@@ -22,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -130,8 +131,8 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
         }
       };
 
-  // External submitters: a couple of plain threads pushing through the
-  // injection stripes while the workers generate their own recursive load.
+  // External submitters: a couple of plain threads pushing onto the queue
+  // while the workers generate their own recursive load.
   const int submitters = 1 + static_cast<int>(rng.below(3));
   std::vector<std::thread> external;
   external.reserve(static_cast<std::size_t>(submitters));
@@ -164,23 +165,25 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
     });
   }
 
-  // Serial-vs-parallel reduce, exact integer arithmetic: any chunking and
-  // any interleaving must produce the same bits.
+  // Serial vs parallel_map-then-serial-sum, exact integer arithmetic: any
+  // chunking and any interleaving must produce the same bits.
   constexpr std::size_t kReduceN = 10000;
   auto value = [](std::size_t i) {
     return static_cast<std::uint64_t>(i) * 2654435761ull + 17;
   };
+  std::vector<std::size_t> indices(kReduceN);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
   std::uint64_t serial_sum = 0;
   for (std::size_t i = 0; i < kReduceN; ++i) serial_sum += value(i);
 
   go.store(true);
-  // Main thread interleaves: nested-free parallel_reduce calls and bounded
+  // Main thread interleaves: nested-free parallel_map calls and bounded
   // wait_idle probes while the external submitters and workers churn.
   for (int probe = 0; probe < 4; ++probe) {
-    const std::uint64_t parallel_sum = parallel_reduce(
-        kReduceN, std::uint64_t{0}, value,
-        [](std::uint64_t a, std::uint64_t b) { return a + b; }, &pool);
-    EXPECT_EQ(parallel_sum, serial_sum) << "parallel_reduce diverged from serial";
+    const auto values = parallel_map(indices, value, &pool);
+    std::uint64_t parallel_sum = 0;
+    for (const auto v : values) parallel_sum += v;
+    EXPECT_EQ(parallel_sum, serial_sum) << "parallel_map diverged from serial";
     wait_idle_bounded(pool, std::chrono::seconds(120));
   }
 
@@ -239,7 +242,7 @@ TEST(PoolStressFocused, ConcurrentWaitIdleAllReturnAfterLastTask) {
 }
 
 // Submit/park churn: tiny batches with full drains in between is the worst
-// case for the sleep/wake protocol (every batch must wake a parked worker).
+// case for sleep/wake (every batch must wake a parked worker).
 // A lost wakeup hangs a batch; the bounded wait converts that into a fail.
 TEST(PoolStressFocused, RepeatedDrainCyclesNeverLoseAWakeup) {
   ThreadPool pool(2);

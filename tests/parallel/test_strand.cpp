@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -104,6 +106,22 @@ TEST(Strand, FinalTaskClosureOwningTheStrandDoesNotWedgeTheWorker) {
   owner.reset();  // the queued closure now owns the Owner (and its Strand)
   while (!ran.load()) std::this_thread::yield();
   // ~ThreadPool at scope exit must join cleanly: a wedged worker hangs here.
+}
+
+// strand.hpp promises that a throwing task terminates the process.  Without
+// that, the pool's packaged_task would swallow the exception, leave the
+// strand marked as draining, never run later posts, and hang ~Strand.
+TEST(StrandDeathTest, ThrowingTaskTerminates) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        Strand strand(pool);
+        strand.post([] { throw std::runtime_error("strand task failed"); });
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+        std::_Exit(0);  // survived: skip ~Strand, which would hang here
+      },
+      "");
 }
 
 TEST(Strand, DestructorDrainsPostedTasks) {

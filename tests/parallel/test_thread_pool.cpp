@@ -103,8 +103,8 @@ TEST(ThreadPool, DestructorDrainsQueue) {
 }
 
 TEST(ThreadPool, TryRunPendingTaskFromExternalThread) {
-  // Any thread may help: an external (non-worker) caller claims through the
-  // injection stripes and the workers' deques as a pure thief.
+  // Any thread may help: an external (non-worker) caller pops from the same
+  // queue the workers use.
   ThreadPool pool(1);
   std::atomic<bool> blocker_started{false};
   std::atomic<bool> release{false};
@@ -113,7 +113,7 @@ TEST(ThreadPool, TryRunPendingTaskFromExternalThread) {
     while (!release.load()) std::this_thread::yield();
   });
   // Wait until the WORKER holds the blocker — otherwise this thread's
-  // helping loop below would claim it first (stripe FIFO) and spin on a
+  // helping loop below would claim it first (queue FIFO) and spin on a
   // release flag only set after the loop.
   while (!blocker_started.load()) std::this_thread::yield();
   std::atomic<int> ran{0};
@@ -130,9 +130,9 @@ TEST(ThreadPool, TryRunPendingTaskFromExternalThread) {
 // `active` in a separate critical section from its pop: wait_idle could
 // observe the window where a task was already CLAIMED by a helper (queue
 // empty) but not yet COUNTED (active still 0) and return while the task was
-// running.  The work-stealing pool counts a task as pending_ from before it
-// becomes claimable until after its body returns, no matter which thread
-// runs it.  Reintroducing the two-phase accounting makes this test fail:
+// running.  The pool counts a task as pending_ from submit until after its
+// body returns, no matter which thread runs it.  Reintroducing the two-phase
+// accounting makes this test fail:
 // wait_idle would return with `done` still false while the helper sleeps
 // inside the task.
 TEST(ThreadPool, WaitIdleSeesTaskClaimedByExternalHelper) {
@@ -159,7 +159,7 @@ TEST(ThreadPool, WaitIdleSeesTaskClaimedByExternalHelper) {
   std::thread helper([&pool] { pool.try_run_pending_task(); });
   while (!claimed.load()) std::this_thread::yield();
 
-  // The helper is now INSIDE the task, both queues are empty.  wait_idle
+  // The helper is now INSIDE the task and the queue is empty.  wait_idle
   // must still block until the claimed task's body finishes.
   worker_release.store(true);
   pool.wait_idle();
@@ -169,7 +169,7 @@ TEST(ThreadPool, WaitIdleSeesTaskClaimedByExternalHelper) {
 }
 
 TEST(ThreadPool, ExternalSubmittersFromManyThreadsRunExactlyOnce) {
-  // Hammers the striped injection path: 8 submitter threads, one pool.
+  // Hammers the shared queue: 8 submitter threads, one pool.
   ThreadPool pool(4);
   constexpr int kPerThread = 500;
   constexpr int kThreads = 8;
@@ -198,9 +198,9 @@ TEST(ThreadPool, ExternalSubmittersFromManyThreadsRunExactlyOnce) {
 }
 
 TEST(ThreadPool, WorkerRecursiveSubmitCompletesOnSingleWorker) {
-  // A task submitting from inside the pool pushes lock-free onto its own
-  // deque; with one worker nobody can steal, so the owner itself must pop
-  // the children (LIFO) before it can go idle.
+  // A task submitting from inside the pool queues its children behind
+  // itself; with one worker, that worker must run every descendant before
+  // the pool can go idle.
   ThreadPool pool(1);
   std::atomic<int> ran{0};
   std::function<void(int)> spawn = [&](int depth) {
