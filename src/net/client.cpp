@@ -21,22 +21,24 @@ serve::ServeResult<T> transport_lost(serve::ServeStatus status) {
                   : "connection closed before the response arrived");
 }
 
-/// Map a response's head onto a ServeResult, or a decode failure onto
-/// kInternalError (the server spoke, but not the protocol we expect).
-template <typename T, typename Resp>
-serve::ServeResult<T> from_head(const Resp& resp, T value) {
-  if (!resp.head.ok()) {
-    return serve::ServeResult<T>::failure(resp.head.status, resp.head.message);
+/// Decode the response frame and map it onto a ServeResult: the head's
+/// ServeStatus on a server-side failure, kInternalError on a decode failure
+/// (the server spoke, but not the protocol we expect), else convert(resp).
+template <typename T, typename Resp, typename Convert>
+serve::ServeResult<T> from_frame(const FrameView& frame, const Convert& convert) {
+  Resp resp;
+  const WireStatus status = decode_message(frame, resp);
+  if (status != WireStatus::kOk) {
+    return serve::ServeResult<T>::failure(
+        serve::ServeStatus::kInternalError,
+        std::string("undecodable response: ") + to_string(status));
   }
-  return serve::ServeResult<T>(std::move(value));
+  if (!resp.head.ok()) return serve::ServeResult<T>::failure(resp.head.status, resp.head.message);
+  return serve::ServeResult<T>(convert(resp));
 }
 
-template <typename T>
-serve::ServeResult<T> decode_failure(WireStatus status) {
-  return serve::ServeResult<T>::failure(
-      serve::ServeStatus::kInternalError,
-      std::string("undecodable response: ") + to_string(status));
-}
+/// For calls whose response carries nothing but its head.
+constexpr auto kNoValue = [](const auto&) { return serve::Unit{}; };
 
 }  // namespace
 
@@ -213,11 +215,14 @@ void NetClient::reader_loop() {
     FrameView frame;
     if (parse_body(body.data(), body.size(), frame) != WireStatus::kOk) break;
 
-    // Every response leads with a u64 request_id; peek it to correlate.
+    // Every response leads with a u64 request_id; peek it to correlate.  A
+    // payload too short to hold one is protocol garbage like any other: its
+    // request can never be matched, so the connection ends and every pending
+    // request fails rather than waiting on a response that will not come.
     std::uint64_t request_id = 0;
     {
       WireReader r(frame.payload, frame.payload_size);
-      if (!r.u64(request_id)) continue;  // runt payload: drop the frame
+      if (!r.u64(request_id)) break;
     }
     Deliver deliver;
     {
@@ -246,31 +251,27 @@ void NetClient::fail_all_pending(serve::ServeStatus status) {
   for (auto& [id, entry] : orphans) entry.deliver(nullptr, status);
 }
 
+template <typename Resp, typename Req, typename Convert>
+auto NetClient::call(Req req, Convert convert)
+    -> std::future<serve::ServeResult<std::invoke_result_t<Convert&, Resp&>>> {
+  using T = std::invoke_result_t<Convert&, Resp&>;
+  auto promise = std::make_shared<std::promise<serve::ServeResult<T>>>();
+  std::future<serve::ServeResult<T>> future = promise->get_future();
+  send_request(req, [promise, convert](const FrameView* frame, serve::ServeStatus fail) {
+    promise->set_value(frame == nullptr ? transport_lost<T>(fail)
+                                        : from_frame<T, Resp>(*frame, convert));
+  });
+  return future;
+}
+
 // ---------------------------------------------------------------------------
 // Serving calls
 // ---------------------------------------------------------------------------
 
 std::future<serve::ServeResult<double>> NetClient::predict_async(const serve::ModelKey& key,
                                                                  const data::JobRun& query) {
-  auto promise = std::make_shared<std::promise<serve::ServeResult<double>>>();
-  std::future<serve::ServeResult<double>> future = promise->get_future();
-  PredictRequest req;
-  req.key = key;
-  req.query = query;
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<double>(fail));
-      return;
-    }
-    PredictResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<double>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, resp.value));
-  });
-  return future;
+  return call<PredictResponse>(PredictRequest{.key = key, .query = query},
+                               [](PredictResponse& resp) { return resp.value; });
 }
 
 serve::ServeResult<double> NetClient::predict(const serve::ModelKey& key,
@@ -280,25 +281,9 @@ serve::ServeResult<double> NetClient::predict(const serve::ModelKey& key,
 
 std::future<serve::ServeResult<std::vector<double>>> NetClient::predict_many_async(
     const serve::ModelKey& key, const std::vector<data::JobRun>& queries) {
-  auto promise = std::make_shared<std::promise<serve::ServeResult<std::vector<double>>>>();
-  auto future = promise->get_future();
-  PredictManyRequest req;
-  req.key = key;
-  req.queries = queries;
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<std::vector<double>>(fail));
-      return;
-    }
-    PredictManyResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<std::vector<double>>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, std::move(resp.values)));
-  });
-  return future;
+  return call<PredictManyResponse>(
+      PredictManyRequest{.key = key, .queries = queries},
+      [](PredictManyResponse& resp) { return std::move(resp.values); });
 }
 
 serve::ServeResult<std::vector<double>> NetClient::predict_many(
@@ -308,241 +293,82 @@ serve::ServeResult<std::vector<double>> NetClient::predict_many(
 
 serve::ServeResult<serve::Unit> NetClient::publish(const serve::ModelKey& key,
                                                    const core::BellamyModel& model) {
-  PublishRequest req;
-  req.key = key;
   std::ostringstream out;
   model.to_checkpoint().save(out);
-  req.checkpoint_text = out.str();
-
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::Unit>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::Unit>(fail));
-      return;
-    }
-    PublishResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::Unit>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, serve::Unit{}));
-  });
-  return future.get();
+  return call<PublishResponse>(PublishRequest{.key = key, .checkpoint_text = out.str()},
+                               kNoValue)
+      .get();
 }
 
 serve::ServeResult<core::FineTuneResult> NetClient::refit(
     const serve::ModelKey& key, const std::vector<data::JobRun>& runs,
     const core::FineTuneConfig& config, core::ReuseStrategy strategy) {
-  RefitAsyncRequest req;
-  req.key = key;
-  req.runs = runs;
-  req.config = config;
-  req.strategy = static_cast<std::uint8_t>(strategy);
-
-  auto promise = std::make_shared<std::promise<serve::ServeResult<core::FineTuneResult>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<core::FineTuneResult>(fail));
-      return;
-    }
-    RefitResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<core::FineTuneResult>(status));
-      return;
-    }
-    core::FineTuneResult fit;
-    fit.epochs_run = static_cast<std::size_t>(resp.epochs_run);
-    fit.best_mae_seconds = resp.best_mae_seconds;
-    fit.reached_target = resp.reached_target != 0;
-    fit.fit_seconds = resp.fit_seconds;
-    promise->set_value(from_head(resp, std::move(fit)));
-  });
-  return future.get();
+  RefitAsyncRequest req{.key = key,
+                        .runs = runs,
+                        .config = config,
+                        .strategy = static_cast<std::uint8_t>(strategy)};
+  return call<RefitResponse>(std::move(req), [](RefitResponse& resp) {
+           core::FineTuneResult fit;
+           fit.epochs_run = static_cast<std::size_t>(resp.epochs_run);
+           fit.best_mae_seconds = resp.best_mae_seconds;
+           fit.reached_target = resp.reached_target != 0;
+           fit.fit_seconds = resp.fit_seconds;
+           return fit;
+         })
+      .get();
 }
 
 serve::ServeResult<serve::ServeMetrics> NetClient::metrics(const serve::ModelKey& key) {
-  MetricsRequest req;
-  req.key = key;
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::ServeMetrics>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::ServeMetrics>(fail));
-      return;
-    }
-    MetricsResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::ServeMetrics>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, resp.metrics));
-  });
-  return future.get();
+  return call<MetricsResponse>(MetricsRequest{.key = key},
+                               [](MetricsResponse& resp) { return resp.metrics; })
+      .get();
 }
 
 serve::ServeResult<serve::DriftObservation> NetClient::report_run(const serve::ModelKey& key,
                                                                   const data::JobRun& run) {
-  ReportRunRequest req;
-  req.key = key;
-  req.run = run;
-  auto promise =
-      std::make_shared<std::promise<serve::ServeResult<serve::DriftObservation>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::DriftObservation>(fail));
-      return;
-    }
-    ReportRunResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::DriftObservation>(status));
-      return;
-    }
-    serve::DriftObservation observation;
-    observation.error_ewma = resp.error_ewma;
-    observation.reports = resp.reports;
-    observation.refit_triggered = resp.refit_triggered != 0;
-    promise->set_value(from_head(resp, observation));
-  });
-  return future.get();
+  return call<ReportRunResponse>(ReportRunRequest{.key = key, .run = run},
+                                 [](ReportRunResponse& resp) {
+                                   serve::DriftObservation observation;
+                                   observation.error_ewma = resp.error_ewma;
+                                   observation.reports = resp.reports;
+                                   observation.refit_triggered = resp.refit_triggered != 0;
+                                   return observation;
+                                 })
+      .get();
 }
 
 serve::ServeResult<serve::Unit> NetClient::set_qos(const serve::ModelKey& key,
                                                    const serve::HandleQos& qos) {
-  SetQosRequest req;
-  req.key = key;
-  req.qos_class = static_cast<std::uint8_t>(qos.qos);
-  req.weight = qos.weight;
-  req.max_lag_us = static_cast<std::uint64_t>(qos.max_lag.count());
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::Unit>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::Unit>(fail));
-      return;
-    }
-    SetQosResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::Unit>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, serve::Unit{}));
-  });
-  return future.get();
+  SetQosRequest req{.key = key,
+                    .qos_class = static_cast<std::uint8_t>(qos.qos),
+                    .weight = qos.weight,
+                    .max_lag_us = static_cast<std::uint64_t>(qos.max_lag.count())};
+  return call<SetQosResponse>(std::move(req), kNoValue).get();
 }
 
 serve::ServeResult<serve::Unit> NetClient::erase(const serve::ModelKey& key) {
-  EraseRequest req;
-  req.key = key;
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::Unit>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::Unit>(fail));
-      return;
-    }
-    EraseResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::Unit>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, serve::Unit{}));
-  });
-  return future.get();
+  return call<EraseResponse>(EraseRequest{.key = key}, kNoValue).get();
 }
 
 serve::ServeResult<std::vector<DigestEntry>> NetClient::digest() {
-  DigestRequest req;
-  auto promise =
-      std::make_shared<std::promise<serve::ServeResult<std::vector<DigestEntry>>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<std::vector<DigestEntry>>(fail));
-      return;
-    }
-    DigestResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<std::vector<DigestEntry>>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, std::move(resp.entries)));
-  });
-  return future.get();
+  return call<DigestResponse>(DigestRequest{},
+                              [](DigestResponse& resp) { return std::move(resp.entries); })
+      .get();
 }
 
 serve::ServeResult<PulledCheckpoint> NetClient::pull_model(const serve::ModelKey& key) {
-  PullRequest req;
-  req.key = key;
-  auto promise = std::make_shared<std::promise<serve::ServeResult<PulledCheckpoint>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<PulledCheckpoint>(fail));
-      return;
-    }
-    PullResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<PulledCheckpoint>(status));
-      return;
-    }
-    PulledCheckpoint pulled;
-    pulled.stamp = resp.stamp;
-    pulled.checkpoint_text = std::move(resp.checkpoint_text);
-    promise->set_value(from_head(resp, std::move(pulled)));
-  });
-  return future.get();
+  return call<PullResponse>(PullRequest{.key = key}, [](PullResponse& resp) {
+           return PulledCheckpoint{resp.stamp, std::move(resp.checkpoint_text)};
+         })
+      .get();
 }
 
 serve::ServeResult<serve::Unit> NetClient::advertise(const std::vector<DigestEntry>& entries) {
-  AdvertiseRequest req;
-  req.entries = entries;
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::Unit>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::Unit>(fail));
-      return;
-    }
-    AdvertiseResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::Unit>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, serve::Unit{}));
-  });
-  return future.get();
+  return call<AdvertiseResponse>(AdvertiseRequest{.entries = entries}, kNoValue).get();
 }
 
 serve::ServeResult<serve::Unit> NetClient::drain() {
-  DrainRequest req;
-  auto promise = std::make_shared<std::promise<serve::ServeResult<serve::Unit>>>();
-  auto future = promise->get_future();
-  send_request(req, [promise](const FrameView* frame, serve::ServeStatus fail) {
-    if (frame == nullptr) {
-      promise->set_value(transport_lost<serve::Unit>(fail));
-      return;
-    }
-    DrainResponse resp;
-    const WireStatus status = decode_message(*frame, resp);
-    if (status != WireStatus::kOk) {
-      promise->set_value(decode_failure<serve::Unit>(status));
-      return;
-    }
-    promise->set_value(from_head(resp, serve::Unit{}));
-  });
-  return future.get();
+  return call<DrainResponse>(DrainRequest{}, kNoValue).get();
 }
 
 }  // namespace bellamy::net

@@ -37,6 +37,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/bellamy_model.hpp"
@@ -150,6 +151,13 @@ class NetClient {
   /// the hook fires immediately with nullptr.
   template <typename Req>
   void send_request(Req& req, Deliver deliver);
+  /// Every serving call: send `req`, and resolve the future with
+  /// convert(Resp&) on an ok response, the head's status on a server-side
+  /// failure, kInternalError on an undecodable response, or the transport
+  /// failure (kShutdown / kTimeout).
+  template <typename Resp, typename Req, typename Convert>
+  auto call(Req req, Convert convert)
+      -> std::future<serve::ServeResult<std::invoke_result_t<Convert&, Resp&>>>;
   void reader_loop();
   /// How long the reader may sleep before the nearest pending deadline.
   std::chrono::milliseconds reader_wait() const;

@@ -13,13 +13,6 @@ namespace bellamy::net {
 
 namespace {
 
-/// Encoded-frame helper for the common "head-only or head+payload computed
-/// on the reader thread" responses.
-template <typename Msg>
-std::vector<std::uint8_t> frame_of(const Msg& msg) {
-  return encode_frame(msg);
-}
-
 ResponseHead head_of(std::uint64_t request_id, serve::ServeStatus status,
                      std::string message = {}) {
   ResponseHead head;
@@ -200,46 +193,49 @@ serve::ServeResult<serve::ModelHandle> ServeServer::resolve_key(const serve::Mod
   return options_.peer_service->open_on_miss(key);
 }
 
+template <typename Resp>
+bool ServeServer::reply(const std::shared_ptr<Connection>& conn, const Resp& resp) {
+  Connection::Outbound item;
+  item.bytes = encode_frame(resp);
+  return conn->push(std::move(item), options_.max_pipeline);
+}
+
 bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameView& frame) {
   const auto type = static_cast<MsgType>(frame.type);
   switch (type) {
     case MsgType::kPredictRequest: {
       PredictRequest req;
       if (decode_message(frame, req) != WireStatus::kOk) return protocol_error();
-      Connection::Outbound item;
-      item.request_id = req.request_id;
       const auto handle = resolve_key(req.key);
       if (!handle.ok()) {
         PredictResponse resp;
         resp.head = head_of(req.request_id, handle.status(), handle.message());
-        item.kind = Connection::Outbound::Kind::kBytes;
-        item.bytes = frame_of(resp);
-      } else {
-        item.kind = Connection::Outbound::Kind::kPredict;
-        // May block on the handle's bounded lane: service backpressure
-        // lands on this connection's reader, which is the point.
-        item.future = service_.predict_async(handle.value(), req.query);
+        return reply(conn, resp);
       }
+      Connection::Outbound item;
+      item.kind = Connection::Outbound::Kind::kPredict;
+      item.request_id = req.request_id;
+      // May block on the handle's bounded lane: service backpressure lands
+      // on this connection's reader, which is the point.
+      item.future = service_.predict_async(handle.value(), req.query);
       return conn->push(std::move(item), options_.max_pipeline);
     }
 
     case MsgType::kPredictManyRequest: {
       PredictManyRequest req;
       if (decode_message(frame, req) != WireStatus::kOk) return protocol_error();
-      Connection::Outbound item;
-      item.request_id = req.request_id;
       const auto handle = resolve_key(req.key);
       if (!handle.ok()) {
         PredictManyResponse resp;
         resp.head = head_of(req.request_id, handle.status(), handle.message());
-        item.kind = Connection::Outbound::Kind::kBytes;
-        item.bytes = frame_of(resp);
-      } else {
-        item.kind = Connection::Outbound::Kind::kPredictMany;
-        item.futures.reserve(req.queries.size());
-        for (const data::JobRun& query : req.queries) {
-          item.futures.push_back(service_.predict_async(handle.value(), query));
-        }
+        return reply(conn, resp);
+      }
+      Connection::Outbound item;
+      item.kind = Connection::Outbound::Kind::kPredictMany;
+      item.request_id = req.request_id;
+      item.futures.reserve(req.queries.size());
+      for (const data::JobRun& query : req.queries) {
+        item.futures.push_back(service_.predict_async(handle.value(), query));
       }
       return conn->push(std::move(item), options_.max_pipeline);
     }
@@ -261,9 +257,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         resp.head = head_of(req.request_id, serve::ServeStatus::kInvalidArgument,
                             std::string("bad checkpoint: ") + e.what());
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kRefitAsyncRequest: {
@@ -273,9 +267,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       if (!handle.ok()) {
         RefitResponse resp;
         resp.head = head_of(req.request_id, handle.status(), handle.message());
-        Connection::Outbound item;
-        item.bytes = frame_of(resp);
-        return conn->push(std::move(item), options_.max_pipeline);
+        return reply(conn, resp);
       }
       // The response is DEFERRED: pushed when the background refit lands.
       // weak_ptr: a connection that closed meanwhile drops the event.  The
@@ -334,9 +326,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
               registry_.last_reduction(handle.value()).kept_runs;
         }
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kSetQosRequest: {
@@ -354,9 +344,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         const auto set = service_.set_qos(handle.value(), qos);
         resp.head = head_of(req.request_id, set.status(), set.message());
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kEraseRequest: {
@@ -370,9 +358,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         const auto erased = registry_.erase(handle.value());
         resp.head = head_of(req.request_id, erased.status(), erased.message());
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kAdvertiseRequest: {
@@ -388,9 +374,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         options_.peer_service->on_advertise(req.entries);
         resp.head = head_of(req.request_id, serve::ServeStatus::kOk);
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kDigestRequest: {
@@ -404,9 +388,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         resp.head = head_of(req.request_id, serve::ServeStatus::kOk);
         resp.entries = options_.peer_service->digest_entries();
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kPullRequest: {
@@ -424,9 +406,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
           resp.checkpoint_text = std::move(pulled.value().checkpoint_text);
         }
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kReportRunRequest: {
@@ -452,9 +432,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
           }
         }
       }
-      Connection::Outbound item;
-      item.bytes = frame_of(resp);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return reply(conn, resp);
     }
 
     case MsgType::kDrainRequest: {
@@ -507,7 +485,7 @@ void ServeServer::writer_loop(const std::shared_ptr<Connection>& conn) {
         PredictResponse resp;
         resp.head = head_of(item.request_id, result.status(), result.message());
         if (result.ok()) resp.value = result.value();
-        bytes = frame_of(resp);
+        bytes = encode_frame(resp);
         break;
       }
       case Kind::kPredictMany: {
@@ -526,13 +504,13 @@ void ServeServer::writer_loop(const std::shared_ptr<Connection>& conn) {
           }
         }
         if (!resp.head.ok()) resp.values.clear();
-        bytes = frame_of(resp);
+        bytes = encode_frame(resp);
         break;
       }
       case Kind::kDrain: {
         DrainResponse resp;
         resp.head = head_of(item.request_id, serve::ServeStatus::kOk);
-        bytes = frame_of(resp);
+        bytes = encode_frame(resp);
         break;
       }
       case Kind::kClose:

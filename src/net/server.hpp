@@ -159,6 +159,10 @@ class ServeServer {
   /// registry_.find, falling back to PeerService::open_on_miss for serving
   /// traffic when an exchange layer is attached (pull-on-miss).
   serve::ServeResult<serve::ModelHandle> resolve_key(const serve::ModelKey& key);
+  /// Encode `resp` and queue it on `conn` (pipeline-bounded); false when the
+  /// connection is closing.
+  template <typename Resp>
+  bool reply(const std::shared_ptr<Connection>& conn, const Resp& resp);
   /// Count a protocol violation; returns false for `return protocol_error();`.
   bool protocol_error();
   /// Join and drop connections that finished (accept thread + stop only).

@@ -1,57 +1,11 @@
 #include "net/wire.hpp"
 
-#include <algorithm>
-
 namespace bellamy::net {
 
-namespace {
-
-/// Highest valid ServeStatus value; decode rejects anything above it so a
-/// corrupted byte cannot smuggle an out-of-range enum into a switch.
-constexpr std::uint8_t kMaxServeStatus = static_cast<std::uint8_t>(serve::ServeStatus::kTimeout);
-constexpr std::uint8_t kMaxReuseStrategy = static_cast<std::uint8_t>(core::ReuseStrategy::kFullReset);
-constexpr std::uint8_t kMaxQosClass = static_cast<std::uint8_t>(serve::QosClass::kBulk);
-
-/// Cap on up-front vector reserves sized by a wire-supplied count.  Counts
-/// above this still decode fine (the vector grows normally); the cap only
-/// bounds what a HOSTILE count can allocate before element decoding fails.
-constexpr std::uint32_t kMaxEagerReserve = 4096;
-
-WireStatus reader_status(const WireReader& r) {
-  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
-}
-
-}  // namespace
-
 bool is_known_type(std::uint16_t type) {
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kPredictRequest:
-    case MsgType::kPredictManyRequest:
-    case MsgType::kPublishRequest:
-    case MsgType::kRefitAsyncRequest:
-    case MsgType::kMetricsRequest:
-    case MsgType::kSetQosRequest:
-    case MsgType::kEraseRequest:
-    case MsgType::kDrainRequest:
-    case MsgType::kAdvertiseRequest:
-    case MsgType::kDigestRequest:
-    case MsgType::kPullRequest:
-    case MsgType::kReportRunRequest:
-    case MsgType::kPredictResponse:
-    case MsgType::kPredictManyResponse:
-    case MsgType::kPublishResponse:
-    case MsgType::kRefitResponse:
-    case MsgType::kMetricsResponse:
-    case MsgType::kSetQosResponse:
-    case MsgType::kEraseResponse:
-    case MsgType::kDrainResponse:
-    case MsgType::kAdvertiseResponse:
-    case MsgType::kDigestResponse:
-    case MsgType::kPullResponse:
-    case MsgType::kReportRunResponse:
-      return true;
-  }
-  return false;
+  const unsigned request = type & ~0x80u;  // a response is its request | 0x80
+  return request >= static_cast<unsigned>(MsgType::kPredictRequest) &&
+         request <= static_cast<unsigned>(MsgType::kReportRunRequest);
 }
 
 const char* to_string(WireStatus status) {
@@ -67,497 +21,6 @@ const char* to_string(WireStatus status) {
     case WireStatus::kChecksumMismatch: return "frame checksum mismatch";
   }
   return "unknown wire status";
-}
-
-// ---------------------------------------------------------------------------
-// Shared field codecs
-// ---------------------------------------------------------------------------
-
-void encode_key(WireWriter& w, const serve::ModelKey& key) {
-  w.str(key.job);
-  w.str(key.context);
-}
-
-WireStatus decode_key(WireReader& r, serve::ModelKey& key) {
-  r.str(key.job);
-  r.str(key.context);
-  return reader_status(r);
-}
-
-void encode_job_run(WireWriter& w, const data::JobRun& run) {
-  w.str(run.algorithm);
-  w.str(run.environment);
-  w.str(run.node_type);
-  w.str(run.job_parameters);
-  w.u64(run.dataset_size_mb);
-  w.str(run.data_characteristics);
-  w.u64(run.memory_mb);
-  w.u64(run.cpu_cores);
-  w.i32(run.scale_out);
-  w.f64(run.runtime_s);
-}
-
-WireStatus decode_job_run(WireReader& r, data::JobRun& run) {
-  r.str(run.algorithm);
-  r.str(run.environment);
-  r.str(run.node_type);
-  r.str(run.job_parameters);
-  r.u64(run.dataset_size_mb);
-  r.str(run.data_characteristics);
-  r.u64(run.memory_mb);
-  r.u64(run.cpu_cores);
-  r.i32(run.scale_out);
-  r.f64(run.runtime_s);
-  return reader_status(r);
-}
-
-void encode_job_runs(WireWriter& w, const std::vector<data::JobRun>& runs) {
-  w.u32(static_cast<std::uint32_t>(runs.size()));
-  for (const data::JobRun& run : runs) encode_job_run(w, run);
-}
-
-WireStatus decode_job_runs(WireReader& r, std::vector<data::JobRun>& runs) {
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return WireStatus::kTruncated;
-  runs.clear();
-  runs.reserve(std::min(count, kMaxEagerReserve));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    data::JobRun run;
-    const WireStatus status = decode_job_run(r, run);
-    if (status != WireStatus::kOk) return status;
-    runs.push_back(std::move(run));
-  }
-  return WireStatus::kOk;
-}
-
-void encode_finetune_config(WireWriter& w, const core::FineTuneConfig& cfg) {
-  w.u64(static_cast<std::uint64_t>(cfg.max_epochs));
-  w.f64(cfg.base_lr);
-  w.f64(cfg.max_lr);
-  w.u64(static_cast<std::uint64_t>(cfg.lr_cycle));
-  w.f64(cfg.weight_decay);
-  w.f64(cfg.mae_target_seconds);
-  w.u64(static_cast<std::uint64_t>(cfg.patience));
-  w.u64(cfg.seed);
-  w.u64(static_cast<std::uint64_t>(cfg.unlock_f_after));
-  w.u8(cfg.unlock_f_immediately ? 1 : 0);
-  w.u8(cfg.train_autoencoder ? 1 : 0);
-  w.u64(static_cast<std::uint64_t>(cfg.batch_size));
-}
-
-WireStatus decode_finetune_config(WireReader& r, core::FineTuneConfig& cfg) {
-  std::uint64_t max_epochs = 0, lr_cycle = 0, patience = 0, unlock_f_after = 0;
-  std::uint64_t batch_size = 0;
-  std::uint8_t unlock_immediately = 0, train_ae = 0;
-  r.u64(max_epochs);
-  r.f64(cfg.base_lr);
-  r.f64(cfg.max_lr);
-  r.u64(lr_cycle);
-  r.f64(cfg.weight_decay);
-  r.f64(cfg.mae_target_seconds);
-  r.u64(patience);
-  r.u64(cfg.seed);
-  r.u64(unlock_f_after);
-  r.u8(unlock_immediately);
-  r.u8(train_ae);
-  r.u64(batch_size);
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (unlock_immediately > 1 || train_ae > 1) return WireStatus::kMalformed;
-  cfg.max_epochs = static_cast<std::size_t>(max_epochs);
-  cfg.lr_cycle = static_cast<std::size_t>(lr_cycle);
-  cfg.patience = static_cast<std::size_t>(patience);
-  cfg.unlock_f_after = static_cast<std::size_t>(unlock_f_after);
-  cfg.unlock_f_immediately = unlock_immediately != 0;
-  cfg.train_autoencoder = train_ae != 0;
-  cfg.batch_size = static_cast<std::size_t>(batch_size);
-  return WireStatus::kOk;
-}
-
-void encode_metrics(WireWriter& w, const serve::ServeMetrics& m) {
-  w.u64(m.requests);
-  w.u64(m.responses);
-  w.u64(m.batches);
-  w.u64(m.coalesced);
-  w.u64(m.deadline_flushes);
-  w.u64(m.drain_flushes);
-  w.u64(m.coalesced_requests);
-  w.u64(m.max_queue_depth);
-  w.u64(m.queue_depth);
-  w.u64(m.replica_hits);
-  w.u64(m.replica_misses);
-  w.u64(m.replica_invalidations);
-  w.u64(m.effective_flush_deadline_us);
-  w.f64(m.interarrival_ewma_us);
-  w.u64(m.max_dispatch_lag_us);
-  w.u64(m.starved_flushes);
-  w.u64(m.latency_count);
-  w.u64(m.latency_p50_us);
-  w.u64(m.latency_p95_us);
-  w.u64(m.latency_p99_us);
-  w.f64(m.drift_error_ewma);
-  w.u64(m.drift_reports);
-  w.u64(m.drift_refits);
-  w.u64(m.reductions);
-  w.u64(m.reduction_runs_dropped);
-  w.u64(m.reduction_last_kept);
-}
-
-WireStatus decode_metrics(WireReader& r, serve::ServeMetrics& m) {
-  r.u64(m.requests);
-  r.u64(m.responses);
-  r.u64(m.batches);
-  r.u64(m.coalesced);
-  r.u64(m.deadline_flushes);
-  r.u64(m.drain_flushes);
-  r.u64(m.coalesced_requests);
-  r.u64(m.max_queue_depth);
-  r.u64(m.queue_depth);
-  r.u64(m.replica_hits);
-  r.u64(m.replica_misses);
-  r.u64(m.replica_invalidations);
-  r.u64(m.effective_flush_deadline_us);
-  r.f64(m.interarrival_ewma_us);
-  r.u64(m.max_dispatch_lag_us);
-  r.u64(m.starved_flushes);
-  r.u64(m.latency_count);
-  r.u64(m.latency_p50_us);
-  r.u64(m.latency_p95_us);
-  r.u64(m.latency_p99_us);
-  r.f64(m.drift_error_ewma);
-  r.u64(m.drift_reports);
-  r.u64(m.drift_refits);
-  r.u64(m.reductions);
-  r.u64(m.reduction_runs_dropped);
-  r.u64(m.reduction_last_kept);
-  return reader_status(r);
-}
-
-void encode_digest_entries(WireWriter& w, const std::vector<DigestEntry>& entries) {
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const DigestEntry& entry : entries) {
-    encode_key(w, entry.key);
-    w.u64(entry.stamp);
-  }
-}
-
-WireStatus decode_digest_entries(WireReader& r, std::vector<DigestEntry>& entries) {
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return WireStatus::kTruncated;
-  entries.clear();
-  entries.reserve(std::min(count, kMaxEagerReserve));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    DigestEntry entry;
-    const WireStatus status = decode_key(r, entry.key);
-    if (status != WireStatus::kOk) return status;
-    if (!r.u64(entry.stamp)) return WireStatus::kTruncated;
-    if (entry.stamp == 0) return WireStatus::kMalformed;  // 0 = "absent", never catalogued
-    entries.push_back(std::move(entry));
-  }
-  return WireStatus::kOk;
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
-
-void PredictRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  encode_job_run(w, query);
-}
-
-WireStatus PredictRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  return decode_job_run(r, query);
-}
-
-void PredictManyRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  encode_job_runs(w, queries);
-}
-
-WireStatus PredictManyRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  return decode_job_runs(r, queries);
-}
-
-void PublishRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  w.str(checkpoint_text);
-}
-
-WireStatus PublishRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  const WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  r.str(checkpoint_text);
-  return reader_status(r);
-}
-
-void RefitAsyncRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  encode_job_runs(w, runs);
-  encode_finetune_config(w, config);
-  w.u8(strategy);
-}
-
-WireStatus RefitAsyncRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  status = decode_job_runs(r, runs);
-  if (status != WireStatus::kOk) return status;
-  status = decode_finetune_config(r, config);
-  if (status != WireStatus::kOk) return status;
-  if (!r.u8(strategy)) return WireStatus::kTruncated;
-  if (strategy > kMaxReuseStrategy) return WireStatus::kMalformed;
-  return WireStatus::kOk;
-}
-
-void MetricsRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-}
-
-WireStatus MetricsRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return decode_key(r, key);
-}
-
-void SetQosRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  w.u8(qos_class);
-  w.f64(weight);
-  w.u64(max_lag_us);
-}
-
-WireStatus SetQosRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  const WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  r.u8(qos_class);
-  r.f64(weight);
-  r.u64(max_lag_us);
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (qos_class > kMaxQosClass) return WireStatus::kMalformed;
-  return WireStatus::kOk;
-}
-
-void EraseRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-}
-
-WireStatus EraseRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return decode_key(r, key);
-}
-
-void DrainRequest::encode(WireWriter& w) const { w.u64(request_id); }
-
-WireStatus DrainRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return reader_status(r);
-}
-
-void AdvertiseRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_digest_entries(w, entries);
-}
-
-WireStatus AdvertiseRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return decode_digest_entries(r, entries);
-}
-
-void DigestRequest::encode(WireWriter& w) const { w.u64(request_id); }
-
-WireStatus DigestRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return reader_status(r);
-}
-
-void PullRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-}
-
-WireStatus PullRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  return decode_key(r, key);
-}
-
-void ReportRunRequest::encode(WireWriter& w) const {
-  w.u64(request_id);
-  encode_key(w, key);
-  encode_job_run(w, run);
-}
-
-WireStatus ReportRunRequest::decode(WireReader& r) {
-  r.u64(request_id);
-  const WireStatus status = decode_key(r, key);
-  if (status != WireStatus::kOk) return status;
-  return decode_job_run(r, run);
-}
-
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
-
-void ResponseHead::encode(WireWriter& w) const {
-  w.u64(request_id);
-  w.u8(static_cast<std::uint8_t>(status));
-  w.str(message);
-}
-
-WireStatus ResponseHead::decode(WireReader& r) {
-  std::uint8_t raw_status = 0;
-  r.u64(request_id);
-  r.u8(raw_status);
-  r.str(message);
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (raw_status > kMaxServeStatus) return WireStatus::kMalformed;
-  status = static_cast<serve::ServeStatus>(raw_status);
-  return WireStatus::kOk;
-}
-
-void PredictResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  w.f64(value);
-}
-
-WireStatus PredictResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  r.f64(value);
-  return reader_status(r);
-}
-
-void PredictManyResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) w.f64(v);
-}
-
-WireStatus PredictManyResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return WireStatus::kTruncated;
-  values.clear();
-  values.reserve(std::min(count, kMaxEagerReserve));
-  for (std::uint32_t i = 0; i < count; ++i) {
-    double v = 0.0;
-    if (!r.f64(v)) return WireStatus::kTruncated;
-    values.push_back(v);
-  }
-  return WireStatus::kOk;
-}
-
-void PublishResponse::encode(WireWriter& w) const { head.encode(w); }
-
-WireStatus PublishResponse::decode(WireReader& r) { return head.decode(r); }
-
-void RefitResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  w.u64(epochs_run);
-  w.f64(best_mae_seconds);
-  w.u8(reached_target);
-  w.f64(fit_seconds);
-}
-
-WireStatus RefitResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  r.u64(epochs_run);
-  r.f64(best_mae_seconds);
-  r.u8(reached_target);
-  r.f64(fit_seconds);
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (reached_target > 1) return WireStatus::kMalformed;
-  return WireStatus::kOk;
-}
-
-void MetricsResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  encode_metrics(w, metrics);
-}
-
-WireStatus MetricsResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  return decode_metrics(r, metrics);
-}
-
-void SetQosResponse::encode(WireWriter& w) const { head.encode(w); }
-
-WireStatus SetQosResponse::decode(WireReader& r) { return head.decode(r); }
-
-void EraseResponse::encode(WireWriter& w) const { head.encode(w); }
-
-WireStatus EraseResponse::decode(WireReader& r) { return head.decode(r); }
-
-void DrainResponse::encode(WireWriter& w) const { head.encode(w); }
-
-WireStatus DrainResponse::decode(WireReader& r) { return head.decode(r); }
-
-void AdvertiseResponse::encode(WireWriter& w) const { head.encode(w); }
-
-WireStatus AdvertiseResponse::decode(WireReader& r) { return head.decode(r); }
-
-void DigestResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  encode_digest_entries(w, entries);
-}
-
-WireStatus DigestResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  return decode_digest_entries(r, entries);
-}
-
-void PullResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  w.u64(stamp);
-  w.str(checkpoint_text);
-}
-
-WireStatus PullResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  r.u64(stamp);
-  r.str(checkpoint_text);
-  if (!r.ok()) return WireStatus::kTruncated;
-  // A successful pull must carry a real catalog stamp; error responses leave
-  // the payload fields zeroed.
-  if (head.ok() && stamp == 0) return WireStatus::kMalformed;
-  return WireStatus::kOk;
-}
-
-void ReportRunResponse::encode(WireWriter& w) const {
-  head.encode(w);
-  w.f64(error_ewma);
-  w.u64(reports);
-  w.u8(refit_triggered);
-}
-
-WireStatus ReportRunResponse::decode(WireReader& r) {
-  const WireStatus status = head.decode(r);
-  if (status != WireStatus::kOk) return status;
-  r.f64(error_ewma);
-  r.u64(reports);
-  r.u8(refit_triggered);
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (refit_triggered > 1) return WireStatus::kMalformed;
-  return WireStatus::kOk;
 }
 
 // ---------------------------------------------------------------------------

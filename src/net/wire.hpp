@@ -1,7 +1,7 @@
 #pragma once
 // The Bellamy wire protocol: a versioned, typed, length-prefixed binary
-// format shared VERBATIM by client and server (one encode/decode pair per
-// message, no separate client/server schemas to drift apart).
+// format shared VERBATIM by client and server (one field list per message,
+// no separate client/server schemas to drift apart).
 //
 // Frame layout, little-endian throughout:
 //
@@ -19,13 +19,21 @@
 // (WireStatus), never exceptions — a malformed frame from the network is an
 // expected input, not a programming error.
 //
-// One small POD-ish struct per message, each with
+// One small POD-ish struct per message.  Each lists its fields ONCE, in
+// wire order:
 //
-//   void encode(WireWriter&) const;
 //   static constexpr MsgType kType;
-//   WireStatus decode(WireReader&);          // payload only
+//   template <class Self, class F> static void fields(Self& m, F&& f) {
+//     f(m.request_id, m.key, m.query);
+//   }
 //
-// plus the frame-level helpers encode_frame<Msg>() / decode_frame<Msg>().
+// and one generic writer/reader (write_field / read_field) walks that list
+// to encode and decode, so the two directions cannot drift apart.  Nested
+// value types (ModelKey, JobRun, FineTuneConfig, ServeMetrics, DigestEntry)
+// carry free `fields` overloads; a type with a rule that spans fields adds
+// `bool valid() const`, checked after decode (false = kMalformed).  The
+// frame-level helpers are encode_frame<Msg>() / decode_frame<Msg>().
+//
 // Every request carries a client-chosen request_id echoed by its response,
 // so responses may complete out of order (the PredictionService resolves
 // micro-batches whenever their lane flushes) and still correlate.
@@ -57,9 +65,12 @@
 // Models are addressed by ModelKey (job + context strings): handles are
 // process-local and never cross the wire.
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -87,6 +98,9 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// Bytes of the trailing FNV-1a 64 checksum every frame body carries.
 inline constexpr std::size_t kFrameChecksumBytes = 8;
 
+/// The catalog rule: requests count up from 1 with no gaps, and every
+/// response type is its request type | 0x80.  is_known_type() is derived
+/// from exactly that rule, so a new message keeps it.
 enum class MsgType : std::uint16_t {
   kPredictRequest = 1,
   kPredictManyRequest = 2,
@@ -221,23 +235,41 @@ class WireReader {
 };
 
 // ---------------------------------------------------------------------------
-// Shared field codecs
+// Field lists of the value types messages nest, in wire order
 // ---------------------------------------------------------------------------
 
-void encode_key(WireWriter& w, const serve::ModelKey& key);
-WireStatus decode_key(WireReader& r, serve::ModelKey& key);
+/// T is U or const U: one field list serves the writer and the reader.
+template <class T, class U>
+concept MaybeConst = std::same_as<std::remove_const_t<T>, U>;
 
-void encode_job_run(WireWriter& w, const data::JobRun& run);
-WireStatus decode_job_run(WireReader& r, data::JobRun& run);
+template <MaybeConst<serve::ModelKey> K, class F>
+void fields(K& k, F&& f) {
+  f(k.job, k.context);
+}
 
-void encode_job_runs(WireWriter& w, const std::vector<data::JobRun>& runs);
-WireStatus decode_job_runs(WireReader& r, std::vector<data::JobRun>& runs);
+template <MaybeConst<data::JobRun> R, class F>
+void fields(R& r, F&& f) {
+  f(r.algorithm, r.environment, r.node_type, r.job_parameters, r.dataset_size_mb,
+    r.data_characteristics, r.memory_mb, r.cpu_cores, r.scale_out, r.runtime_s);
+}
 
-void encode_finetune_config(WireWriter& w, const core::FineTuneConfig& cfg);
-WireStatus decode_finetune_config(WireReader& r, core::FineTuneConfig& cfg);
+/// Wire order, which is not the struct's declaration order.
+template <MaybeConst<core::FineTuneConfig> C, class F>
+void fields(C& c, F&& f) {
+  f(c.max_epochs, c.base_lr, c.max_lr, c.lr_cycle, c.weight_decay, c.mae_target_seconds,
+    c.patience, c.seed, c.unlock_f_after, c.unlock_f_immediately, c.train_autoencoder,
+    c.batch_size);
+}
 
-void encode_metrics(WireWriter& w, const serve::ServeMetrics& m);
-WireStatus decode_metrics(WireReader& r, serve::ServeMetrics& m);
+template <MaybeConst<serve::ServeMetrics> M, class F>
+void fields(M& m, F&& f) {
+  f(m.requests, m.responses, m.batches, m.coalesced, m.deadline_flushes, m.drain_flushes,
+    m.coalesced_requests, m.max_queue_depth, m.queue_depth, m.replica_hits, m.replica_misses,
+    m.replica_invalidations, m.effective_flush_deadline_us, m.interarrival_ewma_us,
+    m.max_dispatch_lag_us, m.starved_flushes, m.latency_count, m.latency_p50_us,
+    m.latency_p95_us, m.latency_p99_us, m.drift_error_ewma, m.drift_reports, m.drift_refits,
+    m.reductions, m.reduction_runs_dropped, m.reduction_last_kept);
+}
 
 // ---------------------------------------------------------------------------
 // Exchange-layer value types
@@ -251,7 +283,14 @@ WireStatus decode_metrics(WireReader& r, serve::ServeMetrics& m);
 struct DigestEntry {
   serve::ModelKey key;
   std::uint64_t stamp = 0;
+
+  bool valid() const { return stamp != 0; }
 };
+
+template <MaybeConst<DigestEntry> E, class F>
+void fields(E& e, F&& f) {
+  f(e.key, e.stamp);
+}
 
 /// A checkpoint pulled off a peer: the catalog stamp it was advertised under
 /// plus the exact nn::Checkpoint text (hex-float, the ModelStore on-disk
@@ -261,8 +300,110 @@ struct PulledCheckpoint {
   std::string checkpoint_text;
 };
 
-void encode_digest_entries(WireWriter& w, const std::vector<DigestEntry>& entries);
-WireStatus decode_digest_entries(WireReader& r, std::vector<DigestEntry>& entries);
+// ---------------------------------------------------------------------------
+// The generic codec: one writer and one reader over any field list
+// ---------------------------------------------------------------------------
+//
+// Field encodings: bool and u8 as u8 (a bool byte above 1 is kMalformed),
+// enums as a range-checked u8, int32 as i32, every other unsigned integer
+// (u64, size_t) as u64, double as the f64 bit pattern, string as u32 length
+// + bytes, vector as u32 count + elements, anything else as its field list.
+
+/// Highest valid value of each enum that travels as a u8; decode rejects
+/// anything above it so a corrupted byte cannot smuggle an out-of-range enum
+/// into a switch.
+constexpr std::uint8_t wire_max(serve::ServeStatus) {
+  return static_cast<std::uint8_t>(serve::ServeStatus::kTimeout);
+}
+
+/// Cap on up-front vector reserves sized by a wire-supplied count.  Counts
+/// above this still decode fine (the vector grows normally); the cap only
+/// bounds what a HOSTILE count can allocate before element decoding fails.
+inline constexpr std::uint32_t kMaxEagerReserve = 4096;
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Messages declare `fields` as a static member, value types as a free overload.
+template <class T, class F>
+void visit_fields(T& v, F&& f) {
+  if constexpr (requires { std::remove_const_t<T>::fields(v, f); }) {
+    std::remove_const_t<T>::fields(v, f);
+  } else {
+    fields(v, f);
+  }
+}
+
+template <class T>
+void write_field(WireWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.u8(v ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, std::uint8_t> || std::is_enum_v<T>) {
+    w.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    w.i32(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w.u64(static_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (kIsVector<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& element : v) write_field(w, element);
+  } else {
+    visit_fields(v, [&w](const auto&... field) { (write_field(w, field), ...); });
+  }
+}
+
+template <class T>
+WireStatus read_field(WireReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    std::uint8_t raw = 0;
+    if (!r.u8(raw)) return WireStatus::kTruncated;
+    if constexpr (std::is_same_v<T, bool>) {
+      if (raw > 1) return WireStatus::kMalformed;
+    } else {
+      if (raw > wire_max(T{})) return WireStatus::kMalformed;
+    }
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    if (!r.u8(v)) return WireStatus::kTruncated;
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    if (!r.i32(v)) return WireStatus::kTruncated;
+  } else if constexpr (std::is_unsigned_v<T>) {
+    std::uint64_t raw = 0;
+    if (!r.u64(raw)) return WireStatus::kTruncated;
+    v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!r.f64(v)) return WireStatus::kTruncated;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!r.str(v)) return WireStatus::kTruncated;
+  } else if constexpr (kIsVector<T>) {
+    std::uint32_t count = 0;
+    if (!r.u32(count)) return WireStatus::kTruncated;
+    v.clear();
+    v.reserve(std::min(count, kMaxEagerReserve));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      typename T::value_type element{};
+      const WireStatus status = read_field(r, element);
+      if (status != WireStatus::kOk) return status;
+      v.push_back(std::move(element));
+    }
+  } else {
+    WireStatus status = WireStatus::kOk;
+    visit_fields(v, [&](auto&... field) {  // in order, stopping at the first failure
+      static_cast<void>((((status = read_field(r, field)) == WireStatus::kOk) && ...));
+    });
+    if (status != WireStatus::kOk) return status;
+    if constexpr (requires { v.valid(); }) {
+      if (!v.valid()) return WireStatus::kMalformed;
+    }
+  }
+  return WireStatus::kOk;
+}
 
 // ---------------------------------------------------------------------------
 // Messages — requests
@@ -274,8 +415,8 @@ struct PredictRequest {
   serve::ModelKey key;
   data::JobRun query;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key, m.query); }
 };
 
 struct PredictManyRequest {
@@ -284,8 +425,8 @@ struct PredictManyRequest {
   serve::ModelKey key;
   std::vector<data::JobRun> queries;  ///< zero-length batches are legal
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key, m.queries); }
 };
 
 struct PublishRequest {
@@ -297,8 +438,8 @@ struct PublishRequest {
   /// open-from-store install bit-identical models.
   std::string checkpoint_text;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key, m.checkpoint_text); }
 };
 
 struct RefitAsyncRequest {
@@ -309,8 +450,11 @@ struct RefitAsyncRequest {
   core::FineTuneConfig config;
   std::uint8_t strategy = 0;  ///< core::ReuseStrategy, validated on decode
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key, m.runs, m.config, m.strategy); }
+  bool valid() const {
+    return strategy <= static_cast<std::uint8_t>(core::ReuseStrategy::kFullReset);
+  }
 };
 
 struct MetricsRequest {
@@ -318,8 +462,8 @@ struct MetricsRequest {
   std::uint64_t request_id = 0;
   serve::ModelKey key;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key); }
 };
 
 struct SetQosRequest {
@@ -330,8 +474,11 @@ struct SetQosRequest {
   double weight = 1.0;
   std::uint64_t max_lag_us = 0;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) {
+    f(m.request_id, m.key, m.qos_class, m.weight, m.max_lag_us);
+  }
+  bool valid() const { return qos_class <= static_cast<std::uint8_t>(serve::QosClass::kBulk); }
 };
 
 struct EraseRequest {
@@ -339,16 +486,16 @@ struct EraseRequest {
   std::uint64_t request_id = 0;
   serve::ModelKey key;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key); }
 };
 
 struct DrainRequest {
   static constexpr MsgType kType = MsgType::kDrainRequest;
   std::uint64_t request_id = 0;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id); }
 };
 
 /// Peer gossip, fire-and-forget semantics: "my catalog currently looks like
@@ -359,8 +506,8 @@ struct AdvertiseRequest {
   std::uint64_t request_id = 0;
   std::vector<DigestEntry> entries;  ///< empty catalogs are legal
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.entries); }
 };
 
 /// Ask a peer for its full catalog (the poll half of anti-entropy).
@@ -368,8 +515,8 @@ struct DigestRequest {
   static constexpr MsgType kType = MsgType::kDigestRequest;
   std::uint64_t request_id = 0;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id); }
 };
 
 /// Fetch one checkpoint by key.
@@ -378,8 +525,8 @@ struct PullRequest {
   std::uint64_t request_id = 0;
   serve::ModelKey key;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key); }
 };
 
 /// Report an OBSERVED run (query + measured runtime) back to the server:
@@ -391,8 +538,8 @@ struct ReportRunRequest {
   serve::ModelKey key;
   data::JobRun run;  ///< run.runtime_s is the ground-truth observation
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.key, m.run); }
 };
 
 // ---------------------------------------------------------------------------
@@ -407,8 +554,8 @@ struct ResponseHead {
   std::string message;
 
   bool ok() const { return status == serve::ServeStatus::kOk; }
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.request_id, m.status, m.message); }
 };
 
 struct PredictResponse {
@@ -416,8 +563,8 @@ struct PredictResponse {
   ResponseHead head;
   double value = 0.0;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.value); }
 };
 
 struct PredictManyResponse {
@@ -425,16 +572,16 @@ struct PredictManyResponse {
   ResponseHead head;
   std::vector<double> values;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.values); }
 };
 
 struct PublishResponse {
   static constexpr MsgType kType = MsgType::kPublishResponse;
   ResponseHead head;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head); }
 };
 
 struct RefitResponse {
@@ -445,8 +592,11 @@ struct RefitResponse {
   std::uint8_t reached_target = 0;
   double fit_seconds = 0.0;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) {
+    f(m.head, m.epochs_run, m.best_mae_seconds, m.reached_target, m.fit_seconds);
+  }
+  bool valid() const { return reached_target <= 1; }
 };
 
 struct MetricsResponse {
@@ -454,40 +604,40 @@ struct MetricsResponse {
   ResponseHead head;
   serve::ServeMetrics metrics;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.metrics); }
 };
 
 struct SetQosResponse {
   static constexpr MsgType kType = MsgType::kSetQosResponse;
   ResponseHead head;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head); }
 };
 
 struct EraseResponse {
   static constexpr MsgType kType = MsgType::kEraseResponse;
   ResponseHead head;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head); }
 };
 
 struct DrainResponse {
   static constexpr MsgType kType = MsgType::kDrainResponse;
   ResponseHead head;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head); }
 };
 
 struct AdvertiseResponse {
   static constexpr MsgType kType = MsgType::kAdvertiseResponse;
   ResponseHead head;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head); }
 };
 
 struct DigestResponse {
@@ -495,8 +645,8 @@ struct DigestResponse {
   ResponseHead head;
   std::vector<DigestEntry> entries;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.entries); }
 };
 
 struct PullResponse {
@@ -507,8 +657,9 @@ struct PullResponse {
   std::uint64_t stamp = 0;
   std::string checkpoint_text;
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.stamp, m.checkpoint_text); }
+  bool valid() const { return !head.ok() || stamp != 0; }
 };
 
 /// What the drift monitor knew right after folding the reported run in.
@@ -519,8 +670,9 @@ struct ReportRunResponse {
   std::uint64_t reports = 0;        ///< runs reported for this handle so far
   std::uint8_t refit_triggered = 0; ///< this report crossed the drift threshold
 
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
+  template <class Self, class F>
+  static void fields(Self& m, F&& f) { f(m.head, m.error_ewma, m.reports, m.refit_triggered); }
+  bool valid() const { return refit_triggered <= 1; }
 };
 
 // ---------------------------------------------------------------------------
@@ -539,16 +691,14 @@ struct FrameView {
 /// FNV-1a checksum over version + type + payload).
 template <typename Msg>
 std::vector<std::uint8_t> encode_frame(const Msg& msg) {
-  WireWriter payload;
-  msg.encode(payload);
-  WireWriter out;
-  out.u32(static_cast<std::uint32_t>(payload.size() + 4 +  // + version + type
-                                     kFrameChecksumBytes));
-  out.u16(kWireVersion);
-  out.u16(static_cast<std::uint16_t>(Msg::kType));
-  std::vector<std::uint8_t> frame = out.take();
-  const std::vector<std::uint8_t>& body = payload.bytes();
-  frame.insert(frame.end(), body.begin(), body.end());
+  WireWriter w;
+  w.u32(0);  // len, patched once the payload size is known
+  w.u16(kWireVersion);
+  w.u16(static_cast<std::uint16_t>(Msg::kType));
+  write_field(w, msg);
+  std::vector<std::uint8_t> frame = w.take();
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4 + kFrameChecksumBytes);
+  std::memcpy(frame.data(), &len, sizeof len);
   const std::uint64_t sum = util::fnv1a64_bytes(frame.data() + 4, frame.size() - 4);
   const std::size_t at = frame.size();
   frame.resize(at + kFrameChecksumBytes);
@@ -572,9 +722,8 @@ template <typename Msg>
 WireStatus decode_message(const FrameView& frame, Msg& out) {
   if (frame.type != static_cast<std::uint16_t>(Msg::kType)) return WireStatus::kWrongType;
   WireReader r(frame.payload, frame.payload_size);
-  const WireStatus status = out.decode(r);
+  const WireStatus status = read_field(r, out);
   if (status != WireStatus::kOk) return status;
-  if (!r.ok()) return WireStatus::kTruncated;
   if (r.remaining() != 0) return WireStatus::kTrailingBytes;
   return WireStatus::kOk;
 }

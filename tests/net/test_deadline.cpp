@@ -3,6 +3,8 @@
 //   * THE acceptance invariant of the deadline work: a peer that accepts a
 //     connection and then never responds costs a typed kTimeout within 2x
 //     the configured request budget — never a hung caller,
+//   * a checksum-valid response too short to carry a request id fails the
+//     pending request even with no request budget set,
 //   * read/write stall budgets on raw sockets return kTimeout,
 //   * a write to a peer that closed returns kClosed and cannot kill the
 //     process via SIGPIPE,
@@ -15,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +59,47 @@ struct SilentPeer {
   std::thread acceptor;
   std::mutex mutex;
   std::vector<Socket> parked;
+};
+
+/// A peer that answers the first request with a checksum-valid
+/// kPredictResponse frame whose 4-byte payload cannot hold the u64 request
+/// id, then holds the connection open: only the runt frame itself can
+/// resolve the client's pending request.
+struct RuntResponder {
+  RuntResponder() {
+    std::string error;
+    listener = tcp_listen(0, port, error);
+    if (!listener) throw std::runtime_error("listen: " + error);
+    responder = std::thread([this] {
+      Socket conn = tcp_accept(listener);
+      if (!conn) return;
+      std::uint32_t len = 0;
+      if (conn.read_exact(reinterpret_cast<std::uint8_t*>(&len), sizeof len) != IoStatus::kOk)
+        return;
+      std::vector<std::uint8_t> request(len);
+      if (conn.read_exact(request.data(), len) != IoStatus::kOk) return;
+      WireWriter w;
+      w.u32(4 + 4 + kFrameChecksumBytes);  // version + type, payload, trailer
+      w.u16(kWireVersion);
+      w.u16(static_cast<std::uint16_t>(MsgType::kPredictResponse));
+      w.u32(0xDEADBEEFu);  // the runt payload
+      w.u64(util::fnv1a64_bytes(w.bytes().data() + 4, w.size() - 4));
+      conn.write_all(w.bytes().data(), w.size());
+      release.get_future().wait();
+    });
+  }
+
+  ~RuntResponder() {
+    release.set_value();
+    listener.shutdown_both();
+    responder.join();
+    listener.close();
+  }
+
+  Socket listener;
+  std::uint16_t port = 0;
+  std::promise<void> release;
+  std::thread responder;
 };
 
 TEST(Deadline, SilentPeerCostsTypedTimeoutWithinTwiceTheBudget) {
@@ -106,6 +150,21 @@ TEST(Deadline, PipelinedRequestsAllTimeOutIndependently) {
   EXPECT_LT(elapsed.count(), 1500);  // concurrently, not 8 x 300ms serially
 
   client.close();
+}
+
+TEST(Robustness, RuntResponseFailsThePendingRequestWithoutABudget) {
+  RuntResponder peer;
+  NetClient client;  // default options: no request budget, nothing expires
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", peer.port, error)) << error;
+
+  auto future = client.predict_async({"sgd", "ctx"}, data::JobRun{});
+  const bool resolved = future.wait_for(milliseconds(2000)) == std::future_status::ready;
+  ASSERT_TRUE(resolved) << "a runt response left the pending request hanging";
+  const auto result = future.get();
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status(), serve::ServeStatus::kShutdown) << result.message();
+  EXPECT_FALSE(client.connected());
 }
 
 TEST(Deadline, ReadStallBudgetReturnsTimeout) {
