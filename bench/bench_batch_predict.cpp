@@ -1,17 +1,16 @@
 // Throughput of the prediction engine: per-sample loop vs one batched
-// forward pass vs batched + threaded (replica-pool chunking), at
-// B in {1, 16, 256, 4096}.  The workload is a resource-selection-style
+// forward pass vs batched + threaded (chunks of one shared model across a
+// ThreadPool), at B in {1, 16, 256, 4096}.  The workload is a resource-selection-style
 // sweep: every query shares the context template and varies the scale-out,
 // which is exactly the many-query pattern the paper's reuse setting produces.
 //
 //   ./build/bench/bench_batch_predict [--threads=N] [--json=PATH|-]
 //
-// Reports predictions/sec per mode, the batched-over-loop speedup, and the
-// replica-pool steady state (chunked predictions with cached replicas vs
-// rebuilding them per call), and verifies that every mode produces identical
-// predictions.  ALL human-readable progress goes to stderr; --json writes
-// the measurements as a JSON document to the given path ("-" = stdout), so
-// the artifact is machine-parseable even when both streams land in one log.
+// Reports predictions/sec per mode and the batched-over-loop speedup, and
+// verifies that every mode produces identical predictions.  ALL
+// human-readable progress goes to stderr; --json writes the measurements as
+// a JSON document to the given path ("-" = stdout), so the artifact is
+// machine-parseable even when both streams land in one log.
 
 #include <cmath>
 #include <cstdio>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "core/bellamy_model.hpp"
-#include "core/replica_pool.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "parallel/thread_pool.hpp"
@@ -82,15 +80,14 @@ int main(int argc, char** argv) {
 
   const data::JobRun context_template = history.runs().front();
   std::fprintf(stderr, "bench_batch_predict: %zu thread(s)\n", num_threads);
-  std::fprintf(stderr, "%8s %16s %16s %16s %16s %12s\n", "B", "loop pred/s",
-               "batch pred/s", "chunk cold p/s", "chunk warm p/s", "batch/loop");
+  std::fprintf(stderr, "%8s %16s %16s %16s %12s\n", "B", "loop pred/s", "batch pred/s",
+               "chunked pred/s", "batch/loop");
 
   bool all_identical = true;
   double speedup_256 = 0.0;
   struct Row {
     std::size_t b;
-    double loop_rate, batch_rate, cold_rate, warm_rate, speedup;
-    std::uint64_t hits, misses, invalidations;  ///< pool counter deltas for this B
+    double loop_rate, batch_rate, chunked_rate, speedup;
   };
   std::vector<Row> rows;
   for (const std::size_t b : {std::size_t{1}, std::size_t{16}, std::size_t{256},
@@ -114,68 +111,38 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < reps; ++r) batch_preds = model.predict_batch(queries);
     const double batch_s = batch_timer.seconds();
 
-    // Counter snapshot so each row reports THIS batch size's pool activity.
-    const core::ReplicaPool& pool_stats = model.replica_pool();
-    const std::uint64_t hits0 = pool_stats.hits();
-    const std::uint64_t misses0 = pool_stats.misses();
-    const std::uint64_t inval0 = pool_stats.invalidations();
-
-    // Mode 3 cold: chunked across the pool with the replica pool invalidated
-    // before every call — each call re-deserializes its replicas, which is
-    // exactly the pre-pool behaviour.
-    std::vector<double> cold_preds;
-    util::Timer cold_timer;
+    // Mode 3: the stacked pass split into one chunk per pool thread, every
+    // chunk reading the same const model.  One untimed call warms the pool.
+    std::vector<double> chunked_preds = model.predict_batch_chunked(queries, &pool, num_threads);
+    util::Timer chunked_timer;
     for (std::size_t r = 0; r < reps; ++r) {
-      model.replica_pool().invalidate();
-      cold_preds = model.predict_batch_chunked(queries, &pool, num_threads);
+      chunked_preds = model.predict_batch_chunked(queries, &pool, num_threads);
     }
-    const double cold_s = cold_timer.seconds();
-
-    // Mode 4 warm: steady-state serving — one priming call builds the
-    // replicas, the timed calls check them out of the pool.
-    std::vector<double> warm_preds = model.predict_batch_chunked(queries, &pool, num_threads);
-    util::Timer warm_timer;
-    for (std::size_t r = 0; r < reps; ++r) {
-      warm_preds = model.predict_batch_chunked(queries, &pool, num_threads);
-    }
-    const double warm_s = warm_timer.seconds();
+    const double chunked_s = chunked_timer.seconds();
 
     const double total = static_cast<double>(b * reps);
     const double loop_rate = total / std::max(loop_s, 1e-12);
     const double batch_rate = total / std::max(batch_s, 1e-12);
-    const double cold_rate = total / std::max(cold_s, 1e-12);
-    const double warm_rate = total / std::max(warm_s, 1e-12);
+    const double chunked_rate = total / std::max(chunked_s, 1e-12);
     const double speedup = batch_rate / std::max(loop_rate, 1e-12);
     if (b == 256) speedup_256 = speedup;
 
     const double diff_batch = max_abs_diff(loop_preds, batch_preds);
-    const double diff_cold = max_abs_diff(loop_preds, cold_preds);
-    const double diff_warm = max_abs_diff(loop_preds, warm_preds);
-    if (diff_batch > 1e-9 || diff_cold > 1e-9 || diff_warm > 1e-9) {
+    const double diff_chunked = max_abs_diff(loop_preds, chunked_preds);
+    if (diff_batch > 1e-9 || diff_chunked > 1e-9) {
       all_identical = false;
-      std::fprintf(stderr,
-                   "B=%zu: PREDICTION MISMATCH (batch %.3e, cold %.3e, warm %.3e)\n", b,
-                   diff_batch, diff_cold, diff_warm);
+      std::fprintf(stderr, "B=%zu: PREDICTION MISMATCH (batch %.3e, chunked %.3e)\n", b,
+                   diff_batch, diff_chunked);
     }
-    std::fprintf(stderr, "%8zu %16.0f %16.0f %16.0f %16.0f %11.2fx\n", b, loop_rate,
-                 batch_rate, cold_rate, warm_rate, speedup);
-    rows.push_back({b, loop_rate, batch_rate, cold_rate, warm_rate, speedup,
-                    pool_stats.hits() - hits0, pool_stats.misses() - misses0,
-                    pool_stats.invalidations() - inval0});
+    std::fprintf(stderr, "%8zu %16.0f %16.0f %16.0f %11.2fx\n", b, loop_rate, batch_rate,
+                 chunked_rate, speedup);
+    rows.push_back({b, loop_rate, batch_rate, chunked_rate, speedup});
   }
 
   std::fprintf(stderr, "predictions identical across modes: %s\n",
                all_identical ? "yes" : "NO");
   std::fprintf(stderr, "batched speedup at B=256: %.2fx (acceptance floor: 5x)\n",
                speedup_256);
-  const Row& last = rows.back();
-  const double pool_speedup = last.warm_rate / std::max(last.cold_rate, 1e-12);
-  std::fprintf(stderr,
-               "replica pool at B=%zu: warm/cold %.2fx (hits %llu, misses %llu, "
-               "invalidations %llu)\n",
-               last.b, pool_speedup, static_cast<unsigned long long>(last.hits),
-               static_cast<unsigned long long>(last.misses),
-               static_cast<unsigned long long>(last.invalidations));
 
   if (!json_path.empty()) {
     std::FILE* f = json_path == "-" ? stdout : std::fopen(json_path.c_str(), "w");
@@ -188,12 +155,11 @@ int main(int argc, char** argv) {
         const auto& r = rows[i];
         std::fprintf(f,
                      "    {\"b\": %zu, \"loop_per_s\": %.0f, \"batch_per_s\": %.0f, "
-                     "\"chunked_cold_per_s\": %.0f, \"chunked_per_s\": %.0f, "
-                     "\"speedup\": %.2f}%s\n",
-                     r.b, r.loop_rate, r.batch_rate, r.cold_rate, r.warm_rate, r.speedup,
+                     "\"chunked_per_s\": %.0f, \"speedup\": %.2f}%s\n",
+                     r.b, r.loop_rate, r.batch_rate, r.chunked_rate, r.speedup,
                      i + 1 < rows.size() ? "," : "");
       }
-      std::fprintf(f, "  ],\n  \"replica_pool_warm_over_cold\": %.2f\n}\n", pool_speedup);
+      std::fprintf(f, "  ]\n}\n");
       if (f != stdout) {
         std::fclose(f);
         std::fprintf(stderr, "wrote %s\n", json_path.c_str());

@@ -35,8 +35,6 @@ class ThreadPool;
 
 namespace bellamy::core {
 
-class ReplicaPool;
-
 /// Extract the paper's essential property list from a run:
 /// node type, job parameters, dataset size, data characteristics.
 std::vector<encoding::PropertyValue> essential_properties(const data::JobRun& run);
@@ -161,13 +159,15 @@ class BellamyModel {
   /// and one scale-out matrix, so the network runs once regardless of batch
   /// size.  Repeated property values across queries are vectorized once.
   /// Batches of at least predict_chunk_threshold() queries are split into
-  /// contiguous chunks across the global ThreadPool (per-thread model
-  /// replicas built from a checkpoint); chunked results are bit-identical to
-  /// the single-pass path.  An empty batch yields an empty vector.
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& runs);
+  /// contiguous chunks across the global ThreadPool; chunked results are
+  /// bit-identical to the single-pass path.  An empty batch yields an empty
+  /// vector.  Inference is const: it goes through nn::Module::infer and
+  /// caches nothing, so any number of threads may predict on one model at
+  /// once (but not while another thread trains it).
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& runs) const;
   /// Alias for predict_batch (historical name).
-  std::vector<double> predict(const std::vector<data::JobRun>& runs);
-  double predict_one(const data::JobRun& run);
+  std::vector<double> predict(const std::vector<data::JobRun>& runs) const;
+  double predict_one(const data::JobRun& run) const;
 
   /// Explicitly chunked prediction over `pool` (nullptr = global pool) in
   /// `num_chunks` contiguous slices (0 = one per pool worker).  Used
@@ -175,7 +175,7 @@ class BellamyModel {
   /// their own pool and chunking.
   std::vector<double> predict_batch_chunked(const std::vector<data::JobRun>& runs,
                                             parallel::ThreadPool* pool = nullptr,
-                                            std::size_t num_chunks = 0);
+                                            std::size_t num_chunks = 0) const;
 
   /// Minimum batch size at which predict_batch auto-chunks across the global
   /// ThreadPool (0 disables auto-chunking).  Default 2048.
@@ -186,16 +186,9 @@ class BellamyModel {
 
   /// Stamp of the serveable state: a stable hash over every parameter plus
   /// the normalization state.  Any mutation (optimizer step, parameter
-  /// restore, checkpoint load) changes it; the ReplicaPool keys on it.
+  /// restore, checkpoint load) changes it, so it identifies a weight state
+  /// (registry introspection, exchange pulls, tests).
   std::uint64_t state_stamp() const;
-
-  /// Replica pool used by predict_batch_chunked (lazily created).  Shared
-  /// across copies of a model; the stamp keying keeps a shared pool correct
-  /// even when copies diverge.
-  ReplicaPool& replica_pool();
-  /// Install a caller-owned pool (BellamyPredictor keeps one across fit()s
-  /// so a stream of large batches pays deserialization once per state).
-  void set_replica_pool(std::shared_ptr<ReplicaPool> pool);
 
   // ---- components (freeze policy, reuse variants) ---------------------------
   nn::Sequential& f() { return f_; }
@@ -215,10 +208,6 @@ class BellamyModel {
   void set_training(bool training);
   void set_dropout_rate(double rate);
 
-  /// Drop every component's forward-pass activation cache (the next forward
-  /// re-caches).  Bounds the steady-state memory of parked pool replicas.
-  void clear_forward_caches();
-
   // ---- persistence -----------------------------------------------------------
   nn::Checkpoint to_checkpoint() const;
   static BellamyModel from_checkpoint(const nn::Checkpoint& ckpt);
@@ -236,7 +225,7 @@ class BellamyModel {
   nn::Matrix normalize_scaleout(const nn::Matrix& raw) const;
   double normalize_target(double seconds) const;
   double denormalize_target(double network_value) const;
-  std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs);
+  std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs) const;
   /// Weighted (by row multiplicity) reconstruction MSE over the batch's
   /// unique property rows — equal to the MSE over the stacked matrix.  Fills
   /// `grad` (U x N) with d(mse)/d(reconstruction) when non-null.
@@ -256,9 +245,6 @@ class BellamyModel {
 
   // Auto-chunking floor for predict_batch (not persisted).
   std::size_t predict_chunk_threshold_ = 2048;
-
-  // Replica pool for chunked prediction (not persisted; lazily created).
-  std::shared_ptr<ReplicaPool> replica_pool_;
 
   // Normalization state (persisted).
   bool norm_fitted_ = false;

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/bellamy_model.hpp"
-#include "core/replica_pool.hpp"
 #include "core/trainer.hpp"
 #include "core/variants.hpp"
 #include "data/runtime_model.hpp"
@@ -75,10 +74,6 @@ class BellamyPredictor : public data::RuntimeModel {
   std::string name_;
   std::optional<BellamyModel> model_;
   FineTuneResult last_fit_;
-  /// One replica pool for the predictor's lifetime: fit() re-emplaces the
-  /// model but installs this pool into it, so chunked prediction replicas
-  /// survive across fits (the state stamp invalidates them on weight change).
-  std::shared_ptr<ReplicaPool> replica_pool_ = std::make_shared<ReplicaPool>();
 };
 
 }  // namespace bellamy::core

@@ -26,6 +26,10 @@ double selu_derivative(double x) {
 
 Matrix Selu::forward(const Matrix& input) {
   cached_input_ = input;
+  return infer(input);
+}
+
+Matrix Selu::infer(const Matrix& input) const {
   Matrix out = input;
   simd::selu_forward(out.data(), out.size());
   return out;
@@ -38,8 +42,12 @@ Matrix Selu::backward(const Matrix& grad_output) {
 }
 
 Matrix Tanh::forward(const Matrix& input) {
-  cached_output_ = input.apply([](double v) { return std::tanh(v); });
+  cached_output_ = infer(input);
   return cached_output_;
+}
+
+Matrix Tanh::infer(const Matrix& input) const {
+  return input.apply([](double v) { return std::tanh(v); });
 }
 
 Matrix Tanh::backward(const Matrix& grad_output) {
@@ -50,6 +58,10 @@ Matrix Tanh::backward(const Matrix& grad_output) {
 
 Matrix Relu::forward(const Matrix& input) {
   cached_input_ = input;
+  return infer(input);
+}
+
+Matrix Relu::infer(const Matrix& input) const {
   Matrix out = input;
   simd::relu_forward(out.data(), out.size());
   return out;
@@ -62,8 +74,12 @@ Matrix Relu::backward(const Matrix& grad_output) {
 }
 
 Matrix Sigmoid::forward(const Matrix& input) {
-  cached_output_ = input.apply([](double v) { return 1.0 / (1.0 + std::exp(-v)); });
+  cached_output_ = infer(input);
   return cached_output_;
+}
+
+Matrix Sigmoid::infer(const Matrix& input) const {
+  return input.apply([](double v) { return 1.0 / (1.0 + std::exp(-v)); });
 }
 
 Matrix Sigmoid::backward(const Matrix& grad_output) {

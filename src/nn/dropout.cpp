@@ -45,7 +45,7 @@ void AlphaDropout::recompute_affine() {
 Matrix AlphaDropout::forward(const Matrix& input) {
   if (!training_ || rate_ == 0.0) {
     mask_ = Matrix();  // signal "identity" to backward
-    return input;
+    return infer(input);
   }
   mask_ = Matrix(input.rows(), input.cols());
   Matrix out(input.rows(), input.cols());

@@ -17,8 +17,9 @@ class AlphaDropout : public Module {
   AlphaDropout(double rate, util::Rng rng);
 
   Matrix forward(const Matrix& input) override;
+  /// Eval mode: alpha-dropout is the identity.
+  Matrix infer(const Matrix& input) const override { return input; }
   Matrix backward(const Matrix& grad_output) override;
-  void clear_forward_cache() override { mask_ = Matrix(); }
   std::string describe() const override;
 
   double rate() const { return rate_; }

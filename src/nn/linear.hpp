@@ -22,9 +22,9 @@ class Linear : public Module {
          Init init, util::Rng& rng, std::string name = "linear");
 
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
-  void clear_forward_cache() override { cached_input_ = Matrix(); }
   std::string describe() const override;
 
   std::size_t in_features() const { return in_; }

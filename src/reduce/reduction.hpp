@@ -92,7 +92,7 @@ struct ReductionReport {
 /// returned unchanged (still reported).
 std::vector<data::JobRun> reduce_runs(const std::vector<data::JobRun>& runs,
                                       const ReductionConfig& config,
-                                      core::BellamyModel* model = nullptr,
+                                      const core::BellamyModel* model = nullptr,
                                       ReductionReport* report = nullptr);
 
 }  // namespace bellamy::reduce

@@ -15,9 +15,11 @@
 //   * derive(handle, key)  — a new handle for a new context that SHARES the
 //     base checkpoint of an existing one (direct reuse until refit).
 //   * refit(handle, runs)  — fine-tune a fresh copy of the base checkpoint
-//     off to the side and swap it in atomically.  In-flight predictions keep
-//     serving the old weights; the state-stamp change invalidates the
-//     handle's ReplicaPool so the next micro-batch serves the new ones.
+//     off to the side and swap it in atomically.  The entry holds its model
+//     as a shared_ptr to an immutable BellamyModel: readers copy the pointer
+//     and predict outside the entry mutex, a swap installs a fresh pointer,
+//     and an in-flight micro-batch keeps the old weights alive until it
+//     finishes while the next one serves the new ones.
 //   * refit_async(...)     — the same recipe, scheduled on the global
 //     ThreadPool instead of the caller's thread.  One Strand per entry
 //     serializes refits of the SAME handle; refits of different handles run
@@ -42,7 +44,6 @@
 
 #include "core/bellamy_model.hpp"
 #include "core/model_store.hpp"
-#include "core/replica_pool.hpp"
 #include "core/trainer.hpp"
 #include "core/variants.hpp"
 #include "parallel/strand.hpp"
@@ -102,14 +103,15 @@ struct RefitJob {
 };
 
 /// One served model.  `mutex` guards `base`, `model`, and the refit
-/// bookkeeping (`pending_refit`, `refit_running`); the PredictionService
-/// holds it only for the (cheap, stamp-keyed) replica acquire, never across
-/// a forward pass, and background refits hold it only to pick up their job
-/// and to swap — never across the fine-tune itself.  `pool` is shared with
-/// the model so chunked prediction and the service lease from the same
-/// replica cache.  `refit_strand` serializes this entry's background refits
-/// on the process-wide ThreadPool; tasks capture the entry's shared_ptr, so
-/// an erase()d entry finishes its in-flight refit harmlessly off-registry.
+/// bookkeeping (`pending_refit`, `refit_running`); readers (the
+/// PredictionService, the DriftMonitor) hold it only to copy the `model`
+/// pointer, never across a forward pass, and background refits hold it only
+/// to pick up their job and to swap — never across the fine-tune itself.
+/// The model behind the pointer is never mutated: publish, open, derive and
+/// refit each install a fresh one.  `refit_strand` serializes this entry's
+/// background refits on the process-wide ThreadPool; tasks capture the
+/// entry's shared_ptr, so an erase()d entry finishes its in-flight refit
+/// harmlessly off-registry.
 /// The strand's ordering is its own (drainer chaining), not the pool's: the
 /// drainer task may run on any worker or helper thread, and refits still
 /// execute one at a time in post order.
@@ -117,8 +119,7 @@ struct RegistryEntry {
   ModelKey key;
   mutable std::mutex mutex;
   std::shared_ptr<const nn::Checkpoint> base;  ///< pretrained base for refits
-  std::optional<core::BellamyModel> model;     ///< current serveable weights
-  std::shared_ptr<core::ReplicaPool> pool = std::make_shared<core::ReplicaPool>();
+  std::shared_ptr<const core::BellamyModel> model;  ///< current serveable weights
   std::optional<RefitJob> pending_refit;  ///< queued, not started (coalescing point)
   bool refit_running = false;             ///< a background refit is executing
   parallel::Strand refit_strand{parallel::ThreadPool::global()};
@@ -131,6 +132,13 @@ struct RegistryEntry {
   reduce::ReductionReport last_reduction;
   std::uint64_t reductions = 0;    ///< refits that ran with an active policy
   std::uint64_t runs_dropped = 0;  ///< cumulative runs dropped across refits
+
+  /// The current serving model (null until fitted), copied under `mutex`.
+  /// Predict on the copy outside the mutex; it stays alive across a swap.
+  std::shared_ptr<const core::BellamyModel> current_model() const {
+    std::lock_guard<std::mutex> lock(mutex);
+    return model;
+  }
 };
 
 }  // namespace detail
@@ -247,12 +255,12 @@ class ModelRegistry {
 
   /// The entry's CURRENT serving weights serialized as nn::Checkpoint text
   /// (the ModelStore on-disk format, hex-float exact) — what a peer pulling
-  /// this model over the exchange layer receives.  Snapshots under the entry
-  /// mutex; never holds it across I/O.
+  /// this model over the exchange layer receives.  Copies the model pointer
+  /// under the entry mutex and serializes outside it.
   ServeResult<std::string> checkpoint_text(const ModelHandle& handle) const;
 
   /// Retire a handle: subsequent resolves (and service requests) fail with
-  /// kUnknownModel.  Outstanding replica leases finish their batch.
+  /// kUnknownModel.  Micro-batches already executing finish their batch.
   ServeResult<Unit> erase(const ModelHandle& handle);
 
   /// Introspection without catch-as-control-flow: unknown handles and

@@ -5,14 +5,18 @@
 // future).  Requests land in a bounded per-handle lane; dispatcher workers
 // coalesce whatever is pending into a micro-batch and flush it when either
 // the batch is full (max_batch) or the lane's flush deadline expires.  A
-// micro-batch executes ONE stacked forward pass on a replica checked out of
-// the handle's stamp-keyed ReplicaPool, so
+// micro-batch executes ONE stacked forward pass on the handle's current
+// model — a shared_ptr to an immutable BellamyModel, copied under the entry
+// mutex — so
 //
 //   * concurrent callers share forward passes instead of serializing on a
-//     model mutex (a batch of k requests costs ~1 forward, not k), and
-//   * a registry refit hot-swaps weights between micro-batches: the stamp
-//     change makes the next acquire rebuild the replicas, while in-flight
-//     batches finish on the old weights.
+//     model mutex (a batch of k requests costs ~1 forward, not k), and any
+//     number of workers predict on one model at once (inference is const),
+//     and
+//   * a registry refit hot-swaps weights between micro-batches: the swap
+//     installs a fresh pointer, the next batch serves the new weights, and
+//     in-flight batches finish on the old ones, which their pointer copy
+//     keeps alive.
 //
 // Scheduling (this is the adaptive, fair core — see docs/ARCHITECTURE.md):
 //
@@ -35,7 +39,7 @@
 //     (max_dispatch_lag_us / starved_flushes).
 //
 // Coalescing is bit-transparent: predict_batch is certified bit-identical to
-// the per-sample loop, and a replica built from a checkpoint predicts
+// the per-sample loop, and a model built from a checkpoint predicts
 // bit-identically to its source — so the value a request receives does not
 // depend on which micro-batch it rode in (tests/serve/
 // test_prediction_service.cpp soaks this under 8+ client threads).
@@ -149,7 +153,12 @@ struct ServeMetrics {
   std::uint64_t coalesced_requests = 0;  ///< requests that shared a batch with others
   std::uint64_t max_queue_depth = 0;     ///< high-water mark of the pending queue
   std::uint64_t queue_depth = 0;         ///< pending requests right now
-  std::uint64_t replica_hits = 0;        ///< handle pool counters (see ReplicaPool)
+  /// Retired: always 0.  They counted a per-handle model-replica pool that
+  /// no longer exists (inference is const, so every batch reads the one
+  /// shared model).  Kept so the v2 MetricsResponse bytes pinned by
+  /// tests/net/test_wire_golden.cpp, and the readers of those bytes, stay
+  /// unchanged; removing them belongs to a metrics-registry change.
+  std::uint64_t replica_hits = 0;
   std::uint64_t replica_misses = 0;
   std::uint64_t replica_invalidations = 0;
 

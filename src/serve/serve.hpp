@@ -1,8 +1,8 @@
 #pragma once
 // bellamy::serve — the repo's serving front door.
 //
-//   ModelStore (disk)  ->  ModelRegistry (handles, hot-swap)  ->
-//   PredictionService (micro-batching)  ->  ReplicaPool (per-handle replicas)
+//   ModelStore (disk)  ->  ModelRegistry (handles, hot-swap of one shared,
+//   immutable model per handle)  ->  PredictionService (micro-batching)
 //
 // Typical wiring:
 //

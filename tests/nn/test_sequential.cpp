@@ -61,6 +61,20 @@ TEST(Sequential, SetTrainingPropagatesToDropout) {
   EXPECT_EQ(seq.forward(x), seq.forward(x));
 }
 
+// infer() is eval-mode forward without the caches: the same bits as forward
+// with training off, whatever mode the module is in, on a const module.
+TEST(Sequential, InferEqualsEvalForwardInAnyMode) {
+  util::Rng rng(6);
+  Sequential seq = make_mlp(rng, /*with_dropout=*/true);
+  const Matrix x = Matrix::randn(6, 3, rng);
+  seq.set_training(false);
+  const Matrix eval = seq.forward(x);
+  const Sequential& frozen = seq;
+  EXPECT_EQ(frozen.infer(x), eval);
+  seq.set_training(true);
+  EXPECT_EQ(frozen.infer(x), eval);
+}
+
 TEST(Sequential, TrainingModeIsStochasticWithDropout) {
   util::Rng rng(5);
   Sequential seq = make_mlp(rng, /*with_dropout=*/true);

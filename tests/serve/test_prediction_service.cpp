@@ -236,7 +236,8 @@ TEST(PredictionService, RefitHotSwapsBetweenMicroBatches) {
   PredictionService service(registry);
 
   const data::JobRun query = fx.make_queries(1)[0];
-  EXPECT_EQ(service.predict(handle, query).unwrap(), fx.model->predict_one(query));
+  const double before = service.predict(handle, query).unwrap();
+  EXPECT_EQ(before, fx.model->predict_one(query));
 
   // Refit on a few target-context runs; the service must serve the NEW
   // weights afterwards, bit-identically to the legacy fine-tune recipe.
@@ -250,13 +251,14 @@ TEST(PredictionService, RefitHotSwapsBetweenMicroBatches) {
       core::ReuseStrategy::kPartialUnfreeze, reference, quick_finetune());
   core::finetune(reference, observed, cfg);
 
-  EXPECT_EQ(service.predict(handle, query).unwrap(), reference.predict_one(query));
+  const double after = service.predict(handle, query).unwrap();
+  EXPECT_EQ(after, reference.predict_one(query));
+  // Two distinct weight states were served: the swap reached the next batch.
+  EXPECT_NE(after, before);
 
+  // The replica counters are retired (kept for the wire format only).
   const ServeMetrics m = service.metrics(handle).unwrap();
-  // Two distinct weight states were served: the pool deserialized a replica
-  // for each, and the second acquire observed the stamp change.
-  EXPECT_GE(m.replica_misses, 2u);
-  EXPECT_GE(m.replica_invalidations, 1u);
+  EXPECT_EQ(m.replica_hits + m.replica_misses + m.replica_invalidations, 0u);
 }
 
 // Adaptive flush: a trickle lane (inter-arrival far beyond the band) drops
