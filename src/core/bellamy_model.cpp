@@ -268,29 +268,7 @@ BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
   const nn::Matrix e = f_.forward(xs);                // (B x F)
   fw.codes = g_.forward(batch.properties);            // (U x M) unique rows only
   fw.reconstruction = h_.forward(fw.codes);           // (U x N)
-
-  const std::size_t b = batch.batch_size;
-  const std::size_t m = config_.num_essential;
-  const std::size_t n = config_.num_optional;
-  const std::size_t M = config_.code_dim;
-  const std::size_t F = config_.scaleout_out;
-  const std::size_t ppr = config_.props_per_sample();
-
-  fw.combined = nn::Matrix(b, config_.combined_dim());
-  for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t j = 0; j < F; ++j) fw.combined(i, j) = e(i, j);
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t crow = batch.prop_row[i * ppr + p];
-      for (std::size_t j = 0; j < M; ++j) {
-        fw.combined(i, F + p * M + j) = fw.codes(crow, j);
-      }
-    }
-    for (std::size_t j = 0; j < M; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < n; ++p) acc += fw.codes(batch.prop_row[i * ppr + m + p], j);
-      fw.combined(i, F + m * M + j) = n ? acc / static_cast<double>(n) : 0.0;
-    }
-  }
+  fw.combined = assemble_combined(e, fw.codes, batch.prop_row);
 
   fw.prediction_norm = z_.forward(fw.combined);  // (B x 1)
   fw.prediction_raw = fw.prediction_norm.apply(
@@ -417,15 +395,33 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   return predict_batch_serial(runs);
 }
 
-std::vector<double> BellamyModel::predict_batch_serial(
-    const std::vector<data::JobRun>& runs) const {
-  const std::size_t b = runs.size();
+nn::Matrix BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
+                                           const std::vector<std::size_t>& prop_row) const {
+  const std::size_t b = e.rows();
   const std::size_t m = config_.num_essential;
   const std::size_t n = config_.num_optional;
   const std::size_t M = config_.code_dim;
   const std::size_t F = config_.scaleout_out;
   const std::size_t ppr = config_.props_per_sample();
 
+  nn::Matrix combined(b, config_.combined_dim());
+  for (std::size_t i = 0; i < b; ++i) {
+    for (std::size_t j = 0; j < F; ++j) combined(i, j) = e(i, j);
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::size_t crow = prop_row[i * ppr + p];
+      for (std::size_t j = 0; j < M; ++j) combined(i, F + p * M + j) = codes(crow, j);
+    }
+    for (std::size_t j = 0; j < M; ++j) {
+      double acc = 0.0;
+      for (std::size_t p = 0; p < n; ++p) acc += codes(prop_row[i * ppr + m + p], j);
+      combined(i, F + m * M + j) = n ? acc / static_cast<double>(n) : 0.0;
+    }
+  }
+  return combined;
+}
+
+std::vector<double> BellamyModel::predict_batch_serial(
+    const std::vector<data::JobRun>& runs) const {
   // Inference needs the property codes but never the reconstruction, so the
   // decoder h is skipped entirely.  encode_runs dedups the property rows, so
   // the encoder g runs over the UNIQUE rows only and the codes are gathered
@@ -437,23 +433,10 @@ std::vector<double> BellamyModel::predict_batch_serial(
   const nn::Matrix e = f_.infer(normalize_scaleout(encoded.scaleout_raw));  // (B x F)
   const nn::Matrix codes = g_.infer(encoded.properties);                    // (U x M)
 
-  nn::Matrix combined(b, config_.combined_dim());
-  for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t j = 0; j < F; ++j) combined(i, j) = e(i, j);
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t crow = encoded.prop_row[i * ppr + p];
-      for (std::size_t j = 0; j < M; ++j) combined(i, F + p * M + j) = codes(crow, j);
-    }
-    for (std::size_t j = 0; j < M; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < n; ++p) acc += codes(encoded.prop_row[i * ppr + m + p], j);
-      combined(i, F + m * M + j) = n ? acc / static_cast<double>(n) : 0.0;
-    }
-  }
-
-  const nn::Matrix prediction = z_.infer(combined);  // (B x 1)
-  std::vector<double> out(b);
-  for (std::size_t i = 0; i < b; ++i) out[i] = denormalize_target(prediction(i, 0));
+  const nn::Matrix prediction =
+      z_.infer(assemble_combined(e, codes, encoded.prop_row));  // (B x 1)
+  std::vector<double> out(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) out[i] = denormalize_target(prediction(i, 0));
   return out;
 }
 

@@ -226,6 +226,10 @@ class BellamyModel {
   double normalize_target(double seconds) const;
   double denormalize_target(double network_value) const;
   std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs) const;
+  /// The z input per sample: r = e ++ essential codes ++ mean(optional
+  /// codes), with the codes gathered from the unique rows through prop_row.
+  nn::Matrix assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
+                               const std::vector<std::size_t>& prop_row) const;
   /// Weighted (by row multiplicity) reconstruction MSE over the batch's
   /// unique property rows — equal to the MSE over the stacked matrix.  Fills
   /// `grad` (U x N) with d(mse)/d(reconstruction) when non-null.

@@ -15,14 +15,11 @@ double selu_derivative(double x) {
   return x > 0.0 ? kSeluScale : kSeluScale * kSeluAlpha * std::exp(x);
 }
 
-// The per-element loops live in nn/simd.hpp (AVX2+FMA with a portable
-// fallback, dispatched once per process).  SELU dominates the stacked
-// forward/backward (the model is SELU everywhere but the decoder output) and
-// its exp is the single largest scalar cost in train_step, so the forward
-// and backward kernels vectorize the exponential as well.  Tanh/sigmoid
-// FORWARD stay scalar std:: calls: they only run on the decoder output (tiny)
-// and vectorizing tanh bit-stably near 0 isn't worth the cost — their
-// backward passes are pure arithmetic and do go through the SIMD layer.
+// SELU is the one activation with hand-written AVX2 (nn/simd.hpp): the model
+// is SELU everywhere but the decoder output, and its exp is the largest
+// scalar cost in train_step.  Tanh runs only on the decoder output and the
+// model uses neither relu nor sigmoid, so those are plain loops; tanh's
+// backward spells out its fused multiply-add.
 
 Matrix Selu::forward(const Matrix& input) {
   cached_input_ = input;
@@ -52,7 +49,9 @@ Matrix Tanh::infer(const Matrix& input) const {
 
 Matrix Tanh::backward(const Matrix& grad_output) {
   Matrix grad = grad_output;
-  simd::tanh_backward(grad.data(), cached_output_.data(), grad.size());
+  double* g = grad.data();
+  const double* y = cached_output_.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= __builtin_fma(-y[i], y[i], 1.0);
   return grad;
 }
 
@@ -63,13 +62,18 @@ Matrix Relu::forward(const Matrix& input) {
 
 Matrix Relu::infer(const Matrix& input) const {
   Matrix out = input;
-  simd::relu_forward(out.data(), out.size());
+  double* x = out.data();
+  for (std::size_t i = 0; i < out.size(); ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
   return out;
 }
 
 Matrix Relu::backward(const Matrix& grad_output) {
   Matrix grad = grad_output;
-  simd::relu_backward(grad.data(), cached_input_.data(), grad.size());
+  double* g = grad.data();
+  const double* x = cached_input_.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    if (x[i] <= 0.0) g[i] = 0.0;
+  }
   return grad;
 }
 
@@ -84,7 +88,9 @@ Matrix Sigmoid::infer(const Matrix& input) const {
 
 Matrix Sigmoid::backward(const Matrix& grad_output) {
   Matrix grad = grad_output;
-  simd::sigmoid_backward(grad.data(), cached_output_.data(), grad.size());
+  double* g = grad.data();
+  const double* y = cached_output_.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= y[i] * (1.0 - y[i]);
   return grad;
 }
 

@@ -29,7 +29,6 @@ class Linear : public Module {
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
-  bool has_bias() const { return with_bias_; }
 
   Parameter& weight() { return weight_; }
   const Parameter& weight() const { return weight_; }

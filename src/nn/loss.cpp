@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/simd.hpp"
-
 namespace bellamy::nn {
 
 namespace {
@@ -17,20 +15,25 @@ void check_shapes(const Matrix& pred, const Matrix& target, const char* name) {
 }
 }  // namespace
 
-// The per-element loss terms and gradients run as SIMD kernels
-// (nn/simd.hpp).  Gradients are bit-identical between the AVX2 and portable
-// paths; the summed loss VALUE accumulates in vector lanes, so it may differ
-// from a strictly sequential sum in the last ulps (well inside the 1e-9
-// equivalence budget of the batched-vs-per-sample tests).
+// Each loss is one pass that writes the per-element gradient and sums the
+// per-element terms sequentially; the value is that sum over N.
 
 LossResult mse_loss(const Matrix& pred, const Matrix& target) {
   check_shapes(pred, target, "mse_loss");
   const double n = static_cast<double>(pred.size());
+  const double inv_n = 1.0 / n;
   LossResult res;
   res.grad = Matrix(pred.rows(), pred.cols());
-  const double total = simd::mse_loss_grad(pred.data(), target.data(), res.grad.data(),
-                                           pred.size(), 1.0 / n);
-  res.value = total / n;
+  const double* p = pred.data();
+  const double* t = target.data();
+  double* grad = res.grad.data();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double e = p[i] - t[i];
+    acc += e * e;
+    grad[i] = (2.0 * e) * inv_n;
+  }
+  res.value = acc / n;
   return res;
 }
 
@@ -38,22 +41,45 @@ LossResult huber_loss(const Matrix& pred, const Matrix& target, double delta) {
   check_shapes(pred, target, "huber_loss");
   if (delta <= 0.0) throw std::invalid_argument("huber_loss: delta must be > 0");
   const double n = static_cast<double>(pred.size());
+  const double inv_n = 1.0 / n;
+  const double dn = delta * inv_n;
   LossResult res;
   res.grad = Matrix(pred.rows(), pred.cols());
-  const double total = simd::huber_loss_grad(pred.data(), target.data(), res.grad.data(),
-                                             pred.size(), delta, 1.0 / n);
-  res.value = total / n;
+  const double* p = pred.data();
+  const double* t = target.data();
+  double* grad = res.grad.data();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double e = p[i] - t[i];
+    const double ae = std::fabs(e);
+    if (ae <= delta) {
+      acc += (0.5 * e) * e;
+      grad[i] = e * inv_n;
+    } else {
+      acc += delta * (ae - 0.5 * delta);
+      grad[i] = e > 0.0 ? dn : -dn;
+    }
+  }
+  res.value = acc / n;
   return res;
 }
 
 LossResult mae_loss(const Matrix& pred, const Matrix& target) {
   check_shapes(pred, target, "mae_loss");
   const double n = static_cast<double>(pred.size());
+  const double inv_n = 1.0 / n;
   LossResult res;
   res.grad = Matrix(pred.rows(), pred.cols());
-  const double total = simd::mae_loss_grad(pred.data(), target.data(), res.grad.data(),
-                                           pred.size(), 1.0 / n);
-  res.value = total / n;
+  const double* p = pred.data();
+  const double* t = target.data();
+  double* grad = res.grad.data();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double e = p[i] - t[i];
+    acc += std::fabs(e);
+    grad[i] = e > 0.0 ? inv_n : (e < 0.0 ? -inv_n : 0.0);
+  }
+  res.value = acc / n;
   return res;
 }
 

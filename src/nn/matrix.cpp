@@ -6,10 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
-
 #include "nn/simd.hpp"
 #include "util/rng.hpp"
 
@@ -44,14 +40,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::row_vector(std::span<const double> values) {
-  return Matrix(1, values.size(), std::vector<double>(values.begin(), values.end()));
-}
-
-Matrix Matrix::col_vector(std::span<const double> values) {
-  return Matrix(values.size(), 1, std::vector<double>(values.begin(), values.end()));
 }
 
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, util::Rng& rng, double mean,
@@ -183,31 +171,33 @@ void Matrix::check_same_shape(const Matrix& other, const char* op) const {
 
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   check_same_shape(rhs, "operator+=");
-  simd::add(data_.data(), rhs.data_.data(), data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
   return *this;
 }
 
 Matrix& Matrix::operator-=(const Matrix& rhs) {
   check_same_shape(rhs, "operator-=");
-  simd::sub(data_.data(), rhs.data_.data(), data_.size());
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
   return *this;
 }
 
 Matrix& Matrix::operator*=(double s) {
-  simd::scale(data_.data(), data_.size(), s);
+  for (double& v : data_) v *= s;
   return *this;
 }
 
 Matrix Matrix::hadamard(const Matrix& rhs) const {
   check_same_shape(rhs, "hadamard");
   Matrix out = *this;
-  simd::mul(out.data_.data(), rhs.data_.data(), out.data_.size());
+  for (std::size_t i = 0; i < out.data_.size(); ++i) out.data_[i] *= rhs.data_[i];
   return out;
 }
 
 void Matrix::add_scaled(const Matrix& rhs, double alpha) {
   check_same_shape(rhs, "add_scaled");
-  simd::axpy(data_.data(), rhs.data_.data(), data_.size(), alpha);
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    data_[i] = __builtin_fma(alpha, rhs.data_[i], data_[i]);
+  }
 }
 
 void Matrix::fill(double value) { std::fill(data_.begin(), data_.end(), value); }
@@ -239,175 +229,6 @@ void pack_b_panel(const double* b, std::size_t ldb, bool b_trans, std::size_t k,
   }
 }
 
-// ---- portable micro-kernels ------------------------------------------------
-//
-// 4x8 register micro-kernel: acc[] covers a 4-row x 8-column patch of C and
-// accumulates the whole k-tile in registers before C is touched once.  Each
-// C element still receives its k contributions in ascending order (grouped
-// per k-tile), so a row's result is independent of how many rows the call
-// processes — chunked and unchunked batches match bit for bit.
-void micro_4x8(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t kk, double* c, std::size_t ldc) {
-  double acc[4][8] = {};
-  for (std::size_t k = 0; k < kk; ++k) {
-    const double* br = panel + k * w;
-    const double v0 = a[0 * lda + k];
-    const double v1 = a[1 * lda + k];
-    const double v2 = a[2 * lda + k];
-    const double v3 = a[3 * lda + k];
-    for (std::size_t j = 0; j < 8; ++j) {
-      const double bj = br[j];
-      acc[0][j] += v0 * bj;
-      acc[1][j] += v1 * bj;
-      acc[2][j] += v2 * bj;
-      acc[3][j] += v3 * bj;
-    }
-  }
-  for (std::size_t r = 0; r < 4; ++r) {
-    double* cr = c + r * ldc;
-    for (std::size_t j = 0; j < 8; ++j) cr[j] += acc[r][j];
-  }
-}
-
-// Scalar edge kernel for the ragged i/j remainders of a tile.
-void micro_edge(const double* a, std::size_t lda, const double* panel, std::size_t w,
-                std::size_t mi, std::size_t j0, std::size_t wj, std::size_t kk, double* c,
-                std::size_t ldc) {
-  for (std::size_t i = 0; i < mi; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = c + i * ldc;
-    double acc[8] = {};
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double v = ai[k];
-      const double* br = panel + k * w + j0;
-      for (std::size_t j = 0; j < wj; ++j) acc[j] += v * br[j];
-    }
-    for (std::size_t j = 0; j < wj; ++j) ci[j0 + j] += acc[j];
-  }
-}
-
-// C[i0 .. i0+mi) x [panel columns] += A-tile * B-panel-tile via the 4x8
-// register micro-kernel, i/k/j order.
-void gemm_tile_portable(const double* a, std::size_t lda, const double* panel,
-                        std::size_t w, std::size_t mi, std::size_t kk, double* c,
-                        std::size_t ldc) {
-  const std::size_t mi4 = mi - mi % 4;
-  const std::size_t w8 = w - w % 8;
-  for (std::size_t i = 0; i < mi4; i += 4) {
-    for (std::size_t j = 0; j < w8; j += 8) {
-      micro_4x8(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
-    }
-    if (w8 < w) micro_edge(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
-  }
-  if (mi4 < mi) {
-    for (std::size_t j = 0; j < w; j += 8) {
-      micro_edge(a + mi4 * lda, lda, panel, w, mi - mi4, j, std::min<std::size_t>(8, w - j),
-                 kk, c + mi4 * ldc, ldc);
-    }
-  }
-}
-
-// ---- AVX2 + FMA micro-kernels (runtime-dispatched) -------------------------
-//
-// Same tiling, but the 4x8 patch is held in eight ymm accumulators and
-// updated with vfmadd.  The edge kernel uses scalar fused multiply-adds so
-// that on an AVX2 machine EVERY C element is computed with the exact same
-// (fused) arithmetic regardless of which kernel its position lands in; the
-// dispatch decision is per-process, so all results within a run stay
-// self-consistent across batch sizes and chunkings.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define BELLAMY_GEMM_X86_DISPATCH 1
-
-__attribute__((target("avx2,fma"))) void micro_4x8_avx2(const double* a, std::size_t lda,
-                                                        const double* panel, std::size_t w,
-                                                        std::size_t kk, double* c,
-                                                        std::size_t ldc) {
-  __m256d a00 = _mm256_setzero_pd(), a01 = a00, a10 = a00, a11 = a00, a20 = a00, a21 = a00,
-          a30 = a00, a31 = a00;
-  for (std::size_t k = 0; k < kk; ++k) {
-    const double* br = panel + k * w;
-    const __m256d b0 = _mm256_loadu_pd(br);
-    const __m256d b1 = _mm256_loadu_pd(br + 4);
-    __m256d v = _mm256_broadcast_sd(a + 0 * lda + k);
-    a00 = _mm256_fmadd_pd(v, b0, a00);
-    a01 = _mm256_fmadd_pd(v, b1, a01);
-    v = _mm256_broadcast_sd(a + 1 * lda + k);
-    a10 = _mm256_fmadd_pd(v, b0, a10);
-    a11 = _mm256_fmadd_pd(v, b1, a11);
-    v = _mm256_broadcast_sd(a + 2 * lda + k);
-    a20 = _mm256_fmadd_pd(v, b0, a20);
-    a21 = _mm256_fmadd_pd(v, b1, a21);
-    v = _mm256_broadcast_sd(a + 3 * lda + k);
-    a30 = _mm256_fmadd_pd(v, b0, a30);
-    a31 = _mm256_fmadd_pd(v, b1, a31);
-  }
-  double* c0 = c + 0 * ldc;
-  double* c1 = c + 1 * ldc;
-  double* c2 = c + 2 * ldc;
-  double* c3 = c + 3 * ldc;
-  _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), a00));
-  _mm256_storeu_pd(c0 + 4, _mm256_add_pd(_mm256_loadu_pd(c0 + 4), a01));
-  _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), a10));
-  _mm256_storeu_pd(c1 + 4, _mm256_add_pd(_mm256_loadu_pd(c1 + 4), a11));
-  _mm256_storeu_pd(c2, _mm256_add_pd(_mm256_loadu_pd(c2), a20));
-  _mm256_storeu_pd(c2 + 4, _mm256_add_pd(_mm256_loadu_pd(c2 + 4), a21));
-  _mm256_storeu_pd(c3, _mm256_add_pd(_mm256_loadu_pd(c3), a30));
-  _mm256_storeu_pd(c3 + 4, _mm256_add_pd(_mm256_loadu_pd(c3 + 4), a31));
-}
-
-__attribute__((target("avx2,fma"))) void micro_edge_fma(const double* a, std::size_t lda,
-                                                        const double* panel, std::size_t w,
-                                                        std::size_t mi, std::size_t j0,
-                                                        std::size_t wj, std::size_t kk,
-                                                        double* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < mi; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = c + i * ldc;
-    double acc[8] = {};
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double v = ai[k];
-      const double* br = panel + k * w + j0;
-      for (std::size_t j = 0; j < wj; ++j) acc[j] = __builtin_fma(v, br[j], acc[j]);
-    }
-    for (std::size_t j = 0; j < wj; ++j) ci[j0 + j] += acc[j];
-  }
-}
-
-__attribute__((target("avx2,fma"))) void gemm_tile_avx2(const double* a, std::size_t lda,
-                                                        const double* panel, std::size_t w,
-                                                        std::size_t mi, std::size_t kk,
-                                                        double* c, std::size_t ldc) {
-  const std::size_t mi4 = mi - mi % 4;
-  const std::size_t w8 = w - w % 8;
-  for (std::size_t i = 0; i < mi4; i += 4) {
-    for (std::size_t j = 0; j < w8; j += 8) {
-      micro_4x8_avx2(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
-    }
-    if (w8 < w) {
-      micro_edge_fma(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
-    }
-  }
-  if (mi4 < mi) {
-    for (std::size_t j = 0; j < w; j += 8) {
-      micro_edge_fma(a + mi4 * lda, lda, panel, w, mi - mi4, j,
-                     std::min<std::size_t>(8, w - j), kk, c + mi4 * ldc, ldc);
-    }
-  }
-}
-#endif  // x86 dispatch
-
-using GemmTileFn = void (*)(const double*, std::size_t, const double*, std::size_t,
-                            std::size_t, std::size_t, double*, std::size_t);
-
-GemmTileFn pick_gemm_tile() {
-#ifdef BELLAMY_GEMM_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return gemm_tile_avx2;
-  }
-#endif
-  return gemm_tile_portable;
-}
-
 // Shared serial blocked kernel: C (m x n, zero-initialized) = A (m x k,
 // row-major) * op(B).  All three public matmul variants route here;
 // matmul_tn first materializes Aᵀ (O(mk) — negligible against the O(mkn)
@@ -418,7 +239,6 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
                   std::size_t lda, const double* b, std::size_t ldb, bool b_trans,
                   double* c, std::size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
-  static const GemmTileFn tile = pick_gemm_tile();
   // Per-thread scratch so small products don't pay a malloc per call.
   thread_local std::vector<double> panel;
   for (std::size_t j0 = 0; j0 < n; j0 += kTileJ) {
@@ -429,8 +249,8 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
       const std::size_t mi = std::min(kTileI, m - i0);
       for (std::size_t k0 = 0; k0 < k; k0 += kTileK) {
         const std::size_t kk = std::min(kTileK, k - k0);
-        tile(a + i0 * lda + k0, lda, panel.data() + k0 * w, w, mi, kk, c + i0 * ldc + j0,
-             ldc);
+        simd::gemm_tile(a + i0 * lda + k0, lda, panel.data() + k0 * w, w, mi, kk,
+                        c + i0 * ldc + j0, ldc);
       }
     }
   }

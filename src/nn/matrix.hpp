@@ -31,10 +31,6 @@ class Matrix {
   static Matrix zeros(std::size_t rows, std::size_t cols);
   static Matrix ones(std::size_t rows, std::size_t cols);
   static Matrix identity(std::size_t n);
-  /// Single-row matrix from a span (copies).
-  static Matrix row_vector(std::span<const double> values);
-  /// Single-column matrix from a span (copies).
-  static Matrix col_vector(std::span<const double> values);
   /// i.i.d. N(mean, stddev) entries.
   static Matrix randn(std::size_t rows, std::size_t cols, util::Rng& rng,
                       double mean = 0.0, double stddev = 1.0);

@@ -23,11 +23,6 @@ class Optimizer {
   double learning_rate() const { return lr_; }
   void set_learning_rate(double lr);
 
-  /// Replace the tracked parameter set (per-parameter state is kept by
-  /// pointer identity, so re-adding a parameter resumes its moments).
-  void set_parameters(std::vector<Parameter*> params) { params_ = std::move(params); }
-  const std::vector<Parameter*>& tracked_parameters() const { return params_; }
-
  protected:
   std::vector<Parameter*> params_;
   double lr_;

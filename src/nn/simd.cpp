@@ -1,61 +1,88 @@
 #include "nn/simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
-#define BELLAMY_SIMD_X86_DISPATCH 1
+#define BELLAMY_X86_DISPATCH 1
 #endif
 
 #include "nn/activations.hpp"
 
 namespace bellamy::nn::simd {
 
-// ---- portable reference implementations ------------------------------------
-//
-// Fused multiply-adds are written explicitly (__builtin_fma) wherever the
-// AVX2 path fuses, so the two paths round identically per element and the
-// parity tests can demand exact equality for the arithmetic kernels.
+// ---- portable twins ---------------------------------------------------------
 
 namespace ref {
 
-void scale(double* x, std::size_t n, double a) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
-}
+namespace {
 
-void axpy(double* y, const double* x, std::size_t n, double a) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = __builtin_fma(a, x[i], y[i]);
-}
-
-void add(double* y, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
-}
-
-void sub(double* y, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] -= x[i];
-}
-
-void mul(double* y, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= x[i];
-}
-
-void relu_forward(double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
-}
-
-void relu_backward(double* g, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (x[i] <= 0.0) g[i] = 0.0;
+// 4x8 register micro-kernel: acc[] covers a 4-row x 8-column patch of C and
+// accumulates the whole k-tile in registers before C is touched once.  Each
+// C element still receives its k contributions in ascending order (grouped
+// per k-tile), so a row's result is independent of how many rows the call
+// processes — chunked and unchunked batches match bit for bit.
+void micro_4x8(const double* a, std::size_t lda, const double* panel, std::size_t w,
+               std::size_t kk, double* c, std::size_t ldc) {
+  double acc[4][8] = {};
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* br = panel + k * w;
+    const double v0 = a[0 * lda + k];
+    const double v1 = a[1 * lda + k];
+    const double v2 = a[2 * lda + k];
+    const double v3 = a[3 * lda + k];
+    for (std::size_t j = 0; j < 8; ++j) {
+      const double bj = br[j];
+      acc[0][j] += v0 * bj;
+      acc[1][j] += v1 * bj;
+      acc[2][j] += v2 * bj;
+      acc[3][j] += v3 * bj;
+    }
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    double* cr = c + r * ldc;
+    for (std::size_t j = 0; j < 8; ++j) cr[j] += acc[r][j];
   }
 }
 
-void tanh_backward(double* g, const double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) g[i] *= __builtin_fma(-y[i], y[i], 1.0);
+// Scalar edge kernel for the ragged i/j remainders of a tile.
+void micro_edge(const double* a, std::size_t lda, const double* panel, std::size_t w,
+                std::size_t mi, std::size_t j0, std::size_t wj, std::size_t kk, double* c,
+                std::size_t ldc) {
+  for (std::size_t i = 0; i < mi; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
+    double acc[8] = {};
+    for (std::size_t k = 0; k < kk; ++k) {
+      const double v = ai[k];
+      const double* br = panel + k * w + j0;
+      for (std::size_t j = 0; j < wj; ++j) acc[j] += v * br[j];
+    }
+    for (std::size_t j = 0; j < wj; ++j) ci[j0 + j] += acc[j];
+  }
 }
 
-void sigmoid_backward(double* g, const double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) g[i] *= y[i] * (1.0 - y[i]);
+}  // namespace
+
+// 4x8 micro-kernel over the full blocks, i/k/j order; scalar edges.
+void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
+               std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
+  const std::size_t mi4 = mi - mi % 4;
+  const std::size_t w8 = w - w % 8;
+  for (std::size_t i = 0; i < mi4; i += 4) {
+    for (std::size_t j = 0; j < w8; j += 8) {
+      micro_4x8(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
+    }
+    if (w8 < w) micro_edge(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
+  }
+  if (mi4 < mi) {
+    for (std::size_t j = 0; j < w; j += 8) {
+      micro_edge(a + mi4 * lda, lda, panel, w, mi - mi4, j, std::min<std::size_t>(8, w - j),
+                 kk, c + mi4 * ldc, ldc);
+    }
+  }
 }
 
 void selu_forward(double* x, std::size_t n) {
@@ -72,6 +99,8 @@ void selu_backward(double* g, const double* x, std::size_t n) {
   }
 }
 
+// Fused multiply-adds are written explicitly (__builtin_fma) wherever the
+// AVX2 twin fuses, so both round identically per element.
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
                  const AdamStep& s) {
   const double c1 = 1.0 - s.beta1;
@@ -86,61 +115,81 @@ void adam_update(double* w, const double* grad, double* m, double* v, std::size_
   }
 }
 
-double mse_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = pred[i] - target[i];
-    acc += e * e;
-    grad[i] = (2.0 * e) * inv_n;
-  }
-  return acc;
-}
-
-double huber_loss_grad(const double* pred, const double* target, double* grad,
-                       std::size_t n, double delta, double inv_n) {
-  double acc = 0.0;
-  const double dn = delta * inv_n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = pred[i] - target[i];
-    const double ae = std::fabs(e);
-    if (ae <= delta) {
-      acc += (0.5 * e) * e;
-      grad[i] = e * inv_n;
-    } else {
-      acc += delta * (ae - 0.5 * delta);
-      grad[i] = e > 0.0 ? dn : -dn;
-    }
-  }
-  return acc;
-}
-
-double mae_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = pred[i] - target[i];
-    acc += std::fabs(e);
-    grad[i] = e > 0.0 ? inv_n : (e < 0.0 ? -inv_n : 0.0);
-  }
-  return acc;
-}
-
 }  // namespace ref
 
-// ---- AVX2 + FMA implementations --------------------------------------------
+// ---- AVX2 + FMA twins -------------------------------------------------------
 
-#ifdef BELLAMY_SIMD_X86_DISPATCH
+#ifdef BELLAMY_X86_DISPATCH
 
 namespace avx2 {
+namespace {
+
+// The 4x8 patch is held in eight ymm accumulators and updated with vfmadd.
+// The edge kernel uses scalar fused multiply-adds so that EVERY C element is
+// computed with the same (fused) arithmetic regardless of which kernel its
+// position lands in.
+__attribute__((target("avx2,fma"))) void micro_4x8(const double* a, std::size_t lda,
+                                                   const double* panel, std::size_t w,
+                                                   std::size_t kk, double* c,
+                                                   std::size_t ldc) {
+  __m256d a00 = _mm256_setzero_pd(), a01 = a00, a10 = a00, a11 = a00, a20 = a00, a21 = a00,
+          a30 = a00, a31 = a00;
+  for (std::size_t k = 0; k < kk; ++k) {
+    const double* br = panel + k * w;
+    const __m256d b0 = _mm256_loadu_pd(br);
+    const __m256d b1 = _mm256_loadu_pd(br + 4);
+    __m256d v = _mm256_broadcast_sd(a + 0 * lda + k);
+    a00 = _mm256_fmadd_pd(v, b0, a00);
+    a01 = _mm256_fmadd_pd(v, b1, a01);
+    v = _mm256_broadcast_sd(a + 1 * lda + k);
+    a10 = _mm256_fmadd_pd(v, b0, a10);
+    a11 = _mm256_fmadd_pd(v, b1, a11);
+    v = _mm256_broadcast_sd(a + 2 * lda + k);
+    a20 = _mm256_fmadd_pd(v, b0, a20);
+    a21 = _mm256_fmadd_pd(v, b1, a21);
+    v = _mm256_broadcast_sd(a + 3 * lda + k);
+    a30 = _mm256_fmadd_pd(v, b0, a30);
+    a31 = _mm256_fmadd_pd(v, b1, a31);
+  }
+  double* c0 = c + 0 * ldc;
+  double* c1 = c + 1 * ldc;
+  double* c2 = c + 2 * ldc;
+  double* c3 = c + 3 * ldc;
+  _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), a00));
+  _mm256_storeu_pd(c0 + 4, _mm256_add_pd(_mm256_loadu_pd(c0 + 4), a01));
+  _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), a10));
+  _mm256_storeu_pd(c1 + 4, _mm256_add_pd(_mm256_loadu_pd(c1 + 4), a11));
+  _mm256_storeu_pd(c2, _mm256_add_pd(_mm256_loadu_pd(c2), a20));
+  _mm256_storeu_pd(c2 + 4, _mm256_add_pd(_mm256_loadu_pd(c2 + 4), a21));
+  _mm256_storeu_pd(c3, _mm256_add_pd(_mm256_loadu_pd(c3), a30));
+  _mm256_storeu_pd(c3 + 4, _mm256_add_pd(_mm256_loadu_pd(c3 + 4), a31));
+}
+
+__attribute__((target("avx2,fma"))) void micro_edge(const double* a, std::size_t lda,
+                                                    const double* panel, std::size_t w,
+                                                    std::size_t mi, std::size_t j0,
+                                                    std::size_t wj, std::size_t kk,
+                                                    double* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < mi; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = c + i * ldc;
+    double acc[8] = {};
+    for (std::size_t k = 0; k < kk; ++k) {
+      const double v = ai[k];
+      const double* br = panel + k * w + j0;
+      for (std::size_t j = 0; j < wj; ++j) acc[j] = __builtin_fma(v, br[j], acc[j]);
+    }
+    for (std::size_t j = 0; j < wj; ++j) ci[j0 + j] += acc[j];
+  }
+}
 
 // Lane-enable masks for the ragged tail (r = n % 4 live lanes).  Tail
 // elements are maskloaded into the SAME vector arithmetic as full blocks, so
 // a value's result never depends on its position in the array.
-alignas(32) static const std::int64_t kTailMask[4][4] = {
+alignas(32) const std::int64_t kTailMask[4][4] = {
     {0, 0, 0, 0}, {-1, 0, 0, 0}, {-1, -1, 0, 0}, {-1, -1, -1, 0}};
 
-__attribute__((target("avx2"))) static inline __m256i tail_mask(std::size_t r) {
+__attribute__((target("avx2"))) inline __m256i tail_mask(std::size_t r) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(kTailMask[r]));
 }
 
@@ -148,7 +197,7 @@ __attribute__((target("avx2"))) static inline __m256i tail_mask(std::size_t r) {
 // [-708, 709].  Inputs outside the domain are clamped (selu only consumes
 // exp(x) for x <= 0, where the clamp is far past saturation); NaN inputs are
 // not part of the kernel contract.
-__attribute__((target("avx2,fma"))) static inline __m256d exp_pd(__m256d x) {
+__attribute__((target("avx2,fma"))) inline __m256d exp_pd(__m256d x) {
   const __m256d one = _mm256_set1_pd(1.0);
   x = _mm256_min_pd(x, _mm256_set1_pd(709.0));
   x = _mm256_max_pd(x, _mm256_set1_pd(-708.0));
@@ -179,141 +228,7 @@ __attribute__((target("avx2,fma"))) static inline __m256d exp_pd(__m256d x) {
   return _mm256_mul_pd(e, _mm256_castsi256_pd(pow2));
 }
 
-// One macro-free loop skeleton per arity keeps every kernel's tail handling
-// identical: process full 4-lane blocks, then maskload/maskstore the tail
-// through the same lane arithmetic.
-
-__attribute__((target("avx2,fma"))) void scale(double* x, std::size_t n, double a) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d v = _mm256_maskload_pd(x + i, m);
-    _mm256_maskstore_pd(x + i, m, _mm256_mul_pd(v, va));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void axpy(double* y, const double* x, std::size_t n,
-                                              double a) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i,
-                     _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d vx = _mm256_maskload_pd(x + i, m);
-    const __m256d vy = _mm256_maskload_pd(y + i, m);
-    _mm256_maskstore_pd(y + i, m, _mm256_fmadd_pd(va, vx, vy));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void add(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    _mm256_maskstore_pd(
-        y + i, m, _mm256_add_pd(_mm256_maskload_pd(y + i, m), _mm256_maskload_pd(x + i, m)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void sub(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    _mm256_maskstore_pd(
-        y + i, m, _mm256_sub_pd(_mm256_maskload_pd(y + i, m), _mm256_maskload_pd(x + i, m)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void mul(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    _mm256_maskstore_pd(
-        y + i, m, _mm256_mul_pd(_mm256_maskload_pd(y + i, m), _mm256_maskload_pd(x + i, m)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void relu_forward(double* x, std::size_t n) {
-  // max(v, +0.0) matches the scalar "v > 0 ? v : 0" branch bit for bit
-  // (vmaxpd returns the second operand on equality and NaN).
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    _mm256_maskstore_pd(x + i, m, _mm256_max_pd(_mm256_maskload_pd(x + i, m), zero));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void relu_backward(double* g, const double* x,
-                                                       std::size_t n) {
-  // Zero g where x <= 0; the ordered LE compare leaves NaN inputs untouched,
-  // matching the scalar "if (x <= 0) g = 0".
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d le = _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_LE_OQ);
-    _mm256_storeu_pd(g + i, _mm256_andnot_pd(le, _mm256_loadu_pd(g + i)));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d le = _mm256_cmp_pd(_mm256_maskload_pd(x + i, m), zero, _CMP_LE_OQ);
-    _mm256_maskstore_pd(g + i, m, _mm256_andnot_pd(le, _mm256_maskload_pd(g + i, m)));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void tanh_backward(double* g, const double* y,
-                                                       std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    const __m256d d = _mm256_fnmadd_pd(vy, vy, one);
-    _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d vy = _mm256_maskload_pd(y + i, m);
-    const __m256d d = _mm256_fnmadd_pd(vy, vy, one);
-    _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
-  }
-}
-
-__attribute__((target("avx2,fma"))) void sigmoid_backward(double* g, const double* y,
-                                                          std::size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vy = _mm256_loadu_pd(y + i);
-    const __m256d d = _mm256_mul_pd(vy, _mm256_sub_pd(one, vy));
-    _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d vy = _mm256_maskload_pd(y + i, m);
-    const __m256d d = _mm256_mul_pd(vy, _mm256_sub_pd(one, vy));
-    _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
-  }
-}
-
-__attribute__((target("avx2,fma"))) static inline __m256d selu_fwd_lane(__m256d v) {
+__attribute__((target("avx2,fma"))) inline __m256d selu_fwd_lane(__m256d v) {
   const __m256d scale = _mm256_set1_pd(kSeluScale);
   const __m256d sa = _mm256_set1_pd(kSeluScale * kSeluAlpha);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -321,6 +236,58 @@ __attribute__((target("avx2,fma"))) static inline __m256d selu_fwd_lane(__m256d 
   const __m256d neg = _mm256_mul_pd(sa, _mm256_sub_pd(exp_pd(v), one));
   const __m256d gt = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
   return _mm256_blendv_pd(neg, pos, gt);
+}
+
+__attribute__((target("avx2,fma"))) inline __m256d selu_bwd_lane(__m256d v) {
+  const __m256d scale = _mm256_set1_pd(kSeluScale);
+  const __m256d sa = _mm256_set1_pd(kSeluScale * kSeluAlpha);
+  const __m256d neg = _mm256_mul_pd(sa, exp_pd(v));
+  const __m256d gt = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
+  return _mm256_blendv_pd(neg, scale, gt);
+}
+
+// Per-lane Adam step: pre-broadcast constants arrive via this POD so the
+// helper stays a plain (target-attributed) function — lambdas inside a
+// target("avx2") function do not inherit the target and fail to inline.
+struct AdamLanes {
+  __m256d b1, b2, c1, c2, bias1, bias2, lr, eps, wd;
+};
+
+__attribute__((target("avx2,fma"))) inline __m256d adam_lane(const AdamLanes& s, __m256d vw,
+                                                             __m256d vg, __m256d vm,
+                                                             __m256d vv, __m256d* om,
+                                                             __m256d* ov) {
+  const __m256d geff = _mm256_fmadd_pd(s.wd, vw, vg);
+  vm = _mm256_fmadd_pd(s.b1, vm, _mm256_mul_pd(s.c1, geff));
+  vv = _mm256_fmadd_pd(s.b2, vv, _mm256_mul_pd(_mm256_mul_pd(s.c2, geff), geff));
+  *om = vm;
+  *ov = vv;
+  const __m256d mh = _mm256_div_pd(vm, s.bias1);
+  const __m256d vh = _mm256_div_pd(vv, s.bias2);
+  const __m256d den = _mm256_add_pd(_mm256_sqrt_pd(vh), s.eps);
+  return _mm256_sub_pd(vw, _mm256_div_pd(_mm256_mul_pd(s.lr, mh), den));
+}
+
+}  // namespace
+
+__attribute__((target("avx2,fma"))) void gemm_tile(const double* a, std::size_t lda,
+                                                   const double* panel, std::size_t w,
+                                                   std::size_t mi, std::size_t kk, double* c,
+                                                   std::size_t ldc) {
+  const std::size_t mi4 = mi - mi % 4;
+  const std::size_t w8 = w - w % 8;
+  for (std::size_t i = 0; i < mi4; i += 4) {
+    for (std::size_t j = 0; j < w8; j += 8) {
+      micro_4x8(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
+    }
+    if (w8 < w) micro_edge(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
+  }
+  if (mi4 < mi) {
+    for (std::size_t j = 0; j < w; j += 8) {
+      micro_edge(a + mi4 * lda, lda, panel, w, mi - mi4, j, std::min<std::size_t>(8, w - j),
+                 kk, c + mi4 * ldc, ldc);
+    }
+  }
 }
 
 __attribute__((target("avx2,fma"))) void selu_forward(double* x, std::size_t n) {
@@ -332,14 +299,6 @@ __attribute__((target("avx2,fma"))) void selu_forward(double* x, std::size_t n) 
     const __m256i m = tail_mask(r);
     _mm256_maskstore_pd(x + i, m, selu_fwd_lane(_mm256_maskload_pd(x + i, m)));
   }
-}
-
-__attribute__((target("avx2,fma"))) static inline __m256d selu_bwd_lane(__m256d v) {
-  const __m256d scale = _mm256_set1_pd(kSeluScale);
-  const __m256d sa = _mm256_set1_pd(kSeluScale * kSeluAlpha);
-  const __m256d neg = _mm256_mul_pd(sa, exp_pd(v));
-  const __m256d gt = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
-  return _mm256_blendv_pd(neg, scale, gt);
 }
 
 __attribute__((target("avx2,fma"))) void selu_backward(double* g, const double* x,
@@ -354,27 +313,6 @@ __attribute__((target("avx2,fma"))) void selu_backward(double* g, const double* 
     const __m256d d = selu_bwd_lane(_mm256_maskload_pd(x + i, m));
     _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
   }
-}
-
-// Per-lane Adam step: pre-broadcast constants arrive via this POD so the
-// helper stays a plain (target-attributed) function — lambdas inside a
-// target("avx2") function do not inherit the target and fail to inline.
-struct AdamLanes {
-  __m256d b1, b2, c1, c2, bias1, bias2, lr, eps, wd;
-};
-
-__attribute__((target("avx2,fma"))) static inline __m256d adam_lane(
-    const AdamLanes& s, __m256d vw, __m256d vg, __m256d vm, __m256d vv, __m256d* om,
-    __m256d* ov) {
-  const __m256d geff = _mm256_fmadd_pd(s.wd, vw, vg);
-  vm = _mm256_fmadd_pd(s.b1, vm, _mm256_mul_pd(s.c1, geff));
-  vv = _mm256_fmadd_pd(s.b2, vv, _mm256_mul_pd(_mm256_mul_pd(s.c2, geff), geff));
-  *om = vm;
-  *ov = vv;
-  const __m256d mh = _mm256_div_pd(vm, s.bias1);
-  const __m256d vh = _mm256_div_pd(vv, s.bias2);
-  const __m256d den = _mm256_add_pd(_mm256_sqrt_pd(vh), s.eps);
-  return _mm256_sub_pd(vw, _mm256_div_pd(_mm256_mul_pd(s.lr, mh), den));
 }
 
 __attribute__((target("avx2,fma"))) void adam_update(double* w, const double* grad,
@@ -407,213 +345,50 @@ __attribute__((target("avx2,fma"))) void adam_update(double* w, const double* gr
   }
 }
 
-__attribute__((target("avx2,fma"))) static inline double hsum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
-__attribute__((target("avx2,fma"))) double mse_loss_grad(const double* pred,
-                                                         const double* target,
-                                                         double* grad, std::size_t n,
-                                                         double inv_n) {
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d vin = _mm256_set1_pd(inv_n);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d e = _mm256_sub_pd(_mm256_loadu_pd(pred + i), _mm256_loadu_pd(target + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(e, e));
-    _mm256_storeu_pd(grad + i, _mm256_mul_pd(_mm256_mul_pd(two, e), vin));
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    const __m256d e =
-        _mm256_sub_pd(_mm256_maskload_pd(pred + i, m), _mm256_maskload_pd(target + i, m));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(e, e));
-    _mm256_maskstore_pd(grad + i, m, _mm256_mul_pd(_mm256_mul_pd(two, e), vin));
-  }
-  return hsum(acc);
-}
-
-struct HuberLanes {
-  __m256d delta, half, vin, dn, halfdelta, sign_mask;
-};
-
-__attribute__((target("avx2,fma"))) static inline __m256d huber_lane(
-    const HuberLanes& s, __m256d p, __m256d t, __m256d* out_grad) {
-  const __m256d e = _mm256_sub_pd(p, t);
-  const __m256d ae = _mm256_andnot_pd(s.sign_mask, e);
-  const __m256d quad_term = _mm256_mul_pd(_mm256_mul_pd(s.half, e), e);
-  const __m256d lin_term = _mm256_mul_pd(s.delta, _mm256_sub_pd(ae, s.halfdelta));
-  const __m256d quad_grad = _mm256_mul_pd(e, s.vin);
-  // +-delta/n with e's sign bit (e == 0 always takes the quadratic branch).
-  const __m256d lin_grad = _mm256_or_pd(s.dn, _mm256_and_pd(s.sign_mask, e));
-  const __m256d is_quad = _mm256_cmp_pd(ae, s.delta, _CMP_LE_OQ);
-  *out_grad = _mm256_blendv_pd(lin_grad, quad_grad, is_quad);
-  return _mm256_blendv_pd(lin_term, quad_term, is_quad);
-}
-
-__attribute__((target("avx2,fma"))) double huber_loss_grad(const double* pred,
-                                                           const double* target,
-                                                           double* grad, std::size_t n,
-                                                           double delta, double inv_n) {
-  const HuberLanes lanes{_mm256_set1_pd(delta),          _mm256_set1_pd(0.5),
-                         _mm256_set1_pd(inv_n),          _mm256_set1_pd(delta * inv_n),
-                         _mm256_set1_pd(0.5 * delta),    _mm256_set1_pd(-0.0)};
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d g;
-    acc = _mm256_add_pd(
-        acc, huber_lane(lanes, _mm256_loadu_pd(pred + i), _mm256_loadu_pd(target + i), &g));
-    _mm256_storeu_pd(grad + i, g);
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    __m256d g;
-    acc = _mm256_add_pd(acc, huber_lane(lanes, _mm256_maskload_pd(pred + i, m),
-                                        _mm256_maskload_pd(target + i, m), &g));
-    _mm256_maskstore_pd(grad + i, m, g);
-  }
-  return hsum(acc);
-}
-
-struct MaeLanes {
-  __m256d vin, nvin, zero, sign_mask;
-};
-
-__attribute__((target("avx2,fma"))) static inline __m256d mae_lane(const MaeLanes& s,
-                                                                   __m256d p, __m256d t,
-                                                                   __m256d* out_grad) {
-  const __m256d e = _mm256_sub_pd(p, t);
-  const __m256d pos = _mm256_and_pd(_mm256_cmp_pd(e, s.zero, _CMP_GT_OQ), s.vin);
-  const __m256d neg = _mm256_and_pd(_mm256_cmp_pd(e, s.zero, _CMP_LT_OQ), s.nvin);
-  *out_grad = _mm256_or_pd(pos, neg);
-  return _mm256_andnot_pd(s.sign_mask, e);
-}
-
-__attribute__((target("avx2,fma"))) double mae_loss_grad(const double* pred,
-                                                         const double* target,
-                                                         double* grad, std::size_t n,
-                                                         double inv_n) {
-  const MaeLanes lanes{_mm256_set1_pd(inv_n), _mm256_set1_pd(-inv_n),
-                       _mm256_setzero_pd(), _mm256_set1_pd(-0.0)};
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d g;
-    acc = _mm256_add_pd(
-        acc, mae_lane(lanes, _mm256_loadu_pd(pred + i), _mm256_loadu_pd(target + i), &g));
-    _mm256_storeu_pd(grad + i, g);
-  }
-  if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
-    __m256d g;
-    acc = _mm256_add_pd(acc, mae_lane(lanes, _mm256_maskload_pd(pred + i, m),
-                                      _mm256_maskload_pd(target + i, m), &g));
-    _mm256_maskstore_pd(grad + i, m, g);
-  }
-  return hsum(acc);
-}
-
 }  // namespace avx2
 
-#endif  // BELLAMY_SIMD_X86_DISPATCH
+#endif  // BELLAMY_X86_DISPATCH
 
 // ---- dispatch ---------------------------------------------------------------
 
+#ifndef BELLAMY_X86_DISPATCH
+namespace avx2 = ref;  // never taken: use_avx2() is false off x86
+#endif
+
 namespace {
 
-struct Kernels {
-  void (*scale)(double*, std::size_t, double);
-  void (*axpy)(double*, const double*, std::size_t, double);
-  void (*add)(double*, const double*, std::size_t);
-  void (*sub)(double*, const double*, std::size_t);
-  void (*mul)(double*, const double*, std::size_t);
-  void (*relu_forward)(double*, std::size_t);
-  void (*relu_backward)(double*, const double*, std::size_t);
-  void (*tanh_backward)(double*, const double*, std::size_t);
-  void (*sigmoid_backward)(double*, const double*, std::size_t);
-  void (*selu_forward)(double*, std::size_t);
-  void (*selu_backward)(double*, const double*, std::size_t);
-  void (*adam_update)(double*, const double*, double*, double*, std::size_t,
-                      const AdamStep&);
-  double (*mse_loss_grad)(const double*, const double*, double*, std::size_t, double);
-  double (*huber_loss_grad)(const double*, const double*, double*, std::size_t, double,
-                            double);
-  double (*mae_loss_grad)(const double*, const double*, double*, std::size_t, double);
-  bool is_avx2;
-};
-
-Kernels pick_kernels() {
-#ifdef BELLAMY_SIMD_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return Kernels{avx2::scale,         avx2::axpy,
-                   avx2::add,           avx2::sub,
-                   avx2::mul,           avx2::relu_forward,
-                   avx2::relu_backward, avx2::tanh_backward,
-                   avx2::sigmoid_backward, avx2::selu_forward,
-                   avx2::selu_backward, avx2::adam_update,
-                   avx2::mse_loss_grad, avx2::huber_loss_grad,
-                   avx2::mae_loss_grad, true};
-  }
+// The one CPU-feature check in the tree, made once per process.
+bool use_avx2() {
+#ifdef BELLAMY_X86_DISPATCH
+  static const bool on = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return on;
+#else
+  return false;
 #endif
-  return Kernels{ref::scale,         ref::axpy,
-                 ref::add,           ref::sub,
-                 ref::mul,           ref::relu_forward,
-                 ref::relu_backward, ref::tanh_backward,
-                 ref::sigmoid_backward, ref::selu_forward,
-                 ref::selu_backward, ref::adam_update,
-                 ref::mse_loss_grad, ref::huber_loss_grad,
-                 ref::mae_loss_grad, false};
-}
-
-const Kernels& active() {
-  static const Kernels k = pick_kernels();
-  return k;
 }
 
 }  // namespace
 
-void scale(double* x, std::size_t n, double a) { active().scale(x, n, a); }
-void axpy(double* y, const double* x, std::size_t n, double a) {
-  active().axpy(y, x, n, a);
+void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
+               std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
+  if (use_avx2()) return avx2::gemm_tile(a, lda, panel, w, mi, kk, c, ldc);
+  ref::gemm_tile(a, lda, panel, w, mi, kk, c, ldc);
 }
-void add(double* y, const double* x, std::size_t n) { active().add(y, x, n); }
-void sub(double* y, const double* x, std::size_t n) { active().sub(y, x, n); }
-void mul(double* y, const double* x, std::size_t n) { active().mul(y, x, n); }
-void relu_forward(double* x, std::size_t n) { active().relu_forward(x, n); }
-void relu_backward(double* g, const double* x, std::size_t n) {
-  active().relu_backward(g, x, n);
+
+void selu_forward(double* x, std::size_t n) {
+  if (use_avx2()) return avx2::selu_forward(x, n);
+  ref::selu_forward(x, n);
 }
-void tanh_backward(double* g, const double* y, std::size_t n) {
-  active().tanh_backward(g, y, n);
-}
-void sigmoid_backward(double* g, const double* y, std::size_t n) {
-  active().sigmoid_backward(g, y, n);
-}
-void selu_forward(double* x, std::size_t n) { active().selu_forward(x, n); }
+
 void selu_backward(double* g, const double* x, std::size_t n) {
-  active().selu_backward(g, x, n);
+  if (use_avx2()) return avx2::selu_backward(g, x, n);
+  ref::selu_backward(g, x, n);
 }
+
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
                  const AdamStep& s) {
-  active().adam_update(w, grad, m, v, n, s);
+  if (use_avx2()) return avx2::adam_update(w, grad, m, v, n, s);
+  ref::adam_update(w, grad, m, v, n, s);
 }
-double mse_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n) {
-  return active().mse_loss_grad(pred, target, grad, n, inv_n);
-}
-double huber_loss_grad(const double* pred, const double* target, double* grad,
-                       std::size_t n, double delta, double inv_n) {
-  return active().huber_loss_grad(pred, target, grad, n, delta, inv_n);
-}
-double mae_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n) {
-  return active().mae_loss_grad(pred, target, grad, n, inv_n);
-}
-bool avx2_active() { return active().is_avx2; }
 
 }  // namespace bellamy::nn::simd

@@ -1,29 +1,30 @@
 #pragma once
-// Runtime-dispatched SIMD kernels for the element-wise hot loops.
+// The only hand-written SIMD in the tree: four runtime-dispatched kernels,
+// each an AVX2+FMA implementation with a portable twin under simd::ref.  One
+// CPU-feature check per process (in simd.cpp) picks the AVX2 path; the
+// portable twins are the fallback and the ground truth of the parity suite
+// (tests/nn/test_simd_kernels.cpp).
 //
-// Same pattern as the blocked GEMM micro-kernel in matrix.cpp: an AVX2+FMA
-// implementation selected once per process via __builtin_cpu_supports, with a
-// portable scalar fallback.  The portable implementations double as the
-// ground truth for the SIMD-vs-scalar parity suite
-// (tests/nn/test_simd_kernels.cpp) and are exposed under simd::ref.
+// These four stay because the end-to-end benchmark (`fit`, `sweep`) shows
+// they pay; README § Performance has the numbers.  Every other element-wise
+// loop (Matrix arithmetic, relu/tanh/sigmoid backward, the loss gradients)
+// is a plain loop at its only caller.
 //
 // Determinism contract:
-//  * Arithmetic kernels (scale/axpy/add/sub/mul, relu, tanh/sigmoid backward,
-//    adam_update, the loss gradients) use ONLY IEEE-exact operations, with
-//    fused multiply-adds written explicitly (__builtin_fma / vfmadd) in BOTH
-//    paths, so the AVX2 and portable variants are bit-identical element for
-//    element regardless of compiler contraction flags.
-//  * Transcendental kernels (selu forward/backward) use a vectorized
-//    Cephes-style exp on the AVX2 path and std::exp on the portable path;
-//    they agree to ~1 ulp, and the dispatch decision is per-process, so all
-//    results within a run are self-consistent.
-//  * Every kernel handles the ragged tail with masked loads feeding the SAME
-//    vector arithmetic as full lanes, so an element's result never depends on
-//    its position in the array — chunked and unchunked batches match bit for
-//    bit (the property predict_batch_chunked relies on).
-//  * Loss VALUES are sum-reductions; the AVX2 path accumulates in four lanes
-//    and reduces at the end, so the value may differ from the scalar sum in
-//    the last ulps (gradients stay exact).
+//  * gemm_tile: both twins give every C element its k contributions in
+//    ascending order, so a row's result never depends on how many rows one
+//    call covers — chunked and unchunked batches match bit for bit.  The
+//    AVX2 twin fuses every multiply-add (vfmadd in the 4x8 tile, scalar
+//    __builtin_fma on the ragged edges); the portable twin does not, so the
+//    two agree to rounding, not to the bit.
+//  * adam_update uses only IEEE-exact operations with its fused
+//    multiply-adds spelled out in both twins, so they are bit-identical.
+//  * selu_forward/backward use a vectorized Cephes-style exp on the AVX2
+//    path and std::exp on the portable one; they agree to ~1 ulp.  The ragged
+//    tail goes through masked loads into the same lane arithmetic, so an
+//    element's result never depends on its position in the array.
+//  * The dispatch decision is per process, so all results within a run are
+//    self-consistent.
 
 #include <cstddef>
 
@@ -43,18 +44,14 @@ struct AdamStep {
 
 // ---- dispatched entry points (AVX2+FMA when available) ----------------------
 
-void scale(double* x, std::size_t n, double a);                ///< x *= a
-void axpy(double* y, const double* x, std::size_t n, double a);///< y += a*x (fused)
-void add(double* y, const double* x, std::size_t n);           ///< y += x
-void sub(double* y, const double* x, std::size_t n);           ///< y -= x
-void mul(double* y, const double* x, std::size_t n);           ///< y *= x (hadamard)
+/// C[0, mi) x [0, w) += A (mi x kk, stride lda) * panel (kk x w, row-major
+/// packed, stride w); C has stride ldc.  The blocked GEMM in matrix.cpp packs
+/// and tiles, then calls this once per (row tile, k tile) of each panel.
+void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
+               std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 
-void relu_forward(double* x, std::size_t n);                       ///< x = max(x, 0)
-void relu_backward(double* g, const double* x, std::size_t n);     ///< g = x>0 ? g : 0
-void tanh_backward(double* g, const double* y, std::size_t n);     ///< g *= 1 - y^2
-void sigmoid_backward(double* g, const double* y, std::size_t n);  ///< g *= y(1-y)
 void selu_forward(double* x, std::size_t n);
-void selu_backward(double* g, const double* x, std::size_t n);
+void selu_backward(double* g, const double* x, std::size_t n);  ///< g *= selu'(x)
 
 /// In-place Adam moment/parameter update over one tensor:
 ///   geff = grad + weight_decay * w
@@ -63,43 +60,16 @@ void selu_backward(double* g, const double* x, std::size_t n);
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
                  const AdamStep& s);
 
-/// Loss kernels: write the per-element gradient and return the UN-normalized
-/// sum of the per-element loss terms (caller divides by the element count).
-/// `inv_n` is 1/N where N is the gradient normalizer (pred.size()).
-double mse_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n);
-double huber_loss_grad(const double* pred, const double* target, double* grad,
-                       std::size_t n, double delta, double inv_n);
-double mae_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n);
-
-/// True when the AVX2+FMA kernels are active in this process.
-bool avx2_active();
-
-// ---- portable reference implementations ------------------------------------
+// ---- portable twins ---------------------------------------------------------
 //
-// Always compiled; used as the dispatch fallback and as the ground truth for
-// the parity tests.
+// Always compiled; the dispatch fallback and the parity-test ground truth.
 namespace ref {
-void scale(double* x, std::size_t n, double a);
-void axpy(double* y, const double* x, std::size_t n, double a);
-void add(double* y, const double* x, std::size_t n);
-void sub(double* y, const double* x, std::size_t n);
-void mul(double* y, const double* x, std::size_t n);
-void relu_forward(double* x, std::size_t n);
-void relu_backward(double* g, const double* x, std::size_t n);
-void tanh_backward(double* g, const double* y, std::size_t n);
-void sigmoid_backward(double* g, const double* y, std::size_t n);
+void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
+               std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 void selu_forward(double* x, std::size_t n);
 void selu_backward(double* g, const double* x, std::size_t n);
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
                  const AdamStep& s);
-double mse_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n);
-double huber_loss_grad(const double* pred, const double* target, double* grad,
-                       std::size_t n, double delta, double inv_n);
-double mae_loss_grad(const double* pred, const double* target, double* grad,
-                     std::size_t n, double inv_n);
 }  // namespace ref
 
 }  // namespace bellamy::nn::simd

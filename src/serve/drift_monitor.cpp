@@ -22,6 +22,12 @@ DriftMonitor::DriftMonitor(ModelRegistry& registry, DriftOptions options)
 
 ServeResult<DriftObservation> DriftMonitor::report(const ModelHandle& handle,
                                                    const data::JobRun& run) {
+  // A NaN runtime would poison the EWMA for good (NaN > threshold is false),
+  // silently disarming drift detection for the handle.
+  if (!std::isfinite(run.runtime_s)) {
+    return ServeResult<DriftObservation>::failure(ServeStatus::kInvalidArgument,
+                                                  "report_run: runtime_s must be finite");
+  }
   const auto entry = registry_.resolve(handle);
   if (!entry) {
     return ServeResult<DriftObservation>::failure(ServeStatus::kUnknownModel,

@@ -63,6 +63,13 @@ std::future<ServeResult<double>> PredictionService::predict_async(const ModelHan
                                                    "predict: unknown model handle"));
     return future;
   }
+  // Rejected here, per request: left to encode_runs, the throw would fail
+  // every request coalesced into the same micro-batch.
+  if (query.scale_out < 1) {
+    promise.set_value(ServeResult<double>::failure(ServeStatus::kInvalidArgument,
+                                                   "predict: scale_out must be >= 1"));
+    return future;
+  }
 
   auto lane_for = [this](std::uint64_t id) -> Lane& {
     const auto [it, inserted] = lanes_.try_emplace(id);

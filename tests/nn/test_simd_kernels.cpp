@@ -1,20 +1,23 @@
-// SIMD-vs-scalar parity for every kernel in nn/simd.hpp, swept over odd
-// lengths (1, 7, 31, 4096+3) so full blocks, short arrays, and ragged tails
-// are all exercised.
+// Parity of the four dispatched kernels in nn/simd.hpp with their portable
+// twins (simd::ref).  Element-wise kernels are swept over odd lengths
+// (1, 7, 31, 4096+3) so full blocks, short arrays, and ragged tails are all
+// exercised; the GEMM tile over ragged mi % 4 / w % 8 shapes.
 //
-//  * Arithmetic kernels must match the portable reference EXACTLY (both
-//    paths spell out their fused multiply-adds, so rounding is identical).
-//  * Transcendental kernels (selu forward/backward) use a vectorized exp on
-//    the AVX2 path and agree with std::exp to ~1 ulp — compared with a tight
-//    absolute+relative tolerance.
-//  * Loss VALUES accumulate in vector lanes (different summation order) and
-//    are compared with a relative tolerance; loss GRADIENTS are exact.
+//  * adam_update must match the portable twin EXACTLY (both spell out their
+//    fused multiply-adds, so rounding is identical).
+//  * selu forward/backward use a vectorized exp on the AVX2 path and agree
+//    with std::exp to ~1 ulp — compared with a tight absolute+relative
+//    tolerance.
+//  * gemm_tile fuses on the AVX2 path only, so the twins agree within 1e-12
+//    of the product's magnitude; each twin on its own gives a row the same
+//    bits whether it is computed alone or inside a taller tile.
 //  * Split-processing tests certify position independence: processing an
 //    array in two pieces equals processing it whole, the property chunked
 //    prediction relies on.
 //
-// On hardware without AVX2 the dispatch falls back to the reference and the
-// suite degenerates to a self-check, which is the intended behaviour.
+// On hardware without AVX2 the dispatch falls back to the portable twin and
+// the parity checks degenerate to self-checks, which is the intended
+// behaviour.
 
 #include "nn/simd.hpp"
 
@@ -22,6 +25,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -36,7 +40,7 @@ std::vector<double> random_values(std::size_t n, std::uint64_t seed, double scal
   std::vector<double> v(n);
   for (auto& x : v) x = rng.normal(0.0, scale);
   // Sprinkle exact zeros and larger magnitudes so branchy kernels see every
-  // path (quadratic/linear huber arms, relu kink, selu saturation).
+  // path (selu kink and saturation).
   if (n > 2) v[n / 2] = 0.0;
   if (n > 4) v[n / 4] = 50.0;
   if (n > 8) v[3 * n / 4] = -50.0;
@@ -55,81 +59,6 @@ void expect_close(const std::vector<double>& got, const std::vector<double>& wan
   for (std::size_t i = 0; i < n; ++i) {
     const double bound = tol * (1.0 + std::abs(want[i]));
     EXPECT_NEAR(got[i], want[i], bound) << what << " length " << n << " index " << i;
-  }
-}
-
-TEST(SimdKernels, ScaleParityExact) {
-  for (const std::size_t n : kLengths) {
-    auto a = random_values(n, 11);
-    auto b = a;
-    scale(a.data(), n, 1.7);
-    ref::scale(b.data(), n, 1.7);
-    expect_exact(a, b, "scale", n);
-  }
-}
-
-TEST(SimdKernels, AxpyParityExact) {
-  for (const std::size_t n : kLengths) {
-    const auto x = random_values(n, 13);
-    auto y1 = random_values(n, 14);
-    auto y2 = y1;
-    axpy(y1.data(), x.data(), n, -0.37);
-    ref::axpy(y2.data(), x.data(), n, -0.37);
-    expect_exact(y1, y2, "axpy", n);
-  }
-}
-
-TEST(SimdKernels, AddSubMulParityExact) {
-  for (const std::size_t n : kLengths) {
-    const auto x = random_values(n, 17);
-    auto y1 = random_values(n, 18);
-    auto y2 = y1;
-    add(y1.data(), x.data(), n);
-    ref::add(y2.data(), x.data(), n);
-    expect_exact(y1, y2, "add", n);
-    sub(y1.data(), x.data(), n);
-    ref::sub(y2.data(), x.data(), n);
-    expect_exact(y1, y2, "sub", n);
-    mul(y1.data(), x.data(), n);
-    ref::mul(y2.data(), x.data(), n);
-    expect_exact(y1, y2, "mul", n);
-  }
-}
-
-TEST(SimdKernels, ReluForwardBackwardParityExact) {
-  for (const std::size_t n : kLengths) {
-    auto x1 = random_values(n, 19);
-    auto x2 = x1;
-    relu_forward(x1.data(), n);
-    ref::relu_forward(x2.data(), n);
-    expect_exact(x1, x2, "relu_forward", n);
-
-    const auto x = random_values(n, 20);
-    auto g1 = random_values(n, 21);
-    auto g2 = g1;
-    relu_backward(g1.data(), x.data(), n);
-    ref::relu_backward(g2.data(), x.data(), n);
-    expect_exact(g1, g2, "relu_backward", n);
-  }
-}
-
-TEST(SimdKernels, TanhSigmoidBackwardParityExact) {
-  for (const std::size_t n : kLengths) {
-    // Backward inputs are activation OUTPUTS: tanh in (-1,1), sigmoid (0,1).
-    auto y = random_values(n, 23, 0.5);
-    for (auto& v : y) v = std::tanh(v);
-    auto g1 = random_values(n, 24);
-    auto g2 = g1;
-    tanh_backward(g1.data(), y.data(), n);
-    ref::tanh_backward(g2.data(), y.data(), n);
-    expect_exact(g1, g2, "tanh_backward", n);
-
-    for (auto& v : y) v = 0.5 * (v + 1.0);
-    g1 = random_values(n, 25);
-    g2 = g1;
-    sigmoid_backward(g1.data(), y.data(), n);
-    ref::sigmoid_backward(g2.data(), y.data(), n);
-    expect_exact(g1, g2, "sigmoid_backward", n);
   }
 }
 
@@ -176,30 +105,87 @@ TEST(SimdKernels, AdamUpdateParityExact) {
   }
 }
 
-TEST(SimdKernels, LossGradExactValueClose) {
-  for (const std::size_t n : kLengths) {
-    const auto pred = random_values(n, 41);
-    auto target = random_values(n, 42);
-    target[0] = pred[0];  // exercise the e == 0 gradient case
-    const double inv_n = 1.0 / static_cast<double>(n);
-    std::vector<double> g1(n), g2(n);
+// One gemm_tile call's operands, with strides wider than the tile so the
+// kernels must honour lda/ldc rather than assume packed rows.
+struct TileCase {
+  std::size_t mi, w, kk;
+  std::size_t lda() const { return kk + 3; }
+  std::size_t ldc() const { return w + 2; }
+};
 
-    const double mse1 = mse_loss_grad(pred.data(), target.data(), g1.data(), n, inv_n);
-    const double mse2 = ref::mse_loss_grad(pred.data(), target.data(), g2.data(), n, inv_n);
-    expect_exact(g1, g2, "mse grad", n);
-    EXPECT_NEAR(mse1, mse2, 1e-12 * (1.0 + std::abs(mse2))) << "mse value length " << n;
+using TileFn = void (*)(const double*, std::size_t, const double*, std::size_t, std::size_t,
+                        std::size_t, double*, std::size_t);
 
-    const double hu1 =
-        huber_loss_grad(pred.data(), target.data(), g1.data(), n, 1.0, inv_n);
-    const double hu2 =
-        ref::huber_loss_grad(pred.data(), target.data(), g2.data(), n, 1.0, inv_n);
-    expect_exact(g1, g2, "huber grad", n);
-    EXPECT_NEAR(hu1, hu2, 1e-12 * (1.0 + std::abs(hu2))) << "huber value length " << n;
+// Ragged in every dimension: mi % 4 and w % 8 take every residue, and kk
+// covers a single step up to a full 64-deep k tile.
+std::vector<TileCase> tile_cases() {
+  std::vector<TileCase> cases;
+  for (const std::size_t mi : {1, 2, 3, 4, 5, 6, 7, 8, 13, 64}) {
+    for (const std::size_t w : {1, 3, 7, 8, 9, 12, 15, 16, 17, 40, 64}) {
+      for (const std::size_t kk : {1, 5, 40, 64}) cases.push_back({mi, w, kk});
+    }
+  }
+  return cases;
+}
 
-    const double mae1 = mae_loss_grad(pred.data(), target.data(), g1.data(), n, inv_n);
-    const double mae2 = ref::mae_loss_grad(pred.data(), target.data(), g2.data(), n, inv_n);
-    expect_exact(g1, g2, "mae grad", n);
-    EXPECT_NEAR(mae1, mae2, 1e-12 * (1.0 + std::abs(mae2))) << "mae value length " << n;
+TEST(SimdKernels, GemmTileParityWithinRelativeTolerance) {
+  std::uint64_t seed = 61;
+  for (const TileCase& t : tile_cases()) {
+    const auto a = random_values(t.mi * t.lda(), seed++, 1.0);
+    const auto panel = random_values(t.kk * t.w, seed++, 1.0);
+    const auto c0 = random_values(t.mi * t.ldc(), seed++, 1.0);
+    auto got = c0;
+    auto want = c0;
+    gemm_tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, got.data(), t.ldc());
+    ref::gemm_tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, want.data(), t.ldc());
+    for (std::size_t i = 0; i < t.mi; ++i) {
+      for (std::size_t j = 0; j < t.ldc(); ++j) {
+        const std::size_t idx = i * t.ldc() + j;
+        if (j >= t.w) {
+          // Padding columns beyond the tile are never written.
+          EXPECT_EQ(got[idx], c0[idx]) << "wrote past w=" << t.w;
+          continue;
+        }
+        // Relative to the magnitude of the sum being formed, so cancellation
+        // cannot turn a last-ulp difference into a large relative error.
+        double magnitude = std::abs(c0[idx]);
+        for (std::size_t k = 0; k < t.kk; ++k) {
+          magnitude += std::abs(a[i * t.lda() + k] * panel[k * t.w + j]);
+        }
+        EXPECT_NEAR(got[idx], want[idx], 1e-12 * magnitude)
+            << "mi=" << t.mi << " w=" << t.w << " kk=" << t.kk << " at (" << i << "," << j
+            << ")";
+      }
+    }
+  }
+}
+
+// A row's bits do not depend on how many rows share its tile call: computing
+// each row alone (mi = 1, the edge kernel) equals computing it inside the
+// full tile (the 4x8 kernel for all but the mi % 4 tail).  Certified for the
+// dispatched AND the portable twin — the half of chunked-predict
+// bit-identity that lives in the GEMM.
+TEST(SimdKernels, GemmTileRowsIndependentOfTileHeight) {
+  const std::pair<const char*, TileFn> twins[] = {{"dispatched", gemm_tile},
+                                                  {"ref", ref::gemm_tile}};
+  for (const auto& [name, tile] : twins) {
+    std::uint64_t seed = 71;
+    for (const TileCase& t : tile_cases()) {
+      const auto a = random_values(t.mi * t.lda(), seed++, 1.0);
+      const auto panel = random_values(t.kk * t.w, seed++, 1.0);
+      const auto c0 = random_values(t.mi * t.ldc(), seed++, 1.0);
+      auto whole = c0;
+      tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, whole.data(), t.ldc());
+      auto rows = c0;
+      for (std::size_t i = 0; i < t.mi; ++i) {
+        tile(a.data() + i * t.lda(), t.lda(), panel.data(), t.w, 1, t.kk,
+             rows.data() + i * t.ldc(), t.ldc());
+      }
+      for (std::size_t idx = 0; idx < whole.size(); ++idx) {
+        ASSERT_EQ(rows[idx], whole[idx]) << name << " mi=" << t.mi << " w=" << t.w
+                                         << " kk=" << t.kk << " flat index " << idx;
+      }
+    }
   }
 }
 
@@ -224,24 +210,16 @@ TEST(SimdKernels, SplitProcessingIsBitIdentical) {
     selu_backward(gp.data(), x.data(), split);
     selu_backward(gp.data() + split, x.data() + split, n - split);
     expect_exact(gp, gw, "selu_backward split", n);
-
-    auto sw = random_values(n, 54);
-    auto sp = sw;
-    scale(sw.data(), n, 0.77);
-    scale(sp.data(), split, 0.77);
-    scale(sp.data() + split, n - split, 0.77);
-    expect_exact(sp, sw, "scale split", n);
   }
 }
 
 TEST(SimdKernels, ZeroLengthIsSafe) {
   double dummy = 1.0;
-  scale(&dummy, 0, 2.0);
-  axpy(&dummy, &dummy, 0, 2.0);
   selu_forward(&dummy, 0);
+  selu_backward(&dummy, &dummy, 0);
+  adam_update(&dummy, &dummy, &dummy, &dummy, 0, AdamStep{});
+  gemm_tile(&dummy, 1, &dummy, 1, 0, 1, &dummy, 1);
   EXPECT_EQ(dummy, 1.0);
-  std::vector<double> g;
-  EXPECT_EQ(mse_loss_grad(g.data(), g.data(), g.data(), 0, 1.0), 0.0);
 }
 
 }  // namespace

@@ -172,6 +172,34 @@ TEST(DriftMonitor, TriggersExactlyOncePerEpisodeAndRearmsAfterRecovery) {
   EXPECT_EQ(monitor.stats(fx.handle).refits, 2u);
 }
 
+// A non-finite runtime is rejected before it reaches the EWMA: a NaN there
+// would compare false against the threshold forever and disarm the monitor.
+TEST(DriftMonitor, NonFiniteRuntimeIsRejectedWithoutTouchingState) {
+  Fixture fx;
+  DriftMonitor monitor(fx.registry, episode_options(0.5));
+  ASSERT_TRUE(monitor.report(fx.handle, fx.observed(0, 1.0)).ok());
+
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    data::JobRun run = fx.observed(1, 1.0);
+    run.runtime_s = bad;
+    EXPECT_EQ(monitor.report(fx.handle, run).status(), ServeStatus::kInvalidArgument);
+  }
+  const DriftStats after = monitor.stats(fx.handle);
+  EXPECT_EQ(after.reports, 1u);
+  EXPECT_TRUE(std::isfinite(after.error_ewma));
+  EXPECT_EQ(monitor.history(fx.handle).size(), 1u);
+
+  // Skewed traffic afterwards still latches exactly one refit.
+  std::size_t triggers = 0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    const auto obs = monitor.report(fx.handle, fx.observed(i, 10.0));
+    ASSERT_TRUE(obs.ok()) << obs.error_text();
+    if (obs.value().refit_triggered) triggers += 1;
+  }
+  EXPECT_EQ(triggers, 1u);
+  EXPECT_EQ(monitor.stats(fx.handle).refits, 1u);
+}
+
 TEST(DriftMonitor, HistoryIsBoundedToTheNewestRuns) {
   Fixture fx;
   DriftOptions options;

@@ -206,6 +206,31 @@ TEST(PredictionService, TypedErrorsForUnknownAndUnfittedHandles) {
   EXPECT_TRUE(service.predict_many(reserved, {}).ok());
 }
 
+// A malformed query fails alone: it must not take down the requests that
+// would have been coalesced into its micro-batch.
+TEST(PredictionService, InvalidScaleOutFailsOnlyItsOwnRequest) {
+  Fixture fx;
+  ModelRegistry registry;
+  const ModelHandle handle = registry.publish({"sgd", "invalid"}, *fx.model).unwrap();
+
+  ServeOptions cfg;
+  cfg.max_batch = 2;  // the bad and the good request would fill one batch
+  cfg.flush_deadline = std::chrono::milliseconds(5);
+  PredictionService service(registry, cfg);
+
+  data::JobRun bad = fx.make_queries(1)[0];
+  bad.scale_out = 0;
+  const data::JobRun good = fx.make_queries(2)[1];
+  auto bad_future = service.predict_async(handle, bad);
+  auto good_future = service.predict_async(handle, good);
+
+  const auto bad_result = bad_future.get();
+  EXPECT_EQ(bad_result.status(), ServeStatus::kInvalidArgument) << bad_result.error_text();
+  const auto good_result = good_future.get();
+  ASSERT_TRUE(good_result.ok()) << good_result.error_text();
+  EXPECT_EQ(good_result.value(), fx.model->predict_one(good));
+}
+
 TEST(PredictionService, StopDrainsAcceptedRequestsAndRejectsNewOnes) {
   Fixture fx;
   ModelRegistry registry;
