@@ -2,7 +2,7 @@
 //
 //   ./build/apps/bellamy_serverd [--port=N] [--store=DIR] [--workers=N]
 //                                [--max-batch=N] [--deadline-us=N]
-//                                [--band=MIN:MAX] [--max-queue=N]
+//                                [--max-queue=N]
 //                                [--peer=HOST:PORT]... [--sync-ms=N]
 //                                [--io-timeout-ms=N] [--peer-retries=N]
 //                                [--auto-persist] [--refit-budget=N]
@@ -11,8 +11,7 @@
 // Wires ModelStore -> ModelRegistry -> PredictionService -> net::ServeServer
 // and serves until drained (wire DrainRequest or console `drain`).  With
 // --store, every stored model is opened at startup; clients can also publish
-// models over the wire (bellamy_loadgen does).  --band enables the adaptive
-// flush band.
+// models over the wire (bellamy_loadgen does).
 //
 // --peer (repeatable) joins this node to an exchange mesh: a request for a
 // model this node lacks pulls it off a peer (or warm-starts from a same-job
@@ -90,13 +89,13 @@ void print_metrics(const serve::ServeMetrics& m) {
                "  requests %llu  responses %llu  batches %llu (full %llu / deadline %llu "
                "/ drain %llu)\n"
                "  queue depth %llu (max %llu)\n"
-               "  effective deadline %llu us  ewma %.1f us  max lag %llu us  starved %llu\n"
+               "  effective deadline %llu us  max lag %llu us  starved %llu\n"
                "  latency p50/p95/p99 %llu/%llu/%llu us over %llu responses\n",
                (unsigned long long)m.requests, (unsigned long long)m.responses,
                (unsigned long long)m.batches, (unsigned long long)m.coalesced,
                (unsigned long long)m.deadline_flushes, (unsigned long long)m.drain_flushes,
                (unsigned long long)m.queue_depth, (unsigned long long)m.max_queue_depth,
-               (unsigned long long)m.effective_flush_deadline_us, m.interarrival_ewma_us,
+               (unsigned long long)m.effective_flush_deadline_us,
                (unsigned long long)m.max_dispatch_lag_us,
                (unsigned long long)m.starved_flushes, (unsigned long long)m.latency_p50_us,
                (unsigned long long)m.latency_p95_us, (unsigned long long)m.latency_p99_us,
@@ -279,14 +278,6 @@ int main(int argc, char** argv) {
       options.max_queue = std::max(1, std::atoi(argv[i] + 12));
     } else if (std::strncmp(argv[i], "--deadline-us=", 14) == 0) {
       options.flush_deadline = std::chrono::microseconds(std::atoi(argv[i] + 14));
-    } else if (std::strncmp(argv[i], "--band=", 7) == 0) {
-      int lo = 0, hi = 0;
-      if (std::sscanf(argv[i] + 7, "%d:%d", &lo, &hi) != 2 || lo <= 0 || hi < lo) {
-        std::fprintf(stderr, "--band expects MIN:MAX microseconds\n");
-        return 2;
-      }
-      options.flush_deadline_min = std::chrono::microseconds(lo);
-      options.flush_deadline_max = std::chrono::microseconds(hi);
     } else if (std::strncmp(argv[i], "--peer=", 7) == 0) {
       const std::string spec = argv[i] + 7;
       const auto colon = spec.rfind(':');
@@ -328,7 +319,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port=N] [--store=DIR] [--workers=N] [--max-batch=N]\n"
-                   "          [--deadline-us=N] [--band=MIN:MAX] [--max-queue=N]\n"
+                   "          [--deadline-us=N] [--max-queue=N]\n"
                    "          [--peer=HOST:PORT]... [--sync-ms=N] [--io-timeout-ms=N]\n"
                    "          [--peer-retries=N] [--auto-persist] [--refit-budget=N]\n"
                    "          [--refit-policy=NAME] [--drift-threshold=X]\n",

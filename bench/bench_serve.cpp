@@ -14,16 +14,11 @@
 // ALL human-readable progress goes to stderr; --json writes the
 // machine-parseable document ("-" = stdout).
 //
-// Beyond the throughput grid (PR 4) the bench exercises the adaptive
-// scheduler (PR 5):
-//   * an "adaptive" cell runs the 4-client workload with the flush band
-//     enabled and reports the per-handle scheduler metrics (effective flush
-//     deadline, inter-arrival EWMA, flush-reason counters, dispatch lag /
-//     starvation counters) in the JSON document, and
-//   * a "qos" scenario saturates a kBulk handle while probing a
-//     kInteractive one, reporting the interactive lane's p50/p99 latency
-//     loaded vs unloaded plus both lanes' starvation counters — the
-//     measured form of the starvation acceptance test.
+// Beyond the throughput grid the bench exercises the QoS scheduler: a "qos"
+// scenario saturates a kBulk handle while probing a kInteractive one,
+// reporting the interactive lane's p50/p99 latency loaded vs unloaded plus
+// both lanes' starvation counters — the measured form of the starvation
+// acceptance test.
 // See docs/BENCHMARKS.md for the full --json schema.
 
 #include <algorithm>
@@ -199,37 +194,6 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // ---- adaptive flush cell: the 4-client workload with the band enabled,
-  // plus the per-handle scheduler metrics the static grid cannot show.
-  serve::ServeMetrics adaptive_metrics;
-  CellResult adaptive_cell;
-  {
-    serve::ServeOptions cfg;
-    cfg.max_batch = 64;
-    cfg.flush_deadline = std::chrono::microseconds(500);
-    cfg.flush_deadline_min = std::chrono::microseconds(50);
-    cfg.flush_deadline_max = std::chrono::microseconds(2000);
-    cfg.workers = workers;
-    cfg.max_queue = kWindow * 4 + 64;
-    serve::PredictionService service(registry, cfg);
-    adaptive_cell =
-        run_cell(service, handle, context_template, 4, requests, expected_by_scaleout);
-    all_identical = all_identical && adaptive_cell.identical;
-    adaptive_metrics = service.metrics(handle).unwrap();
-    std::fprintf(stderr,
-                 "adaptive band [50, 2000]us @ 4 clients: %.0f p/s, effective deadline "
-                 "%llu us (ewma %.1f us), %llu batches (%llu full / %llu deadline), "
-                 "%llu starved, max dispatch lag %llu us\n",
-                 adaptive_cell.per_s,
-                 static_cast<unsigned long long>(adaptive_metrics.effective_flush_deadline_us),
-                 adaptive_metrics.interarrival_ewma_us,
-                 static_cast<unsigned long long>(adaptive_metrics.batches),
-                 static_cast<unsigned long long>(adaptive_metrics.coalesced),
-                 static_cast<unsigned long long>(adaptive_metrics.deadline_flushes),
-                 static_cast<unsigned long long>(adaptive_metrics.starved_flushes),
-                 static_cast<unsigned long long>(adaptive_metrics.max_dispatch_lag_us));
-  }
-
   // ---- QoS scenario: a saturated kBulk handle next to a probed
   // kInteractive handle — the measured form of the starvation test.
   struct QosResult {
@@ -346,25 +310,6 @@ int main(int argc, char** argv) {
                      i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
-      const serve::ServeMetrics& am = adaptive_metrics;
-      std::fprintf(
-          f,
-          "  \"adaptive\": {\"clients\": 4, \"adaptive_per_s\": %.0f,\n"
-          "    \"metrics\": {\"effective_flush_deadline_us\": %llu, "
-          "\"interarrival_ewma_us\": %.1f,\n"
-          "      \"batches\": %llu, \"coalesced\": %llu, \"deadline_flushes\": %llu, "
-          "\"drain_flushes\": %llu,\n"
-          "      \"coalesced_requests\": %llu, \"starved_flushes\": %llu, "
-          "\"max_dispatch_lag_us\": %llu}},\n",
-          adaptive_cell.per_s,
-          static_cast<unsigned long long>(am.effective_flush_deadline_us),
-          am.interarrival_ewma_us, static_cast<unsigned long long>(am.batches),
-          static_cast<unsigned long long>(am.coalesced),
-          static_cast<unsigned long long>(am.deadline_flushes),
-          static_cast<unsigned long long>(am.drain_flushes),
-          static_cast<unsigned long long>(am.coalesced_requests),
-          static_cast<unsigned long long>(am.starved_flushes),
-          static_cast<unsigned long long>(am.max_dispatch_lag_us));
       std::fprintf(
           f,
           "  \"qos\": {\"interactive_unloaded_p50_us\": %.1f, "

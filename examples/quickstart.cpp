@@ -8,11 +8,10 @@
 //      in the BACKGROUND (refit_async): the caller keeps serving on the old
 //      weights until the fine-tune lands and hot-swaps atomically.
 //   4. Predict runtimes for unseen scale-outs through the micro-batching
-//      PredictionService (interactive QoS, adaptive flush deadline).
+//      PredictionService (interactive QoS, default flush deadline).
 //
 // Build & run:  ./build/examples/quickstart
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/trainer.hpp"
@@ -44,10 +43,7 @@ int main() {
               pretrain_corpus.num_contexts());
 
   serve::ModelRegistry registry;
-  serve::ServeOptions options;  // adaptive flush: coalesce bursts, answer trickles fast
-  options.flush_deadline_min = std::chrono::microseconds(50);
-  options.flush_deadline_max = std::chrono::microseconds(2000);
-  serve::PredictionService service(registry, options);
+  serve::PredictionService service(registry);
   const serve::ModelHandle handle =
       registry.publish({"sgd", new_context.key}, model).unwrap();
   // This handle carries user-facing traffic: interactive class, high weight.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 namespace bellamy::serve {
@@ -33,14 +34,6 @@ PredictionService::PredictionService(ModelRegistry& registry, ServeOptions optio
   // flush stays reachable instead of silently degrading to deadline flushes.
   options_.max_batch = std::min(options_.max_batch, options_.max_queue);
   options_.workers = std::max<std::size_t>(1, options_.workers);
-  if (options_.flush_deadline_max.count() > 0 &&
-      options_.flush_deadline_min > options_.flush_deadline_max) {
-    options_.flush_deadline_min = options_.flush_deadline_max;
-  }
-  if (!(options_.ewma_alpha > 0.0) || options_.ewma_alpha > 1.0) options_.ewma_alpha = 0.2;
-  if (!(options_.default_qos.weight > 0.0) || !std::isfinite(options_.default_qos.weight)) {
-    options_.default_qos.weight = 1.0;
-  }
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -71,19 +64,13 @@ std::future<ServeResult<double>> PredictionService::predict_async(const ModelHan
     return future;
   }
 
-  auto lane_for = [this](std::uint64_t id) -> Lane& {
-    const auto [it, inserted] = lanes_.try_emplace(id);
-    if (inserted) it->second.qos = options_.default_qos;
-    return it->second;
-  };
-
   std::unique_lock<std::mutex> lock(mutex_);
   // Bounded queue: block the producer until the dispatcher makes room.  The
   // lane is re-looked-up on every predicate evaluation — a drained lane may
   // be garbage-collected (and recreated) while we wait, so a held reference
   // could dangle.
   space_cv_.wait(lock, [&] {
-    return stopping_ || lane_for(handle.id()).queue.size() < options_.max_queue;
+    return stopping_ || lanes_[handle.id()].queue.size() < options_.max_queue;
   });
   if (stopping_) {
     lock.unlock();
@@ -91,36 +78,15 @@ std::future<ServeResult<double>> PredictionService::predict_async(const ModelHan
         ServeResult<double>::failure(ServeStatus::kShutdown, "service is stopping"));
     return future;
   }
-  Lane& lane = lane_for(handle.id());
-  const Clock::time_point now = Clock::now();
-  // Inter-arrival EWMA: the signal the adaptive flush deadline feeds on.
-  if (lane.saw_arrival) {
-    const double ia_us =
-        std::chrono::duration<double, std::micro>(now - lane.last_arrival).count();
-    lane.ewma_interarrival_us =
-        lane.ewma_interarrival_us == 0.0
-            ? ia_us
-            : options_.ewma_alpha * ia_us +
-                  (1.0 - options_.ewma_alpha) * lane.ewma_interarrival_us;
-  }
-  lane.saw_arrival = true;
-  lane.last_arrival = now;
-
-  lane.queue.push_back(Request{query, std::move(promise), now});
+  Lane& lane = lanes_[handle.id()];
+  lane.queue.push_back(Request{query, std::move(promise), Clock::now()});
   lane.metrics.requests += 1;
   lane.metrics.queue_depth = lane.queue.size();
   lane.metrics.max_queue_depth =
       std::max<std::uint64_t>(lane.metrics.max_queue_depth, lane.queue.size());
-  if (!lane.ready) {
-    if (lane.queue.size() >= options_.max_batch) {
-      mark_ready(handle.id(), lane, FlushReason::kSize);
-    } else if (lane.queue.size() == 1) {
-      arm_timer(handle.id(), lane);
-    }
-  }
   lock.unlock();
-  // Wake a worker either way: a new ready lane needs a dispatcher, a newly
-  // armed deadline may be earlier than the one a worker is sleeping on.
+  // Wake a worker either way: the lane may now be full, or its deadline may
+  // be earlier than the one a sleeping worker waits for.
   work_cv_.notify_one();
   return future;
 }
@@ -159,8 +125,12 @@ ServeResult<Unit> PredictionService::set_qos(const ModelHandle& handle, HandleQo
     return ServeResult<Unit>::failure(ServeStatus::kUnknownModel,
                                       "set_qos: unknown model handle");
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  lanes_.try_emplace(handle.id()).first->second.qos = qos;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    lanes_[handle.id()].qos = qos;
+  }
+  // A sleeping worker re-reads the lane's (possibly earlier) deadline.
+  work_cv_.notify_one();
   return ok();
 }
 
@@ -171,7 +141,7 @@ ServeResult<HandleQos> PredictionService::qos(const ModelHandle& handle) const {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = lanes_.find(handle.id()); it != lanes_.end()) return it->second.qos;
-  return options_.default_qos;
+  return HandleQos{};
 }
 
 ServeResult<ServeMetrics> PredictionService::metrics(const ModelHandle& handle) const {
@@ -186,8 +156,7 @@ ServeResult<ServeMetrics> PredictionService::metrics(const ModelHandle& handle) 
     if (const auto it = lanes_.find(handle.id()); it != lanes_.end()) {
       out = it->second.metrics;
       out.queue_depth = it->second.queue.size();
-      out.effective_flush_deadline_us = effective_deadline_us(it->second);
-      out.interarrival_ewma_us = it->second.ewma_interarrival_us;
+      out.effective_flush_deadline_us = deadline_us(it->second.qos);
       out.latency_count = it->second.latency.count();
       out.latency_p50_us = it->second.latency.quantile_us(0.50);
       out.latency_p95_us = it->second.latency.quantile_us(0.95);
@@ -225,73 +194,14 @@ void PredictionService::stop() {
   }
 }
 
-std::uint64_t PredictionService::effective_deadline_us(const Lane& lane) const {
-  double base_us = static_cast<double>(options_.flush_deadline.count());
-  if (options_.flush_deadline_max.count() > 0) {
-    const double min_us = static_cast<double>(options_.flush_deadline_min.count());
-    const double max_us = static_cast<double>(options_.flush_deadline_max.count());
-    if (lane.ewma_interarrival_us == 0.0) {
-      // No inter-arrival sample yet: start from the static deadline, inside
-      // the band.
-      base_us = std::clamp(base_us, min_us, max_us);
-    } else {
-      // Expected time to fill the rest of a batch at the observed rate.  A
-      // lane too slow to fill one inside the band gets the band FLOOR:
-      // waiting longer would add latency without adding fill.
-      const double expected_fill_us =
-          lane.ewma_interarrival_us * static_cast<double>(options_.max_batch - 1);
-      base_us = expected_fill_us > max_us ? min_us : std::max(expected_fill_us, min_us);
-    }
-  }
-  double scaled = base_us / lane.qos.weight;
-  // Aging cap: no matter how the band and weight stretch the deadline, a
-  // capped lane never waits (nor ranks) worse than max_lag — the boost that
-  // keeps down-weighted kBulk lanes live under extreme interactive load.
-  if (lane.qos.max_lag.count() > 0) {
-    scaled = std::min(scaled, static_cast<double>(lane.qos.max_lag.count()));
-  }
-  return static_cast<std::uint64_t>(std::llround(std::max(1.0, scaled)));
-}
-
-void PredictionService::mark_ready(std::uint64_t id, Lane& lane, FlushReason reason) {
-  lane.ready = true;
-  lane.reason = reason;
-  ++lane.token;  // invalidate any armed timer entry
-  // EDF rank: the deadline the lane's OLDEST request is entitled to.  A hot
-  // lane that fills instantly still ranks by its (recent) front arrival, so
-  // an expired cold lane always sorts ahead of it — the no-starvation
-  // property.
-  lane.virtual_deadline =
-      lane.queue.front().enqueued + std::chrono::microseconds(effective_deadline_us(lane));
-  ready_.push(HeapEntry{lane.virtual_deadline, static_cast<std::uint8_t>(lane.qos.qos), id,
-                        lane.token});
-}
-
-void PredictionService::arm_timer(std::uint64_t id, Lane& lane) {
-  ++lane.token;
-  lane.virtual_deadline =
-      lane.queue.front().enqueued + std::chrono::microseconds(effective_deadline_us(lane));
-  timers_.push(HeapEntry{lane.virtual_deadline, static_cast<std::uint8_t>(lane.qos.qos), id,
-                         lane.token});
-}
-
-std::optional<PredictionService::Clock::time_point> PredictionService::promote_expired(
-    Clock::time_point now) {
-  while (!timers_.empty()) {
-    const HeapEntry top = timers_.top();
-    const auto it = lanes_.find(top.lane_id);
-    // Lazy deletion: the token bumps whenever the lane's front (and so its
-    // deadline) changed after this entry was pushed.
-    if (it == lanes_.end() || it->second.token != top.token || it->second.ready ||
-        it->second.queue.empty()) {
-      timers_.pop();
-      continue;
-    }
-    if (top.when > now) return top.when;  // earliest live deadline, still ahead
-    timers_.pop();
-    mark_ready(top.lane_id, it->second, FlushReason::kDeadline);
-  }
-  return std::nullopt;
+std::uint64_t PredictionService::deadline_us(const HandleQos& qos) const {
+  double us = static_cast<double>(options_.flush_deadline.count()) / qos.weight;
+  // Aging cap: no matter how far the weight stretches the deadline, a capped
+  // lane never waits (nor ranks) worse than max_lag — the boost that keeps
+  // down-weighted kBulk lanes live under extreme interactive load.
+  if (qos.max_lag.count() > 0) us = std::min(us, static_cast<double>(qos.max_lag.count()));
+  us = std::clamp(us, 1.0, static_cast<double>(kMaxFlushDeadline.count()));
+  return static_cast<std::uint64_t>(std::llround(us));
 }
 
 void PredictionService::gc_lanes() {
@@ -301,8 +211,8 @@ void PredictionService::gc_lanes() {
   // matter; drained lanes of live handles keep their metrics.
   if (lanes_.size() < kGcMinLanes) return;
   for (auto it = lanes_.begin(); it != lanes_.end();) {
-    if (it->second.queue.empty() && !it->second.ready && !registry_.resolve_id(it->first)) {
-      it = lanes_.erase(it);  // heap entries for this id go stale and get skipped
+    if (it->second.queue.empty() && !registry_.resolve_id(it->first)) {
+      it = lanes_.erase(it);
     } else {
       ++it;
     }
@@ -313,94 +223,96 @@ void PredictionService::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     const Clock::time_point now = Clock::now();
-    const std::optional<Clock::time_point> next_deadline = promote_expired(now);
-    if (stopping_) {
-      // Drain: every waiting lane flushes now, deadlines notwithstanding.
-      for (auto& [id, lane] : lanes_) {
-        if (!lane.ready && !lane.queue.empty()) mark_ready(id, lane, FlushReason::kDrain);
+    // One scan: the flushable lane whose oldest request has the earliest
+    // deadline (interactive wins ties, then the lower id — lanes_ iterates
+    // in id order), whether a second lane could flush too, and the earliest
+    // deadline still ahead.  Ranking by the OLDEST request means a hot lane
+    // that fills instantly still ranks by its (recent) front arrival, so an
+    // expired cold lane always sorts ahead of it — the no-starvation
+    // property.
+    std::uint64_t id = 0;
+    Lane* lane = nullptr;
+    Clock::time_point deadline{};
+    bool another_flushable = false;
+    std::optional<Clock::time_point> next_deadline;
+    for (auto& [lane_id, candidate] : lanes_) {
+      if (candidate.queue.empty()) continue;
+      const Clock::time_point due = candidate.queue.front().enqueued +
+                                    std::chrono::microseconds(deadline_us(candidate.qos));
+      if (candidate.queue.size() < options_.max_batch && due > now && !stopping_) {
+        if (!next_deadline || due < *next_deadline) next_deadline = due;
+        continue;
       }
+      if (lane != nullptr) {
+        another_flushable = true;
+        if (due > deadline || (due == deadline && candidate.qos.qos >= lane->qos.qos)) continue;
+      }
+      id = lane_id;
+      lane = &candidate;
+      deadline = due;
     }
 
-    if (!ready_.empty()) {
-      const HeapEntry top = ready_.top();
-      ready_.pop();
-      const auto it = lanes_.find(top.lane_id);
-      if (it == lanes_.end() || !it->second.ready || it->second.token != top.token ||
-          it->second.queue.empty()) {
-        continue;  // stale entry (lane dispatched, re-ranked, or collected)
+    if (lane == nullptr) {
+      if (stopping_) return;  // every queue drained
+      if (next_deadline) {
+        work_cv_.wait_until(lock, *next_deadline);
+      } else {
+        work_cv_.wait(lock);
       }
-      Lane& lane = it->second;
-      const std::size_t take = std::min(lane.queue.size(), options_.max_batch);
-      std::vector<Request> batch;
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(lane.queue.front()));
-        lane.queue.pop_front();
-      }
-      lane.metrics.batches += 1;
-      switch (lane.reason) {
-        case FlushReason::kSize: lane.metrics.coalesced += 1; break;
-        case FlushReason::kDeadline: lane.metrics.deadline_flushes += 1; break;
-        case FlushReason::kDrain: lane.metrics.drain_flushes += 1; break;
-      }
-      if (take > 1) lane.metrics.coalesced_requests += take;
-      const std::uint64_t lag_us = saturating_us(now - lane.virtual_deadline);
-      lane.metrics.max_dispatch_lag_us =
-          std::max(lane.metrics.max_dispatch_lag_us, lag_us);
-      if (lag_us > static_cast<std::uint64_t>(options_.starvation_lag.count())) {
-        lane.metrics.starved_flushes += 1;
-      }
-      lane.metrics.queue_depth = lane.queue.size();
-      lane.ready = false;
-      ++lane.token;
-      if (!lane.queue.empty()) {
-        // Leftover traffic re-enters the scheduler under the lane's NEW
-        // front: full again -> ready now, else re-arm its deadline.
-        if (lane.queue.size() >= options_.max_batch) {
-          mark_ready(top.lane_id, lane, FlushReason::kSize);
-        } else if (stopping_) {
-          mark_ready(top.lane_id, lane, FlushReason::kDrain);
-        } else {
-          arm_timer(top.lane_id, lane);
-        }
-      }
-      if (++dispatches_ % kGcEveryDispatches == 0) gc_lanes();
-      // Read the heap before unlocking — it is mutex_-guarded state.
-      const bool more_ready = !ready_.empty();
-
-      lock.unlock();
-      space_cv_.notify_all();
-      if (more_ready) work_cv_.notify_one();  // more work: wake a sibling
-      std::vector<ServeResult<double>> results = run_batch(top.lane_id, batch);
-      // Count the responses BEFORE resolving the futures: a client that
-      // reads metrics right after .get() must see its own response.  find(),
-      // not operator[] — the lane may have been garbage-collected while the
-      // batch ran, and resurrecting it would leave inconsistent metrics.
-      lock.lock();
-      if (const auto post = lanes_.find(top.lane_id); post != lanes_.end()) {
-        post->second.metrics.responses += take;
-        // Enqueue-to-response latency, recorded before the futures resolve so
-        // a client reading metrics after .get() sees its own sample.  The
-        // histogram increment is allocation-free (flat counter array).
-        const Clock::time_point done = Clock::now();
-        for (const Request& request : batch) {
-          post->second.latency.record(saturating_us(done - request.enqueued));
-        }
-      }
-      lock.unlock();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i].promise.set_value(std::move(results[i]));
-      }
-      lock.lock();
       continue;
     }
 
-    if (stopping_) return;  // nothing ready and every queue drained
-    if (next_deadline) {
-      work_cv_.wait_until(lock, *next_deadline);
+    // Why the lane flushed, read off at dispatch: full beats past-deadline
+    // beats stop().
+    lane->metrics.batches += 1;
+    if (lane->queue.size() >= options_.max_batch) {
+      lane->metrics.coalesced += 1;
+    } else if (deadline <= now) {
+      lane->metrics.deadline_flushes += 1;
     } else {
-      work_cv_.wait(lock);
+      lane->metrics.drain_flushes += 1;
     }
+    const std::size_t take = std::min(lane->queue.size(), options_.max_batch);
+    std::vector<Request> batch;
+    batch.reserve(take);
+    for (std::size_t i = 0; i < take; ++i) {
+      batch.push_back(std::move(lane->queue.front()));
+      lane->queue.pop_front();
+    }
+    if (take > 1) lane->metrics.coalesced_requests += take;
+    const std::uint64_t lag_us = saturating_us(now - deadline);
+    lane->metrics.max_dispatch_lag_us = std::max(lane->metrics.max_dispatch_lag_us, lag_us);
+    if (lag_us > kStarvationLagUs) lane->metrics.starved_flushes += 1;
+    lane->metrics.queue_depth = lane->queue.size();
+    // Leftover traffic that is still full (or draining) is more work too.
+    const bool more_work = another_flushable || lane->queue.size() >= options_.max_batch ||
+                           (stopping_ && !lane->queue.empty());
+    if (++dispatches_ % kGcEveryDispatches == 0) gc_lanes();
+
+    lock.unlock();
+    space_cv_.notify_all();
+    if (more_work) work_cv_.notify_one();  // wake a sibling
+    std::vector<ServeResult<double>> results = run_batch(id, batch);
+    // Count the responses BEFORE resolving the futures: a client that reads
+    // metrics right after .get() must see its own response.  find(), not
+    // operator[] — the lane may have been garbage-collected while the batch
+    // ran, and resurrecting it would leave inconsistent metrics.
+    lock.lock();
+    if (const auto post = lanes_.find(id); post != lanes_.end()) {
+      post->second.metrics.responses += take;
+      // Enqueue-to-response latency, recorded before the futures resolve so
+      // a client reading metrics after .get() sees its own sample.  The
+      // histogram increment is allocation-free (flat counter array).
+      const Clock::time_point done = Clock::now();
+      for (const Request& request : batch) {
+        post->second.latency.record(saturating_us(done - request.enqueued));
+      }
+    }
+    lock.unlock();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].promise.set_value(std::move(results[i]));
+    }
+    lock.lock();
   }
 }
 

@@ -18,25 +18,22 @@
 //     in-flight batches finish on the old ones, which their pointer copy
 //     keeps alive.
 //
-// Scheduling (this is the adaptive, fair core — see docs/ARCHITECTURE.md):
+// Scheduling (see docs/ARCHITECTURE.md) follows one rule: a lane may flush
+// when it is FULL (max_batch pending), when its OLDEST request is past the
+// lane's flush deadline, or when the service is stopping.
 //
-//   * ADAPTIVE FLUSH: each lane tracks an EWMA of request inter-arrival
-//     time.  When the adaptive band [flush_deadline_min, flush_deadline_max]
-//     is enabled, the flush deadline is the expected time to fill a batch at
-//     the observed rate, clamped to the band — a bursty lane waits long
-//     enough to coalesce aggressively, a trickle lane (which could never
-//     fill a batch inside the band) answers near-immediately at the band
-//     floor.  The effective deadline is exposed through ServeMetrics.
 //   * QoS LANES: every lane carries a HandleQos (kInteractive/kBulk class +
-//     weight).  The weight divides the flush deadline, so urgent lanes flush
-//     sooner and rank earlier.
-//   * CROSS-HANDLE DISPATCH: ready lanes enter a central deadline-ordered
-//     min-heap (earliest-virtual-deadline-first; class breaks ties) instead
-//     of the old id-order lane scan.  A lane's virtual deadline grows from
-//     its OLDEST request's arrival time, so a saturated hot lane — whose
+//     weight).  The lane's deadline is flush_deadline / weight, capped by
+//     max_lag and by kMaxFlushDeadline, so urgent lanes flush sooner and
+//     rank earlier.
+//   * CROSS-HANDLE DISPATCH: a free worker scans the lanes and takes the
+//     flushable one whose oldest request has the earliest deadline
+//     (interactive wins ties, then the lower handle id).  The deadline grows
+//     from the OLDEST request's arrival, so a saturated hot lane — whose
 //     front is always recent — can never starve a cold lane whose deadline
-//     has expired.  Dispatch lag past the virtual deadline is metered
-//     (max_dispatch_lag_us / starved_flushes).
+//     has expired.  Dispatch lag past the deadline is metered
+//     (max_dispatch_lag_us / starved_flushes).  With no flushable lane the
+//     worker sleeps until the earliest pending deadline.
 //
 // Coalescing is bit-transparent: predict_batch is certified bit-identical to
 // the per-sample loop, and a model built from a checkpoint predicts
@@ -56,8 +53,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -68,8 +63,16 @@
 
 namespace bellamy::serve {
 
+/// Ceiling of any lane's flush deadline.  A tiny QoS weight would otherwise
+/// stretch flush_deadline / weight past what steady_clock can represent.
+inline constexpr std::chrono::microseconds kMaxFlushDeadline = std::chrono::hours(1);
+
+/// A batch dispatched more than this many microseconds past its deadline
+/// counts as starved (ServeMetrics::starved_flushes).  Purely diagnostic.
+inline constexpr std::uint64_t kStarvationLagUs = 10000;
+
 /// QoS class of a lane.  The class picks the tie-break between two lanes
-/// whose virtual deadlines collide and documents intent; the weight does the
+/// whose deadlines collide and documents intent; the weight does the
 /// quantitative work (see HandleQos::weight).
 enum class QosClass : std::uint8_t {
   kInteractive = 0,  ///< latency-sensitive traffic; wins deadline ties
@@ -88,12 +91,11 @@ struct HandleQos {
   /// weight, so weight 4 flushes (and ranks) 4x sooner and weight 0.5 is
   /// content to wait twice as long.  1.0 = neutral.
   double weight = 1.0;
-  /// Aging boost: a hard ceiling on the lane's effective flush deadline,
-  /// applied AFTER the weight division (0 = disabled).  A down-weighted
-  /// kBulk lane under extreme interactive load can otherwise see its
-  /// deadline stretched arbitrarily (long band deadline / small weight);
-  /// max_lag guarantees the lane ranks no worse than a request that has
-  /// already waited this long, bounding its dispatch lag.
+  /// Aging boost: a hard ceiling on the lane's flush deadline, applied AFTER
+  /// the weight division (0 = disabled).  A small weight stretches a
+  /// down-weighted kBulk lane's deadline far out; max_lag guarantees the
+  /// lane ranks no worse than a request that has already waited this long,
+  /// bounding its dispatch lag.
   std::chrono::microseconds max_lag{0};
 };
 
@@ -104,28 +106,9 @@ struct ServeOptions {
   std::size_t max_batch = 64;
   /// Bounded queue capacity per handle; producers block when it is full.
   std::size_t max_queue = 1024;
-  /// Static flush deadline: flush a partial batch once its oldest request
-  /// has waited this long.  Used verbatim while the adaptive band is
-  /// disabled, and as the effective deadline of a lane that has not seen
-  /// two requests yet (no inter-arrival sample).
+  /// Flush a partial batch once its oldest request has waited this long
+  /// (divided by the lane's QoS weight, see HandleQos).
   std::chrono::microseconds flush_deadline{500};
-  /// Adaptive flush band.  When flush_deadline_max > 0, each lane's
-  /// effective deadline adapts inside [flush_deadline_min,
-  /// flush_deadline_max]: the expected time to fill max_batch at the lane's
-  /// EWMA arrival rate, clamped to the band — except that a lane too slow to
-  /// fill a batch within the band at all drops to the band FLOOR (waiting
-  /// would add latency without adding fill).  flush_deadline_max == 0 (the
-  /// default) keeps the static deadline above.
-  std::chrono::microseconds flush_deadline_min{50};
-  std::chrono::microseconds flush_deadline_max{0};
-  /// Smoothing factor of the per-lane inter-arrival EWMA in (0, 1]; higher
-  /// adapts faster, lower rides out bursts.
-  double ewma_alpha = 0.2;
-  /// A batch dispatched more than this far past its virtual deadline counts
-  /// as starved (ServeMetrics::starved_flushes).  Purely diagnostic.
-  std::chrono::microseconds starvation_lag{10000};
-  /// Scheduling policy for lanes that never called set_qos().
-  HandleQos default_qos{};
   /// Dispatcher threads executing micro-batches (>= 1).
   std::size_t workers = 1;
 };
@@ -163,15 +146,17 @@ struct ServeMetrics {
   std::uint64_t replica_invalidations = 0;
 
   // -- scheduler introspection (PR 5) --
-  /// Flush deadline the lane's NEXT batch will get (static, or adaptive from
-  /// the EWMA below, divided by the QoS weight).
+  /// Flush deadline of the lane's oldest request: flush_deadline / weight,
+  /// capped by HandleQos::max_lag and kMaxFlushDeadline.
   std::uint64_t effective_flush_deadline_us = 0;
-  /// EWMA of request inter-arrival time (0 until two requests arrived).
+  /// Retired: always 0.  It was the inter-arrival EWMA of an adaptive flush
+  /// deadline that no longer exists; kept so the v2 MetricsResponse bytes
+  /// stay unchanged, like the replica_* counters above.
   double interarrival_ewma_us = 0.0;
-  /// Worst observed dispatch lag: how far past its virtual deadline a batch
-  /// of this lane started executing.  Bounded lag == no starvation.
+  /// Worst observed dispatch lag: how far past its deadline a batch of this
+  /// lane started executing.  Bounded lag == no starvation.
   std::uint64_t max_dispatch_lag_us = 0;
-  /// Batches whose dispatch lag exceeded ServeOptions::starvation_lag.
+  /// Batches whose dispatch lag exceeded kStarvationLagUs.
   std::uint64_t starved_flushes = 0;
 
   // -- request-latency percentiles (PR 6) --
@@ -234,12 +219,12 @@ class PredictionService {
   ServeResult<std::vector<double>> predict_many(const ModelHandle& handle,
                                                 const std::vector<data::JobRun>& queries);
 
-  /// Set the handle's scheduling policy (class + weight); takes effect from
-  /// the next batch the lane opens.  Fails with kUnknownModel for a retired
+  /// Set the handle's scheduling policy (class + weight); takes effect at
+  /// the next dispatch decision.  Fails with kUnknownModel for a retired
   /// handle and kInvalidArgument for a non-positive/non-finite weight.
   ServeResult<Unit> set_qos(const ModelHandle& handle, HandleQos qos);
 
-  /// The handle's current scheduling policy (default_qos until set_qos).
+  /// The handle's current scheduling policy (HandleQos{} until set_qos).
   ServeResult<HandleQos> qos(const ModelHandle& handle) const;
 
   /// Serving counters for one handle (zeroed until its first request).
@@ -260,59 +245,19 @@ class PredictionService {
     Clock::time_point enqueued;
   };
 
-  /// Why a lane was marked ready to flush.
-  enum class FlushReason : std::uint8_t { kSize, kDeadline, kDrain };
-
   /// Pending traffic of one handle.
   struct Lane {
     std::deque<Request> queue;
     ServeMetrics metrics;
     LatencyHistogram latency;  ///< enqueue-to-response, microseconds
     HandleQos qos;
-    /// EWMA of inter-arrival time in microseconds (0 = fewer than two
-    /// requests seen).
-    double ewma_interarrival_us = 0.0;
-    Clock::time_point last_arrival{};
-    bool saw_arrival = false;
-    /// Scheduling state: a lane is IDLE (empty), ARMED (non-empty, timer
-    /// set at `virtual_deadline`), or READY (in the ready heap).  `token`
-    /// invalidates stale heap entries: it bumps whenever the lane's front —
-    /// and therefore its deadline — changes.
-    bool ready = false;
-    std::uint64_t token = 0;
-    FlushReason reason = FlushReason::kDeadline;
-    Clock::time_point virtual_deadline{};
   };
-
-  /// Lazy-deleted entry of the timer heap (earliest deadline first) and the
-  /// ready heap (earliest virtual deadline first, interactive wins ties).
-  struct HeapEntry {
-    Clock::time_point when;
-    std::uint8_t qos_class = 0;
-    std::uint64_t lane_id = 0;
-    std::uint64_t token = 0;
-    bool operator>(const HeapEntry& other) const {
-      if (when != other.when) return when > other.when;
-      if (qos_class != other.qos_class) return qos_class > other.qos_class;
-      return lane_id > other.lane_id;
-    }
-  };
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
   void worker_loop();
-  /// Flush deadline the lane's next batch gets, in microseconds (adaptive or
-  /// static, divided by the QoS weight; always >= 1).
-  std::uint64_t effective_deadline_us(const Lane& lane) const;
-  /// Mark a non-ready, non-empty lane ready and push it onto the ready heap.
-  /// Caller holds the service mutex.
-  void mark_ready(std::uint64_t id, Lane& lane, FlushReason reason);
-  /// Arm the deadline timer for a non-empty, non-ready lane (front changed).
-  /// Caller holds the service mutex.
-  void arm_timer(std::uint64_t id, Lane& lane);
-  /// Promote lanes whose deadline expired from the timer heap to the ready
-  /// heap; returns the earliest still-armed deadline.  Caller holds the
-  /// service mutex.
-  std::optional<Clock::time_point> promote_expired(Clock::time_point now);
+  /// Flush deadline of a lane with this policy, in microseconds: the static
+  /// deadline divided by the weight, capped by max_lag and kMaxFlushDeadline;
+  /// always >= 1.
+  std::uint64_t deadline_us(const HandleQos& qos) const;
   /// Garbage-collect drained lanes of erased handles.  Caller holds the
   /// service mutex.
   void gc_lanes();
@@ -331,8 +276,6 @@ class PredictionService {
   std::condition_variable work_cv_;   ///< signals workers: traffic or stop
   std::condition_variable space_cv_;  ///< signals producers: queue has room
   std::map<std::uint64_t, Lane> lanes_;
-  MinHeap ready_;                     ///< flushable lanes, earliest deadline first
-  MinHeap timers_;                    ///< armed flush deadlines of waiting lanes
   std::uint64_t dispatches_ = 0;      ///< total batches taken (drives lane GC cadence)
   bool stopping_ = false;
   std::vector<std::thread> workers_;

@@ -18,7 +18,7 @@
 // Every operation returns a ServeResult instead of throwing; ServingModel
 // adapts a handle back to the exception-based data::RuntimeModel interface
 // for the evaluation harness and the resource selector.  The scheduler
-// (adaptive flush deadlines, QoS lanes, cross-handle EDF dispatch,
+// (static flush deadline, QoS lanes, cross-handle EDF dispatch,
 // background refits) is documented in docs/ARCHITECTURE.md.
 //
 // The service must be stopped/destroyed before the registry, and the

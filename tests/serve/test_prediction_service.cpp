@@ -286,94 +286,16 @@ TEST(PredictionService, RefitHotSwapsBetweenMicroBatches) {
   EXPECT_EQ(m.replica_hits + m.replica_misses + m.replica_invalidations, 0u);
 }
 
-// Adaptive flush: a trickle lane (inter-arrival far beyond the band) drops
-// to the band FLOOR — waiting longer could never fill a batch, so it answers
-// near-immediately.  The deterministic anchor: sleep_for guarantees a
-// MINIMUM gap, so the EWMA is bounded below and the expected-fill rule's
-// branch is forced.
-TEST(PredictionService, AdaptiveDeadlineDropsToBandFloorForTrickleTraffic) {
-  Fixture fx;
-  ModelRegistry registry;
-  const ModelHandle handle = registry.publish({"sgd", "trickle"}, *fx.model).unwrap();
-
-  ServeOptions opt;
-  opt.max_batch = 16;
-  opt.flush_deadline = std::chrono::microseconds(500);
-  opt.flush_deadline_min = std::chrono::microseconds(200);
-  opt.flush_deadline_max = std::chrono::microseconds(2000);
-  PredictionService service(registry, opt);
-
-  // Before any traffic the lane does not exist yet: metrics are zeroed.
-  EXPECT_EQ(service.metrics(handle).unwrap().effective_flush_deadline_us, 0u);
-
-  // Trickle: >= 5 ms between requests.  expected_fill = ewma * 15 >> 2 ms
-  // band ceiling, so the effective deadline must sit exactly on the floor.
-  for (int i = 0; i < 4; ++i) {
-    const auto r = service.predict(handle, fx.make_queries(1)[0]);
-    ASSERT_TRUE(r.ok()) << r.error_text();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  const ServeMetrics m = service.metrics(handle).unwrap();
-  EXPECT_GE(m.interarrival_ewma_us, 5000.0);
-  EXPECT_EQ(m.effective_flush_deadline_us, 200u);
-}
-
-// ...and a lane whose arrival rate CAN fill a batch inside the band gets a
-// deadline proportional to the expected fill time (>= (max_batch-1) * the
-// guaranteed-minimum gap), i.e. it coalesces far more aggressively than the
-// band floor.
-TEST(PredictionService, AdaptiveDeadlineGrowsWithExpectedBatchFillTime) {
-  Fixture fx;
-  ModelRegistry registry;
-  const ModelHandle handle = registry.publish({"sgd", "paced"}, *fx.model).unwrap();
-
-  ServeOptions opt;
-  opt.max_batch = 8;
-  opt.flush_deadline = std::chrono::microseconds(500);
-  opt.flush_deadline_min = std::chrono::microseconds(100);
-  // A band ceiling far above any plausible fill time keeps the expected-fill
-  // branch deterministic even on a machine where sleep_for oversleeps badly.
-  opt.flush_deadline_max = std::chrono::seconds(60);
-  PredictionService service(registry, opt);
-
-  // Async sends with a paced gap: the EWMA must measure the ARRIVAL spacing,
-  // not the serve latency (a blocking loop would feed the flush wait back
-  // into the inter-arrival signal).
-  const std::vector<data::JobRun> queries = fx.make_queries(12);
-  std::vector<std::future<ServeResult<double>>> futures;
-  for (const auto& q : queries) {
-    futures.push_back(service.predict_async(handle, q));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (auto& f : futures) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error_text();
-  }
-  const ServeMetrics m = service.metrics(handle).unwrap();
-  // Every gap was >= 1 ms, so ewma >= 1000 us and expected fill >= 7000 us.
-  EXPECT_GE(m.interarrival_ewma_us, 1000.0);
-  EXPECT_GE(m.effective_flush_deadline_us, 7000u);
-
-  // QoS weight divides the deadline: doubling the urgency halves it.
-  const std::uint64_t neutral = m.effective_flush_deadline_us;
-  service.set_qos(handle, HandleQos{QosClass::kInteractive, 2.0}).expect();
-  const std::uint64_t urgent =
-      service.metrics(handle).unwrap().effective_flush_deadline_us;
-  EXPECT_LE(urgent, neutral / 2 + 1);
-  EXPECT_GE(urgent, neutral / 2 - 1);
-}
-
 TEST(PredictionService, QosValidationAndIntrospection) {
   Fixture fx;
   ModelRegistry registry;
   const ModelHandle handle = registry.publish({"sgd", "qos"}, *fx.model).unwrap();
-  ServeOptions opt;
-  opt.default_qos = HandleQos{QosClass::kBulk, 0.5};
-  PredictionService service(registry, opt);
+  PredictionService service(registry);
 
-  // Untouched lanes report the service default.
-  EXPECT_EQ(service.qos(handle).unwrap().qos, QosClass::kBulk);
-  EXPECT_DOUBLE_EQ(service.qos(handle).unwrap().weight, 0.5);
+  // Untouched lanes report the default policy.
+  EXPECT_EQ(service.qos(handle).unwrap().qos, QosClass::kInteractive);
+  EXPECT_DOUBLE_EQ(service.qos(handle).unwrap().weight, 1.0);
+  EXPECT_EQ(service.qos(handle).unwrap().max_lag.count(), 0);
 
   service.set_qos(handle, HandleQos{QosClass::kInteractive, 4.0}).expect();
   EXPECT_EQ(service.qos(handle).unwrap().qos, QosClass::kInteractive);
@@ -498,8 +420,6 @@ TEST(PredictionService, MetricsStayConsistentUnderMixedPrioritySoakWithRefitAsyn
   opt.max_batch = 8;
   opt.max_queue = 64;
   opt.flush_deadline = std::chrono::microseconds(300);
-  opt.flush_deadline_min = std::chrono::microseconds(100);
-  opt.flush_deadline_max = std::chrono::microseconds(1500);
   opt.workers = 2;
   PredictionService service(registry, opt);
   service.set_qos(handles[0], HandleQos{QosClass::kInteractive, 4.0}).expect();
@@ -643,6 +563,46 @@ TEST(PredictionService, MaxLagCapsTheEffectiveDeadlineOfADownWeightedLane) {
   HandleQos bad;
   bad.max_lag = std::chrono::microseconds(-5);
   EXPECT_EQ(service.set_qos(handle, bad).status(), ServeStatus::kInvalidArgument);
+}
+
+// A tiny (but positive, finite) weight stretches flush_deadline / weight far
+// past what steady_clock can add to a time point.  The deadline is clamped to
+// kMaxFlushDeadline instead: the request waits like any long-deadline request
+// (it is neither dispatched at once as "starved" nor reported with a wrapped
+// deadline), and stop() still drains it.
+TEST(PredictionService, TinyQosWeightClampsTheDeadlineInsteadOfOverflowing) {
+  Fixture fx;
+  for (const double weight : {1e-14, 1e-300}) {
+    SCOPED_TRACE(weight);
+    ModelRegistry registry;
+    const ModelHandle handle = registry.publish({"sgd", "tiny-weight"}, *fx.model).unwrap();
+    ServeOptions cfg;
+    cfg.max_batch = 1000;  // a single request can never fill a batch
+    cfg.workers = 1;
+    PredictionService service(registry, cfg);
+    // Before any traffic or set_qos the lane does not exist: metrics are zero.
+    EXPECT_EQ(service.metrics(handle).unwrap().effective_flush_deadline_us, 0u);
+    service.set_qos(handle, HandleQos{QosClass::kBulk, weight}).expect();
+
+    const data::JobRun query = fx.make_queries(1)[0];
+    auto future = service.predict_async(handle, query);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const ServeMetrics waiting = service.metrics(handle).unwrap();
+    EXPECT_EQ(waiting.queue_depth, 1u);  // still parked on its deadline
+    EXPECT_EQ(waiting.batches, 0u);
+    EXPECT_GE(waiting.effective_flush_deadline_us, 1u);
+    EXPECT_LE(waiting.effective_flush_deadline_us,
+              static_cast<std::uint64_t>(kMaxFlushDeadline.count()));
+
+    service.stop();
+    const auto r = future.get();
+    ASSERT_TRUE(r.ok()) << r.error_text();
+    EXPECT_EQ(r.value(), fx.model->predict_one(query));
+    const ServeMetrics drained = service.metrics(handle).unwrap();
+    EXPECT_EQ(drained.responses, 1u);
+    EXPECT_EQ(drained.drain_flushes, 1u);
+    EXPECT_EQ(drained.starved_flushes, 0u);
+  }
 }
 
 }  // namespace
