@@ -256,6 +256,11 @@ double BellamyModel::denormalize_target(double network_value) const {
 }
 
 BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
+  return forward_pass(batch, training, /*decode=*/true);
+}
+
+BellamyForward BellamyModel::forward_pass(const BellamyBatch& batch, bool training,
+                                          bool decode) {
   if (!norm_fitted_) {
     throw std::logic_error("BellamyModel::forward: fit_normalization was never called "
                            "(pre-train or load a checkpoint first)");
@@ -267,7 +272,7 @@ BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
   const nn::Matrix xs = normalize_scaleout(batch.scaleout_raw);
   const nn::Matrix e = f_.forward(xs);                // (B x F)
   fw.codes = g_.forward(batch.properties);            // (U x M) unique rows only
-  fw.reconstruction = h_.forward(fw.codes);           // (U x N)
+  if (decode) fw.reconstruction = h_.forward(fw.codes);  // (U x N)
   fw.combined = assemble_combined(e, fw.codes, batch.prop_row);
 
   fw.prediction_norm = z_.forward(fw.combined);  // (B x 1)
@@ -299,7 +304,13 @@ double BellamyModel::reconstruction_mse(const BellamyForward& fw, const BellamyB
 }
 
 BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstruction_weight) {
-  BellamyForward fw = forward(batch, /*training=*/true);
+  // Only what the loss and the optimizer need is computed: the decoder h
+  // runs only when the reconstruction term is weighted in, and gradients
+  // flow only into components that have a trainable parameter (the
+  // optimizer reads no other).  Every trainable gradient keeps its bits; h's
+  // dropout stream feeds only h.
+  const bool decode = reconstruction_weight > 0.0;
+  BellamyForward fw = forward_pass(batch, /*training=*/true, decode);
 
   const nn::Matrix targets_norm =
       batch.targets_raw.apply([this](double v) { return normalize_target(v); });
@@ -312,63 +323,69 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
     loss.mae_seconds = mae.value;
   }
 
-  // Backward through z to the combined vector.
-  const nn::Matrix grad_combined = z_.backward(huber.grad);
-
-  const std::size_t b = batch.batch_size;
-  const std::size_t m = config_.num_essential;
-  const std::size_t n = config_.num_optional;
-  const std::size_t M = config_.code_dim;
-  const std::size_t F = config_.scaleout_out;
-  const std::size_t ppr = config_.props_per_sample();
-
-  // Split grad_combined into the scale-out part and the code parts.  A
-  // unique property row that serves several stacked slots receives the SUM
-  // of their gradients (its code fed all of them), accumulated in
-  // slot order — the dedup-aware equivalent of the stacked scatter.
-  nn::Matrix grad_e(b, F);
-  nn::Matrix grad_codes(batch.num_unique_properties(), M, 0.0);
-  for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t j = 0; j < F; ++j) grad_e(i, j) = grad_combined(i, j);
-    for (std::size_t p = 0; p < m; ++p) {
-      const std::size_t crow = batch.prop_row[i * ppr + p];
-      for (std::size_t j = 0; j < M; ++j) {
-        grad_codes(crow, j) += grad_combined(i, F + p * M + j);
-      }
-    }
-    for (std::size_t j = 0; j < M; ++j) {
-      const double go = n ? grad_combined(i, F + m * M + j) / static_cast<double>(n) : 0.0;
-      for (std::size_t p = 0; p < n; ++p) {
-        grad_codes(batch.prop_row[i * ppr + m + p], j) += go;
-      }
-    }
+  // z forms dL/d(combined) only when f or g trains.
+  const bool into_f = f_.has_trainable();
+  const bool into_g = g_.has_trainable();
+  nn::Matrix grad_combined;
+  if (into_f || into_g) {
+    grad_combined = z_.backward(huber.grad);
+  } else {
+    z_.backward_params(huber.grad);
   }
 
-  f_.backward(grad_e);
+  const std::size_t F = config_.scaleout_out;
+  if (into_f) f_.backward_params(grad_combined.slice_cols(0, F));
 
-  if (reconstruction_weight > 0.0) {
-    nn::Matrix grad_recon;
+  nn::Matrix grad_recon;
+  if (decode) {
     loss.reconstruction = reconstruction_mse(fw, batch, &grad_recon);
     grad_recon *= reconstruction_weight;
-    grad_codes += h_.backward(grad_recon);
   }
 
-  g_.backward(grad_codes);
+  if (into_g) {
+    const std::size_t b = batch.batch_size;
+    const std::size_t m = config_.num_essential;
+    const std::size_t n = config_.num_optional;
+    const std::size_t M = config_.code_dim;
+    const std::size_t ppr = config_.props_per_sample();
+    // Scatter the code parts of grad_combined.  A unique property row that
+    // serves several stacked slots receives the SUM of their gradients (its
+    // code fed all of them), accumulated in slot order — the dedup-aware
+    // equivalent of the stacked scatter.
+    nn::Matrix grad_codes(batch.num_unique_properties(), M, 0.0);
+    for (std::size_t i = 0; i < b; ++i) {
+      for (std::size_t p = 0; p < m; ++p) {
+        const std::size_t crow = batch.prop_row[i * ppr + p];
+        for (std::size_t j = 0; j < M; ++j) {
+          grad_codes(crow, j) += grad_combined(i, F + p * M + j);
+        }
+      }
+      for (std::size_t j = 0; j < M; ++j) {
+        const double go = n ? grad_combined(i, F + m * M + j) / static_cast<double>(n) : 0.0;
+        for (std::size_t p = 0; p < n; ++p) {
+          grad_codes(batch.prop_row[i * ppr + m + p], j) += go;
+        }
+      }
+    }
+    if (decode) grad_codes += h_.backward(grad_recon);
+    g_.backward_params(grad_codes);
+  } else if (decode) {
+    h_.backward_params(grad_recon);
+  }
 
   loss.total = loss.huber + reconstruction_weight * loss.reconstruction;
   return loss;
 }
 
 BellamyLoss BellamyModel::evaluate(const BellamyBatch& batch, double reconstruction_weight) {
-  BellamyForward fw = forward(batch, /*training=*/false);
+  const bool decode = reconstruction_weight > 0.0;
+  BellamyForward fw = forward_pass(batch, /*training=*/false, decode);
   const nn::Matrix targets_norm =
       batch.targets_raw.apply([this](double v) { return normalize_target(v); });
   BellamyLoss loss;
   loss.huber = nn::huber_loss(fw.prediction_norm, targets_norm, config_.huber_delta).value;
   loss.mae_seconds = nn::mae_loss(fw.prediction_raw, batch.targets_raw).value;
-  if (reconstruction_weight > 0.0) {
-    loss.reconstruction = reconstruction_mse(fw, batch, nullptr);
-  }
+  if (decode) loss.reconstruction = reconstruction_mse(fw, batch, nullptr);
   loss.total = loss.huber + reconstruction_weight * loss.reconstruction;
   return loss;
 }

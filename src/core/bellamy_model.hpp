@@ -147,11 +147,14 @@ class BellamyModel {
   /// Forward pass; `training` toggles dropout.
   BellamyForward forward(const BellamyBatch& batch, bool training);
 
-  /// Forward + joint loss + backward (gradients accumulate into parameters).
-  /// reconstruction_weight 0 disables the auto-encoder path (fine-tuning).
+  /// Forward + joint loss + backward (gradients accumulate into the
+  /// trainable parameters; frozen ones are left untouched).
+  /// reconstruction_weight 0 disables the auto-encoder path (fine-tuning):
+  /// the decoder h then does not run at all.
   BellamyLoss train_step(const BellamyBatch& batch, double reconstruction_weight);
 
-  /// Loss evaluation without gradients (dropout off).
+  /// Loss evaluation without gradients (dropout off; h runs only when
+  /// reconstruction_weight > 0).
   BellamyLoss evaluate(const BellamyBatch& batch, double reconstruction_weight);
 
   /// Predict runtimes in seconds (eval mode) for a whole batch in a single
@@ -222,6 +225,9 @@ class BellamyModel {
 
  private:
   void build(std::uint64_t dropout_seed);
+  /// forward(), with the decoder h run only when `decode` is set (its output
+  /// feeds nothing but the reconstruction term).
+  BellamyForward forward_pass(const BellamyBatch& batch, bool training, bool decode);
   nn::Matrix normalize_scaleout(const nn::Matrix& raw) const;
   double normalize_target(double seconds) const;
   double denormalize_target(double network_value) const;

@@ -90,7 +90,8 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
   nn::Adam::Config adam;
   adam.lr = config.base_lr;
   adam.weight_decay = config.weight_decay;
-  nn::Adam optimizer(model.parameters(), adam);
+  const std::vector<nn::Parameter*> params = model.parameters();
+  nn::Adam optimizer(params, adam);
   nn::CyclicalLr schedule(config.base_lr, config.max_lr, config.lr_cycle);
 
   const double recon_weight = config.train_autoencoder ? 1.0 : 0.0;
@@ -103,7 +104,11 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
 
   FineTuneResult result;
   double best_mae = model.evaluate(batch, recon_weight).mae_seconds;
-  auto best_state = model.snapshot_parameters();
+  std::vector<nn::Matrix> best_state = model.snapshot_parameters();
+  // An improving epoch copies into the snapshot's existing storage.
+  const auto keep_best = [&] {
+    for (std::size_t i = 0; i < params.size(); ++i) best_state[i] = params[i]->value;
+  };
   std::size_t best_epoch = 0;
 
   if (best_mae <= config.mae_target_seconds) {
@@ -128,7 +133,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
       const BellamyLoss loss = model.train_step(batch, recon_weight);
       if (loss.mae_seconds < best_mae) {
         best_mae = loss.mae_seconds;
-        best_state = model.snapshot_parameters();
+        keep_best();
         best_epoch = epoch;
       }
       optimizer.step();
@@ -167,7 +172,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
       const double epoch_mae = model.evaluate(batch, recon_weight).mae_seconds;
       if (epoch_mae < best_mae) {
         best_mae = epoch_mae;
-        best_state = model.snapshot_parameters();
+        keep_best();
         best_epoch = epoch;
       }
       ++result.epochs_run;

@@ -15,11 +15,10 @@ double selu_derivative(double x) {
   return x > 0.0 ? kSeluScale : kSeluScale * kSeluAlpha * std::exp(x);
 }
 
-// SELU is the one activation with hand-written AVX2 (nn/simd.hpp): the model
-// is SELU everywhere but the decoder output, and its exp is the largest
-// scalar cost in train_step.  Tanh runs only on the decoder output and the
-// model uses neither relu nor sigmoid, so those are plain loops; tanh's
-// backward spells out its fused multiply-add.
+// SELU and tanh have hand-written AVX2 (nn/simd.hpp): the model is SELU
+// everywhere but the decoder output, which is tanh, and their scalar exp /
+// tanh are the largest element-wise costs of a pretrain.  The model uses
+// neither relu nor sigmoid, so those are plain loops.
 
 Matrix Selu::forward(const Matrix& input) {
   cached_input_ = input;
@@ -44,14 +43,14 @@ Matrix Tanh::forward(const Matrix& input) {
 }
 
 Matrix Tanh::infer(const Matrix& input) const {
-  return input.apply([](double v) { return std::tanh(v); });
+  Matrix out = input;
+  simd::tanh_forward(out.data(), out.size());
+  return out;
 }
 
 Matrix Tanh::backward(const Matrix& grad_output) {
   Matrix grad = grad_output;
-  double* g = grad.data();
-  const double* y = cached_output_.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= __builtin_fma(-y[i], y[i], 1.0);
+  simd::tanh_backward(grad.data(), cached_output_.data(), grad.size());
   return grad;
 }
 

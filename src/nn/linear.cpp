@@ -32,15 +32,19 @@ Matrix Linear::infer(const Matrix& input) const {
 }
 
 Matrix Linear::backward(const Matrix& grad_output) {
+  backward_params(grad_output);
+  // dL/dX = grad W -> (B x out)(out x in) = (B x in)
+  return Matrix::matmul(grad_output, weight_.value);
+}
+
+void Linear::backward_params(const Matrix& grad_output) {
   if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != out_) {
     throw std::invalid_argument("Linear::backward: grad " + grad_output.shape_str() +
                                 " does not match forward output shape");
   }
   // dL/dW = gradᵀ X  -> (out x B)(B x in) = (out x in)
-  weight_.grad += Matrix::matmul_tn(grad_output, cached_input_);
-  if (with_bias_) bias_.grad += grad_output.colwise_sum();
-  // dL/dX = grad W -> (B x out)(out x in) = (B x in)
-  return Matrix::matmul(grad_output, weight_.value);
+  if (weight_.trainable) weight_.grad += Matrix::matmul_tn(grad_output, cached_input_);
+  if (with_bias_ && bias_.trainable) bias_.grad += grad_output.colwise_sum();
 }
 
 std::vector<Parameter*> Linear::parameters() {

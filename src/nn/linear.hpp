@@ -24,6 +24,7 @@ class Linear : public Module {
   Matrix forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
+  void backward_params(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::string describe() const override;
 

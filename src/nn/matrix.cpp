@@ -193,13 +193,6 @@ Matrix Matrix::hadamard(const Matrix& rhs) const {
   return out;
 }
 
-void Matrix::add_scaled(const Matrix& rhs, double alpha) {
-  check_same_shape(rhs, "add_scaled");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] = __builtin_fma(alpha, rhs.data_[i], data_[i]);
-  }
-}
-
 void Matrix::fill(double value) { std::fill(data_.begin(), data_.end(), value); }
 
 namespace {

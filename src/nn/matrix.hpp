@@ -94,8 +94,6 @@ class Matrix {
   void apply_inplace(Fn&& fn) {
     for (double& v : data_) v = fn(v);
   }
-  /// this += alpha * rhs (axpy).
-  void add_scaled(const Matrix& rhs, double alpha);
   void fill(double value);
   void setZero() { fill(0.0); }
 

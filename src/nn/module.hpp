@@ -10,7 +10,8 @@
 //
 // Freezing (the paper's fine-tuning policy keeps most components fixed) is
 // expressed per-parameter via Parameter::trainable; optimizers skip frozen
-// parameters and trainers may additionally skip their gradient computation.
+// parameters, and backward() never accumulates a frozen parameter's
+// gradient.
 
 #include <memory>
 #include <string>
@@ -49,6 +50,11 @@ class Module {
   /// Propagate dL/d(output) -> dL/d(input), accumulating parameter grads.
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
+  /// backward() without dL/d(input): accumulate the trainable parameters'
+  /// gradients only.  For a module whose input is data, or whose input
+  /// gradient nothing upstream needs.
+  virtual void backward_params(const Matrix& grad_output) { backward(grad_output); }
+
   /// All parameters owned by this module (possibly recursively).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
@@ -59,6 +65,14 @@ class Module {
   /// Mark every owned parameter (non-)trainable.
   void set_trainable(bool trainable) {
     for (Parameter* p : parameters()) p->trainable = trainable;
+  }
+
+  /// True when at least one owned parameter is trainable.
+  bool has_trainable() {
+    for (const Parameter* p : parameters()) {
+      if (p->trainable) return true;
+    }
+    return false;
   }
 
   void zero_grad() {

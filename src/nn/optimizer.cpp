@@ -7,42 +7,9 @@
 
 namespace bellamy::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  if (lr <= 0.0) throw std::invalid_argument("Optimizer: lr must be > 0");
-}
-
-void Optimizer::zero_grad() {
-  for (Parameter* p : params_) p->zero_grad();
-}
-
-void Optimizer::set_learning_rate(double lr) {
-  if (lr <= 0.0) throw std::invalid_argument("Optimizer::set_learning_rate: lr must be > 0");
-  lr_ = lr;
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum, double weight_decay)
-    : Optimizer(std::move(params), lr), momentum_(momentum), weight_decay_(weight_decay) {}
-
-void Sgd::step() {
-  for (Parameter* p : params_) {
-    if (!p->trainable) continue;
-    Matrix g = p->grad;
-    if (weight_decay_ != 0.0) g.add_scaled(p->value, weight_decay_);
-    if (momentum_ != 0.0) {
-      auto [it, inserted] = velocity_.try_emplace(p, Matrix::zeros(g.rows(), g.cols()));
-      Matrix& v = it->second;
-      v *= momentum_;
-      v += g;
-      p->value.add_scaled(v, -lr_);
-    } else {
-      p->value.add_scaled(g, -lr_);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, Config config)
-    : Optimizer(std::move(params), config.lr), config_(config) {
+    : params_(std::move(params)), lr_(config.lr), config_(config) {
+  if (config.lr <= 0.0) throw std::invalid_argument("Adam: lr must be > 0");
   if (config.beta1 < 0.0 || config.beta1 >= 1.0 || config.beta2 < 0.0 || config.beta2 >= 1.0) {
     throw std::invalid_argument("Adam: betas must be in [0, 1)");
   }
@@ -72,6 +39,15 @@ void Adam::step() {
     simd::adam_update(p->value.data(), p->grad.data(), s.m.data(), s.v.data(),
                       p->value.size(), step);
   }
+}
+
+void Adam::zero_grad() {
+  for (Parameter* p : params_) p->zero_grad();
+}
+
+void Adam::set_learning_rate(double lr) {
+  if (lr <= 0.0) throw std::invalid_argument("Adam::set_learning_rate: lr must be > 0");
+  lr_ = lr;
 }
 
 }  // namespace bellamy::nn

@@ -20,6 +20,15 @@ Matrix Sequential::backward(const Matrix& grad_output) {
   return g;
 }
 
+void Sequential::backward_params(const Matrix& grad_output) {
+  std::size_t lowest = 0;
+  while (lowest < modules_.size() && !modules_[lowest]->has_trainable()) ++lowest;
+  if (lowest == modules_.size()) return;
+  Matrix g = grad_output;
+  for (std::size_t i = modules_.size() - 1; i > lowest; --i) g = modules_[i]->backward(g);
+  modules_[lowest]->backward_params(g);
+}
+
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> ps;
   for (auto& m : modules_) {

@@ -30,6 +30,10 @@ class Sequential : public Module {
   Matrix forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
+  /// Back-propagates only down to the lowest module that has a trainable
+  /// parameter, which takes the parameter-only step: the chain's input
+  /// gradient, and every gradient below that module, is never formed.
+  void backward_params(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
   void set_training(bool training) override;
   std::string describe() const override;

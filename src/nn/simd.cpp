@@ -99,6 +99,14 @@ void selu_backward(double* g, const double* x, std::size_t n) {
   }
 }
 
+void tanh_forward(double* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+}
+
+void tanh_backward(double* g, const double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) g[i] *= __builtin_fma(-y[i], y[i], 1.0);
+}
+
 // Fused multiply-adds are written explicitly (__builtin_fma) wherever the
 // AVX2 twin fuses, so both round identically per element.
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
@@ -246,6 +254,33 @@ __attribute__((target("avx2,fma"))) inline __m256d selu_bwd_lane(__m256d v) {
   return _mm256_blendv_pd(neg, scale, gt);
 }
 
+// Cephes tanh on |x|, sign restored by OR-ing x's sign bit back in (so
+// tanh(-0) = -0): for |x| < 0.625 the odd rational |x| + |x|^3 P(x^2)/Q(x^2),
+// else 1 - 2/(exp(2|x|) + 1).  exp_pd's clamp saturates the second branch to
+// exactly 1 for |x| >= ~355 and for inf; NaN fails the ordered >= compare,
+// takes the rational branch and stays NaN.
+__attribute__((target("avx2,fma"))) inline __m256d tanh_lane(__m256d x) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d z = _mm256_andnot_pd(sign, x);
+  const __m256d one = _mm256_set1_pd(1.0);
+
+  const __m256d s = _mm256_mul_pd(z, z);
+  __m256d p = _mm256_set1_pd(-9.64399179425052238628e-1);
+  p = _mm256_fmadd_pd(p, s, _mm256_set1_pd(-9.92877231001918586564e1));
+  p = _mm256_fmadd_pd(p, s, _mm256_set1_pd(-1.61468768441708447952e3));
+  __m256d q = _mm256_add_pd(s, _mm256_set1_pd(1.12811678491632931402e2));
+  q = _mm256_fmadd_pd(q, s, _mm256_set1_pd(2.23548839060100448583e3));
+  q = _mm256_fmadd_pd(q, s, _mm256_set1_pd(4.84406305325125486048e3));
+  const __m256d small = _mm256_fmadd_pd(_mm256_mul_pd(z, s), _mm256_div_pd(p, q), z);
+
+  const __m256d e = exp_pd(_mm256_add_pd(z, z));
+  const __m256d large =
+      _mm256_sub_pd(one, _mm256_div_pd(_mm256_set1_pd(2.0), _mm256_add_pd(e, one)));
+
+  const __m256d use_large = _mm256_cmp_pd(z, _mm256_set1_pd(0.625), _CMP_GE_OQ);
+  return _mm256_or_pd(_mm256_blendv_pd(small, large, use_large), _mm256_and_pd(sign, x));
+}
+
 // Per-lane Adam step: pre-broadcast constants arrive via this POD so the
 // helper stays a plain (target-attributed) function — lambdas inside a
 // target("avx2") function do not inherit the target and fail to inline.
@@ -311,6 +346,33 @@ __attribute__((target("avx2,fma"))) void selu_backward(double* g, const double* 
   if (const std::size_t r = n - i) {
     const __m256i m = tail_mask(r);
     const __m256d d = selu_bwd_lane(_mm256_maskload_pd(x + i, m));
+    _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
+  }
+}
+
+__attribute__((target("avx2,fma"))) void tanh_forward(double* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(x + i, tanh_lane(_mm256_loadu_pd(x + i)));
+  if (const std::size_t r = n - i) {
+    const __m256i m = tail_mask(r);
+    _mm256_maskstore_pd(x + i, m, tanh_lane(_mm256_maskload_pd(x + i, m)));
+  }
+}
+
+// g *= fma(-y, y, 1): vfnmadd rounds exactly like the portable twin's fma.
+__attribute__((target("avx2,fma"))) void tanh_backward(double* g, const double* y,
+                                                       std::size_t n) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d vy = _mm256_loadu_pd(y + i);
+    const __m256d d = _mm256_fnmadd_pd(vy, vy, one);
+    _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
+  }
+  if (const std::size_t r = n - i) {
+    const __m256i m = tail_mask(r);
+    const __m256d vy = _mm256_maskload_pd(y + i, m);
+    const __m256d d = _mm256_fnmadd_pd(vy, vy, one);
     _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
   }
 }
@@ -383,6 +445,16 @@ void selu_forward(double* x, std::size_t n) {
 void selu_backward(double* g, const double* x, std::size_t n) {
   if (use_avx2()) return avx2::selu_backward(g, x, n);
   ref::selu_backward(g, x, n);
+}
+
+void tanh_forward(double* x, std::size_t n) {
+  if (use_avx2()) return avx2::tanh_forward(x, n);
+  ref::tanh_forward(x, n);
+}
+
+void tanh_backward(double* g, const double* y, std::size_t n) {
+  if (use_avx2()) return avx2::tanh_backward(g, y, n);
+  ref::tanh_backward(g, y, n);
 }
 
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,

@@ -1,14 +1,17 @@
 #pragma once
-// The only hand-written SIMD in the tree: four runtime-dispatched kernels,
-// each an AVX2+FMA implementation with a portable twin under simd::ref.  One
-// CPU-feature check per process (in simd.cpp) picks the AVX2 path; the
-// portable twins are the fallback and the ground truth of the parity suite
-// (tests/nn/test_simd_kernels.cpp).
+// The only hand-written SIMD in the tree: five runtime-dispatched kernel
+// pairs, each an AVX2+FMA implementation with a portable twin under
+// simd::ref.  One CPU-feature check per process (in simd.cpp) picks the AVX2
+// path; the portable twins are the fallback (the production path off x86)
+// and the ground truth of the parity suite (tests/nn/test_simd_kernels.cpp).
 //
-// These four stay because the end-to-end benchmark (`fit`, `sweep`) shows
-// they pay; README § Performance has the numbers.  Every other element-wise
-// loop (Matrix arithmetic, relu/tanh/sigmoid backward, the loss gradients)
-// is a plain loop at its only caller.
+// These five stay because the end-to-end benchmark (`fit`, `sweep`) shows
+// they pay; README § Performance has the numbers.  Tanh joined once train_step
+// stopped doing work no loss needs: the decoder's scalar std::tanh and the
+// libm fma call per element of its backward (a plain loop compiled outside
+// the FMA target calls libm) were then ~17% of a pretrain.  Every other
+// element-wise loop (Matrix arithmetic, relu/sigmoid, the loss gradients) is
+// a plain loop at its only caller.
 //
 // Determinism contract:
 //  * gemm_tile: both twins give every C element its k contributions in
@@ -17,12 +20,16 @@
 //    AVX2 twin fuses every multiply-add (vfmadd in the 4x8 tile, scalar
 //    __builtin_fma on the ragged edges); the portable twin does not, so the
 //    two agree to rounding, not to the bit.
-//  * adam_update uses only IEEE-exact operations with its fused
-//    multiply-adds spelled out in both twins, so they are bit-identical.
+//  * adam_update and tanh_backward use only IEEE-exact operations with
+//    their fused multiply-adds spelled out in both twins, so the twins are
+//    bit-identical.
 //  * selu_forward/backward use a vectorized Cephes-style exp on the AVX2
-//    path and std::exp on the portable one; they agree to ~1 ulp.  The ragged
-//    tail goes through masked loads into the same lane arithmetic, so an
-//    element's result never depends on its position in the array.
+//    path and std::exp on the portable one; they agree to ~1 ulp.
+//    tanh_forward is a vectorized Cephes tanh against std::tanh, within
+//    2 ulp; it keeps the sign of zero, maps +-inf to +-1 and NaN to NaN.
+//  * The ragged tail of every element-wise kernel goes through masked loads
+//    into the same lane arithmetic, so an element's result never depends on
+//    its position in the array.
 //  * The dispatch decision is per process, so all results within a run are
 //    self-consistent.
 
@@ -53,6 +60,10 @@ void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_
 void selu_forward(double* x, std::size_t n);
 void selu_backward(double* g, const double* x, std::size_t n);  ///< g *= selu'(x)
 
+void tanh_forward(double* x, std::size_t n);
+/// g *= tanh'(x), given y = tanh(x): g *= fma(-y, y, 1).
+void tanh_backward(double* g, const double* y, std::size_t n);
+
 /// In-place Adam moment/parameter update over one tensor:
 ///   geff = grad + weight_decay * w
 ///   m = beta1*m + (1-beta1)*geff ; v = beta2*v + (1-beta2)*geff^2
@@ -68,6 +79,8 @@ void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_
                std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 void selu_forward(double* x, std::size_t n);
 void selu_backward(double* g, const double* x, std::size_t n);
+void tanh_forward(double* x, std::size_t n);
+void tanh_backward(double* g, const double* y, std::size_t n);
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,
                  const AdamStep& s);
 }  // namespace ref

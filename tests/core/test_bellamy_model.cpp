@@ -228,6 +228,49 @@ TEST(BellamyModel, DecoderGetsNoGradientWithoutReconstructionLoss) {
   EXPECT_GT(fz_grad, 0.0);
 }
 
+// train_step skips the work of frozen components (and the decoder when its
+// loss has weight 0).  Under every freeze pattern, including fine-tuning's
+// (only z, then f and z), frozen gradients stay exactly zero and trainable
+// ones are bit-identical to those of an all-trainable twin from the same seed.
+TEST(BellamyModel, FrozenComponentsGetNoGradientTrainableOnesKeepTheirBits) {
+  struct Case {
+    bool f, g, h;
+    double reconstruction_weight;
+  };
+  const Case cases[] = {{false, false, false, 0.0},
+                        {true, false, false, 0.0},
+                        {false, true, false, 1.0},
+                        {false, false, true, 1.0},
+                        {true, false, true, 1.0}};
+  const auto runs = small_context();
+  for (const Case& c : cases) {
+    BellamyModel all(BellamyConfig{}, 12);
+    BellamyModel frozen(BellamyConfig{}, 12);
+    for (BellamyModel* m : {&all, &frozen}) {
+      m->fit_normalization(runs);
+      m->set_dropout_rate(0.0);
+      for (nn::Parameter* p : m->parameters()) p->zero_grad();
+    }
+    frozen.set_trainable_components(c.f, c.g, c.h, true);
+    const auto batch = all.make_batch(runs);
+    all.train_step(batch, c.reconstruction_weight);
+    frozen.train_step(batch, c.reconstruction_weight);
+
+    const auto want = all.parameters();
+    const auto got = frozen.parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(got[i]->name + " f=" + std::to_string(c.f) + " g=" + std::to_string(c.g) +
+                   " h=" + std::to_string(c.h));
+      if (got[i]->trainable) {
+        EXPECT_EQ(got[i]->grad, want[i]->grad);
+      } else {
+        EXPECT_EQ(got[i]->grad.squared_norm(), 0.0);
+      }
+    }
+  }
+}
+
 TEST(BellamyModel, FiniteDifferenceOnJointLoss) {
   // Check one representative weight of each component against central
   // differences of the full joint objective.

@@ -144,14 +144,10 @@ TEST(Matrix, Hadamard) {
   EXPECT_DOUBLE_EQ(h(0, 1), 15.0);
 }
 
-TEST(Matrix, ApplyAndAddScaled) {
+TEST(Matrix, Apply) {
   Matrix a{{1.0, -2.0}};
   const Matrix sq = a.apply([](double v) { return v * v; });
   EXPECT_DOUBLE_EQ(sq(0, 1), 4.0);
-  Matrix b{{10.0, 10.0}};
-  b.add_scaled(a, 0.5);
-  EXPECT_DOUBLE_EQ(b(0, 0), 10.5);
-  EXPECT_DOUBLE_EQ(b(0, 1), 9.0);
 }
 
 TEST(Matrix, MatmulKnownResult) {

@@ -15,45 +15,10 @@ Parameter make_param(double value) { return Parameter("p", Matrix{{value}}); }
 
 TEST(Optimizer, RejectsNonPositiveLr) {
   Parameter p = make_param(1.0);
-  EXPECT_THROW(Sgd({&p}, 0.0), std::invalid_argument);
-  EXPECT_THROW(Sgd({&p}, -1.0), std::invalid_argument);
-  Sgd opt({&p}, 0.1);
+  EXPECT_THROW(Adam({&p}, Adam::Config{.lr = 0.0}), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, Adam::Config{.lr = -1.0}), std::invalid_argument);
+  Adam opt({&p}, Adam::Config{.lr = 0.1});
   EXPECT_THROW(opt.set_learning_rate(0.0), std::invalid_argument);
-}
-
-TEST(Sgd, SingleStep) {
-  Parameter p = make_param(1.0);
-  p.grad = Matrix{{0.5}};
-  Sgd opt({&p}, 0.1);
-  opt.step();
-  EXPECT_DOUBLE_EQ(p.value(0, 0), 1.0 - 0.1 * 0.5);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Parameter p = make_param(0.0);
-  Sgd opt({&p}, 1.0, /*momentum=*/0.9);
-  p.grad = Matrix{{1.0}};
-  opt.step();  // v = 1, p = -1
-  EXPECT_DOUBLE_EQ(p.value(0, 0), -1.0);
-  opt.step();  // v = 1.9, p = -2.9
-  EXPECT_DOUBLE_EQ(p.value(0, 0), -2.9);
-}
-
-TEST(Sgd, WeightDecayShrinksParameters) {
-  Parameter p = make_param(10.0);
-  p.grad = Matrix{{0.0}};
-  Sgd opt({&p}, 0.1, 0.0, /*weight_decay=*/0.5);
-  opt.step();
-  EXPECT_DOUBLE_EQ(p.value(0, 0), 10.0 - 0.1 * 0.5 * 10.0);
-}
-
-TEST(Sgd, SkipsFrozenParameters) {
-  Parameter p = make_param(1.0);
-  p.grad = Matrix{{1.0}};
-  p.trainable = false;
-  Sgd opt({&p}, 0.1);
-  opt.step();
-  EXPECT_DOUBLE_EQ(p.value(0, 0), 1.0);
 }
 
 TEST(Adam, FirstStepMovesByLr) {
@@ -191,7 +156,7 @@ TEST(Optimizer, ZeroGradClearsAll) {
   Parameter b = make_param(2.0);
   a.grad = Matrix{{5.0}};
   b.grad = Matrix{{6.0}};
-  Sgd opt({&a, &b}, 0.1);
+  Adam opt({&a, &b}, Adam::Config{});
   opt.zero_grad();
   EXPECT_DOUBLE_EQ(a.grad(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(b.grad(0, 0), 0.0);

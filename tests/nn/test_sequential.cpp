@@ -108,6 +108,41 @@ TEST(Sequential, SetTrainableAffectsAllParameters) {
   for (auto* p : seq.parameters()) EXPECT_FALSE(p->trainable);
 }
 
+// backward_params() stops at the lowest module with a trainable parameter
+// and never forms the input gradient; the parameter gradients it accumulates
+// are bit-identical to backward()'s, and frozen parameters get none — a
+// frozen first layer, or only its weight (the layer still runs for its bias).
+TEST(Sequential, BackwardParamsMatchesBackwardBitForBit) {
+  enum class Freeze { kNothing, kFirstLayer, kFirstWeight };
+  for (const Freeze freeze : {Freeze::kNothing, Freeze::kFirstLayer, Freeze::kFirstWeight}) {
+    util::Rng rng_a(10);
+    util::Rng rng_b(10);
+    Sequential full = make_mlp(rng_a, /*with_dropout=*/true);
+    Sequential params_only = make_mlp(rng_b, /*with_dropout=*/true);
+    auto& first = static_cast<Linear&>(params_only.module(0));
+    if (freeze == Freeze::kFirstLayer) first.set_trainable(false);
+    if (freeze == Freeze::kFirstWeight) first.weight().trainable = false;
+    util::Rng data(11);
+    const Matrix x = Matrix::randn(5, 3, data);
+    const Matrix grad_out = Matrix::randn(5, 2, data);
+    // Two steps, so gradients accumulate as they do across a mini-batch.
+    for (int step = 0; step < 2; ++step) {
+      ASSERT_EQ(full.forward(x), params_only.forward(x));  // same dropout mask
+      full.backward(grad_out);
+      params_only.backward_params(grad_out);
+    }
+    const auto want = full.parameters();
+    const auto got = params_only.parameters();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i]->trainable) {
+        EXPECT_EQ(got[i]->grad, want[i]->grad) << got[i]->name;
+      } else {
+        EXPECT_EQ(got[i]->grad.squared_norm(), 0.0) << got[i]->name;
+      }
+    }
+  }
+}
+
 TEST(Sequential, BackwardMatchesChainRule) {
   // y = W2 * selu(W1 x); compare against a manually composed pipeline.
   util::Rng rng(9);

@@ -1,13 +1,15 @@
-// Parity of the four dispatched kernels in nn/simd.hpp with their portable
-// twins (simd::ref).  Element-wise kernels are swept over odd lengths
-// (1, 7, 31, 4096+3) so full blocks, short arrays, and ragged tails are all
-// exercised; the GEMM tile over ragged mi % 4 / w % 8 shapes.
+// Parity of the five dispatched kernel pairs in nn/simd.hpp with their
+// portable twins (simd::ref).  Element-wise kernels are swept over odd
+// lengths (1, 7, 31, 4096+3) so full blocks, short arrays, and ragged tails
+// are all exercised; the GEMM tile over ragged mi % 4 / w % 8 shapes.
 //
-//  * adam_update must match the portable twin EXACTLY (both spell out their
-//    fused multiply-adds, so rounding is identical).
+//  * adam_update and tanh_backward must match the portable twin EXACTLY
+//    (both spell out their fused multiply-adds, so rounding is identical).
 //  * selu forward/backward use a vectorized exp on the AVX2 path and agree
 //    with std::exp to ~1 ulp — compared with a tight absolute+relative
 //    tolerance.
+//  * tanh_forward is a vectorized Cephes tanh: within 2 ulp of std::tanh,
+//    counted in ulps, over a dense sweep and the edge inputs.
 //  * gemm_tile fuses on the AVX2 path only, so the twins agree within 1e-12
 //    of the product's magnitude; each twin on its own gives a row the same
 //    bits whether it is computed alone or inside a taller tile.
@@ -23,8 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -76,6 +81,77 @@ TEST(SimdKernels, SeluForwardBackwardParityClose) {
     selu_backward(g1.data(), x.data(), n);
     ref::selu_backward(g2.data(), x.data(), n);
     expect_close(g1, g2, "selu_backward", n, 1e-13);
+  }
+}
+
+// Distance in representable doubles between two finite values of the same
+// sign (or zeros): the ulp count the tanh contract is stated in.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  return ia > ib ? static_cast<std::uint64_t>(ia - ib) : static_cast<std::uint64_t>(ib - ia);
+}
+
+void expect_tanh_within_2ulp(const std::vector<double>& x) {
+  auto got = x;
+  auto want = x;
+  tanh_forward(got.data(), got.size());
+  ref::tanh_forward(want.data(), want.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << "tanh(NaN) = " << got[i];
+      continue;
+    }
+    EXPECT_EQ(std::signbit(got[i]), std::signbit(want[i])) << "x=" << x[i];
+    EXPECT_LE(ulp_distance(got[i], want[i]), 2u)
+        << "x=" << x[i] << " got " << got[i] << " want " << want[i];
+  }
+}
+
+TEST(SimdKernels, TanhForwardWithin2UlpOnDenseSweep) {
+  std::vector<double> x;
+  for (double v = -20.0; v <= 20.0; v += 1.0 / 4096.0) x.push_back(v);
+  // Off-grid points too: the grid alone hits only dyadic rationals.
+  util::Rng rng(81);
+  for (int i = 0; i < 100000; ++i) x.push_back(rng.uniform(-20.0, 20.0));
+  expect_tanh_within_2ulp(x);
+}
+
+TEST(SimdKernels, TanhForwardEdgeInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double sw = 0.625;  // where the kernel switches from rational to exp form
+  std::vector<double> x = {0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+                           std::numeric_limits<double>::min(), 1e-8, -1e-8,
+                           std::nextafter(sw, 0.0), sw, std::nextafter(sw, 1.0),
+                           -std::nextafter(sw, 0.0), -sw, -std::nextafter(sw, 1.0),
+                           354.0, 356.0, 800.0, -800.0, inf, -inf,
+                           std::numeric_limits<double>::quiet_NaN(), 0.5, -3.0};
+  expect_tanh_within_2ulp(x);
+
+  double v = -0.0;
+  tanh_forward(&v, 1);
+  EXPECT_TRUE(std::signbit(v) && v == 0.0) << "tanh(-0) must be -0";
+  std::vector<double> sat = {800.0, -800.0, inf, -inf};
+  tanh_forward(sat.data(), sat.size());
+  EXPECT_EQ(sat, (std::vector<double>{1.0, -1.0, 1.0, -1.0}));
+}
+
+// Lengths 1..9 route 1..3 elements through the masked tail after 0..2 full
+// blocks; each element must still get its own tanh.
+TEST(SimdKernels, TanhForwardMaskedTailLengths) {
+  for (std::size_t n = 1; n <= 9; ++n) expect_tanh_within_2ulp(random_values(n, 90 + n));
+}
+
+TEST(SimdKernels, TanhBackwardParityExact) {
+  for (const std::size_t n : kLengths) {
+    auto y = random_values(n, 35, 0.5);
+    for (auto& v : y) v = std::tanh(v);  // a cached tanh output lies in [-1, 1]
+    auto g1 = random_values(n, 36);
+    auto g2 = g1;
+    tanh_backward(g1.data(), y.data(), n);
+    ref::tanh_backward(g2.data(), y.data(), n);
+    expect_exact(g1, g2, "tanh_backward", n);
   }
 }
 
@@ -210,6 +286,20 @@ TEST(SimdKernels, SplitProcessingIsBitIdentical) {
     selu_backward(gp.data(), x.data(), split);
     selu_backward(gp.data() + split, x.data() + split, n - split);
     expect_exact(gp, gw, "selu_backward split", n);
+
+    auto tw = random_values(n, 54);
+    auto tp = tw;
+    tanh_forward(tw.data(), n);
+    tanh_forward(tp.data(), split);
+    tanh_forward(tp.data() + split, n - split);
+    expect_exact(tp, tw, "tanh_forward split", n);
+
+    auto bw = random_values(n, 55);
+    auto bp = bw;
+    tanh_backward(bw.data(), tw.data(), n);
+    tanh_backward(bp.data(), tw.data(), split);
+    tanh_backward(bp.data() + split, tw.data() + split, n - split);
+    expect_exact(bp, bw, "tanh_backward split", n);
   }
 }
 
@@ -217,6 +307,8 @@ TEST(SimdKernels, ZeroLengthIsSafe) {
   double dummy = 1.0;
   selu_forward(&dummy, 0);
   selu_backward(&dummy, &dummy, 0);
+  tanh_forward(&dummy, 0);
+  tanh_backward(&dummy, &dummy, 0);
   adam_update(&dummy, &dummy, &dummy, &dummy, 0, AdamStep{});
   gemm_tile(&dummy, 1, &dummy, 1, 0, 1, &dummy, 1);
   EXPECT_EQ(dummy, 1.0);
