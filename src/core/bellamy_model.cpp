@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "parallel/parallel_for.hpp"
@@ -605,13 +606,48 @@ BellamyModel BellamyModel::from_checkpoint(const nn::Checkpoint& ckpt) {
   if (ckpt.meta_value("format") != "bellamy-model") {
     throw std::runtime_error("BellamyModel::from_checkpoint: not a bellamy-model checkpoint");
   }
+  // A checkpoint may come off the wire, so nothing in it is trusted.  A valid
+  // one stores every weight matrix, so no layer needs more values than the
+  // checkpoint holds; widths that claim more cannot restore and must not size
+  // an allocation first.
+  std::size_t values = 0;
+  for (const auto& [name, m] : ckpt.matrices) values += m.size();
+  const auto width = [&](const char* key) {
+    const std::size_t w = std::stoul(ckpt.meta_value(key));
+    if (w > values) {
+      throw std::runtime_error(std::string("BellamyModel::from_checkpoint: ") + key + " " +
+                               std::to_string(w) + " exceeds the checkpoint's " +
+                               std::to_string(values) + " values");
+    }
+    return w;
+  };
+  const auto norm = [&](const char* name, std::size_t cols) -> const nn::Matrix& {
+    const nn::Matrix& m = ckpt.matrix(name);
+    if (m.rows() != 1 || m.cols() != cols) {
+      throw std::runtime_error(std::string("BellamyModel::from_checkpoint: '") + name +
+                               "' is " + m.shape_str() + ", expected 1x" +
+                               std::to_string(cols));
+    }
+    return m;
+  };
   BellamyConfig cfg;
-  cfg.scaleout_hidden = std::stoul(ckpt.meta_value("scaleout_hidden"));
-  cfg.scaleout_out = std::stoul(ckpt.meta_value("scaleout_out"));
-  cfg.property_dim = std::stoul(ckpt.meta_value("property_dim"));
-  cfg.encoder_hidden = std::stoul(ckpt.meta_value("encoder_hidden"));
-  cfg.code_dim = std::stoul(ckpt.meta_value("code_dim"));
-  cfg.predictor_hidden = std::stoul(ckpt.meta_value("predictor_hidden"));
+  cfg.scaleout_hidden = width("scaleout_hidden");
+  cfg.scaleout_out = width("scaleout_out");
+  cfg.property_dim = width("property_dim");
+  cfg.encoder_hidden = width("encoder_hidden");
+  cfg.code_dim = width("code_dim");
+  cfg.predictor_hidden = width("predictor_hidden");
+  const std::pair<std::size_t, std::size_t> layers[] = {
+      {cfg.scaleout_input, cfg.scaleout_hidden}, {cfg.scaleout_hidden, cfg.scaleout_out},
+      {cfg.property_dim, cfg.encoder_hidden},    {cfg.encoder_hidden, cfg.code_dim},
+      {cfg.combined_dim(), cfg.predictor_hidden}};
+  for (const auto& [in, out] : layers) {
+    if (in != 0 && out > values / in) {
+      throw std::runtime_error("BellamyModel::from_checkpoint: a " + std::to_string(in) + "x" +
+                               std::to_string(out) + " layer exceeds the checkpoint's " +
+                               std::to_string(values) + " values");
+    }
+  }
   cfg.dropout = util::parse_double(ckpt.meta_value("dropout"));
   cfg.huber_delta = util::parse_double(ckpt.meta_value("huber_delta"));
   if (ckpt.meta.count("standardize_target")) {
@@ -627,9 +663,9 @@ BellamyModel BellamyModel::from_checkpoint(const nn::Checkpoint& ckpt) {
   for (nn::Sequential* s : {&model.f_, &model.g_, &model.h_, &model.z_}) {
     nn::restore_parameters(ckpt, *s);
   }
-  model.scaleout_min_ = ckpt.matrix("norm.scaleout_min");
-  model.scaleout_max_ = ckpt.matrix("norm.scaleout_max");
-  const nn::Matrix& t = ckpt.matrix("norm.target");
+  model.scaleout_min_ = norm("norm.scaleout_min", 3);
+  model.scaleout_max_ = norm("norm.scaleout_max", 3);
+  const nn::Matrix& t = norm("norm.target", 2);
   model.target_mean_ = t(0, 0);
   model.target_std_ = t(0, 1);
   model.norm_fitted_ = ckpt.meta_value("norm_fitted") == "1";

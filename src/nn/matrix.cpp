@@ -56,9 +56,6 @@ Matrix Matrix::rand_uniform(std::size_t rows, std::size_t cols, util::Rng& rng, 
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-double Matrix::operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
-
 double& Matrix::at(std::size_t r, std::size_t c) {
   if (r >= rows_ || c >= cols_) {
     throw std::out_of_range("Matrix::at(" + std::to_string(r) + "," + std::to_string(c) +
@@ -222,15 +219,15 @@ void pack_b_panel(const double* b, std::size_t ldb, bool b_trans, std::size_t k,
   }
 }
 
-// Shared serial blocked kernel: C (m x n, zero-initialized) = A (m x k,
-// row-major) * op(B).  All three public matmul variants route here;
-// matmul_tn first materializes Aᵀ (O(mk) — negligible against the O(mkn)
-// product).  The model's widest product is B x 40 x 8, far too small for a
-// tile split across threads to pay; callers parallelize over rows instead
-// (chunked predict), which the per-row accumulation order makes exact.
+// Shared serial blocked kernel: C (m x n, zero-initialized) = A (m x k) *
+// op(B), with A(i, kk) at a[i * lda + kk * ka] so matmul_tn reads a stored Aᵀ
+// in place (lda = 1).  All three public matmul variants route here.  The
+// model's widest product is B x 40 x 8, far too small for a tile split
+// across threads to pay; callers parallelize over rows instead (chunked
+// predict), which the per-row accumulation order makes exact.
 void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                  std::size_t lda, const double* b, std::size_t ldb, bool b_trans,
-                  double* c, std::size_t ldc) {
+                  std::size_t lda, std::size_t ka, const double* b, std::size_t ldb,
+                  bool b_trans, double* c, std::size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   // Per-thread scratch so small products don't pay a malloc per call.
   thread_local std::vector<double> panel;
@@ -242,7 +239,7 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
       const std::size_t mi = std::min(kTileI, m - i0);
       for (std::size_t k0 = 0; k0 < k; k0 += kTileK) {
         const std::size_t kk = std::min(kTileK, k - k0);
-        simd::gemm_tile(a + i0 * lda + k0, lda, panel.data() + k0 * w, w, mi, kk,
+        simd::gemm_tile(a + i0 * lda + k0 * ka, lda, ka, panel.data() + k0 * w, w, mi, kk,
                         c + i0 * ldc + j0, ldc);
       }
     }
@@ -257,8 +254,8 @@ Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
                                 " * " + b.shape_str());
   }
   Matrix out(a.rows_, b.cols_, 0.0);
-  gemm_blocked(a.rows_, b.cols_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
-               /*b_trans=*/false, out.data_.data(), out.cols_);
+  gemm_blocked(a.rows_, b.cols_, a.cols_, a.data_.data(), a.cols_, 1, b.data_.data(),
+               b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
   return out;
 }
 
@@ -267,9 +264,8 @@ Matrix Matrix::matmul_tn(const Matrix& a, const Matrix& b) {
     throw std::invalid_argument("Matrix::matmul_tn: dim mismatch " + a.shape_str() +
                                 "ᵀ * " + b.shape_str());
   }
-  const Matrix at = a.transposed();
   Matrix out(a.cols_, b.cols_, 0.0);
-  gemm_blocked(at.rows_, b.cols_, at.cols_, at.data_.data(), at.cols_, b.data_.data(),
+  gemm_blocked(a.cols_, b.cols_, a.rows_, a.data_.data(), 1, a.cols_, b.data_.data(),
                b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
   return out;
 }
@@ -280,8 +276,8 @@ Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
                                 b.shape_str() + "ᵀ");
   }
   Matrix out(a.rows_, b.rows_, 0.0);
-  gemm_blocked(a.rows_, b.rows_, a.cols_, a.data_.data(), a.cols_, b.data_.data(), b.cols_,
-               /*b_trans=*/true, out.data_.data(), out.cols_);
+  gemm_blocked(a.rows_, b.rows_, a.cols_, a.data_.data(), a.cols_, 1, b.data_.data(),
+               b.cols_, /*b_trans=*/true, out.data_.data(), out.cols_);
   return out;
 }
 

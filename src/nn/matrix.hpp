@@ -6,6 +6,7 @@
 // shape errors throw std::invalid_argument with both operand shapes in the
 // message.
 
+#include <cassert>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
@@ -43,8 +44,16 @@ class Matrix {
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Unchecked element access, inline so per-element loops stay call-free;
+  /// builds without NDEBUG assert the bounds (the sanitizer CI job does).
+  double& operator()(std::size_t r, std::size_t c) {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    assert(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
   double& at(std::size_t r, std::size_t c);             ///< bounds-checked
   double at(std::size_t r, std::size_t c) const;        ///< bounds-checked
 
@@ -102,8 +111,9 @@ class Matrix {
   /// every output row is accumulated in ascending-k order, so results are
   /// independent of how rows are batched or chunked.
   static Matrix matmul(const Matrix& a, const Matrix& b);
-  /// aᵀ * b: (k x m)ᵀ (k x n) -> (m x n).  Materializes aᵀ (O(km), negligible
-  /// against the O(mkn) product) so the blocked kernel streams rows.
+  /// aᵀ * b: (k x m)ᵀ (k x n) -> (m x n) without materializing aᵀ: the
+  /// kernel reads aᵀ in place through a k-stride, so the result is bit for
+  /// bit matmul(a.transposed(), b).
   static Matrix matmul_tn(const Matrix& a, const Matrix& b);
   /// a * bᵀ without materializing the transpose: (m x k)(n x k)ᵀ -> (m x n)
   /// (the packed B panel absorbs the transpose).

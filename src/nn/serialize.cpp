@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace bellamy::nn {
 
@@ -87,13 +89,20 @@ Checkpoint Checkpoint::load(std::istream& in) {
     if (!(in >> name >> rows >> cols)) {
       throw std::runtime_error("Checkpoint::load: truncated matrix header");
     }
-    Matrix m(rows, cols);
+    if (cols != 0 && rows > std::numeric_limits<std::size_t>::max() / cols) {
+      throw std::runtime_error("Checkpoint::load: matrix '" + name + "' shape " +
+                               std::to_string(rows) + "x" + std::to_string(cols) +
+                               " overflows");
+    }
+    // Grown value by value, so a header cannot reserve memory the text does
+    // not back with values.
+    std::vector<double> values;
     std::string tok;
     for (std::size_t j = 0; j < rows * cols; ++j) {
       if (!(in >> tok)) throw std::runtime_error("Checkpoint::load: truncated matrix data");
-      m.data()[j] = hex_to_double(tok);
+      values.push_back(hex_to_double(tok));
     }
-    ckpt.matrices.emplace(std::move(name), std::move(m));
+    ckpt.matrices.emplace(std::move(name), Matrix(rows, cols, std::move(values)));
   }
   return ckpt;
 }

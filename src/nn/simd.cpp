@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -24,15 +23,16 @@ namespace {
 // C element still receives its k contributions in ascending order (grouped
 // per k-tile), so a row's result is independent of how many rows the call
 // processes — chunked and unchunked batches match bit for bit.
-void micro_4x8(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t kk, double* c, std::size_t ldc) {
+void micro_4x8(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+               std::size_t w, std::size_t kk, double* c, std::size_t ldc) {
   double acc[4][8] = {};
   for (std::size_t k = 0; k < kk; ++k) {
     const double* br = panel + k * w;
-    const double v0 = a[0 * lda + k];
-    const double v1 = a[1 * lda + k];
-    const double v2 = a[2 * lda + k];
-    const double v3 = a[3 * lda + k];
+    const double* ak = a + k * ka;
+    const double v0 = ak[0 * lda];
+    const double v1 = ak[1 * lda];
+    const double v2 = ak[2 * lda];
+    const double v3 = ak[3 * lda];
     for (std::size_t j = 0; j < 8; ++j) {
       const double bj = br[j];
       acc[0][j] += v0 * bj;
@@ -48,15 +48,15 @@ void micro_4x8(const double* a, std::size_t lda, const double* panel, std::size_
 }
 
 // Scalar edge kernel for the ragged i/j remainders of a tile.
-void micro_edge(const double* a, std::size_t lda, const double* panel, std::size_t w,
-                std::size_t mi, std::size_t j0, std::size_t wj, std::size_t kk, double* c,
-                std::size_t ldc) {
+void micro_edge(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+                std::size_t w, std::size_t mi, std::size_t j0, std::size_t wj, std::size_t kk,
+                double* c, std::size_t ldc) {
   for (std::size_t i = 0; i < mi; ++i) {
     const double* ai = a + i * lda;
     double* ci = c + i * ldc;
     double acc[8] = {};
     for (std::size_t k = 0; k < kk; ++k) {
-      const double v = ai[k];
+      const double v = ai[k * ka];
       const double* br = panel + k * w + j0;
       for (std::size_t j = 0; j < wj; ++j) acc[j] += v * br[j];
     }
@@ -67,20 +67,22 @@ void micro_edge(const double* a, std::size_t lda, const double* panel, std::size
 }  // namespace
 
 // 4x8 micro-kernel over the full blocks, i/k/j order; scalar edges.
-void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
+void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+               std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
   const std::size_t mi4 = mi - mi % 4;
   const std::size_t w8 = w - w % 8;
   for (std::size_t i = 0; i < mi4; i += 4) {
     for (std::size_t j = 0; j < w8; j += 8) {
-      micro_4x8(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
+      micro_4x8(a + i * lda, lda, ka, panel + j, w, kk, c + i * ldc + j, ldc);
     }
-    if (w8 < w) micro_edge(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
+    if (w8 < w) {
+      micro_edge(a + i * lda, lda, ka, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
+    }
   }
   if (mi4 < mi) {
     for (std::size_t j = 0; j < w; j += 8) {
-      micro_edge(a + mi4 * lda, lda, panel, w, mi - mi4, j, std::min<std::size_t>(8, w - j),
-                 kk, c + mi4 * ldc, ldc);
+      micro_edge(a + mi4 * lda, lda, ka, panel, w, mi - mi4, j,
+                 std::min<std::size_t>(8, w - j), kk, c + mi4 * ldc, ldc);
     }
   }
 }
@@ -132,73 +134,68 @@ void adam_update(double* w, const double* grad, double* m, double* v, std::size_
 namespace avx2 {
 namespace {
 
-// The 4x8 patch is held in eight ymm accumulators and updated with vfmadd.
-// The edge kernel uses scalar fused multiply-adds so that EVERY C element is
-// computed with the same (fused) arithmetic regardless of which kernel its
-// position lands in.
-__attribute__((target("avx2,fma"))) void micro_4x8(const double* a, std::size_t lda,
-                                                   const double* panel, std::size_t w,
-                                                   std::size_t kk, double* c,
-                                                   std::size_t ldc) {
-  __m256d a00 = _mm256_setzero_pd(), a01 = a00, a10 = a00, a11 = a00, a20 = a00, a21 = a00,
-          a30 = a00, a31 = a00;
+// Lane-enable mask for the four lanes starting at element `first` of a run
+// with `live` elements: lane l is on iff first + l < live.  Ragged tails are
+// maskloaded into the SAME vector arithmetic as full blocks, so a value's
+// result never depends on its position in the array.
+__attribute__((target("avx2"))) inline __m256i lane_mask(std::size_t live, std::size_t first) {
+  const __m256i lanes = _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(first)),
+                                         _mm256_setr_epi64x(0, 1, 2, 3));
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)), lanes);
+}
+
+// R x 8 micro-kernel (R = 1..4 rows): two ymm accumulators per row, updated
+// with vfmadd over ascending k starting from zero, then added into C once.
+// Masked blocks (the ragged last column block, m0/m1 enabling its live
+// lanes) read the panel and C through maskload and write C through
+// maskstore; off lanes load as zero and are never stored.  Every C element
+// therefore gets the same arithmetic whatever its row count or column block,
+// so its bits never depend on where it lands in the tile.
+template <std::size_t R, bool Masked>
+__attribute__((target("avx2,fma"))) inline void micro_kernel(
+    const double* a, std::size_t lda, std::size_t ka, const double* panel, std::size_t w,
+    std::size_t kk, double* c, std::size_t ldc, __m256i m0, __m256i m1) {
+  __m256d acc[R][2];
+  for (std::size_t r = 0; r < R; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_pd();
   for (std::size_t k = 0; k < kk; ++k) {
     const double* br = panel + k * w;
-    const __m256d b0 = _mm256_loadu_pd(br);
-    const __m256d b1 = _mm256_loadu_pd(br + 4);
-    __m256d v = _mm256_broadcast_sd(a + 0 * lda + k);
-    a00 = _mm256_fmadd_pd(v, b0, a00);
-    a01 = _mm256_fmadd_pd(v, b1, a01);
-    v = _mm256_broadcast_sd(a + 1 * lda + k);
-    a10 = _mm256_fmadd_pd(v, b0, a10);
-    a11 = _mm256_fmadd_pd(v, b1, a11);
-    v = _mm256_broadcast_sd(a + 2 * lda + k);
-    a20 = _mm256_fmadd_pd(v, b0, a20);
-    a21 = _mm256_fmadd_pd(v, b1, a21);
-    v = _mm256_broadcast_sd(a + 3 * lda + k);
-    a30 = _mm256_fmadd_pd(v, b0, a30);
-    a31 = _mm256_fmadd_pd(v, b1, a31);
-  }
-  double* c0 = c + 0 * ldc;
-  double* c1 = c + 1 * ldc;
-  double* c2 = c + 2 * ldc;
-  double* c3 = c + 3 * ldc;
-  _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), a00));
-  _mm256_storeu_pd(c0 + 4, _mm256_add_pd(_mm256_loadu_pd(c0 + 4), a01));
-  _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), a10));
-  _mm256_storeu_pd(c1 + 4, _mm256_add_pd(_mm256_loadu_pd(c1 + 4), a11));
-  _mm256_storeu_pd(c2, _mm256_add_pd(_mm256_loadu_pd(c2), a20));
-  _mm256_storeu_pd(c2 + 4, _mm256_add_pd(_mm256_loadu_pd(c2 + 4), a21));
-  _mm256_storeu_pd(c3, _mm256_add_pd(_mm256_loadu_pd(c3), a30));
-  _mm256_storeu_pd(c3 + 4, _mm256_add_pd(_mm256_loadu_pd(c3 + 4), a31));
-}
-
-__attribute__((target("avx2,fma"))) void micro_edge(const double* a, std::size_t lda,
-                                                    const double* panel, std::size_t w,
-                                                    std::size_t mi, std::size_t j0,
-                                                    std::size_t wj, std::size_t kk,
-                                                    double* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < mi; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = c + i * ldc;
-    double acc[8] = {};
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double v = ai[k];
-      const double* br = panel + k * w + j0;
-      for (std::size_t j = 0; j < wj; ++j) acc[j] = __builtin_fma(v, br[j], acc[j]);
+    const double* ak = a + k * ka;
+    const __m256d b0 = Masked ? _mm256_maskload_pd(br, m0) : _mm256_loadu_pd(br);
+    const __m256d b1 = Masked ? _mm256_maskload_pd(br + 4, m1) : _mm256_loadu_pd(br + 4);
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d v = _mm256_broadcast_sd(ak + r * lda);
+      acc[r][0] = _mm256_fmadd_pd(v, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_pd(v, b1, acc[r][1]);
     }
-    for (std::size_t j = 0; j < wj; ++j) ci[j0 + j] += acc[j];
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    double* cr = c + r * ldc;
+    if (Masked) {
+      _mm256_maskstore_pd(cr, m0, _mm256_add_pd(_mm256_maskload_pd(cr, m0), acc[r][0]));
+      _mm256_maskstore_pd(cr + 4, m1,
+                          _mm256_add_pd(_mm256_maskload_pd(cr + 4, m1), acc[r][1]));
+    } else {
+      _mm256_storeu_pd(cr, _mm256_add_pd(_mm256_loadu_pd(cr), acc[r][0]));
+      _mm256_storeu_pd(cr + 4, _mm256_add_pd(_mm256_loadu_pd(cr + 4), acc[r][1]));
+    }
   }
 }
 
-// Lane-enable masks for the ragged tail (r = n % 4 live lanes).  Tail
-// elements are maskloaded into the SAME vector arithmetic as full blocks, so
-// a value's result never depends on its position in the array.
-alignas(32) const std::int64_t kTailMask[4][4] = {
-    {0, 0, 0, 0}, {-1, 0, 0, 0}, {-1, -1, 0, 0}, {-1, -1, -1, 0}};
-
-__attribute__((target("avx2"))) inline __m256i tail_mask(std::size_t r) {
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(kTailMask[r]));
+// R rows of the tile across the panel: full 8-wide blocks, then one masked
+// block for the w % 8 ragged columns.
+template <std::size_t R>
+__attribute__((target("avx2,fma"))) inline void micro_rows(
+    const double* a, std::size_t lda, std::size_t ka, const double* panel, std::size_t w,
+    std::size_t kk, double* c, std::size_t ldc) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  const std::size_t w8 = w - w % 8;
+  for (std::size_t j = 0; j < w8; j += 8) {
+    micro_kernel<R, false>(a, lda, ka, panel + j, w, kk, c + j, ldc, all, all);
+  }
+  if (const std::size_t wj = w - w8) {
+    micro_kernel<R, true>(a, lda, ka, panel + w8, w, kk, c + w8, ldc, lane_mask(wj, 0),
+                          lane_mask(wj, 4));
+  }
 }
 
 // Cephes-style vectorized exp: |error| ~1 ulp over the clamped domain
@@ -306,22 +303,19 @@ __attribute__((target("avx2,fma"))) inline __m256d adam_lane(const AdamLanes& s,
 }  // namespace
 
 __attribute__((target("avx2,fma"))) void gemm_tile(const double* a, std::size_t lda,
-                                                   const double* panel, std::size_t w,
-                                                   std::size_t mi, std::size_t kk, double* c,
+                                                   std::size_t ka, const double* panel,
+                                                   std::size_t w, std::size_t mi,
+                                                   std::size_t kk, double* c,
                                                    std::size_t ldc) {
-  const std::size_t mi4 = mi - mi % 4;
-  const std::size_t w8 = w - w % 8;
-  for (std::size_t i = 0; i < mi4; i += 4) {
-    for (std::size_t j = 0; j < w8; j += 8) {
-      micro_4x8(a + i * lda, lda, panel + j, w, kk, c + i * ldc + j, ldc);
-    }
-    if (w8 < w) micro_edge(a + i * lda, lda, panel, w, 4, w8, w - w8, kk, c + i * ldc, ldc);
-  }
-  if (mi4 < mi) {
-    for (std::size_t j = 0; j < w; j += 8) {
-      micro_edge(a + mi4 * lda, lda, panel, w, mi - mi4, j, std::min<std::size_t>(8, w - j),
-                 kk, c + mi4 * ldc, ldc);
-    }
+  std::size_t i = 0;
+  for (; i + 4 <= mi; i += 4) micro_rows<4>(a + i * lda, lda, ka, panel, w, kk, c + i * ldc, ldc);
+  a += i * lda;
+  c += i * ldc;
+  switch (mi - i) {
+    case 3: return micro_rows<3>(a, lda, ka, panel, w, kk, c, ldc);
+    case 2: return micro_rows<2>(a, lda, ka, panel, w, kk, c, ldc);
+    case 1: return micro_rows<1>(a, lda, ka, panel, w, kk, c, ldc);
+    default: return;
   }
 }
 
@@ -331,7 +325,7 @@ __attribute__((target("avx2,fma"))) void selu_forward(double* x, std::size_t n) 
     _mm256_storeu_pd(x + i, selu_fwd_lane(_mm256_loadu_pd(x + i)));
   }
   if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
+    const __m256i m = lane_mask(r, 0);
     _mm256_maskstore_pd(x + i, m, selu_fwd_lane(_mm256_maskload_pd(x + i, m)));
   }
 }
@@ -344,7 +338,7 @@ __attribute__((target("avx2,fma"))) void selu_backward(double* g, const double* 
     _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
   }
   if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
+    const __m256i m = lane_mask(r, 0);
     const __m256d d = selu_bwd_lane(_mm256_maskload_pd(x + i, m));
     _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
   }
@@ -354,7 +348,7 @@ __attribute__((target("avx2,fma"))) void tanh_forward(double* x, std::size_t n) 
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) _mm256_storeu_pd(x + i, tanh_lane(_mm256_loadu_pd(x + i)));
   if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
+    const __m256i m = lane_mask(r, 0);
     _mm256_maskstore_pd(x + i, m, tanh_lane(_mm256_maskload_pd(x + i, m)));
   }
 }
@@ -370,7 +364,7 @@ __attribute__((target("avx2,fma"))) void tanh_backward(double* g, const double* 
     _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
   }
   if (const std::size_t r = n - i) {
-    const __m256i m = tail_mask(r);
+    const __m256i m = lane_mask(r, 0);
     const __m256d vy = _mm256_maskload_pd(y + i, m);
     const __m256d d = _mm256_fnmadd_pd(vy, vy, one);
     _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
@@ -396,7 +390,7 @@ __attribute__((target("avx2,fma"))) void adam_update(double* w, const double* gr
     _mm256_storeu_pd(w + i, nw);
   }
   if (const std::size_t r = n - i) {
-    const __m256i msk = tail_mask(r);
+    const __m256i msk = lane_mask(r, 0);
     __m256d om, ov;
     const __m256d nw =
         adam_lane(lanes, _mm256_maskload_pd(w + i, msk), _mm256_maskload_pd(grad + i, msk),
@@ -431,10 +425,10 @@ bool use_avx2() {
 
 }  // namespace
 
-void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
-  if (use_avx2()) return avx2::gemm_tile(a, lda, panel, w, mi, kk, c, ldc);
-  ref::gemm_tile(a, lda, panel, w, mi, kk, c, ldc);
+void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+               std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc) {
+  if (use_avx2()) return avx2::gemm_tile(a, lda, ka, panel, w, mi, kk, c, ldc);
+  ref::gemm_tile(a, lda, ka, panel, w, mi, kk, c, ldc);
 }
 
 void selu_forward(double* x, std::size_t n) {

@@ -15,11 +15,13 @@
 //
 // Determinism contract:
 //  * gemm_tile: both twins give every C element its k contributions in
-//    ascending order, so a row's result never depends on how many rows one
-//    call covers — chunked and unchunked batches match bit for bit.  The
-//    AVX2 twin fuses every multiply-add (vfmadd in the 4x8 tile, scalar
-//    __builtin_fma on the ragged edges); the portable twin does not, so the
-//    two agree to rounding, not to the bit.
+//    ascending order, so an element's result never depends on how many rows
+//    one call covers or which column block it lands in — chunked and
+//    unchunked batches match bit for bit.  The AVX2 twin has one R x 8
+//    micro-kernel (R = 1..4 rows) that fuses every multiply-add with vfmadd;
+//    the ragged w % 8 columns go through maskload/maskstore lanes of the same
+//    kernel.  The portable twin does not fuse, so the two agree to rounding,
+//    not to the bit.
 //  * adam_update and tanh_backward use only IEEE-exact operations with
 //    their fused multiply-adds spelled out in both twins, so the twins are
 //    bit-identical.
@@ -51,11 +53,13 @@ struct AdamStep {
 
 // ---- dispatched entry points (AVX2+FMA when available) ----------------------
 
-/// C[0, mi) x [0, w) += A (mi x kk, stride lda) * panel (kk x w, row-major
-/// packed, stride w); C has stride ldc.  The blocked GEMM in matrix.cpp packs
-/// and tiles, then calls this once per (row tile, k tile) of each panel.
-void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
+/// C[0, mi) x [0, w) += A (mi x kk) * panel (kk x w, row-major packed, stride
+/// w); C has stride ldc.  A(i, k) is a[i * lda + k * ka]: ka = 1 for a
+/// row-major A, lda = 1 to read a stored Aᵀ in place.  The blocked GEMM in
+/// matrix.cpp packs and tiles, then calls this once per (row tile, k tile)
+/// of each panel.
+void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+               std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 
 void selu_forward(double* x, std::size_t n);
 void selu_backward(double* g, const double* x, std::size_t n);  ///< g *= selu'(x)
@@ -75,8 +79,8 @@ void adam_update(double* w, const double* grad, double* m, double* v, std::size_
 //
 // Always compiled; the dispatch fallback and the parity-test ground truth.
 namespace ref {
-void gemm_tile(const double* a, std::size_t lda, const double* panel, std::size_t w,
-               std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
+void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* panel,
+               std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 void selu_forward(double* x, std::size_t n);
 void selu_backward(double* g, const double* x, std::size_t n);
 void tanh_forward(double* x, std::size_t n);

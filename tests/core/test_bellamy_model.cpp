@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "data/c3o_generator.hpp"
 #include "nn/optimizer.hpp"
@@ -343,6 +344,48 @@ TEST(BellamyModel, FromCheckpointRejectsForeignFormat) {
   nn::Checkpoint ckpt;
   ckpt.meta["format"] = "something-else";
   EXPECT_THROW(BellamyModel::from_checkpoint(ckpt), std::runtime_error);
+}
+
+// Checkpoints arrive over the wire (publish, peer install), so from_checkpoint
+// must reject normalization entries of the wrong shape instead of reading
+// past them (norm.target 1x1 was a heap-buffer-overflow).
+TEST(BellamyModel, FromCheckpointRejectsMisshapenNormalization) {
+  BellamyModel model(BellamyConfig{}, 12);
+  model.fit_normalization(small_context());
+  const nn::Checkpoint good = model.to_checkpoint();
+  const std::pair<const char*, nn::Matrix> bad[] = {
+      {"norm.target", nn::Matrix(1, 1, 5.0)},
+      {"norm.target", nn::Matrix(2, 1, 5.0)},
+      {"norm.target", nn::Matrix(0, 0)},
+      {"norm.scaleout_min", nn::Matrix(1, 2, 0.0)},
+      {"norm.scaleout_min", nn::Matrix(3, 1, 0.0)},
+      {"norm.scaleout_max", nn::Matrix(1, 1, 1.0)},
+      {"norm.scaleout_max", nn::Matrix(1, 4, 1.0)},
+  };
+  for (const auto& [name, m] : bad) {
+    nn::Checkpoint ckpt = good;
+    ckpt.matrices.at(name) = m;
+    EXPECT_THROW(BellamyModel::from_checkpoint(ckpt), std::runtime_error)
+        << name << " " << m.shape_str();
+  }
+  EXPECT_NO_THROW(BellamyModel::from_checkpoint(good));
+}
+
+// Layer widths come from the checkpoint's meta; one that no stored weight
+// could back must be rejected before it sizes the model's allocations.
+TEST(BellamyModel, FromCheckpointRejectsWidthsTheValuesCannotBack) {
+  BellamyModel model(BellamyConfig{}, 13);
+  model.fit_normalization(small_context());
+  const nn::Checkpoint good = model.to_checkpoint();
+  for (const char* key : {"scaleout_hidden", "scaleout_out", "property_dim", "encoder_hidden",
+                          "code_dim", "predictor_hidden"}) {
+    for (const char* width : {"4000000000", "18446744073709551615", "60000"}) {
+      nn::Checkpoint ckpt = good;
+      ckpt.meta[key] = width;
+      EXPECT_THROW(BellamyModel::from_checkpoint(ckpt), std::runtime_error)
+          << key << " = " << width;
+    }
+  }
 }
 
 TEST(BellamyModel, SetTrainableComponents) {

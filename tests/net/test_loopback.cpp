@@ -22,12 +22,15 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
+#include "nn/serialize.hpp"
 #include "serve/serve.hpp"
 
 namespace bellamy::net {
@@ -167,6 +170,45 @@ TEST(Loopback, EmptyBatchAndSinglePredictWork) {
   const auto one = client.predict(key, loop.query(12));
   ASSERT_TRUE(one.ok()) << one.error_text();
   EXPECT_EQ(one.value(), loop.model->predict_one(loop.query(12)));
+  client.close();
+}
+
+// A publish whose checkpoint text parses but is misshapen (norm.target 1x1,
+// which from_checkpoint once read past) is answered kInvalidArgument, the key
+// stays unknown, and the server keeps serving.  The request goes out as a
+// hand-built frame: NetClient::publish only sends well-formed checkpoints.
+TEST(Loopback, PublishOfAMisshapenCheckpointIsRejectedAndTheServerKeepsServing) {
+  Loopback loop;
+  const serve::ModelKey key{"sgd", "hostile"};
+  nn::Checkpoint ckpt = loop.model->to_checkpoint();
+  ckpt.matrices.at("norm.target") = nn::Matrix(1, 1, 5.0);
+  std::ostringstream text;
+  ckpt.save(text);
+
+  std::string error;
+  const Socket raw = tcp_connect("127.0.0.1", loop.server->port(), error);
+  ASSERT_TRUE(raw) << error;
+  const auto frame =
+      encode_frame(PublishRequest{.request_id = 7, .key = key, .checkpoint_text = text.str()});
+  ASSERT_EQ(raw.write_all(frame.data(), frame.size()), IoStatus::kOk);
+  std::uint32_t len = 0;
+  ASSERT_EQ(raw.read_exact(&len, sizeof len), IoStatus::kOk);
+  std::vector<std::uint8_t> body(len);
+  ASSERT_EQ(raw.read_exact(body.data(), len), IoStatus::kOk);
+  FrameView view;
+  ASSERT_EQ(parse_body(body.data(), body.size(), view), WireStatus::kOk);
+  PublishResponse resp;
+  ASSERT_EQ(decode_message(view, resp), WireStatus::kOk);
+  EXPECT_EQ(resp.head.request_id, 7u);
+  EXPECT_EQ(resp.head.status, serve::ServeStatus::kInvalidArgument) << resp.head.message;
+
+  NetClient client;
+  loop.connect(client);
+  EXPECT_EQ(client.predict(key, loop.query(4)).status(), serve::ServeStatus::kUnknownModel);
+  ASSERT_TRUE(client.publish(key, *loop.model).ok());
+  const auto served = client.predict(key, loop.query(4));
+  ASSERT_TRUE(served.ok()) << served.error_text();
+  EXPECT_EQ(served.value(), loop.model->predict_one(loop.query(4)));
   client.close();
 }
 

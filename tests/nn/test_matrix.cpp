@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
+#include "core/bellamy_config.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -17,6 +20,19 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_EQ(m.size(), 6u);
   EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
 }
+
+#ifndef NDEBUG
+// Element access is unchecked in release builds; with asserts on (the
+// sanitizer CI job) an index past a row is caught even where it still lands
+// inside the matrix's allocation and ASan would see nothing.
+TEST(MatrixDeathTest, ElementAccessAssertsItsBounds) {
+  Matrix m(2, 3);
+  const Matrix& cm = m;
+  EXPECT_DEATH(m(2, 0) = 1.0, "rows_");
+  EXPECT_DEATH(m(0, 3) = 1.0, "cols_");  // flat index 3 is row 1, in bounds
+  EXPECT_DEATH(static_cast<void>(cm(1, 3)), "cols_");
+}
+#endif
 
 TEST(Matrix, InitializerList) {
   Matrix m{{1.0, 2.0}, {3.0, 4.0}};
@@ -178,6 +194,38 @@ TEST(Matrix, MatmulTnMatchesExplicitTranspose) {
   const Matrix b = Matrix::randn(6, 5, rng);
   const Matrix expect = Matrix::matmul(a.transposed(), b);
   EXPECT_LT(Matrix::max_abs_diff(Matrix::matmul_tn(a, b), expect), 1e-12);
+}
+
+// matmul_tn reads aᵀ in place through a k-stride; it must give exactly the
+// bits of the product with an explicit transpose.  Covers the weight-gradient
+// product of every Linear layer of the default model, at batch sizes where
+// the batch (the inner dimension) is ragged, a full 64-deep k tile, and
+// crosses into a second and third k tile.
+TEST(Matrix, MatmulTnBitIdenticalToTransposedMatmul) {
+  const core::BellamyConfig c;
+  const std::pair<std::size_t, std::size_t> linears[] = {
+      {c.scaleout_input, c.scaleout_hidden},   {c.scaleout_hidden, c.scaleout_out},
+      {c.property_dim, c.encoder_hidden},      {c.encoder_hidden, c.code_dim},
+      {c.code_dim, c.encoder_hidden},          {c.encoder_hidden, c.property_dim},
+      {c.combined_dim(), c.predictor_hidden},  {c.predictor_hidden, 1}};
+  util::Rng rng(5);
+  for (const auto& [in, out] : linears) {
+    for (const std::size_t batch : {1, 3, 5, 25, 64, 65, 130}) {
+      const Matrix grad = Matrix::randn(batch, out, rng);
+      const Matrix input = Matrix::randn(batch, in, rng);
+      // dL/dW = gradᵀ input, and the reverse orientation for good measure.
+      for (const auto& [a, b] : {std::pair{&grad, &input}, std::pair{&input, &grad}}) {
+        const Matrix got = Matrix::matmul_tn(*a, *b);
+        const Matrix want = Matrix::matmul(a->transposed(), *b);
+        ASSERT_TRUE(got.same_shape(want));
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]),
+                    std::bit_cast<std::uint64_t>(want.data()[i]))
+              << a->shape_str() << "ᵀ * " << b->shape_str() << " flat index " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Matrix, MatmulNtMatchesExplicitTranspose) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -58,6 +59,26 @@ TEST(Checkpoint, TruncatedDataThrows) {
   text.resize(text.size() - 10);
   std::stringstream cut(text);
   EXPECT_THROW(Checkpoint::load(cut), std::runtime_error);
+}
+
+// A header whose rows * cols wraps around must not load as an empty matrix.
+TEST(Checkpoint, LoadRejectsAShapeWhoseSizeOverflows) {
+  std::stringstream ss(
+      "bellamy-checkpoint v1\nmeta 0\nmatrices 1\nw 4294967296 4294967296\n");
+  EXPECT_THROW(Checkpoint::load(ss), std::runtime_error);
+}
+
+// A few bytes of header claiming 10^16 values (80 PB) without the values must
+// fail as truncated text, not size an allocation from the header.
+TEST(Checkpoint, LoadReadsValuesBeforeAllocating) {
+  std::stringstream ss(
+      "bellamy-checkpoint v1\nmeta 0\nmatrices 1\nw 100000000 100000000\n");
+  try {
+    Checkpoint::load(ss);
+    ADD_FAILURE() << "a header without values loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Checkpoint, RejectsWhitespaceNames) {

@@ -11,8 +11,10 @@
 //  * tanh_forward is a vectorized Cephes tanh: within 2 ulp of std::tanh,
 //    counted in ulps, over a dense sweep and the edge inputs.
 //  * gemm_tile fuses on the AVX2 path only, so the twins agree within 1e-12
-//    of the product's magnitude; each twin on its own gives a row the same
-//    bits whether it is computed alone or inside a taller tile.
+//    of the product's magnitude; each twin on its own gives an element the
+//    same bits whether its row is computed alone or inside a taller tile,
+//    and whether its column lands in a full 8-wide block or the masked edge.
+//    Every shape runs with A row-major and with A read transposed in place.
 //  * Split-processing tests certify position independence: processing an
 //    array in two pieces equals processing it whole, the property chunked
 //    prediction relies on.
@@ -30,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -182,38 +185,58 @@ TEST(SimdKernels, AdamUpdateParityExact) {
 }
 
 // One gemm_tile call's operands, with strides wider than the tile so the
-// kernels must honour lda/ldc rather than assume packed rows.
+// kernels must honour lda/ka/ldc rather than assume packed rows.  With
+// a_trans, A is stored transposed (kk x mi, padded) and read in place
+// through lda = 1 and a k-stride, the way matmul_tn calls the kernel.
 struct TileCase {
   std::size_t mi, w, kk;
-  std::size_t lda() const { return kk + 3; }
+  bool a_trans = false;
+  std::size_t lda() const { return a_trans ? 1 : kk + 3; }
+  std::size_t ka() const { return a_trans ? mi + 3 : 1; }
+  std::size_t a_size() const { return a_trans ? kk * ka() : mi * lda(); }
   std::size_t ldc() const { return w + 2; }
+  double a_at(const std::vector<double>& a, std::size_t i, std::size_t k) const {
+    return a[i * lda() + k * ka()];
+  }
 };
 
-using TileFn = void (*)(const double*, std::size_t, const double*, std::size_t, std::size_t,
-                        std::size_t, double*, std::size_t);
+using TileFn = void (*)(const double*, std::size_t, std::size_t, const double*, std::size_t,
+                        std::size_t, std::size_t, double*, std::size_t);
+
+const std::pair<const char*, TileFn> kTileTwins[] = {{"dispatched", gemm_tile},
+                                                     {"ref", ref::gemm_tile}};
 
 // Ragged in every dimension: mi % 4 and w % 8 take every residue, and kk
-// covers a single step up to a full 64-deep k tile.
+// covers a single step up to a full 64-deep k tile; every shape with A
+// row-major and with A read transposed in place.
 std::vector<TileCase> tile_cases() {
   std::vector<TileCase> cases;
-  for (const std::size_t mi : {1, 2, 3, 4, 5, 6, 7, 8, 13, 64}) {
-    for (const std::size_t w : {1, 3, 7, 8, 9, 12, 15, 16, 17, 40, 64}) {
-      for (const std::size_t kk : {1, 5, 40, 64}) cases.push_back({mi, w, kk});
+  for (const bool a_trans : {false, true}) {
+    for (const std::size_t mi : {1, 2, 3, 4, 5, 6, 7, 8, 13, 64}) {
+      for (const std::size_t w : {1, 3, 7, 8, 9, 12, 15, 16, 17, 40, 64}) {
+        for (const std::size_t kk : {1, 5, 40, 64}) cases.push_back({mi, w, kk, a_trans});
+      }
     }
   }
   return cases;
 }
 
+std::string tile_name(const char* twin, const TileCase& t) {
+  return std::string(twin) + " mi=" + std::to_string(t.mi) + " w=" + std::to_string(t.w) +
+         " kk=" + std::to_string(t.kk) + (t.a_trans ? " a_trans" : "");
+}
+
 TEST(SimdKernels, GemmTileParityWithinRelativeTolerance) {
   std::uint64_t seed = 61;
   for (const TileCase& t : tile_cases()) {
-    const auto a = random_values(t.mi * t.lda(), seed++, 1.0);
+    const auto a = random_values(t.a_size(), seed++, 1.0);
     const auto panel = random_values(t.kk * t.w, seed++, 1.0);
     const auto c0 = random_values(t.mi * t.ldc(), seed++, 1.0);
     auto got = c0;
     auto want = c0;
-    gemm_tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, got.data(), t.ldc());
-    ref::gemm_tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, want.data(), t.ldc());
+    gemm_tile(a.data(), t.lda(), t.ka(), panel.data(), t.w, t.mi, t.kk, got.data(), t.ldc());
+    ref::gemm_tile(a.data(), t.lda(), t.ka(), panel.data(), t.w, t.mi, t.kk, want.data(),
+                   t.ldc());
     for (std::size_t i = 0; i < t.mi; ++i) {
       for (std::size_t j = 0; j < t.ldc(); ++j) {
         const std::size_t idx = i * t.ldc() + j;
@@ -226,40 +249,91 @@ TEST(SimdKernels, GemmTileParityWithinRelativeTolerance) {
         // cannot turn a last-ulp difference into a large relative error.
         double magnitude = std::abs(c0[idx]);
         for (std::size_t k = 0; k < t.kk; ++k) {
-          magnitude += std::abs(a[i * t.lda() + k] * panel[k * t.w + j]);
+          magnitude += std::abs(t.a_at(a, i, k) * panel[k * t.w + j]);
         }
         EXPECT_NEAR(got[idx], want[idx], 1e-12 * magnitude)
-            << "mi=" << t.mi << " w=" << t.w << " kk=" << t.kk << " at (" << i << "," << j
-            << ")";
+            << tile_name("dispatched", t) << " at (" << i << "," << j << ")";
       }
     }
   }
 }
 
 // A row's bits do not depend on how many rows share its tile call: computing
-// each row alone (mi = 1, the edge kernel) equals computing it inside the
-// full tile (the 4x8 kernel for all but the mi % 4 tail).  Certified for the
-// dispatched AND the portable twin — the half of chunked-predict
-// bit-identity that lives in the GEMM.
+// each row alone (mi = 1) equals computing it inside the full tile (4-row
+// blocks for all but the mi % 4 tail).  Certified for the dispatched AND the
+// portable twin — the half of chunked-predict bit-identity that lives in the
+// GEMM.
 TEST(SimdKernels, GemmTileRowsIndependentOfTileHeight) {
-  const std::pair<const char*, TileFn> twins[] = {{"dispatched", gemm_tile},
-                                                  {"ref", ref::gemm_tile}};
-  for (const auto& [name, tile] : twins) {
+  for (const auto& [name, tile] : kTileTwins) {
     std::uint64_t seed = 71;
     for (const TileCase& t : tile_cases()) {
-      const auto a = random_values(t.mi * t.lda(), seed++, 1.0);
+      const auto a = random_values(t.a_size(), seed++, 1.0);
       const auto panel = random_values(t.kk * t.w, seed++, 1.0);
       const auto c0 = random_values(t.mi * t.ldc(), seed++, 1.0);
       auto whole = c0;
-      tile(a.data(), t.lda(), panel.data(), t.w, t.mi, t.kk, whole.data(), t.ldc());
+      tile(a.data(), t.lda(), t.ka(), panel.data(), t.w, t.mi, t.kk, whole.data(), t.ldc());
       auto rows = c0;
       for (std::size_t i = 0; i < t.mi; ++i) {
-        tile(a.data() + i * t.lda(), t.lda(), panel.data(), t.w, 1, t.kk,
+        tile(a.data() + i * t.lda(), t.lda(), t.ka(), panel.data(), t.w, 1, t.kk,
              rows.data() + i * t.ldc(), t.ldc());
       }
       for (std::size_t idx = 0; idx < whole.size(); ++idx) {
-        ASSERT_EQ(rows[idx], whole[idx]) << name << " mi=" << t.mi << " w=" << t.w
-                                         << " kk=" << t.kk << " flat index " << idx;
+        ASSERT_EQ(rows[idx], whole[idx]) << tile_name(name, t) << " flat index " << idx;
+      }
+    }
+  }
+}
+
+// Columns [j0, j1) of a packed (kk x w) panel, packed again as (kk x (j1 - j0)).
+std::vector<double> panel_columns(const std::vector<double>& panel, std::size_t w,
+                                  std::size_t kk, std::size_t j0, std::size_t j1) {
+  std::vector<double> out;
+  for (std::size_t k = 0; k < kk; ++k) {
+    out.insert(out.end(), panel.begin() + static_cast<std::ptrdiff_t>(k * w + j0),
+               panel.begin() + static_cast<std::ptrdiff_t>(k * w + j1));
+  }
+  return out;
+}
+
+// The column half of the contract: an element's bits do not depend on
+// whether its column lands in a full 8-wide block or in the masked ragged
+// block, nor on its lane.  Each column computed alone (a 1-wide panel, lane 0
+// of the masked block), and the panel split at a column offset that shifts
+// every later column to another lane, both equal the whole-panel call bit
+// for bit — on the dispatched AND the portable twin.
+TEST(SimdKernels, GemmTileColumnsIndependentOfPanelWidth) {
+  for (const auto& [name, tile] : kTileTwins) {
+    std::uint64_t seed = 91;
+    for (const TileCase& t : tile_cases()) {
+      const auto a = random_values(t.a_size(), seed++, 1.0);
+      const auto panel = random_values(t.kk * t.w, seed++, 1.0);
+      const auto c0 = random_values(t.mi * t.ldc(), seed++, 1.0);
+      auto whole = c0;
+      tile(a.data(), t.lda(), t.ka(), panel.data(), t.w, t.mi, t.kk, whole.data(), t.ldc());
+
+      auto columns = c0;
+      for (std::size_t j = 0; j < t.w; ++j) {
+        const auto col = panel_columns(panel, t.w, t.kk, j, j + 1);
+        tile(a.data(), t.lda(), t.ka(), col.data(), 1, t.mi, t.kk, columns.data() + j,
+             t.ldc());
+      }
+      for (std::size_t idx = 0; idx < whole.size(); ++idx) {
+        ASSERT_EQ(columns[idx], whole[idx])
+            << tile_name(name, t) << " one column per call, flat index " << idx;
+      }
+
+      for (const std::size_t split : {std::size_t{1}, std::size_t{3}, std::size_t{9}}) {
+        if (split >= t.w) continue;
+        auto parts = c0;
+        for (const auto& [j0, j1] : {std::pair{std::size_t{0}, split}, std::pair{split, t.w}}) {
+          const auto sub = panel_columns(panel, t.w, t.kk, j0, j1);
+          tile(a.data(), t.lda(), t.ka(), sub.data(), j1 - j0, t.mi, t.kk, parts.data() + j0,
+               t.ldc());
+        }
+        for (std::size_t idx = 0; idx < whole.size(); ++idx) {
+          ASSERT_EQ(parts[idx], whole[idx])
+              << tile_name(name, t) << " split at column " << split << ", flat index " << idx;
+        }
       }
     }
   }
@@ -310,7 +384,12 @@ TEST(SimdKernels, ZeroLengthIsSafe) {
   tanh_forward(&dummy, 0);
   tanh_backward(&dummy, &dummy, 0);
   adam_update(&dummy, &dummy, &dummy, &dummy, 0, AdamStep{});
-  gemm_tile(&dummy, 1, &dummy, 1, 0, 1, &dummy, 1);
+  for (const auto& [name, tile] : kTileTwins) {
+    tile(&dummy, 1, 1, &dummy, 1, 0, 1, &dummy, 1);  // no rows
+    tile(&dummy, 1, 1, &dummy, 0, 1, 1, &dummy, 1);  // no columns
+    tile(&dummy, 1, 5, &dummy, 1, 0, 1, &dummy, 1);  // no rows, A read transposed
+    tile(&dummy, 1, 5, &dummy, 0, 3, 1, &dummy, 1);  // no columns, A read transposed
+  }
   EXPECT_EQ(dummy, 1.0);
 }
 
