@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -26,6 +27,10 @@ std::vector<encoding::PropertyValue> optional_properties(const data::JobRun& run
   return {encoding::PropertyValue{run.memory_mb}, encoding::PropertyValue{run.cpu_cores},
           encoding::PropertyValue{run.algorithm}};
 }
+
+// Containers of models (the chaos soak keeps a std::vector of them) must
+// move, not copy, them; nn::Module declares its moves noexcept for this.
+static_assert(std::is_nothrow_move_constructible_v<BellamyModel>);
 
 BellamyModel::BellamyModel(BellamyConfig config, std::uint64_t seed)
     : config_(config),
@@ -137,27 +142,42 @@ BellamyEncodedRuns BellamyModel::encode_runs(const std::vector<data::JobRun>& ru
 BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
                                         std::span<const std::size_t> indices,
                                         BellamyGatherCache* cache) const {
+  BellamyBatch batch;
+  gather_batch(encoded, indices, batch, cache);
+  return batch;
+}
+
+void BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
+                                std::span<const std::size_t> indices, BellamyBatch& batch,
+                                BellamyGatherCache* cache) const {
   if (indices.empty()) {
     throw std::invalid_argument("BellamyModel::gather_batch: empty index set");
   }
-  const std::size_t b = indices.size();
-  const std::size_t ppr = config_.props_per_sample();
-  BellamyBatch batch;
-  batch.batch_size = b;
-  batch.scaleout_raw = nn::Matrix(b, 3);
-  batch.targets_raw = nn::Matrix(b, 1);
-  batch.prop_row.resize(b * ppr);
-
-  // Remap the set-wide unique rows to a batch-local unique set (first-use
-  // order keeps the gather deterministic).
-  constexpr std::size_t kUnused = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> local_row(encoded.properties.rows(), kUnused);
-  std::vector<std::size_t> used_rows;
-  for (std::size_t bi = 0; bi < b; ++bi) {
-    const std::size_t i = indices[bi];
+  for (const std::size_t i : indices) {
     if (i >= encoded.num_runs) {
       throw std::out_of_range("BellamyModel::gather_batch: run index out of range");
     }
+  }
+  const std::size_t b = indices.size();
+  const std::size_t ppr = config_.props_per_sample();
+  batch.batch_size = b;
+  batch.scaleout_raw.resize(b, 3);
+  batch.targets_raw.resize(b, 1);
+  batch.prop_row.resize(b * ppr);
+
+  // Remap the set-wide unique rows to a batch-local unique set (first-use
+  // order keeps the gather deterministic).  Per-thread scratch, like the
+  // GEMM panel: local_row is all kUnused between calls (the entries a call
+  // sets are reset before it returns), so no gather allocates once warm.
+  constexpr std::size_t kUnused = static_cast<std::size_t>(-1);
+  thread_local std::vector<std::size_t> local_row;
+  thread_local std::vector<std::size_t> used_rows;
+  if (local_row.size() < encoded.properties.rows()) {
+    local_row.resize(encoded.properties.rows(), kUnused);
+  }
+  used_rows.clear();
+  for (std::size_t bi = 0; bi < b; ++bi) {
+    const std::size_t i = indices[bi];
     for (std::size_t j = 0; j < 3; ++j) batch.scaleout_raw(bi, j) = encoded.scaleout_raw(i, j);
     batch.targets_raw(bi, 0) = encoded.targets_raw(i, 0);
     for (std::size_t p = 0; p < ppr; ++p) {
@@ -169,6 +189,7 @@ BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
       batch.prop_row[bi * ppr + p] = local_row[global];
     }
   }
+  for (const std::size_t global : used_rows) local_row[global] = kUnused;
   // Small corpora make consecutive batches hit the same unique-row set
   // (every batch sees all contexts); a cheap hash compare (verified exactly)
   // then reuses the previously gathered property block instead of copying
@@ -180,7 +201,7 @@ BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
     batch.properties = cache->properties;
     ++cache->reuses;
   } else {
-    batch.properties = encoded.properties.gather_rows(used_rows);
+    encoded.properties.gather_rows_into(used_rows, batch.properties);
     if (cache) {
       cache->encode_id = encoded.encode_id;
       cache->rows_hash = rows_hash;
@@ -190,7 +211,6 @@ BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
   }
   batch.prop_weight.assign(used_rows.size(), 0.0);
   for (const std::size_t row : batch.prop_row) batch.prop_weight[row] += 1.0;
-  return batch;
 }
 
 BellamyBatch BellamyModel::make_batch(const std::vector<data::JobRun>& runs) const {
@@ -236,8 +256,8 @@ void BellamyModel::fit_normalization(const std::vector<data::JobRun>& runs) {
   norm_fitted_ = true;
 }
 
-nn::Matrix BellamyModel::normalize_scaleout(const nn::Matrix& raw) const {
-  nn::Matrix out = raw;
+void BellamyModel::normalize_scaleout(const nn::Matrix& raw, nn::Matrix& out) const {
+  out = raw;
   for (std::size_t j = 0; j < 3; ++j) {
     const double lo = scaleout_min_(0, j);
     const double range = scaleout_max_(0, j) - lo;
@@ -245,11 +265,11 @@ nn::Matrix BellamyModel::normalize_scaleout(const nn::Matrix& raw) const {
       out(i, j) = range > 1e-12 ? (out(i, j) - lo) / range : out(i, j) - lo;
     }
   }
-  return out;
 }
 
-double BellamyModel::normalize_target(double seconds) const {
-  return (seconds - target_mean_) / target_std_;
+void BellamyModel::normalize_targets(const nn::Matrix& raw, nn::Matrix& out) const {
+  out = raw;
+  out.apply_inplace([this](double seconds) { return (seconds - target_mean_) / target_std_; });
 }
 
 double BellamyModel::denormalize_target(double network_value) const {
@@ -257,33 +277,40 @@ double BellamyModel::denormalize_target(double network_value) const {
 }
 
 BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
-  return forward_pass(batch, training, /*decode=*/true);
+  const ForwardView view = forward_pass(batch, training, /*decode=*/true);
+  BellamyForward fw;
+  fw.prediction_raw = ws_.prediction_raw;
+  fw.prediction_norm = *view.prediction_norm;
+  fw.codes = *view.codes;
+  fw.reconstruction = *view.reconstruction;
+  fw.combined = ws_.combined;
+  fw.prop_row = batch.prop_row;
+  return fw;
 }
 
-BellamyForward BellamyModel::forward_pass(const BellamyBatch& batch, bool training,
-                                          bool decode) {
+BellamyModel::ForwardView BellamyModel::forward_pass(const BellamyBatch& batch, bool training,
+                                                     bool decode) {
   if (!norm_fitted_) {
     throw std::logic_error("BellamyModel::forward: fit_normalization was never called "
                            "(pre-train or load a checkpoint first)");
   }
   set_training(training);
 
-  BellamyForward fw;
-  fw.prop_row = batch.prop_row;
-  const nn::Matrix xs = normalize_scaleout(batch.scaleout_raw);
-  const nn::Matrix e = f_.forward(xs);                // (B x F)
-  fw.codes = g_.forward(batch.properties);            // (U x M) unique rows only
-  if (decode) fw.reconstruction = h_.forward(fw.codes);  // (U x N)
-  fw.combined = assemble_combined(e, fw.codes, batch.prop_row);
+  ForwardView fw{};
+  normalize_scaleout(batch.scaleout_raw, ws_.scaleout);
+  const nn::Matrix& e = f_.forward(ws_.scaleout);        // (B x F)
+  fw.codes = &g_.forward(batch.properties);              // (U x M) unique rows only
+  if (decode) fw.reconstruction = &h_.forward(*fw.codes);  // (U x N)
+  assemble_combined(e, *fw.codes, batch.prop_row, ws_.combined);
 
-  fw.prediction_norm = z_.forward(fw.combined);  // (B x 1)
-  fw.prediction_raw = fw.prediction_norm.apply(
-      [this](double v) { return denormalize_target(v); });
+  fw.prediction_norm = &z_.forward(ws_.combined);  // (B x 1)
+  ws_.prediction_raw = *fw.prediction_norm;
+  ws_.prediction_raw.apply_inplace([this](double v) { return denormalize_target(v); });
   return fw;
 }
 
-double BellamyModel::reconstruction_mse(const BellamyForward& fw, const BellamyBatch& batch,
-                                        nn::Matrix* grad) const {
+double BellamyModel::reconstruction_mse(const nn::Matrix& reconstruction,
+                                        const BellamyBatch& batch, nn::Matrix* grad) const {
   // MSE over the stacked (B*(m+n) x N) matrix, computed on the unique rows
   // weighted by multiplicity: duplicate rows reconstruct identically, so
   // their terms are the unique-row terms counted prop_weight times.
@@ -291,17 +318,27 @@ double BellamyModel::reconstruction_mse(const BellamyForward& fw, const BellamyB
   const std::size_t cols = config_.property_dim;
   const double denom =
       static_cast<double>(batch.prop_row.size()) * static_cast<double>(cols);
-  if (grad) *grad = nn::Matrix(u, cols);
+  if (grad) grad->resize(u, cols);
   double total = 0.0;
   for (std::size_t r = 0; r < u; ++r) {
     const double weight = batch.prop_weight[r];
     for (std::size_t c = 0; c < cols; ++c) {
-      const double e = fw.reconstruction(r, c) - batch.properties(r, c);
+      const double e = reconstruction(r, c) - batch.properties(r, c);
       total += weight * e * e;
       if (grad) (*grad)(r, c) = weight * 2.0 * e / denom;
     }
   }
   return total / denom;
+}
+
+BellamyLoss BellamyModel::runtime_losses(const ForwardView& fw, const BellamyBatch& batch,
+                                         bool grad) {
+  normalize_targets(batch.targets_raw, ws_.targets_norm);
+  BellamyLoss loss;
+  loss.huber = nn::huber_loss(*fw.prediction_norm, ws_.targets_norm, config_.huber_delta,
+                              grad ? &ws_.grad_prediction : nullptr);
+  loss.mae_seconds = nn::mae_loss(ws_.prediction_raw, batch.targets_raw, nullptr);
+  return loss;
 }
 
 BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstruction_weight) {
@@ -311,36 +348,29 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
   // optimizer reads no other).  Every trainable gradient keeps its bits; h's
   // dropout stream feeds only h.
   const bool decode = reconstruction_weight > 0.0;
-  BellamyForward fw = forward_pass(batch, /*training=*/true, decode);
+  const ForwardView fw = forward_pass(batch, /*training=*/true, decode);
 
-  const nn::Matrix targets_norm =
-      batch.targets_raw.apply([this](double v) { return normalize_target(v); });
-
-  BellamyLoss loss;
-  const auto huber = nn::huber_loss(fw.prediction_norm, targets_norm, config_.huber_delta);
-  loss.huber = huber.value;
-  {
-    const auto mae = nn::mae_loss(fw.prediction_raw, batch.targets_raw);
-    loss.mae_seconds = mae.value;
-  }
+  BellamyLoss loss = runtime_losses(fw, batch, /*grad=*/true);
 
   // z forms dL/d(combined) only when f or g trains.
   const bool into_f = f_.has_trainable();
   const bool into_g = g_.has_trainable();
-  nn::Matrix grad_combined;
+  const nn::Matrix* grad_combined = nullptr;
   if (into_f || into_g) {
-    grad_combined = z_.backward(huber.grad);
+    grad_combined = &z_.backward(ws_.grad_prediction);
   } else {
-    z_.backward_params(huber.grad);
+    z_.backward_params(ws_.grad_prediction);
   }
 
   const std::size_t F = config_.scaleout_out;
-  if (into_f) f_.backward_params(grad_combined.slice_cols(0, F));
+  if (into_f) {
+    grad_combined->slice_cols_into(0, F, ws_.grad_f);
+    f_.backward_params(ws_.grad_f);
+  }
 
-  nn::Matrix grad_recon;
   if (decode) {
-    loss.reconstruction = reconstruction_mse(fw, batch, &grad_recon);
-    grad_recon *= reconstruction_weight;
+    loss.reconstruction = reconstruction_mse(*fw.reconstruction, batch, &ws_.grad_recon);
+    ws_.grad_recon *= reconstruction_weight;
   }
 
   if (into_g) {
@@ -349,29 +379,31 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
     const std::size_t n = config_.num_optional;
     const std::size_t M = config_.code_dim;
     const std::size_t ppr = config_.props_per_sample();
+    const nn::Matrix& gc = *grad_combined;
     // Scatter the code parts of grad_combined.  A unique property row that
     // serves several stacked slots receives the SUM of their gradients (its
     // code fed all of them), accumulated in slot order — the dedup-aware
     // equivalent of the stacked scatter.
-    nn::Matrix grad_codes(batch.num_unique_properties(), M, 0.0);
+    nn::Matrix& grad_codes = ws_.grad_codes;
+    grad_codes.assign(batch.num_unique_properties(), M, 0.0);
     for (std::size_t i = 0; i < b; ++i) {
       for (std::size_t p = 0; p < m; ++p) {
         const std::size_t crow = batch.prop_row[i * ppr + p];
         for (std::size_t j = 0; j < M; ++j) {
-          grad_codes(crow, j) += grad_combined(i, F + p * M + j);
+          grad_codes(crow, j) += gc(i, F + p * M + j);
         }
       }
       for (std::size_t j = 0; j < M; ++j) {
-        const double go = n ? grad_combined(i, F + m * M + j) / static_cast<double>(n) : 0.0;
+        const double go = n ? gc(i, F + m * M + j) / static_cast<double>(n) : 0.0;
         for (std::size_t p = 0; p < n; ++p) {
           grad_codes(batch.prop_row[i * ppr + m + p], j) += go;
         }
       }
     }
-    if (decode) grad_codes += h_.backward(grad_recon);
+    if (decode) grad_codes += h_.backward(ws_.grad_recon);
     g_.backward_params(grad_codes);
   } else if (decode) {
-    h_.backward_params(grad_recon);
+    h_.backward_params(ws_.grad_recon);
   }
 
   loss.total = loss.huber + reconstruction_weight * loss.reconstruction;
@@ -380,13 +412,9 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
 
 BellamyLoss BellamyModel::evaluate(const BellamyBatch& batch, double reconstruction_weight) {
   const bool decode = reconstruction_weight > 0.0;
-  BellamyForward fw = forward_pass(batch, /*training=*/false, decode);
-  const nn::Matrix targets_norm =
-      batch.targets_raw.apply([this](double v) { return normalize_target(v); });
-  BellamyLoss loss;
-  loss.huber = nn::huber_loss(fw.prediction_norm, targets_norm, config_.huber_delta).value;
-  loss.mae_seconds = nn::mae_loss(fw.prediction_raw, batch.targets_raw).value;
-  if (decode) loss.reconstruction = reconstruction_mse(fw, batch, nullptr);
+  const ForwardView fw = forward_pass(batch, /*training=*/false, decode);
+  BellamyLoss loss = runtime_losses(fw, batch, /*grad=*/false);
+  if (decode) loss.reconstruction = reconstruction_mse(*fw.reconstruction, batch, nullptr);
   loss.total = loss.huber + reconstruction_weight * loss.reconstruction;
   return loss;
 }
@@ -413,8 +441,9 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   return predict_batch_serial(runs);
 }
 
-nn::Matrix BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
-                                           const std::vector<std::size_t>& prop_row) const {
+void BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
+                                     const std::vector<std::size_t>& prop_row,
+                                     nn::Matrix& combined) const {
   const std::size_t b = e.rows();
   const std::size_t m = config_.num_essential;
   const std::size_t n = config_.num_optional;
@@ -422,7 +451,7 @@ nn::Matrix BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix
   const std::size_t F = config_.scaleout_out;
   const std::size_t ppr = config_.props_per_sample();
 
-  nn::Matrix combined(b, config_.combined_dim());
+  combined.resize(b, config_.combined_dim());  // every element is written below
   for (std::size_t i = 0; i < b; ++i) {
     for (std::size_t j = 0; j < F; ++j) combined(i, j) = e(i, j);
     for (std::size_t p = 0; p < m; ++p) {
@@ -435,7 +464,6 @@ nn::Matrix BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix
       combined(i, F + m * M + j) = n ? acc / static_cast<double>(n) : 0.0;
     }
   }
-  return combined;
 }
 
 std::vector<double> BellamyModel::predict_batch_serial(
@@ -448,11 +476,14 @@ std::vector<double> BellamyModel::predict_batch_serial(
   // forward, so predictions match the per-sample path bit for bit.
   const BellamyEncodedRuns encoded = encode_runs(runs);
 
-  const nn::Matrix e = f_.infer(normalize_scaleout(encoded.scaleout_raw));  // (B x F)
-  const nn::Matrix codes = g_.infer(encoded.properties);                    // (U x M)
+  nn::Matrix xs;
+  normalize_scaleout(encoded.scaleout_raw, xs);
+  const nn::Matrix e = f_.infer(xs);                      // (B x F)
+  const nn::Matrix codes = g_.infer(encoded.properties);  // (U x M)
 
-  const nn::Matrix prediction =
-      z_.infer(assemble_combined(e, codes, encoded.prop_row));  // (B x 1)
+  nn::Matrix combined;
+  assemble_combined(e, codes, encoded.prop_row, combined);
+  const nn::Matrix prediction = z_.infer(combined);  // (B x 1)
   std::vector<double> out(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) out[i] = denormalize_target(prediction(i, 0));
   return out;
@@ -563,6 +594,11 @@ void BellamyModel::reinit_z() {
   for (nn::Linear* l : z_linears_) l->reinitialize(config_.init, rng_);
 }
 
+void BellamyModel::release_training_workspace() {
+  ws_ = {};
+  for (nn::Sequential* s : {&f_, &g_, &h_, &z_}) s->release_buffers();
+}
+
 void BellamyModel::set_training(bool training) {
   f_.set_training(training);
   g_.set_training(training);
@@ -650,6 +686,17 @@ BellamyModel BellamyModel::from_checkpoint(const nn::Checkpoint& ckpt) {
   }
   cfg.dropout = util::parse_double(ckpt.meta_value("dropout"));
   cfg.huber_delta = util::parse_double(ckpt.meta_value("huber_delta"));
+  // parse_double accepts "nan" and "inf"; the comparisons are written so
+  // that NaN fails them.  A model with these values would load, then fail
+  // (or train on NaN losses) at its first refit.
+  if (!(cfg.huber_delta > 0.0 && std::isfinite(cfg.huber_delta))) {
+    throw std::runtime_error("BellamyModel::from_checkpoint: huber_delta " +
+                             ckpt.meta_value("huber_delta") + " is not finite and > 0");
+  }
+  if (!(cfg.dropout >= 0.0 && cfg.dropout < 1.0)) {
+    throw std::runtime_error("BellamyModel::from_checkpoint: dropout " +
+                             ckpt.meta_value("dropout") + " is outside [0, 1)");
+  }
   if (ckpt.meta.count("standardize_target")) {
     cfg.standardize_target = ckpt.meta_value("standardize_target") == "1";
   }

@@ -133,6 +133,10 @@ class BellamyModel {
   BellamyBatch gather_batch(const BellamyEncodedRuns& encoded,
                             std::span<const std::size_t> indices,
                             BellamyGatherCache* cache = nullptr) const;
+  /// gather_batch refilling `batch` in place: a training loop that keeps one
+  /// batch reuses its storage, so a steady-state gather allocates nothing.
+  void gather_batch(const BellamyEncodedRuns& encoded, std::span<const std::size_t> indices,
+                    BellamyBatch& batch, BellamyGatherCache* cache = nullptr) const;
 
   /// encode_runs + gather_batch over all runs (one-shot convenience).
   BellamyBatch make_batch(const std::vector<data::JobRun>& runs) const;
@@ -150,12 +154,20 @@ class BellamyModel {
   /// Forward + joint loss + backward (gradients accumulate into the
   /// trainable parameters; frozen ones are left untouched).
   /// reconstruction_weight 0 disables the auto-encoder path (fine-tuning):
-  /// the decoder h then does not run at all.
+  /// the decoder h then does not run at all.  Intermediates live in the
+  /// model's training workspace and the modules' own buffers, so a
+  /// steady-state step allocates nothing.
   BellamyLoss train_step(const BellamyBatch& batch, double reconstruction_weight);
 
   /// Loss evaluation without gradients (dropout off; h runs only when
   /// reconstruction_weight > 0).
   BellamyLoss evaluate(const BellamyBatch& batch, double reconstruction_weight);
+
+  /// Free the training workspace and the modules' buffers.  They are
+  /// scratch, not state (never checkpointed, not part of state_stamp);
+  /// pretrain and finetune call this on return, so a trained model carries
+  /// none.  The next training call allocates them again.
+  void release_training_workspace();
 
   /// Predict runtimes in seconds (eval mode) for a whole batch in a single
   /// forward pass: all queries are encoded into one stacked property matrix
@@ -224,23 +236,48 @@ class BellamyModel {
   void restore_parameters(const std::vector<nn::Matrix>& snapshot);
 
  private:
+  /// Training scratch that forward_pass / train_step / evaluate refill each
+  /// step, reusing its storage.
+  struct Workspace {
+    nn::Matrix scaleout;         ///< (B x 3) normalized scale-outs
+    nn::Matrix combined;         ///< (B x combined_dim) the vector r
+    nn::Matrix prediction_raw;   ///< (B x 1) denormalized prediction
+    nn::Matrix targets_norm;     ///< (B x 1) network-space targets
+    nn::Matrix grad_prediction;  ///< (B x 1) dL/d(network-space prediction)
+    nn::Matrix grad_f;           ///< (B x F) the f slice of dL/d(combined)
+    nn::Matrix grad_codes;       ///< (U x M) dL/d(codes)
+    nn::Matrix grad_recon;       ///< (U x N) dL/d(reconstruction)
+  };
+  /// The module outputs of one forward_pass: references into the modules'
+  /// buffers, valid until the next forward on the same component.
+  struct ForwardView {
+    const nn::Matrix* codes;            ///< g's output (U x M)
+    const nn::Matrix* reconstruction;   ///< h's output (U x N); null unless decoded
+    const nn::Matrix* prediction_norm;  ///< z's output (B x 1)
+  };
+
   void build(std::uint64_t dropout_seed);
   /// forward(), with the decoder h run only when `decode` is set (its output
-  /// feeds nothing but the reconstruction term).
-  BellamyForward forward_pass(const BellamyBatch& batch, bool training, bool decode);
-  nn::Matrix normalize_scaleout(const nn::Matrix& raw) const;
-  double normalize_target(double seconds) const;
+  /// feeds nothing but the reconstruction term).  Fills ws_.scaleout,
+  /// ws_.combined and ws_.prediction_raw.
+  ForwardView forward_pass(const BellamyBatch& batch, bool training, bool decode);
+  void normalize_scaleout(const nn::Matrix& raw, nn::Matrix& out) const;
+  void normalize_targets(const nn::Matrix& raw, nn::Matrix& out) const;
   double denormalize_target(double network_value) const;
   std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs) const;
   /// The z input per sample: r = e ++ essential codes ++ mean(optional
   /// codes), with the codes gathered from the unique rows through prop_row.
-  nn::Matrix assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
-                               const std::vector<std::size_t>& prop_row) const;
+  void assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
+                         const std::vector<std::size_t>& prop_row,
+                         nn::Matrix& combined) const;
   /// Weighted (by row multiplicity) reconstruction MSE over the batch's
   /// unique property rows — equal to the MSE over the stacked matrix.  Fills
   /// `grad` (U x N) with d(mse)/d(reconstruction) when non-null.
-  double reconstruction_mse(const BellamyForward& fw, const BellamyBatch& batch,
+  double reconstruction_mse(const nn::Matrix& reconstruction, const BellamyBatch& batch,
                             nn::Matrix* grad) const;
+  /// Huber and MAE of the last forward_pass against the batch targets;
+  /// dL/d(prediction) goes to ws_.grad_prediction when `grad` is set.
+  BellamyLoss runtime_losses(const ForwardView& fw, const BellamyBatch& batch, bool grad);
 
   BellamyConfig config_;
   util::Rng rng_;
@@ -255,6 +292,9 @@ class BellamyModel {
 
   // Auto-chunking floor for predict_batch (not persisted).
   std::size_t predict_chunk_threshold_ = 2048;
+
+  // Training scratch (not persisted, not state).
+  Workspace ws_;
 
   // Normalization state (persisted).
   bool norm_fitted_ = false;

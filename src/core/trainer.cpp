@@ -37,6 +37,8 @@ PreTrainResult pretrain(BellamyModel& model, const std::vector<data::JobRun>& ru
   const BellamyEncodedRuns encoded = model.encode_runs(runs);
   BellamyGatherCache gather_cache;
 
+  BellamyBatch batch;  // refilled per step, its storage reused
+
   PreTrainResult result;
   result.loss_history.reserve(config.epochs);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -49,7 +51,7 @@ PreTrainResult pretrain(BellamyModel& model, const std::vector<data::JobRun>& ru
       const std::span<const std::size_t> indices(order.data() + begin, end - begin);
 
       optimizer.zero_grad();
-      const BellamyBatch batch = model.gather_batch(encoded, indices, &gather_cache);
+      model.gather_batch(encoded, indices, batch, &gather_cache);
       const BellamyLoss loss = model.train_step(batch, config.reconstruction_weight);
       optimizer.step();
 
@@ -63,6 +65,7 @@ PreTrainResult pretrain(BellamyModel& model, const std::vector<data::JobRun>& ru
     ++result.epochs_run;
   }
   model.set_training(false);
+  model.release_training_workspace();
   return result;
 }
 
@@ -117,6 +120,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
     result.reached_target = true;
     result.fit_seconds = timer.seconds();
     model.set_training(false);
+    model.release_training_workspace();
     return result;
   }
 
@@ -149,6 +153,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
     // uses, seeded shuffles per epoch, one optimizer step per mini-batch.
     const BellamyEncodedRuns encoded = model.encode_runs(runs);
     BellamyGatherCache gather_cache;
+    BellamyBatch mini;  // refilled per step, its storage reused
     util::Rng rng(config.seed);
     std::vector<std::size_t> order(runs.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -163,7 +168,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
         const std::size_t end = std::min(order.size(), begin + config.batch_size);
         const std::span<const std::size_t> indices(order.data() + begin, end - begin);
         optimizer.zero_grad();
-        const BellamyBatch mini = model.gather_batch(encoded, indices, &gather_cache);
+        model.gather_batch(encoded, indices, mini, &gather_cache);
         model.train_step(mini, recon_weight);
         optimizer.step();
       }
@@ -186,6 +191,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
 
   model.restore_parameters(best_state);
   model.set_training(false);
+  model.release_training_workspace();
   result.best_mae_seconds = best_mae;
   result.fit_seconds = timer.seconds();
   return result;

@@ -18,11 +18,37 @@ double selu_derivative(double x) {
 // SELU and tanh have hand-written AVX2 (nn/simd.hpp): the model is SELU
 // everywhere but the decoder output, which is tanh, and their scalar exp /
 // tanh are the largest element-wise costs of a pretrain.  The model uses
-// neither relu nor sigmoid, so those are plain loops.
+// neither relu nor sigmoid, so those are plain loops.  Tanh and sigmoid
+// back-propagate from their own output, which output_ already holds.
 
-Matrix Selu::forward(const Matrix& input) {
-  cached_input_ = input;
-  return infer(input);
+namespace {
+
+void check_grad_shape(const Matrix& grad_output, const Matrix& cached, const char* who) {
+  if (!grad_output.same_shape(cached)) {
+    throw std::invalid_argument(std::string(who) + "::backward: grad " +
+                                grad_output.shape_str() + " does not match forward output " +
+                                cached.shape_str());
+  }
+}
+
+void relu_inplace(Matrix& m) {
+  m.apply_inplace([](double v) { return v > 0.0 ? v : 0.0; });
+}
+
+void sigmoid_inplace(Matrix& m) {
+  m.apply_inplace([](double v) { return 1.0 / (1.0 + std::exp(-v)); });
+}
+
+}  // namespace
+
+// Training keeps selu'(x) from the exp lane the forward already computes
+// (simd::selu_forward_deriv gives the same output bits as selu_forward), so
+// backward is a single multiply.
+const Matrix& Selu::forward(const Matrix& input) {
+  output_ = input;
+  derivative_.resize(input.rows(), input.cols());
+  simd::selu_forward_deriv(output_.data(), derivative_.data(), output_.size());
+  return output_;
 }
 
 Matrix Selu::infer(const Matrix& input) const {
@@ -31,15 +57,20 @@ Matrix Selu::infer(const Matrix& input) const {
   return out;
 }
 
-Matrix Selu::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
-  simd::selu_backward(grad.data(), cached_input_.data(), grad.size());
-  return grad;
+const Matrix& Selu::backward(const Matrix& grad_output) {
+  check_grad_shape(grad_output, derivative_, "Selu");
+  grad_input_.resize(grad_output.rows(), grad_output.cols());
+  const double* go = grad_output.data();
+  const double* d = derivative_.data();
+  double* g = grad_input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) g[i] = go[i] * d[i];
+  return grad_input_;
 }
 
-Matrix Tanh::forward(const Matrix& input) {
-  cached_output_ = infer(input);
-  return cached_output_;
+const Matrix& Tanh::forward(const Matrix& input) {
+  output_ = input;
+  simd::tanh_forward(output_.data(), output_.size());
+  return output_;
 }
 
 Matrix Tanh::infer(const Matrix& input) const {
@@ -48,49 +79,56 @@ Matrix Tanh::infer(const Matrix& input) const {
   return out;
 }
 
-Matrix Tanh::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
-  simd::tanh_backward(grad.data(), cached_output_.data(), grad.size());
-  return grad;
+const Matrix& Tanh::backward(const Matrix& grad_output) {
+  check_grad_shape(grad_output, output_, "Tanh");
+  grad_input_ = grad_output;
+  simd::tanh_backward(grad_input_.data(), output_.data(), grad_input_.size());
+  return grad_input_;
 }
 
-Matrix Relu::forward(const Matrix& input) {
-  cached_input_ = input;
-  return infer(input);
+const Matrix& Relu::forward(const Matrix& input) {
+  input_ = input;
+  output_ = input;
+  relu_inplace(output_);
+  return output_;
 }
 
 Matrix Relu::infer(const Matrix& input) const {
   Matrix out = input;
-  double* x = out.data();
-  for (std::size_t i = 0; i < out.size(); ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+  relu_inplace(out);
   return out;
 }
 
-Matrix Relu::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
-  double* g = grad.data();
-  const double* x = cached_input_.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) {
+const Matrix& Relu::backward(const Matrix& grad_output) {
+  check_grad_shape(grad_output, input_, "Relu");
+  grad_input_ = grad_output;
+  double* g = grad_input_.data();
+  const double* x = input_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) {
     if (x[i] <= 0.0) g[i] = 0.0;
   }
-  return grad;
+  return grad_input_;
 }
 
-Matrix Sigmoid::forward(const Matrix& input) {
-  cached_output_ = infer(input);
-  return cached_output_;
+const Matrix& Sigmoid::forward(const Matrix& input) {
+  output_ = input;
+  sigmoid_inplace(output_);
+  return output_;
 }
 
 Matrix Sigmoid::infer(const Matrix& input) const {
-  return input.apply([](double v) { return 1.0 / (1.0 + std::exp(-v)); });
+  Matrix out = input;
+  sigmoid_inplace(out);
+  return out;
 }
 
-Matrix Sigmoid::backward(const Matrix& grad_output) {
-  Matrix grad = grad_output;
-  double* g = grad.data();
-  const double* y = cached_output_.data();
-  for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= y[i] * (1.0 - y[i]);
-  return grad;
+const Matrix& Sigmoid::backward(const Matrix& grad_output) {
+  check_grad_shape(grad_output, output_, "Sigmoid");
+  grad_input_ = grad_output;
+  double* g = grad_input_.data();
+  const double* y = output_.data();
+  for (std::size_t i = 0; i < grad_input_.size(); ++i) g[i] *= y[i] * (1.0 - y[i]);
+  return grad_input_;
 }
 
 ModulePtr make_activation(Activation act) {

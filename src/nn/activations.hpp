@@ -15,53 +15,61 @@ inline constexpr double kSeluScale = 1.0507009873554804934193349852946;
 
 class Selu : public Module {
  public:
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
+  void release_buffers() override {
+    Module::release_buffers();
+    derivative_ = Matrix();
+  }
   std::string describe() const override { return "SELU"; }
 
  private:
-  Matrix cached_input_;
+  Matrix derivative_;  ///< selu'(x) of the last forward() input
 };
 
 class Tanh : public Module {
  public:
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   std::string describe() const override { return "Tanh"; }
-
- private:
-  Matrix cached_output_;
 };
 
 class Relu : public Module {
  public:
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
+  void release_buffers() override {
+    Module::release_buffers();
+    input_ = Matrix();
+  }
   std::string describe() const override { return "ReLU"; }
 
  private:
-  Matrix cached_input_;
+  Matrix input_;  ///< copy of the last forward() input
 };
 
 class Sigmoid : public Module {
  public:
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   std::string describe() const override { return "Sigmoid"; }
-
- private:
-  Matrix cached_output_;
 };
 
 class Identity : public Module {
  public:
-  Matrix forward(const Matrix& input) override { return infer(input); }
+  const Matrix& forward(const Matrix& input) override {
+    output_ = input;
+    return output_;
+  }
   Matrix infer(const Matrix& input) const override { return input; }
-  Matrix backward(const Matrix& grad_output) override { return grad_output; }
+  const Matrix& backward(const Matrix& grad_output) override {
+    grad_input_ = grad_output;
+    return grad_input_;
+  }
   std::string describe() const override { return "Identity"; }
 };
 

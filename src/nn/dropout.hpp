@@ -13,13 +13,18 @@ namespace bellamy::nn {
 
 class AlphaDropout : public Module {
  public:
-  /// rate = probability of dropping; rng is forked for per-call masks.
+  /// rate = probability of dropping, in [0, 1); rng is forked for per-call
+  /// masks.
   AlphaDropout(double rate, util::Rng rng);
 
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   /// Eval mode: alpha-dropout is the identity.
   Matrix infer(const Matrix& input) const override { return input; }
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
+  void release_buffers() override {
+    Module::release_buffers();
+    mask_ = Matrix();
+  }
   std::string describe() const override;
 
   double rate() const { return rate_; }
@@ -30,6 +35,7 @@ class AlphaDropout : public Module {
   double a_ = 1.0;  ///< affine scale, recomputed when rate changes
   double b_ = 0.0;  ///< affine shift
   util::Rng rng_;
+  bool identity_ = true;  ///< the most recent forward passed its input through
   Matrix mask_;  ///< 1 = keep, 0 = drop (for the most recent forward)
 
   void recompute_affine();

@@ -15,36 +15,63 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, bool with_bias
   if (with_bias_) bias_ = Parameter(name + ".bias", Matrix::zeros(1, out_features));
 }
 
-Matrix Linear::forward(const Matrix& input) {
-  Matrix out = infer(input);  // validates the shape before anything is cached
-  cached_input_ = input;
-  return out;
+const Matrix& Linear::forward(const Matrix& input) {
+  check_input(input);
+  input_ = input;  // a copy: the caller may reuse its matrix at once
+  affine(input_, output_);
+  return output_;
 }
 
 Matrix Linear::infer(const Matrix& input) const {
+  check_input(input);
+  Matrix out;
+  affine(input, out);
+  return out;
+}
+
+void Linear::check_input(const Matrix& input) const {
   if (input.cols() != in_) {
     throw std::invalid_argument("Linear: input " + input.shape_str() +
                                 " incompatible with in_features=" + std::to_string(in_));
   }
-  Matrix out = Matrix::matmul_nt(input, weight_.value);  // (B x in)(out x in)ᵀ
-  if (with_bias_) out = out.add_row_broadcast(bias_.value);
-  return out;
 }
 
-Matrix Linear::backward(const Matrix& grad_output) {
+void Linear::affine(const Matrix& input, Matrix& out) const {
+  Matrix::matmul_nt_into(input, weight_.value, out);  // (B x in)(out x in)ᵀ
+  if (with_bias_) out.add_row_inplace(bias_.value);
+}
+
+const Matrix& Linear::backward(const Matrix& grad_output) {
   backward_params(grad_output);
   // dL/dX = grad W -> (B x out)(out x in) = (B x in)
-  return Matrix::matmul(grad_output, weight_.value);
+  Matrix::matmul_into(grad_output, weight_.value, grad_input_);
+  return grad_input_;
 }
 
 void Linear::backward_params(const Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() || grad_output.cols() != out_) {
+  if (grad_output.rows() != input_.rows() || grad_output.cols() != out_) {
     throw std::invalid_argument("Linear::backward: grad " + grad_output.shape_str() +
                                 " does not match forward output shape");
   }
-  // dL/dW = gradᵀ X  -> (out x B)(B x in) = (out x in)
-  if (weight_.trainable) weight_.grad += Matrix::matmul_tn(grad_output, cached_input_);
-  if (with_bias_ && bias_.trainable) bias_.grad += grad_output.colwise_sum();
+  // dL/dW = gradᵀ X  -> (out x B)(B x in) = (out x in).  The step's product
+  // is formed whole, then added, so a gradient accumulated over several
+  // steps rounds as a sum of per-step products.
+  if (weight_.trainable) {
+    Matrix::matmul_tn_into(grad_output, input_, step_grad_);
+    weight_.grad += step_grad_;
+  }
+  if (with_bias_ && bias_.trainable) {
+    grad_output.colwise_sum_into(step_grad_);
+    bias_.grad += step_grad_;
+  }
+}
+
+bool Linear::has_trainable() { return weight_.trainable || (with_bias_ && bias_.trainable); }
+
+void Linear::release_buffers() {
+  Module::release_buffers();
+  input_ = Matrix();
+  step_grad_ = Matrix();
 }
 
 std::vector<Parameter*> Linear::parameters() {

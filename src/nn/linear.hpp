@@ -21,11 +21,13 @@ class Linear : public Module {
   Linear(std::size_t in_features, std::size_t out_features, bool with_bias,
          Init init, util::Rng& rng, std::string name = "linear");
 
-  Matrix forward(const Matrix& input) override;
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   void backward_params(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
+  bool has_trainable() override;
+  void release_buffers() override;
   std::string describe() const override;
 
   std::size_t in_features() const { return in_; }
@@ -44,7 +46,12 @@ class Linear : public Module {
   bool with_bias_;
   Parameter weight_;
   Parameter bias_;
-  Matrix cached_input_;
+  Matrix input_;      ///< copy of the last forward() input
+  Matrix step_grad_;  ///< this step's weight (then bias) gradient, before accumulation
+
+  void check_input(const Matrix& input) const;
+  /// out = input Wᵀ (+ b): the one arithmetic of forward() and infer().
+  void affine(const Matrix& input, Matrix& out) const;
 };
 
 }  // namespace bellamy::nn

@@ -17,6 +17,10 @@ struct LossResult {
   Matrix grad;  ///< same shape as prediction
 };
 
+// Huber and MAE also come in a form that writes the gradient into *grad
+// (resized, its storage reused; skipped when grad is null) and returns the
+// value; their LossResult forms wrap it.
+
 /// Mean squared error: mean((pred - target)^2).
 LossResult mse_loss(const Matrix& pred, const Matrix& target);
 
@@ -24,8 +28,10 @@ LossResult mse_loss(const Matrix& pred, const Matrix& target);
 ///   0.5 e^2            for |e| <= delta
 ///   delta(|e| - delta/2) otherwise
 LossResult huber_loss(const Matrix& pred, const Matrix& target, double delta = 1.0);
+double huber_loss(const Matrix& pred, const Matrix& target, double delta, Matrix* grad);
 
 /// Mean absolute error (metric only; subgradient at 0 taken as 0).
 LossResult mae_loss(const Matrix& pred, const Matrix& target);
+double mae_loss(const Matrix& pred, const Matrix& target, Matrix* grad);
 
 }  // namespace bellamy::nn

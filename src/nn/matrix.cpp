@@ -103,21 +103,33 @@ Matrix Matrix::slice_rows(std::size_t begin, std::size_t end) const {
 }
 
 Matrix Matrix::slice_cols(std::size_t begin, std::size_t end) const {
-  if (begin > end || end > cols_) throw std::out_of_range("Matrix::slice_cols");
-  Matrix out(rows_, end - begin);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = begin; c < end; ++c) out(r, c - begin) = (*this)(r, c);
-  }
+  Matrix out;
+  slice_cols_into(begin, end, out);
   return out;
 }
 
+void Matrix::slice_cols_into(std::size_t begin, std::size_t end, Matrix& out) const {
+  if (begin > end || end > cols_) throw std::out_of_range("Matrix::slice_cols");
+  out.resize(rows_, end - begin);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    std::copy_n(data_.data() + r * cols_ + begin, end - begin, out.data_.data() + r * out.cols_);
+  }
+}
+
 Matrix Matrix::gather_rows(std::span<const std::size_t> indices) const {
-  Matrix out(indices.size(), cols_);
+  Matrix out;
+  gather_rows_into(indices, out);
+  return out;
+}
+
+void Matrix::gather_rows_into(std::span<const std::size_t> indices, Matrix& out) const {
+  for (const std::size_t i : indices) {
+    if (i >= rows_) throw std::out_of_range("Matrix::gather_rows");
+  }
+  out.resize(indices.size(), cols_);
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= rows_) throw std::out_of_range("Matrix::gather_rows");
     std::copy_n(data_.data() + indices[i] * cols_, cols_, out.data_.data() + i * cols_);
   }
-  return out;
 }
 
 Matrix Matrix::hcat(const Matrix& a, const Matrix& b) {
@@ -246,38 +258,63 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const double* a,
   }
 }
 
+// The *_into products accumulate into `out`, so it must not be an operand.
+void check_not_operand(const Matrix& a, const Matrix& b, const Matrix& out, const char* op) {
+  if (&out == &a || &out == &b) {
+    throw std::invalid_argument(std::string("Matrix::") + op + ": out aliases an operand");
+  }
+}
+
 }  // namespace
 
-Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
+void Matrix::matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   if (a.cols_ != b.rows_) {
     throw std::invalid_argument("Matrix::matmul: inner dim mismatch " + a.shape_str() +
                                 " * " + b.shape_str());
   }
-  Matrix out(a.rows_, b.cols_, 0.0);
+  check_not_operand(a, b, out, "matmul_into");
+  out.assign(a.rows_, b.cols_, 0.0);
   gemm_blocked(a.rows_, b.cols_, a.cols_, a.data_.data(), a.cols_, 1, b.data_.data(),
                b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
-  return out;
 }
 
-Matrix Matrix::matmul_tn(const Matrix& a, const Matrix& b) {
+void Matrix::matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out) {
   if (a.rows_ != b.rows_) {
     throw std::invalid_argument("Matrix::matmul_tn: dim mismatch " + a.shape_str() +
                                 "ᵀ * " + b.shape_str());
   }
-  Matrix out(a.cols_, b.cols_, 0.0);
+  check_not_operand(a, b, out, "matmul_tn_into");
+  out.assign(a.cols_, b.cols_, 0.0);
   gemm_blocked(a.cols_, b.cols_, a.rows_, a.data_.data(), 1, a.cols_, b.data_.data(),
                b.cols_, /*b_trans=*/false, out.data_.data(), out.cols_);
-  return out;
 }
 
-Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
+void Matrix::matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out) {
   if (a.cols_ != b.cols_) {
     throw std::invalid_argument("Matrix::matmul_nt: dim mismatch " + a.shape_str() + " * " +
                                 b.shape_str() + "ᵀ");
   }
-  Matrix out(a.rows_, b.rows_, 0.0);
+  check_not_operand(a, b, out, "matmul_nt_into");
+  out.assign(a.rows_, b.rows_, 0.0);
   gemm_blocked(a.rows_, b.rows_, a.cols_, a.data_.data(), a.cols_, 1, b.data_.data(),
                b.cols_, /*b_trans=*/true, out.data_.data(), out.cols_);
+}
+
+Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  matmul_into(a, b, out);
+  return out;
+}
+
+Matrix Matrix::matmul_tn(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  matmul_tn_into(a, b, out);
+  return out;
+}
+
+Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  matmul_nt_into(a, b, out);
   return out;
 }
 
@@ -338,25 +375,34 @@ Matrix Matrix::matmul_nt_ref(const Matrix& a, const Matrix& b) {
 }
 
 Matrix Matrix::add_row_broadcast(const Matrix& row_vec) const {
+  Matrix out = *this;
+  out.add_row_inplace(row_vec);
+  return out;
+}
+
+void Matrix::add_row_inplace(const Matrix& row_vec) {
   if (row_vec.rows_ != 1 || row_vec.cols_ != cols_) {
     throw std::invalid_argument("Matrix::add_row_broadcast: " + row_vec.shape_str() +
                                 " onto " + shape_str());
   }
-  Matrix out = *this;
   for (std::size_t r = 0; r < rows_; ++r) {
-    double* orow = out.data_.data() + r * cols_;
+    double* orow = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) orow[c] += row_vec.data_[c];
   }
-  return out;
 }
 
 Matrix Matrix::colwise_sum() const {
-  Matrix out(1, cols_, 0.0);
+  Matrix out;
+  colwise_sum_into(out);
+  return out;
+}
+
+void Matrix::colwise_sum_into(Matrix& out) const {
+  out.assign(1, cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const double* irow = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) out.data_[c] += irow[c];
   }
-  return out;
 }
 
 Matrix Matrix::colwise_mean() const {

@@ -43,6 +43,20 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
+  /// Give the matrix a new shape, keeping its storage: no allocation while
+  /// rows * cols fits the capacity it has had.  Element values are
+  /// unspecified afterwards; callers overwrite them.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+  /// resize, then set every element to `value` (one pass).
+  void assign(std::size_t rows, std::size_t cols, double value) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, value);
+  }
 
   /// Unchecked element access, inline so per-element loops stay call-free;
   /// builds without NDEBUG assert the bounds (the sanitizer CI job does).
@@ -71,8 +85,12 @@ class Matrix {
   Matrix slice_rows(std::size_t begin, std::size_t end) const;
   /// Columns [begin, end) as a copy.
   Matrix slice_cols(std::size_t begin, std::size_t end) const;
+  /// slice_cols written into `out` (resized, storage reused).
+  void slice_cols_into(std::size_t begin, std::size_t end, Matrix& out) const;
   /// Copy of the rows at the given indices, in order.
   Matrix gather_rows(std::span<const std::size_t> indices) const;
+  /// gather_rows written into `out` (resized, storage reused).
+  void gather_rows_into(std::span<const std::size_t> indices, Matrix& out) const;
   /// Horizontal concatenation (same row counts).
   static Matrix hcat(const Matrix& a, const Matrix& b);
   /// Vertical concatenation (same col counts).
@@ -118,6 +136,12 @@ class Matrix {
   /// a * bᵀ without materializing the transpose: (m x k)(n x k)ᵀ -> (m x n)
   /// (the packed B panel absorbs the transpose).
   static Matrix matmul_nt(const Matrix& a, const Matrix& b);
+  /// The three products written into `out` (resized; its storage is reused,
+  /// so a caller that keeps `out` across calls allocates nothing).  `out`
+  /// must not be an operand.  The value-returning forms above wrap these.
+  static void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
+  static void matmul_tn_into(const Matrix& a, const Matrix& b, Matrix& out);
+  static void matmul_nt_into(const Matrix& a, const Matrix& b, Matrix& out);
 
   /// Naive triple-loop reference kernels (the pre-blocking implementations),
   /// kept as the ground truth for the blocked kernels' property tests.
@@ -127,8 +151,12 @@ class Matrix {
 
   /// Broadcast-add a row vector (1 x cols) to every row.
   Matrix add_row_broadcast(const Matrix& row_vec) const;
+  /// add_row_broadcast in place.
+  void add_row_inplace(const Matrix& row_vec);
   /// Column-wise sum -> (1 x cols).
   Matrix colwise_sum() const;
+  /// colwise_sum written into `out` (resized, storage reused).
+  void colwise_sum_into(Matrix& out) const;
   /// Column-wise mean -> (1 x cols).
   Matrix colwise_mean() const;
   /// Row-wise mean over a set of matrices with identical shape.

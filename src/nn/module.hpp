@@ -8,6 +8,16 @@
 // infer() is the same eval-mode arithmetic with nothing cached: it leaves
 // the module unchanged, so any number of threads may call it on one module.
 //
+// Buffer contract.  forward() and backward() return references into buffers
+// the module owns and reuses, so a steady-state training step allocates
+// nothing.  A returned reference stays valid, and its values unchanged, until
+// the next forward() (for a forward result) or backward() (for a gradient)
+// or release_buffers() on the same module; copy it to keep it longer.  A module never keeps a
+// reference to its caller's matrices: what backward() needs is copied into
+// the module's own storage, so the caller may overwrite or destroy its input
+// as soon as forward() returns.  Training is single-threaded per module.
+// infer() is unchanged: const, value-returning, thread-safe.
+//
 // Freezing (the paper's fine-tuning policy keeps most components fixed) is
 // expressed per-parameter via Parameter::trainable; optimizers skip frozen
 // parameters, and backward() never accumulates a frozen parameter's
@@ -37,18 +47,26 @@ struct Parameter {
 
 class Module {
  public:
+  Module() = default;
+  // The virtual destructor would otherwise suppress the implicit moves, and
+  // the buffers below would make every move a throwing copy.
+  Module(const Module&) = delete;
+  Module& operator=(const Module&) = delete;
+  Module(Module&&) noexcept = default;
+  Module& operator=(Module&&) noexcept = default;
   virtual ~Module() = default;
 
-  /// Compute outputs for a batch: cache what backward() needs, then return
-  /// infer(input) — one arithmetic for both paths, so they agree bit for
-  /// bit.  Dropout in training mode is the one module that differs.
-  virtual Matrix forward(const Matrix& input) = 0;
+  /// Compute outputs for a batch and cache what backward() needs.  Shares
+  /// infer()'s arithmetic, so the two agree bit for bit; dropout in training
+  /// mode is the one module that differs.  The result lives in output_.
+  virtual const Matrix& forward(const Matrix& input) = 0;
 
   /// Eval-mode outputs for a batch; caches nothing and mutates nothing.
   virtual Matrix infer(const Matrix& input) const = 0;
 
   /// Propagate dL/d(output) -> dL/d(input), accumulating parameter grads.
-  virtual Matrix backward(const Matrix& grad_output) = 0;
+  /// The result lives in grad_input_.
+  virtual const Matrix& backward(const Matrix& grad_output) = 0;
 
   /// backward() without dL/d(input): accumulate the trainable parameters'
   /// gradients only.  For a module whose input is data, or whose input
@@ -67,8 +85,9 @@ class Module {
     for (Parameter* p : parameters()) p->trainable = trainable;
   }
 
-  /// True when at least one owned parameter is trainable.
-  bool has_trainable() {
+  /// True when at least one owned parameter is trainable.  Modules that own
+  /// parameters override it to answer without building parameters().
+  virtual bool has_trainable() {
     for (const Parameter* p : parameters()) {
       if (p->trainable) return true;
     }
@@ -86,11 +105,21 @@ class Module {
     return n;
   }
 
+  /// Free the buffers forward() and backward() reuse.  They hold no state,
+  /// so a trained model need not carry them; the next training call
+  /// allocates them again.
+  virtual void release_buffers() {
+    output_ = Matrix();
+    grad_input_ = Matrix();
+  }
+
   /// Human-readable one-line description ("Linear(3 -> 16, bias)").
   virtual std::string describe() const = 0;
 
  protected:
   bool training_ = true;
+  Matrix output_;      ///< forward()'s result
+  Matrix grad_input_;  ///< backward()'s result
 };
 
 using ModulePtr = std::unique_ptr<Module>;

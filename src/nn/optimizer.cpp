@@ -8,7 +8,7 @@
 namespace bellamy::nn {
 
 Adam::Adam(std::vector<Parameter*> params, Config config)
-    : params_(std::move(params)), lr_(config.lr), config_(config) {
+    : params_(std::move(params)), lr_(config.lr), config_(config), state_(params_.size()) {
   if (config.lr <= 0.0) throw std::invalid_argument("Adam: lr must be > 0");
   if (config.beta1 < 0.0 || config.beta1 >= 1.0 || config.beta2 < 0.0 || config.beta2 >= 1.0) {
     throw std::invalid_argument("Adam: betas must be in [0, 1)");
@@ -19,11 +19,11 @@ void Adam::step() {
   // The whole moment/update loop is one fused element-wise kernel
   // (nn/simd.hpp): weight decay folds into the effective gradient inside the
   // kernel, so no per-step gradient copy is materialized.
-  for (Parameter* p : params_) {
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    Parameter* p = params_[i];
     if (!p->trainable) continue;
-    auto [it, inserted] = state_.try_emplace(p);
-    State& s = it->second;
-    if (inserted) {
+    State& s = state_[i];
+    if (s.t == 0) {
       s.m = Matrix::zeros(p->value.rows(), p->value.cols());
       s.v = Matrix::zeros(p->value.rows(), p->value.cols());
     }

@@ -4,7 +4,6 @@
 // which is how the fine-tuning freeze policy is enforced.
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -38,12 +37,12 @@ class Adam {
   struct State {
     Matrix m;  ///< first-moment estimate
     Matrix v;  ///< second-moment estimate
-    std::size_t t = 0;
+    std::size_t t = 0;  ///< steps taken; 0 until the parameter first trains
   };
   std::vector<Parameter*> params_;
   double lr_;
   Config config_;
-  std::unordered_map<Parameter*, State> state_;
+  std::vector<State> state_;  ///< indexed like params_
 };
 
 }  // namespace bellamy::nn

@@ -2,10 +2,14 @@
 
 namespace bellamy::nn {
 
-Matrix Sequential::forward(const Matrix& input) {
-  Matrix x = input;
-  for (auto& m : modules_) x = m->forward(x);
-  return x;
+const Matrix& Sequential::forward(const Matrix& input) {
+  if (modules_.empty()) {
+    output_ = input;
+    return output_;
+  }
+  const Matrix* x = &input;
+  for (auto& m : modules_) x = &m->forward(*x);
+  return *x;
 }
 
 Matrix Sequential::infer(const Matrix& input) const {
@@ -14,19 +18,23 @@ Matrix Sequential::infer(const Matrix& input) const {
   return x;
 }
 
-Matrix Sequential::backward(const Matrix& grad_output) {
-  Matrix g = grad_output;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = (*it)->backward(g);
-  return g;
+const Matrix& Sequential::backward(const Matrix& grad_output) {
+  if (modules_.empty()) {
+    grad_input_ = grad_output;
+    return grad_input_;
+  }
+  const Matrix* g = &grad_output;
+  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = &(*it)->backward(*g);
+  return *g;
 }
 
 void Sequential::backward_params(const Matrix& grad_output) {
   std::size_t lowest = 0;
   while (lowest < modules_.size() && !modules_[lowest]->has_trainable()) ++lowest;
   if (lowest == modules_.size()) return;
-  Matrix g = grad_output;
-  for (std::size_t i = modules_.size() - 1; i > lowest; --i) g = modules_[i]->backward(g);
-  modules_[lowest]->backward_params(g);
+  const Matrix* g = &grad_output;
+  for (std::size_t i = modules_.size() - 1; i > lowest; --i) g = &modules_[i]->backward(*g);
+  modules_[lowest]->backward_params(*g);
 }
 
 std::vector<Parameter*> Sequential::parameters() {
@@ -36,6 +44,18 @@ std::vector<Parameter*> Sequential::parameters() {
     ps.insert(ps.end(), sub.begin(), sub.end());
   }
   return ps;
+}
+
+bool Sequential::has_trainable() {
+  for (auto& m : modules_) {
+    if (m->has_trainable()) return true;
+  }
+  return false;
+}
+
+void Sequential::release_buffers() {
+  Module::release_buffers();
+  for (auto& m : modules_) m->release_buffers();
 }
 
 void Sequential::set_training(bool training) {

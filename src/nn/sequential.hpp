@@ -27,14 +27,17 @@ class Sequential : public Module {
     return ref;
   }
 
-  Matrix forward(const Matrix& input) override;
+  /// Chains the modules' own buffers: the result is the last module's.
+  const Matrix& forward(const Matrix& input) override;
   Matrix infer(const Matrix& input) const override;
-  Matrix backward(const Matrix& grad_output) override;
+  const Matrix& backward(const Matrix& grad_output) override;
   /// Back-propagates only down to the lowest module that has a trainable
   /// parameter, which takes the parameter-only step: the chain's input
   /// gradient, and every gradient below that module, is never formed.
   void backward_params(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
+  bool has_trainable() override;
+  void release_buffers() override;
   void set_training(bool training) override;
   std::string describe() const override;
 

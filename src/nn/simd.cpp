@@ -94,10 +94,17 @@ void selu_forward(double* x, std::size_t n) {
   }
 }
 
-void selu_backward(double* g, const double* x, std::size_t n) {
+void selu_forward_deriv(double* x, double* d, std::size_t n) {
   const double sa = kSeluScale * kSeluAlpha;
   for (std::size_t i = 0; i < n; ++i) {
-    g[i] *= x[i] > 0.0 ? kSeluScale : sa * std::exp(x[i]);
+    if (x[i] > 0.0) {
+      d[i] = kSeluScale;
+      x[i] = kSeluScale * x[i];
+    } else {
+      const double e = std::exp(x[i]);
+      d[i] = sa * e;
+      x[i] = sa * (e - 1.0);
+    }
   }
 }
 
@@ -243,12 +250,17 @@ __attribute__((target("avx2,fma"))) inline __m256d selu_fwd_lane(__m256d v) {
   return _mm256_blendv_pd(neg, pos, gt);
 }
 
-__attribute__((target("avx2,fma"))) inline __m256d selu_bwd_lane(__m256d v) {
+// selu_fwd_lane plus selu'(v) = v > 0 ? scale : sa * exp(v), from the same
+// exp lane: the output bits are selu_fwd_lane's.
+__attribute__((target("avx2,fma"))) inline __m256d selu_deriv_lane(__m256d v, __m256d* d) {
   const __m256d scale = _mm256_set1_pd(kSeluScale);
   const __m256d sa = _mm256_set1_pd(kSeluScale * kSeluAlpha);
-  const __m256d neg = _mm256_mul_pd(sa, exp_pd(v));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d e = exp_pd(v);
   const __m256d gt = _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
-  return _mm256_blendv_pd(neg, scale, gt);
+  *d = _mm256_blendv_pd(_mm256_mul_pd(sa, e), scale, gt);
+  const __m256d neg = _mm256_mul_pd(sa, _mm256_sub_pd(e, one));
+  return _mm256_blendv_pd(neg, _mm256_mul_pd(scale, v), gt);
 }
 
 // Cephes tanh on |x|, sign restored by OR-ing x's sign bit back in (so
@@ -330,17 +342,19 @@ __attribute__((target("avx2,fma"))) void selu_forward(double* x, std::size_t n) 
   }
 }
 
-__attribute__((target("avx2,fma"))) void selu_backward(double* g, const double* x,
-                                                       std::size_t n) {
+__attribute__((target("avx2,fma"))) void selu_forward_deriv(double* x, double* d,
+                                                            std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d d = selu_bwd_lane(_mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(g + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), d));
+    __m256d vd;
+    _mm256_storeu_pd(x + i, selu_deriv_lane(_mm256_loadu_pd(x + i), &vd));
+    _mm256_storeu_pd(d + i, vd);
   }
   if (const std::size_t r = n - i) {
     const __m256i m = lane_mask(r, 0);
-    const __m256d d = selu_bwd_lane(_mm256_maskload_pd(x + i, m));
-    _mm256_maskstore_pd(g + i, m, _mm256_mul_pd(_mm256_maskload_pd(g + i, m), d));
+    __m256d vd;
+    _mm256_maskstore_pd(x + i, m, selu_deriv_lane(_mm256_maskload_pd(x + i, m), &vd));
+    _mm256_maskstore_pd(d + i, m, vd);
   }
 }
 
@@ -436,9 +450,9 @@ void selu_forward(double* x, std::size_t n) {
   ref::selu_forward(x, n);
 }
 
-void selu_backward(double* g, const double* x, std::size_t n) {
-  if (use_avx2()) return avx2::selu_backward(g, x, n);
-  ref::selu_backward(g, x, n);
+void selu_forward_deriv(double* x, double* d, std::size_t n) {
+  if (use_avx2()) return avx2::selu_forward_deriv(x, d, n);
+  ref::selu_forward_deriv(x, d, n);
 }
 
 void tanh_forward(double* x, std::size_t n) {

@@ -9,9 +9,12 @@
 // they pay; README § Performance has the numbers.  Tanh joined once train_step
 // stopped doing work no loss needs: the decoder's scalar std::tanh and the
 // libm fma call per element of its backward (a plain loop compiled outside
-// the FMA target calls libm) were then ~17% of a pretrain.  Every other
-// element-wise loop (Matrix arithmetic, relu/sigmoid, the loss gradients) is
-// a plain loop at its only caller.
+// the FMA target calls libm) were then ~17% of a pretrain.  SELU's pair is
+// the inference forward and the training forward, which also stores the
+// derivative from the same exp lane, so the SELU backward is a plain
+// multiply and computes no exp.  Every other element-wise loop (Matrix
+// arithmetic, relu/sigmoid, the loss gradients) is a plain loop at its only
+// caller.
 //
 // Determinism contract:
 //  * gemm_tile: both twins give every C element its k contributions in
@@ -25,8 +28,11 @@
 //  * adam_update and tanh_backward use only IEEE-exact operations with
 //    their fused multiply-adds spelled out in both twins, so the twins are
 //    bit-identical.
-//  * selu_forward/backward use a vectorized Cephes-style exp on the AVX2
-//    path and std::exp on the portable one; they agree to ~1 ulp.
+//  * selu_forward and selu_forward_deriv use a vectorized Cephes-style exp
+//    on the AVX2 path and std::exp on the portable one; the twins agree to
+//    ~1 ulp.  Within one twin, selu_forward_deriv's output is bit-identical
+//    to selu_forward's (both take the same exp of each element), so the
+//    training forward and infer() agree bit for bit.
 //    tanh_forward is a vectorized Cephes tanh against std::tanh, within
 //    2 ulp; it keeps the sign of zero, maps +-inf to +-1 and NaN to NaN.
 //  * The ragged tail of every element-wise kernel goes through masked loads
@@ -62,7 +68,9 @@ void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* p
                std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 
 void selu_forward(double* x, std::size_t n);
-void selu_backward(double* g, const double* x, std::size_t n);  ///< g *= selu'(x)
+/// selu_forward(x) that also writes d = selu'(x) (of the input x) from the
+/// same exp: the training forward, whose backward is then g * d.
+void selu_forward_deriv(double* x, double* d, std::size_t n);
 
 void tanh_forward(double* x, std::size_t n);
 /// g *= tanh'(x), given y = tanh(x): g *= fma(-y, y, 1).
@@ -82,7 +90,7 @@ namespace ref {
 void gemm_tile(const double* a, std::size_t lda, std::size_t ka, const double* panel,
                std::size_t w, std::size_t mi, std::size_t kk, double* c, std::size_t ldc);
 void selu_forward(double* x, std::size_t n);
-void selu_backward(double* g, const double* x, std::size_t n);
+void selu_forward_deriv(double* x, double* d, std::size_t n);
 void tanh_forward(double* x, std::size_t n);
 void tanh_backward(double* g, const double* y, std::size_t n);
 void adam_update(double* w, const double* grad, double* m, double* v, std::size_t n,

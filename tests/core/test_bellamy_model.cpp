@@ -94,6 +94,37 @@ TEST(BellamyModel, GatherBatchMatchesMakeBatch) {
   EXPECT_THROW(model.gather_batch(encoded, std::vector<std::size_t>{99}), std::out_of_range);
 }
 
+// Training loops refill one batch; each refill must equal a fresh gather,
+// whether the batch shrinks or grows, with or without the cache, and after
+// a gather that threw.
+TEST(BellamyModel, GatherBatchRefillMatchesAFreshGather) {
+  BellamyModel model(BellamyConfig{}, 1);
+  data::C3OGeneratorConfig gen;
+  gen.seed = 3;
+  const auto runs = data::C3OGenerator(gen).generate_algorithm("sgd", 4).runs();
+  const auto encoded = model.encode_runs(runs);
+  std::vector<std::size_t> all(runs.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<std::vector<std::size_t>> sequence{
+      all, {runs.size() - 1, 0}, {5, 5, 6}, all, {1}};
+  for (const bool cached : {false, true}) {
+    BellamyGatherCache cache;
+    BellamyBatch batch;
+    for (const auto& idx : sequence) {
+      EXPECT_THROW(model.gather_batch(encoded, std::vector<std::size_t>{0, runs.size()}, batch),
+                   std::out_of_range);
+      model.gather_batch(encoded, idx, batch, cached ? &cache : nullptr);
+      const BellamyBatch fresh = model.gather_batch(encoded, idx);
+      EXPECT_EQ(batch.batch_size, fresh.batch_size);
+      EXPECT_EQ(batch.scaleout_raw, fresh.scaleout_raw);
+      EXPECT_EQ(batch.targets_raw, fresh.targets_raw);
+      EXPECT_EQ(batch.properties, fresh.properties);
+      EXPECT_EQ(batch.prop_row, fresh.prop_row);
+      EXPECT_EQ(batch.prop_weight, fresh.prop_weight);
+    }
+  }
+}
+
 TEST(BellamyModel, MakeBatchScaleoutFeatures) {
   BellamyModel model(BellamyConfig{}, 1);
   const auto batch = model.make_batch({make_run(4)});
@@ -386,6 +417,38 @@ TEST(BellamyModel, FromCheckpointRejectsWidthsTheValuesCannotBack) {
           << key << " = " << width;
     }
   }
+}
+
+// Hyperparameters come off the wire too; std::stod parses "nan", so each
+// value must be range-checked, not just parsed.  A model accepted with one
+// of these failed (or trained on NaN losses) only at its first refit.
+void expect_hyperparameter_rejected(const char* key, const char* value) {
+  BellamyModel model(BellamyConfig{}, 14);
+  model.fit_normalization(small_context());
+  nn::Checkpoint ckpt = model.to_checkpoint();
+  ckpt.meta[key] = value;
+  try {
+    BellamyModel::from_checkpoint(ckpt);
+    ADD_FAILURE() << key << " = " << value << " was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(BellamyModel, FromCheckpointRejectsNanHuberDelta) {
+  expect_hyperparameter_rejected("huber_delta", "nan");
+}
+
+TEST(BellamyModel, FromCheckpointRejectsZeroHuberDelta) {
+  expect_hyperparameter_rejected("huber_delta", "0");
+}
+
+TEST(BellamyModel, FromCheckpointRejectsNegativeHuberDelta) {
+  expect_hyperparameter_rejected("huber_delta", "-1");
+}
+
+TEST(BellamyModel, FromCheckpointRejectsNanDropout) {
+  expect_hyperparameter_rejected("dropout", "nan");
 }
 
 TEST(BellamyModel, SetTrainableComponents) {

@@ -177,14 +177,12 @@ TEST(Loopback, EmptyBatchAndSinglePredictWork) {
 // which from_checkpoint once read past) is answered kInvalidArgument, the key
 // stays unknown, and the server keeps serving.  The request goes out as a
 // hand-built frame: NetClient::publish only sends well-formed checkpoints.
-TEST(Loopback, PublishOfAMisshapenCheckpointIsRejectedAndTheServerKeepsServing) {
-  Loopback loop;
-  const serve::ModelKey key{"sgd", "hostile"};
-  nn::Checkpoint ckpt = loop.model->to_checkpoint();
-  ckpt.matrices.at("norm.target") = nn::Matrix(1, 1, 5.0);
+/// Publishes `ckpt` on a raw connection (NetClient publishes only models
+/// that exist) and stores the server's answer in `resp`.
+void publish_raw(const Loopback& loop, const serve::ModelKey& key, const nn::Checkpoint& ckpt,
+                 PublishResponse& resp) {
   std::ostringstream text;
   ckpt.save(text);
-
   std::string error;
   const Socket raw = tcp_connect("127.0.0.1", loop.server->port(), error);
   ASSERT_TRUE(raw) << error;
@@ -197,11 +195,12 @@ TEST(Loopback, PublishOfAMisshapenCheckpointIsRejectedAndTheServerKeepsServing) 
   ASSERT_EQ(raw.read_exact(body.data(), len), IoStatus::kOk);
   FrameView view;
   ASSERT_EQ(parse_body(body.data(), body.size(), view), WireStatus::kOk);
-  PublishResponse resp;
   ASSERT_EQ(decode_message(view, resp), WireStatus::kOk);
-  EXPECT_EQ(resp.head.request_id, 7u);
-  EXPECT_EQ(resp.head.status, serve::ServeStatus::kInvalidArgument) << resp.head.message;
+}
 
+/// After a rejected publish under `key`, the key is still unknown and the
+/// server still publishes and serves it.
+void expect_still_serving(Loopback& loop, const serve::ModelKey& key) {
   NetClient client;
   loop.connect(client);
   EXPECT_EQ(client.predict(key, loop.query(4)).status(), serve::ServeStatus::kUnknownModel);
@@ -210,6 +209,32 @@ TEST(Loopback, PublishOfAMisshapenCheckpointIsRejectedAndTheServerKeepsServing) 
   ASSERT_TRUE(served.ok()) << served.error_text();
   EXPECT_EQ(served.value(), loop.model->predict_one(loop.query(4)));
   client.close();
+}
+
+TEST(Loopback, PublishOfAMisshapenCheckpointIsRejectedAndTheServerKeepsServing) {
+  Loopback loop;
+  const serve::ModelKey key{"sgd", "hostile"};
+  nn::Checkpoint ckpt = loop.model->to_checkpoint();
+  ckpt.matrices.at("norm.target") = nn::Matrix(1, 1, 5.0);
+  PublishResponse resp;
+  ASSERT_NO_FATAL_FAILURE(publish_raw(loop, key, ckpt, resp));
+  EXPECT_EQ(resp.head.request_id, 7u);
+  EXPECT_EQ(resp.head.status, serve::ServeStatus::kInvalidArgument) << resp.head.message;
+  expect_still_serving(loop, key);
+}
+
+// "nan" parses as a double, so a NaN Huber delta used to be accepted and
+// only surfaced as NaN losses at the model's first refit.
+TEST(Loopback, PublishOfANanHyperparameterIsRejectedAndTheServerKeepsServing) {
+  Loopback loop;
+  const serve::ModelKey key{"sgd", "hostile-nan"};
+  nn::Checkpoint ckpt = loop.model->to_checkpoint();
+  ckpt.meta["huber_delta"] = "nan";
+  PublishResponse resp;
+  ASSERT_NO_FATAL_FAILURE(publish_raw(loop, key, ckpt, resp));
+  EXPECT_EQ(resp.head.request_id, 7u);
+  EXPECT_EQ(resp.head.status, serve::ServeStatus::kInvalidArgument) << resp.head.message;
+  expect_still_serving(loop, key);
 }
 
 TEST(Loopback, AdminOperationsAndTypedErrorsTravelTheWire) {

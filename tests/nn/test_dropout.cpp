@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "nn/activations.hpp"
@@ -14,6 +15,16 @@ TEST(AlphaDropout, RejectsInvalidRate) {
   EXPECT_THROW(AlphaDropout(-0.1, util::Rng(1)), std::invalid_argument);
   EXPECT_THROW(AlphaDropout(1.0, util::Rng(1)), std::invalid_argument);
   EXPECT_NO_THROW(AlphaDropout(0.0, util::Rng(1)));
+}
+
+// NaN fails every ordered comparison, so a range check written as
+// "rate < 0 || rate >= 1" let it through.
+TEST(AlphaDropout, RejectsNanRate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(AlphaDropout(nan, util::Rng(1)), std::invalid_argument);
+  AlphaDropout drop(0.1, util::Rng(1));
+  EXPECT_THROW(drop.set_rate(nan), std::invalid_argument);
+  EXPECT_EQ(drop.rate(), 0.1);
 }
 
 TEST(AlphaDropout, EvalModeIsIdentity) {

@@ -5,9 +5,12 @@
 //
 //  * adam_update and tanh_backward must match the portable twin EXACTLY
 //    (both spell out their fused multiply-adds, so rounding is identical).
-//  * selu forward/backward use a vectorized exp on the AVX2 path and agree
-//    with std::exp to ~1 ulp — compared with a tight absolute+relative
-//    tolerance.
+//  * selu_forward and selu_forward_deriv use a vectorized exp on the AVX2
+//    path and agree with std::exp to ~1 ulp — compared with a tight
+//    absolute+relative tolerance.  Within a twin, selu_forward_deriv's
+//    output equals selu_forward's bit for bit (the training forward and
+//    infer() must agree), and the portable derivative is exactly the factor
+//    the SELU backward used to recompute, scale or scale * alpha * exp(x).
 //  * tanh_forward is a vectorized Cephes tanh: within 2 ulp of std::tanh,
 //    counted in ulps, over a dense sweep and the edge inputs.
 //  * gemm_tile fuses on the AVX2 path only, so the twins agree within 1e-12
@@ -36,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "nn/activations.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn::simd {
@@ -70,7 +74,7 @@ void expect_close(const std::vector<double>& got, const std::vector<double>& wan
   }
 }
 
-TEST(SimdKernels, SeluForwardBackwardParityClose) {
+TEST(SimdKernels, SeluForwardAndDerivParityClose) {
   for (const std::size_t n : kLengths) {
     auto x1 = random_values(n, 27);
     auto x2 = x1;
@@ -78,12 +82,47 @@ TEST(SimdKernels, SeluForwardBackwardParityClose) {
     ref::selu_forward(x2.data(), n);
     expect_close(x1, x2, "selu_forward", n, 1e-13);
 
-    const auto x = random_values(n, 28);
-    auto g1 = random_values(n, 29);
-    auto g2 = g1;
-    selu_backward(g1.data(), x.data(), n);
-    ref::selu_backward(g2.data(), x.data(), n);
-    expect_close(g1, g2, "selu_backward", n, 1e-13);
+    auto y1 = random_values(n, 28);
+    auto y2 = y1;
+    std::vector<double> d1(n), d2(n);
+    selu_forward_deriv(y1.data(), d1.data(), n);
+    ref::selu_forward_deriv(y2.data(), d2.data(), n);
+    expect_close(y1, y2, "selu_forward_deriv output", n, 1e-13);
+    expect_close(d1, d2, "selu_forward_deriv derivative", n, 1e-13);
+  }
+}
+
+TEST(SimdKernels, SeluForwardDerivOutputIsSeluForwardBitForBit) {
+  using Forward = void (*)(double*, std::size_t);
+  using ForwardDeriv = void (*)(double*, double*, std::size_t);
+  const std::pair<Forward, ForwardDeriv> twins[] = {{selu_forward, selu_forward_deriv},
+                                                    {ref::selu_forward, ref::selu_forward_deriv}};
+  for (const auto& [forward, forward_deriv] : twins) {
+    for (const std::size_t n : kLengths) {
+      auto want = random_values(n, 30);
+      auto got = want;
+      std::vector<double> d(n);
+      forward(want.data(), n);
+      forward_deriv(got.data(), d.data(), n);
+      expect_exact(got, want, "selu_forward_deriv vs selu_forward", n);
+    }
+  }
+}
+
+TEST(SimdKernels, SeluForwardDerivIsTheBackwardFactor) {
+  // The portable SELU backward multiplied the gradient by exactly this
+  // factor; storing it in forward must not change a bit of training.
+  const double sa = kSeluScale * kSeluAlpha;
+  for (const std::size_t n : kLengths) {
+    const auto x = random_values(n, 31);
+    std::vector<double> factor(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      factor[i] = x[i] > 0.0 ? kSeluScale : sa * std::exp(x[i]);
+    }
+    auto y = x;
+    std::vector<double> d(n);
+    ref::selu_forward_deriv(y.data(), d.data(), n);
+    expect_exact(d, factor, "ref::selu_forward_deriv derivative", n);
   }
 }
 
@@ -353,13 +392,14 @@ TEST(SimdKernels, SplitProcessingIsBitIdentical) {
     selu_forward(parts.data() + split, n - split);
     expect_exact(parts, whole, "selu_forward split", n);
 
-    const auto x = random_values(n, 52);
-    auto gw = random_values(n, 53);
-    auto gp = gw;
-    selu_backward(gw.data(), x.data(), n);
-    selu_backward(gp.data(), x.data(), split);
-    selu_backward(gp.data() + split, x.data() + split, n - split);
-    expect_exact(gp, gw, "selu_backward split", n);
+    auto yw = random_values(n, 52);
+    auto yp = yw;
+    std::vector<double> dw(n), dp(n);
+    selu_forward_deriv(yw.data(), dw.data(), n);
+    selu_forward_deriv(yp.data(), dp.data(), split);
+    selu_forward_deriv(yp.data() + split, dp.data() + split, n - split);
+    expect_exact(yp, yw, "selu_forward_deriv split output", n);
+    expect_exact(dp, dw, "selu_forward_deriv split derivative", n);
 
     auto tw = random_values(n, 54);
     auto tp = tw;
@@ -380,7 +420,7 @@ TEST(SimdKernels, SplitProcessingIsBitIdentical) {
 TEST(SimdKernels, ZeroLengthIsSafe) {
   double dummy = 1.0;
   selu_forward(&dummy, 0);
-  selu_backward(&dummy, &dummy, 0);
+  selu_forward_deriv(&dummy, &dummy, 0);
   tanh_forward(&dummy, 0);
   tanh_backward(&dummy, &dummy, 0);
   adam_update(&dummy, &dummy, &dummy, &dummy, 0, AdamStep{});
