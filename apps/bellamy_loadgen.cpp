@@ -1,29 +1,27 @@
 // bellamy_loadgen — load generator + acceptance client for bellamy_serverd.
 //
 //   ./build/apps/bellamy_loadgen [--host=HOST] [--port=N] [--clients=N]
-//                                [--requests=N] [--probes=N] [--json=PATH|-]
+//                                [--requests=N] [--probes=N] [--io-timeout-ms=N]
 //                                [--drain] [--no-publish] [--drain-only]
 //                                [--drift-smoke]
 //
-// Replays the bench_serve scenarios over REAL sockets:
+// Drives a server over REAL sockets:
 //
-//   1. Pre-trains the bench model locally (deterministic recipe identical to
-//      bench_serve), publishes it over the wire, and verifies every served
-//      value BIT-IDENTICALLY against the local model — the checkpoint text
-//      round-trip plus the service's coalescing transparency, now proven
-//      end-to-end through TCP.
+//   1. Pre-trains a deterministic model locally, publishes it over the wire,
+//      and verifies every served value BIT-IDENTICALLY against the local
+//      model — the checkpoint text round-trip plus the service's coalescing
+//      transparency, proven end-to-end through TCP.
 //   2. Throughput cell: N pipelined client connections, closed-loop async
-//      windows — reported as net_predict_per_s.
+//      windows.
 //   3. QoS scenario: three bulk-flood connections saturate a kBulk model
 //      while a paced probe connection measures a kInteractive one; QoS is
 //      configured over the wire, client-side p50/p99 come from the probe's
-//      own clock, and SERVER-side p50/p95/p99 come from the new ServeMetrics
+//      own clock, and SERVER-side p50/p95/p99 come from the ServeMetrics
 //      latency percentiles fetched via MetricsRequest.
 //
-// --json emits a document scripts/bench-compare.py understands (the *_per_s
-// keys gate on throughput; *_us latency keys are informational — wall-clock
-// latency on shared runners is too noisy to gate).  --drain gracefully
-// drains the server afterwards: the CI loopback smoke runs
+// Results go to stderr; the exit code is the bit-identity verdict.  The
+// calibrated serving measurements live in benchmark/ (`serve-*` workloads).
+// --drain gracefully drains the server afterwards: the CI loopback smoke runs
 // serverd + loadgen --drain as one self-terminating cycle.
 //
 // --no-publish runs the same scenarios WITHOUT publishing first: the server
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
   std::size_t clients = 4;
   std::size_t requests = 512;
   std::size_t probes = 150;
-  std::string json_path;
   bool drain = false;
   bool publish = true;
   bool drain_only = false;
@@ -97,15 +94,19 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--host=", 7) == 0) {
       host = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[i] + 7));
+      char* end = nullptr;
+      const long v = std::strtol(argv[i] + 7, &end, 10);
+      if (end == argv[i] + 7 || *end != '\0' || v < 1 || v > 65535) {
+        std::fprintf(stderr, "--port expects 1..65535, got '%s'\n", argv[i] + 7);
+        return 2;
+      }
+      port = static_cast<std::uint16_t>(v);
     } else if (std::strncmp(argv[i], "--clients=", 10) == 0) {
       clients = std::max(1, std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests = std::max(1, std::atoi(argv[i] + 11));
     } else if (std::strncmp(argv[i], "--probes=", 9) == 0) {
       probes = std::max(10, std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--io-timeout-ms=", 16) == 0) {
       io_timeout_ms = std::max(0, std::atoi(argv[i] + 16));
     } else if (std::strcmp(argv[i], "--drain") == 0) {
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--host=HOST] [--port=N] [--clients=N] [--requests=N]\n"
-                   "          [--probes=N] [--json=PATH|-] [--io-timeout-ms=N] [--drain]\n"
+                   "          [--probes=N] [--io-timeout-ms=N] [--drain]\n"
                    "          [--no-publish] [--drain-only] [--drift-smoke]\n",
                    argv[0]);
       return 2;
@@ -149,8 +150,8 @@ int main(int argc, char** argv) {
     return drained.ok() ? 0 : 1;
   }
 
-  // Deterministic bench model — the same recipe as bench_serve, so numbers
-  // are comparable between the in-process and over-the-wire benches.
+  // Deterministic reference model: a fixed generator and model seed, so every
+  // loadgen run (and every node of a mesh) predicts with the same weights.
   data::C3OGeneratorConfig gen_cfg;
   gen_cfg.seed = 71;
   const data::Dataset history = data::C3OGenerator(gen_cfg).generate_algorithm("sgd", 6);
@@ -419,43 +420,6 @@ int main(int argc, char** argv) {
                (unsigned long long)bm.max_dispatch_lag_us);
   std::fprintf(stderr, "bit-identical to the local model: %s\n",
                all_identical.load() ? "yes" : "NO");
-
-  if (!json_path.empty()) {
-    std::FILE* f = json_path == "-" ? stdout : std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    } else {
-      std::fprintf(
-          f,
-          "{\n"
-          "  \"clients\": %zu,\n  \"requests_per_client\": %zu,\n"
-          "  \"identical\": %s,\n  \"net_predict_per_s\": %.0f,\n"
-          "  \"qos\": {\n"
-          "    \"interactive_unloaded_p50_us\": %.1f, \"interactive_unloaded_p99_us\": "
-          "%.1f,\n"
-          "    \"interactive_loaded_p50_us\": %.1f, \"interactive_loaded_p99_us\": %.1f,\n"
-          "    \"bulk_responses\": %llu,\n"
-          "    \"server\": {\n"
-          "      \"interactive_latency_p50_us\": %llu, \"interactive_latency_p95_us\": "
-          "%llu,\n"
-          "      \"interactive_latency_p99_us\": %llu, \"interactive_latency_count\": "
-          "%llu,\n"
-          "      \"bulk_latency_p99_us\": %llu, \"interactive_starved_flushes\": %llu,\n"
-          "      \"bulk_max_dispatch_lag_us\": %llu\n"
-          "    }\n  }\n}\n",
-          clients, requests, all_identical.load() ? "true" : "false", predict_per_s,
-          unloaded.p50, unloaded.p99, loaded.p50, loaded.p99,
-          (unsigned long long)bulk_ok.load(), (unsigned long long)im.latency_p50_us,
-          (unsigned long long)im.latency_p95_us, (unsigned long long)im.latency_p99_us,
-          (unsigned long long)im.latency_count, (unsigned long long)bm.latency_p99_us,
-          (unsigned long long)im.starved_flushes,
-          (unsigned long long)bm.max_dispatch_lag_us);
-      if (f != stdout) {
-        std::fclose(f);
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-      }
-    }
-  }
 
   if (drain) {
     const auto drained = control.drain();

@@ -59,6 +59,14 @@ using namespace bellamy;
 
 namespace {
 
+/// A TCP port in 1..65535, or 0 when `text` is not one.
+std::uint16_t parse_port(const char* text) {
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  const bool ok = end != text && *end == '\0' && v >= 1 && v <= 65535;
+  return ok ? static_cast<std::uint16_t>(v) : 0;
+}
+
 void print_help() {
   std::fprintf(stderr,
                "admin console commands:\n"
@@ -267,7 +275,11 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[i] + 7));
+      port = parse_port(argv[i] + 7);
+      if (port == 0) {
+        std::fprintf(stderr, "--port expects 1..65535, got '%s'\n", argv[i] + 7);
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
       store_dir = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
@@ -281,14 +293,13 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--peer=", 7) == 0) {
       const std::string spec = argv[i] + 7;
       const auto colon = spec.rfind(':');
-      const int peer_port =
-          colon == std::string::npos ? 0 : std::atoi(spec.c_str() + colon + 1);
-      if (colon == std::string::npos || colon == 0 || peer_port <= 0 ||
-          peer_port > 65535) {
+      const std::uint16_t peer_port =
+          colon == std::string::npos ? 0 : parse_port(spec.c_str() + colon + 1);
+      if (colon == 0 || peer_port == 0) {
         std::fprintf(stderr, "--peer expects HOST:PORT, got '%s'\n", spec.c_str());
         return 2;
       }
-      peers.emplace_back(spec.substr(0, colon), static_cast<std::uint16_t>(peer_port));
+      peers.emplace_back(spec.substr(0, colon), peer_port);
     } else if (std::strncmp(argv[i], "--sync-ms=", 10) == 0) {
       exchange_options.sync_interval =
           std::chrono::milliseconds(std::max(1, std::atoi(argv[i] + 10)));
@@ -311,9 +322,11 @@ int main(int argc, char** argv) {
       }
       reduction.policy = *parsed;
     } else if (std::strncmp(argv[i], "--drift-threshold=", 18) == 0) {
-      drift_options.threshold = std::atof(argv[i] + 18);
-      if (drift_options.threshold < 0.0) {
-        std::fprintf(stderr, "--drift-threshold must be >= 0\n");
+      char* end = nullptr;
+      drift_options.threshold = std::strtod(argv[i] + 18, &end);
+      if (end == argv[i] + 18 || *end != '\0' || !(drift_options.threshold >= 0.0)) {
+        std::fprintf(stderr, "--drift-threshold expects a number >= 0, got '%s'\n",
+                     argv[i] + 18);
         return 2;
       }
     } else {

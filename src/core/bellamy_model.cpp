@@ -427,10 +427,9 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   }
   // Very large batches go memory-bound in a single stacked pass on one core
   // (the B=4096 dip), so they are split into contiguous chunks across the
-  // global ThreadPool.  On a 4-vCPU Xeon host that is 1.00M/s against 769k/s
-  // unchunked at B=4096 (bench/baselines/BENCH_predict.json), and 1.6-2.8x
-  // the serial pass on the benchmark's sweep workload
-  // (parallel.chunked_over_serial).  Every output row's arithmetic is
+  // global ThreadPool.  On a 4-vCPU Xeon host that is 1.6-2.8x the serial
+  // pass at B=4096 (benchmark/'s parallel.chunked_over_serial, measured on
+  // the sweep workload).  Every output row's arithmetic is
   // independent of the batch it rides in and every chunk writes a disjoint
   // output range, so the chunked result is bit-identical under any schedule
   // (chunks only need to run exactly once).

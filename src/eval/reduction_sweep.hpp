@@ -7,8 +7,8 @@
 // grid cell: once on the FULL remaining history (the reference point) and
 // once on each (policy, budget) coreset.  Each cell reports wall-clock refit
 // time (reduction included) and held-out MAE, normalised against the full
-// refit, so `bench_reduce` and the docs can plot the Pareto frontier and the
-// CI gate can pin the headline "N x cheaper within 5 % accuracy" claim.
+// refit, so the docs can plot the Pareto frontier and tests/eval/test_experiment.cpp
+// (`ReductionSweep.*`) can pin the headline "N x cheaper within 5 % MAE" claim.
 //
 // Everything except wall-clock timing is deterministic: contexts, splits and
 // coresets all derive from `ReductionSweepConfig::seed`.

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "data/bell_generator.hpp"
 #include "data/c3o_generator.hpp"
 #include "data/ground_truth.hpp"
+#include "eval/reduction_sweep.hpp"
 #include "eval/report.hpp"
 #include "util/rng.hpp"
 
@@ -193,6 +195,44 @@ TEST(Report, AsciiBar) {
   EXPECT_EQ(ascii_bar(0.0, 10.0, 4), "----");
   EXPECT_EQ(ascii_bar(20.0, 10.0, 4), "####");  // clamped
   EXPECT_EQ(ascii_bar(1.0, 0.0, 4), "----");    // degenerate maximum
+}
+
+// Training Data Reduction's claim (arXiv 2111.07904): some (policy, budget)
+// cell refits at least 3x cheaper than the full history while its held-out
+// MAE stays within 5 % of the full refit's.  This is the gate for the
+// reduction grid in docs/BENCHMARKS.md.
+TEST(ReductionSweep, SomeCellRefitsThreeTimesCheaperWithinFivePercentMae) {
+  constexpr std::size_t kContexts = 4;
+  data::C3OGeneratorConfig gen;
+  gen.seed = 2021;
+  gen.repetitions = 20;
+  // Two extra contexts only feed pretraining, so every evaluated context has
+  // a real foreign corpus.
+  const auto c3o = data::C3OGenerator(gen).generate_algorithm("sgd", kContexts + 2);
+
+  ReductionSweepConfig cfg;
+  cfg.contexts = kContexts;
+  cfg.budgets = {9, 18, 30};
+  cfg.seed = 2021;
+  cfg.pretrain.epochs = 60;
+  cfg.finetune.max_epochs = 150;
+  cfg.finetune.mae_target_seconds = 0.0;  // same epoch count in every cell
+  cfg.finetune.patience = 150;
+  const ReductionSweepResult sweep = run_reduction_sweep(c3o, cfg);
+  ASSERT_EQ(sweep.points.size(), cfg.policies.size() * cfg.budgets.size());
+
+  // The fastest cell still within 5 % of the full refit's MAE.
+  const ReductionPoint* best = nullptr;
+  for (const ReductionPoint& p : sweep.points) {
+    if (p.mae_ratio > 1.05) continue;
+    if (best == nullptr || p.refit_speedup > best->refit_speedup) best = &p;
+  }
+  ASSERT_NE(best, nullptr) << "no cell stayed within 5 % of the full-refit MAE";
+  std::ostringstream cell;
+  cell << best->policy << " @ budget " << best->budget << ": " << best->refit_speedup
+       << "x cheaper refit, MAE ratio " << best->mae_ratio;
+  RecordProperty("best_cell", cell.str());  // in the --gtest_output XML report
+  EXPECT_GE(best->refit_speedup, 3.0) << "best cell " << cell.str();
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 //     pull-on-miss path a client actually experiences),
 //   * a server with no exchange layer answers the three exchange messages
 //     with kInvalidArgument — typed, never a dropped connection,
-//   * an unreachable peer is a typed kShutdown naming the peer.
+//   * an unreachable peer is a typed kShutdown naming the peer,
+//   * a node joining the mesh installs the peer's checkpoint byte-for-byte
+//     and warm-starts a new context faster than pretraining one.
 //
 // Runs under ASan/UBSan in CI (labels "exchange").
 
@@ -25,6 +27,7 @@
 #include "data/c3o_generator.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
+#include "util/timer.hpp"
 
 namespace bellamy::exchange {
 namespace {
@@ -181,6 +184,52 @@ TEST(TcpExchange, UnreachablePeerIsATypedShutdownNamingThePeer) {
   ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", 1));
   EXPECT_EQ(ex.open(serve::ModelKey{"sgd", "x"}).status(),
             serve::ServeStatus::kUnknownModel);
+}
+
+std::string checkpoint_of(serve::ModelRegistry& registry, const serve::ModelKey& key) {
+  const auto handle = registry.find(key);
+  if (!handle.ok()) return {};
+  auto text = registry.checkpoint_text(handle.value());
+  return text.ok() ? text.take() : std::string();
+}
+
+// The subsystem's reason to exist (arXiv 2206.00429): a new node resolves a
+// same-job new context off a peer's pretrained model faster than it could
+// pretrain one itself, and what it installs is the peer's checkpoint exactly.
+TEST(TcpExchange, JoiningNodeWarmStartsFasterThanPretrainingAndByteIdentically) {
+  data::C3OGeneratorConfig gen_cfg;
+  gen_cfg.seed = 71;
+  const data::Dataset history = data::C3OGenerator(gen_cfg).generate_algorithm("sgd", 6);
+  const serve::ModelKey seed_key{"sgd", "ctx-origin"};
+  const serve::ModelKey fresh_key{"sgd", "ctx-new"};
+
+  // Node A pays the one pretrain the mesh ever needs.
+  TcpNode a;
+  core::BellamyModel model(core::BellamyConfig{}, /*seed=*/71);
+  core::PreTrainConfig pre;
+  pre.epochs = 300;
+  const util::Timer pretrain_timer;
+  core::pretrain(model, history.runs(), pre);
+  const double pretrain_ms = pretrain_timer.milliseconds();
+  ASSERT_TRUE(a.ex.publish(seed_key, model).ok());
+
+  // Node B joins and never pretrains: exact key by TCP pull, new context by
+  // pulling the base and deriving from it.
+  TcpNode b;
+  b.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", a.port()));
+  const auto pulled = b.ex.open(seed_key);
+  ASSERT_TRUE(pulled.ok()) << pulled.error_text();
+  const util::Timer warm_timer;
+  const auto warm = b.ex.open(fresh_key);
+  const double warm_ms = warm_timer.milliseconds();
+  ASSERT_TRUE(warm.ok()) << warm.error_text();
+
+  const std::string origin = checkpoint_of(a.registry, seed_key);
+  ASSERT_FALSE(origin.empty());
+  EXPECT_EQ(checkpoint_of(b.registry, seed_key), origin);
+  EXPECT_EQ(checkpoint_of(b.registry, fresh_key), origin);
+  EXPECT_LT(warm_ms, pretrain_ms) << "warm start " << warm_ms << " ms vs pretrain "
+                                  << pretrain_ms << " ms";
 }
 
 }  // namespace
