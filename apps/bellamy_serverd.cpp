@@ -369,7 +369,9 @@ int main(int argc, char** argv) {
 
   // The exchange node answers the wire's exchange messages (via
   // ServerOptions::peer_service) and drives this node's outbound gossip; it
-  // must outlive the server AND any in-flight refit.  It exists even with
+  // must outlive the server.  It stamps from the registry's own record of
+  // weight changes, so wire publishes and refits, console refits and drift-
+  // triggered refits all reach the peers the same way.  It exists even with
   // zero --peer flags — a node must ANSWER digests and pulls to seed peers
   // that dial it; only the outbound sync loop needs peers.
   exchange::ExchangeRegistry exchange_node(registry, exchange_options);

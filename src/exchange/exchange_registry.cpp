@@ -11,7 +11,11 @@
 namespace bellamy::exchange {
 
 ExchangeRegistry::ExchangeRegistry(serve::ModelRegistry& registry, ExchangeOptions options)
-    : registry_(registry), options_(options) {}
+    : registry_(registry), options_(options) {
+  // The advertise fast path.  Posting only: the observer may run under
+  // install_remote's catalog hold, so it must never take mutex_ itself.
+  if (options_.advertise_on_update) registry_.set_on_change([this] { post_advertise(); });
+}
 
 ExchangeRegistry::~ExchangeRegistry() { stop(); }
 
@@ -35,51 +39,30 @@ std::vector<std::shared_ptr<ExchangeRegistry::Peer>> ExchangeRegistry::peers_sna
 std::uint64_t ExchangeRegistry::next_stamp_locked() { return ++clock_; }
 
 void ExchangeRegistry::absorb_registry_locked() {
-  // Mint rows for keys that reached the registry behind our back (wire
-  // publishes land in the registry first; the ServeServer's note_published
-  // usually beats this, but the catalog must not DEPEND on it) and drop
-  // rows whose key was erased — the catalog self-heals to "fitted registry
-  // entries only", which is exactly the set a pull can serve.
-  for (const serve::ModelKey& key : registry_.keys()) {
-    if (catalog_.count(key) != 0) continue;
-    const auto handle = registry_.find(key);
-    if (handle.ok() && registry_.fitted(handle.value())) {
-      catalog_[key] = CatalogEntry{next_stamp_locked(), false};
-    }
+  // Rows follow the registry's fitted entries — erased keys drop out, which
+  // is exactly the set a pull can serve — and a row whose handle or weight
+  // version moved since it was stamped gets a fresh stamp, pinned iff the
+  // registry says the current weights came from a refit.  A new handle
+  // (erase then re-publish) counts as moved even at an equal version.
+  std::map<serve::ModelKey, CatalogEntry> absorbed;
+  for (const serve::WeightVersion& live : registry_.versions()) {
+    const auto it = catalog_.find(live.key);
+    const bool moved = it == catalog_.end() || it->second.handle != live.handle.id() ||
+                       it->second.version != live.version;
+    absorbed.emplace_hint(absorbed.end(), live.key,
+                          moved ? CatalogEntry{next_stamp_locked(), live.refit,
+                                               live.handle.id(), live.version}
+                                : it->second);
   }
-  for (auto it = catalog_.begin(); it != catalog_.end();) {
-    if (registry_.find(it->first).ok()) {
-      ++it;
-    } else {
-      it = catalog_.erase(it);
-    }
-  }
-}
-
-void ExchangeRegistry::stamp_local(const serve::ModelKey& key, bool pin) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    CatalogEntry& row = catalog_[key];
-    row.stamp = next_stamp_locked();
-    // A refit pins (this node paid for the specialization); a publish
-    // REPLACES the weights wholesale, so it also clears an earlier pin.
-    row.pinned = pin;
-  }
-  if (options_.advertise_on_update) post_advertise();
+  catalog_ = std::move(absorbed);
 }
 
 // ---------------------------------------------------------------------------
-// Local operations
+// net::PeerService
 // ---------------------------------------------------------------------------
 
-serve::ServeResult<serve::ModelHandle> ExchangeRegistry::publish(
-    const serve::ModelKey& key, const core::BellamyModel& model) {
-  auto published = registry_.publish(key, model);
-  if (published.ok()) note_published(key);
-  return published;
-}
-
-serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open(const serve::ModelKey& key) {
+serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open_on_miss(
+    const serve::ModelKey& key) {
   if (key.job.empty() || key.context.empty()) {
     return serve::ServeResult<serve::ModelHandle>::failure(
         serve::ServeStatus::kInvalidArgument,
@@ -91,17 +74,10 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open(const serve::Model
     return found;
   }
 
-  // 2. Backing store hit (kInvalidArgument = storeless registry: keep going).
-  if (auto opened = registry_.open(key); opened.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      absorb_registry_locked();  // mints the row if the open materialized it
-    }
-    if (options_.advertise_on_update) post_advertise();
-    return opened;
-  } else if (opened.status() == serve::ServeStatus::kStoreError) {
-    return opened;  // the store EXISTS but failed — that is an error, not a miss
-  }
+  // 2. Backing store hit.  A store that EXISTS but failed is an error, not a
+  // miss; kInvalidArgument (storeless registry) and kUnknownModel go on.
+  auto opened = registry_.open(key);
+  if (opened.ok() || opened.status() == serve::ServeStatus::kStoreError) return opened;
 
   // 3 + 4. Ask every peer what it has.  Transport I/O happens with no lock
   // held; stamps we observe advance the clock afterwards.  Peers behind an
@@ -152,7 +128,8 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open(const serve::Model
 
   // 4. Same job, other context: the Bellamy warm start.  Install the peer's
   // model under ITS key, then derive `key` from it — the derived entry
-  // shares the pulled base checkpoint, exactly like a local derive().
+  // shares the pulled base checkpoint, exactly like a local derive(), and is
+  // a fresh local version of its own.
   for (const Candidate& candidate : same_job) {
     auto pulled = guarded(*candidate.peer,
                           [&] { return candidate.peer->transport->pull(candidate.entry.key); });
@@ -169,7 +146,6 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open(const serve::Model
       if (auto found = registry_.find(key); found.ok()) return found;
       continue;
     }
-    stamp_local(key, /*pin=*/false);
     warm_starts_.fetch_add(1);
     return derived;
   }
@@ -190,60 +166,6 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open(const serve::Model
       serve::ServeStatus::kUnknownModel,
       "open '" + key.str() + "': not local, not stored, " + detail);
 }
-
-serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open_or_pretrain(
-    const serve::ModelKey& key, const std::vector<data::JobRun>& pretrain_runs,
-    const core::PreTrainConfig& config) {
-  auto opened = open(key);
-  if (opened.ok() || opened.status() != serve::ServeStatus::kUnknownModel) return opened;
-  // Cold start: the one pretrain the rest of the mesh now gets to skip.
-  try {
-    core::BellamyModel model(core::BellamyConfig{}, config.seed);
-    core::pretrain(model, pretrain_runs, config);
-    return publish(key, model);
-  } catch (const std::invalid_argument& e) {
-    return serve::ServeResult<serve::ModelHandle>::failure(
-        serve::ServeStatus::kInvalidArgument,
-        "open_or_pretrain '" + key.str() + "': " + e.what());
-  } catch (const std::exception& e) {
-    return serve::ServeResult<serve::ModelHandle>::failure(
-        serve::ServeStatus::kInternalError,
-        "open_or_pretrain '" + key.str() + "': " + e.what());
-  }
-}
-
-std::shared_future<serve::ServeResult<core::FineTuneResult>> ExchangeRegistry::refit_async(
-    const serve::ModelHandle& handle, std::vector<data::JobRun> runs,
-    const core::FineTuneConfig& config, core::ReuseStrategy strategy,
-    serve::RefitCallback on_complete) {
-  const auto entry = registry_.resolve(handle);
-  const serve::ModelKey key = entry ? entry->key : serve::ModelKey{};
-  // The registry resolves ITS future before completion callbacks run, so a
-  // caller waiting on it could observe the swap without the stamp.  Hand out
-  // a future that resolves after note_refit instead: future-done implies
-  // stamped-and-advertised.
-  auto done =
-      std::make_shared<std::promise<serve::ServeResult<core::FineTuneResult>>>();
-  auto resolved = done->get_future().share();
-  registry_.refit_async(
-      handle, std::move(runs), config, strategy,
-      [this, key, cb = std::move(on_complete), done](
-          const serve::ServeResult<core::FineTuneResult>& result) {
-        // kStoreError here means "swapped, auto-persist failed": the new
-        // weights ARE serving, so they are stamped (and pinned) all the same.
-        if (!key.job.empty() &&
-            (result.ok() || result.status() == serve::ServeStatus::kStoreError)) {
-          note_refit(key);
-        }
-        if (cb) cb(result);
-        done->set_value(result);
-      });
-  return resolved;
-}
-
-// ---------------------------------------------------------------------------
-// net::PeerService
-// ---------------------------------------------------------------------------
 
 std::vector<DigestEntry> ExchangeRegistry::digest_entries() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -304,19 +226,6 @@ void ExchangeRegistry::on_advertise(const std::vector<DigestEntry>& entries) {
   if (interesting) schedule_sync();
 }
 
-serve::ServeResult<serve::ModelHandle> ExchangeRegistry::open_on_miss(
-    const serve::ModelKey& key) {
-  return open(key);
-}
-
-void ExchangeRegistry::note_published(const serve::ModelKey& key) {
-  stamp_local(key, /*pin=*/false);
-}
-
-void ExchangeRegistry::note_refit(const serve::ModelKey& key) {
-  stamp_local(key, /*pin=*/true);
-}
-
 // ---------------------------------------------------------------------------
 // Anti-entropy
 // ---------------------------------------------------------------------------
@@ -347,10 +256,13 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::install_remote(
     if (it->second.pinned && stamp > it->second.stamp) conflicts_skipped_.fetch_add(1);
     return registry_.find(key);  // the local version stands
   }
-  auto published = registry_.publish(key, *model);
+  std::uint64_t version = 0;
+  auto published = registry_.publish(key, *model, &version);
   if (!published.ok()) return published;
   clock_ = std::max(clock_, stamp);
-  catalog_[key] = CatalogEntry{stamp, false};
+  // The version THIS publish produced: a wire publish landing right after
+  // it moves the version again and so gets a fresh stamp of its own.
+  catalog_[key] = CatalogEntry{stamp, false, published.value().id(), version};
   pulls_completed_.fetch_add(1);
   return published;
 }
@@ -427,6 +339,9 @@ void ExchangeRegistry::sync_now() {
 }
 
 void ExchangeRegistry::stop() {
+  // Returns once no observer call is in flight: nothing posts onto the sync
+  // strand after this, so the drain below is final.
+  if (options_.advertise_on_update) registry_.set_on_change(nullptr);
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
     stopping_ = true;
@@ -440,19 +355,21 @@ void ExchangeRegistry::stop() {
 // Introspection
 // ---------------------------------------------------------------------------
 
-std::uint64_t ExchangeRegistry::stamp_of(const serve::ModelKey& key) const {
+std::uint64_t ExchangeRegistry::stamp_of(const serve::ModelKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
+  absorb_registry_locked();
   const auto it = catalog_.find(key);
   return it == catalog_.end() ? 0 : it->second.stamp;
 }
 
-bool ExchangeRegistry::pinned(const serve::ModelKey& key) const {
+bool ExchangeRegistry::pinned(const serve::ModelKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
+  absorb_registry_locked();
   const auto it = catalog_.find(key);
   return it != catalog_.end() && it->second.pinned;
 }
 
-ExchangeStats ExchangeRegistry::stats() const {
+ExchangeStats ExchangeRegistry::stats() {
   ExchangeStats s;
   s.pulls_served = pulls_served_.load();
   s.pulls_completed = pulls_completed_.load();
@@ -475,6 +392,7 @@ ExchangeStats ExchangeRegistry::stats() const {
     s.peers.push_back(std::move(p));
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  absorb_registry_locked();
   s.catalog_size = catalog_.size();
   return s;
 }

@@ -7,7 +7,7 @@
 // a (job, context) first seen at node A then warm-starts at node B instead
 // of pretraining from scratch:
 //
-//   open(key)
+//   open_on_miss(key)
 //     1. local registry hit (fitted)            -> serve it
 //     2. backing ModelStore hit                 -> open it
 //     3. a peer advertises the EXACT key        -> pull + install, bit-
@@ -15,13 +15,22 @@
 //     4. a peer has the SAME JOB, other context -> pull that base, install
 //        it under its own key, then registry.derive(key): the classic
 //        Bellamy warm start, sharing the pulled base checkpoint
-//     5. nothing anywhere                       -> kUnknownModel; callers
-//        wanting the pretrain fallback use open_or_pretrain()
+//     5. nothing anywhere                       -> kUnknownModel (a caller
+//        that can pretrain does so and publishes into the registry)
 //
 // FRESHNESS: every catalog row carries a Lamport-style stamp.  The node
 // clock advances past every stamp it has seen (locally minted or observed
 // on a peer), so "higher stamp" totally orders competing versions of a key
 // and a refit always outranks the weights it replaced.
+//
+// ONE MUTATION PATH: the catalog stamps from the registry's own record of
+// its weights (ModelRegistry::versions()).  Every digest, pull, advertise,
+// install and read (stamp_of, pinned, stats) first absorbs that record: a
+// row whose handle or weight version moved since it was stamped gets a
+// fresh stamp, pinned iff the change was a refit.  So a publish or refit
+// reaches the mesh the same way whether it came over the wire, from the
+// console, from the drift monitor or from an in-process caller of the
+// registry.
 //
 // ANTI-ENTROPY: start_sync() runs a periodic digest-compare-pull round
 // against every peer on a dedicated parallel::Strand — a timer thread only
@@ -33,12 +42,17 @@
 // node REFIT locally is pinned and never clobbered by a remote pull.  The
 // node that paid for a fine-tune on its own context's runs does not have
 // its specialization silently replaced by gossip; peers still pull the
-// refit weights FROM it (refits get fresh stamps and are advertised).
+// refit weights FROM it (refits get fresh stamps and are advertised).  A
+// later publish of the key replaces the weights wholesale and clears the pin.
 //
 // LOCK ORDER: exchange catalog mutex -> registry mutex -> entry mutex.
 // Transport calls (peer I/O) are NEVER made while holding the catalog
 // mutex; install_remote holds it across the catalog re-check plus the
-// registry publish so a losing pull cannot clobber a winning one.
+// registry publish so a losing pull cannot clobber a winning one.  The
+// advertise fast path is the registry's change observer: it only posts an
+// advertise onto the sync strand and takes no catalog mutex, so it may fire
+// under install_remote's hold without inverting the order.  stop() clears
+// it; once stop() returns no call to it is in flight.
 
 #include <atomic>
 #include <chrono>
@@ -50,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/trainer.hpp"
 #include "exchange/transport.hpp"
 #include "net/server.hpp"
 #include "parallel/strand.hpp"
@@ -63,9 +76,9 @@ namespace bellamy::exchange {
 struct ExchangeOptions {
   /// Period of the background anti-entropy loop started by start_sync().
   std::chrono::milliseconds sync_interval{500};
-  /// Push an advertise at every peer right after a local publish/refit
-  /// (cuts propagation latency to one one-way message; the periodic digest
-  /// loop still catches anything missed).
+  /// Push an advertise at every peer right after any weight change in the
+  /// local registry (cuts propagation latency to one one-way message; the
+  /// periodic digest loop still catches anything missed).
   bool advertise_on_update = true;
   /// Per-peer circuit breaker: after `failure_threshold` consecutive
   /// transport failures a peer's circuit opens and every call to it is
@@ -102,12 +115,12 @@ struct ExchangeStats {
 /// One node of the exchange mesh.  Implements net::PeerService, so the same
 /// object answers the wire messages when handed to a ServeServer
 /// (ServerOptions::peer_service) and the in-process calls when wrapped in a
-/// LocalTransport.  Thread-safe throughout.  Must outlive any refit still
-/// in flight through refit_async() (serverd tears down in that order; tests
-/// wait on the futures).
+/// LocalTransport.  Thread-safe throughout.  Publish and refit through the
+/// registry itself; this node notices every weight change on its own.
 class ExchangeRegistry final : public net::PeerService {
  public:
-  /// `registry` must outlive this node.
+  /// `registry` must outlive this node, and carries at most one exchange
+  /// node (it holds the node's change observer).
   explicit ExchangeRegistry(serve::ModelRegistry& registry, ExchangeOptions options = {});
   ~ExchangeRegistry() override;
 
@@ -115,44 +128,18 @@ class ExchangeRegistry final : public net::PeerService {
   ExchangeRegistry& operator=(const ExchangeRegistry&) = delete;
 
   /// Add a peer this node will sync against.  Peers are contacted from the
-  /// sync strand and from open()-ing callers; add before start_sync() or
-  /// any time after (thread-safe).
+  /// sync strand and from open_on_miss() callers; add before start_sync()
+  /// or any time after (thread-safe).
   void add_peer(std::shared_ptr<PeerTransport> peer);
   std::size_t peer_count() const;
-
-  // -- local operations: registry semantics plus stamping + gossip --
-
-  /// registry.publish + a fresh catalog stamp + advertise.
-  serve::ServeResult<serve::ModelHandle> publish(const serve::ModelKey& key,
-                                                 const core::BellamyModel& model);
-
-  /// The five-step resolution above.  Never pretrains.
-  serve::ServeResult<serve::ModelHandle> open(const serve::ModelKey& key);
-
-  /// open(), falling back to pretraining on `runs` when no node has the
-  /// job.  The pretrained model is published (stamped + advertised), so the
-  /// REST of the mesh warm-starts off this node from now on.
-  serve::ServeResult<serve::ModelHandle> open_or_pretrain(
-      const serve::ModelKey& key, const std::vector<data::JobRun>& pretrain_runs,
-      const core::PreTrainConfig& config);
-
-  /// registry.refit_async, with the completion hook extended to pin + stamp
-  /// the entry and advertise the new weights.  Same coalescing/future
-  /// semantics as the registry call.
-  std::shared_future<serve::ServeResult<core::FineTuneResult>> refit_async(
-      const serve::ModelHandle& handle, std::vector<data::JobRun> runs,
-      const core::FineTuneConfig& config,
-      core::ReuseStrategy strategy = core::ReuseStrategy::kPartialUnfreeze,
-      serve::RefitCallback on_complete = nullptr);
 
   // -- net::PeerService (the server-facing half) --
 
   std::vector<DigestEntry> digest_entries() override;
   serve::ServeResult<PulledCheckpoint> pull_model(const serve::ModelKey& key) override;
   void on_advertise(const std::vector<DigestEntry>& entries) override;
+  /// The five-step resolution above.  Never pretrains.
   serve::ServeResult<serve::ModelHandle> open_on_miss(const serve::ModelKey& key) override;
-  void note_published(const serve::ModelKey& key) override;
-  void note_refit(const serve::ModelKey& key) override;
 
   // -- anti-entropy control --
 
@@ -161,23 +148,29 @@ class ExchangeRegistry final : public net::PeerService {
   /// Run one full digest-compare-pull round against every peer and wait for
   /// it (deterministic convergence in tests; console `sync`).
   void sync_now();
-  /// Stop the timer and drain the sync strand.  Idempotent; the destructor
-  /// calls it.
+  /// Clear the registry's change observer, stop the timer and drain the
+  /// sync strand.  Idempotent; the destructor calls it.
   void stop();
 
   // -- introspection --
 
+  // Each absorbs the registry first, so a resolved refit future implies a
+  // read here sees the refit's stamp and pin.
+
   /// Catalog stamp for `key` (0 = not catalogued).
-  std::uint64_t stamp_of(const serve::ModelKey& key) const;
+  std::uint64_t stamp_of(const serve::ModelKey& key);
   /// True when `key` was refit locally (protected from remote clobber).
-  bool pinned(const serve::ModelKey& key) const;
-  ExchangeStats stats() const;
+  bool pinned(const serve::ModelKey& key);
+  ExchangeStats stats();
   serve::ModelRegistry& registry() { return registry_; }
 
  private:
   struct CatalogEntry {
     std::uint64_t stamp = 0;
     bool pinned = false;  ///< locally refit; never overwritten by a pull
+    /// The registry handle id and weight version this stamp covers.
+    std::uint64_t handle = 0;
+    std::uint64_t version = 0;
   };
 
   /// A transport plus its health: the breaker gates every call, the
@@ -219,12 +212,10 @@ class ExchangeRegistry final : public net::PeerService {
 
   /// ++clock_ (callers hold mutex_).
   std::uint64_t next_stamp_locked();
-  /// Catalog rows for keys published straight into the registry (wire
-  /// publishes, pre-wired models) get minted lazily; rows whose key left
-  /// the registry (erase) are dropped.  Callers hold mutex_.
+  /// Bring the catalog up to the registry's record (see ONE MUTATION PATH
+  /// above); rows whose key left the registry (erase) are dropped.  Callers
+  /// hold mutex_.
   void absorb_registry_locked();
-  /// Fresh stamp for `key` (optionally pinning it), then gossip.
-  void stamp_local(const serve::ModelKey& key, bool pin);
   /// Install a checkpoint pulled off a peer, unless the catalog already
   /// holds something as-new / pinned (the conflict rule).  Returns the
   /// key's handle either way.

@@ -250,9 +250,6 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         const core::BellamyModel model = core::BellamyModel::from_checkpoint(ckpt);
         const auto published = registry_.publish(req.key, model);
         resp.head = head_of(req.request_id, published.status(), published.message());
-        if (published.ok() && options_.peer_service != nullptr) {
-          options_.peer_service->note_published(req.key);
-        }
       } catch (const std::exception& e) {
         resp.head = head_of(req.request_id, serve::ServeStatus::kInvalidArgument,
                             std::string("bad checkpoint: ") + e.what());
@@ -270,22 +267,13 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         return reply(conn, resp);
       }
       // The response is DEFERRED: pushed when the background refit lands.
-      // weak_ptr: a connection that closed meanwhile drops the event.  The
-      // peer hook is notified first so the new weights get a fresh catalog
-      // stamp (kStoreError still means the swap landed — auto-persist
-      // failures never roll it back).
+      // weak_ptr: a connection that closed meanwhile drops the event.
       std::weak_ptr<Connection> weak = conn;
       const std::uint64_t request_id = req.request_id;
-      PeerService* peer = options_.peer_service;
-      const serve::ModelKey key = req.key;
       registry_.refit_async(
           handle.value(), std::move(req.runs), req.config,
           static_cast<core::ReuseStrategy>(req.strategy),
-          [weak, request_id, peer, key](const serve::ServeResult<core::FineTuneResult>& result) {
-            if (peer != nullptr &&
-                (result.ok() || result.status() == serve::ServeStatus::kStoreError)) {
-              peer->note_refit(key);
-            }
+          [weak, request_id](const serve::ServeResult<core::FineTuneResult>& result) {
             const std::shared_ptr<Connection> conn = weak.lock();
             if (!conn) return;
             RefitResponse resp;

@@ -51,14 +51,14 @@
 namespace bellamy::net {
 
 /// Server-side hook for the exchange layer (src/exchange/): answers the
-/// node-to-node wire messages (digest / pull / advertise), supplies the
-/// pull-on-miss path for serving traffic, and hears about local mutations so
-/// the catalog can stamp them.  Implemented by exchange::ExchangeRegistry;
-/// the server stays ignorant of sync policy.  All methods must be
-/// thread-safe — they are called from per-connection reader threads and
-/// from refit strands.  on_advertise() must not block on peer I/O (schedule
-/// the follow-up pulls instead); open_on_miss() MAY block on peer I/O,
-/// which stalls only the requesting connection's reader.
+/// node-to-node wire messages (digest / pull / advertise) and supplies the
+/// pull-on-miss path for serving traffic.  Implemented by
+/// exchange::ExchangeRegistry, which learns of local weight changes from the
+/// registry itself; the server stays ignorant of sync policy.  All methods
+/// must be thread-safe — they are called from per-connection reader
+/// threads.  on_advertise() must not block on peer I/O (schedule the
+/// follow-up pulls instead); open_on_miss() MAY block on peer I/O, which
+/// stalls only the requesting connection's reader.
 class PeerService {
  public:
   virtual ~PeerService() = default;
@@ -71,10 +71,6 @@ class PeerService {
   /// A request referenced a key unknown to the local registry: try to
   /// materialize it off a peer (pull-on-miss warm start).
   virtual serve::ServeResult<serve::ModelHandle> open_on_miss(const serve::ModelKey& key) = 0;
-  /// Local mutations that arrived over the wire (publish / refit swap):
-  /// stamp them so peers learn there is something newer to pull.
-  virtual void note_published(const serve::ModelKey& key) = 0;
-  virtual void note_refit(const serve::ModelKey& key) = 0;
 };
 
 struct ServerOptions {
@@ -87,8 +83,7 @@ struct ServerOptions {
   std::size_t max_pipeline = 256;
   /// Optional exchange-layer hook.  Null = this node answers digest/pull/
   /// advertise with kInvalidArgument and misses stay misses.  Must outlive
-  /// the server AND any refit still in flight at teardown (the refit
-  /// completion callback notifies it).
+  /// the server.
   PeerService* peer_service = nullptr;
   /// Optional drift monitor answering ReportRunRequest (observed-runtime
   /// feedback -> error EWMA -> auto-queued reduced refits).  Null = the

@@ -24,11 +24,12 @@ ServeResult<ModelHandle> validate_key(const ModelKey& key) {
 /// then swap atomically under the entry mutex.  kConflict when a publish
 /// replaced the base mid-fine-tune: swapping in weights derived from the OLD
 /// base would leave base and served model disagreeing for every later
-/// refit/derive.
+/// refit/derive.  A landed swap bumps the weight version and notifies
+/// `on_change`.
 ServeResult<core::FineTuneResult> run_refit(
     const std::shared_ptr<detail::RegistryEntry>& entry,
     const std::vector<data::JobRun>& runs, const core::FineTuneConfig& config,
-    core::ReuseStrategy strategy) {
+    core::ReuseStrategy strategy, detail::ChangeHook& on_change) {
   std::shared_ptr<const nn::Checkpoint> base;
   {
     std::lock_guard<std::mutex> lock(entry->mutex);
@@ -69,18 +70,23 @@ ServeResult<core::FineTuneResult> run_refit(
     result.fit_seconds = timer.seconds();
     auto serving = std::make_shared<const core::BellamyModel>(std::move(fresh));
 
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    if (entry->base != base) {
-      return ServeResult<core::FineTuneResult>::failure(
-          ServeStatus::kConflict,
-          "refit '" + entry->key.str() + "': base checkpoint changed during the fine-tune");
+    {
+      std::lock_guard<std::mutex> lock(entry->mutex);
+      if (entry->base != base) {
+        return ServeResult<core::FineTuneResult>::failure(
+            ServeStatus::kConflict,
+            "refit '" + entry->key.str() + "': base checkpoint changed during the fine-tune");
+      }
+      entry->model = std::move(serving);
+      entry->version += 1;
+      entry->refit = true;
+      if (reduced) {
+        entry->last_reduction = report;
+        entry->reductions += 1;
+        entry->runs_dropped += report.dropped_runs;
+      }
     }
-    entry->model = std::move(serving);
-    if (reduced) {
-      entry->last_reduction = report;
-      entry->reductions += 1;
-      entry->runs_dropped += report.dropped_runs;
-    }
+    on_change.notify();
     return result;
   } catch (const std::invalid_argument& e) {
     return ServeResult<core::FineTuneResult>::failure(
@@ -136,7 +142,8 @@ ModelRegistry::entry_for_key_locked(const ModelKey& key) {
 }
 
 ServeResult<ModelHandle> ModelRegistry::publish(const ModelKey& key,
-                                                const core::BellamyModel& model) {
+                                                const core::BellamyModel& model,
+                                                std::uint64_t* version) {
   if (auto bad = validate_key(key); !bad.ok()) return bad;
   try {
     // Snapshot the caller's model: the checkpoint becomes both the entry's
@@ -152,9 +159,15 @@ ServeResult<ModelHandle> ModelRegistry::publish(const ModelKey& key,
       std::lock_guard<std::mutex> lock(mutex_);
       std::tie(handle, entry) = entry_for_key_locked(key);
     }
-    std::lock_guard<std::mutex> entry_lock(entry->mutex);
-    entry->base = std::move(ckpt);
-    entry->model = std::move(serving);
+    {
+      std::lock_guard<std::mutex> entry_lock(entry->mutex);
+      entry->base = std::move(ckpt);
+      entry->model = std::move(serving);
+      entry->version += 1;
+      entry->refit = false;
+      if (version != nullptr) *version = entry->version;
+    }
+    on_change_->notify();
     return handle;
   } catch (const std::exception& e) {
     return ServeResult<ModelHandle>::failure(
@@ -197,11 +210,18 @@ ServeResult<ModelHandle> ModelRegistry::open(const ModelKey& key) {
       std::lock_guard<std::mutex> lock(mutex_);
       std::tie(handle, entry) = entry_for_key_locked(key);
     }
-    std::lock_guard<std::mutex> entry_lock(entry->mutex);
-    if (!entry->model) {  // lost a publish/open race: keep the winner's state
-      entry->base = std::move(ckpt);
-      entry->model = std::move(serving);
+    bool materialized = false;
+    {
+      std::lock_guard<std::mutex> entry_lock(entry->mutex);
+      if (!entry->model) {  // lost a publish/open race: keep the winner's state
+        entry->base = std::move(ckpt);
+        entry->model = std::move(serving);
+        entry->version += 1;
+        entry->refit = false;
+        materialized = true;
+      }
     }
+    if (materialized) on_change_->notify();
     return handle;
   } catch (const std::invalid_argument& e) {
     return ServeResult<ModelHandle>::failure(ServeStatus::kInvalidArgument, e.what());
@@ -249,18 +269,23 @@ ServeResult<ModelHandle> ModelRegistry::derive(const ModelHandle& base, const Mo
     entry->key = key;
     entry->model =
         std::make_shared<const core::BellamyModel>(core::BellamyModel::from_checkpoint(*ckpt));
+    entry->version = 1;
     entry->base = std::move(ckpt);  // the SAME checkpoint object as the base handle
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry->reduction = default_reduction_;
-    if (by_key_.count(key)) {
-      return ServeResult<ModelHandle>::failure(
-          ServeStatus::kConflict,
-          "derive: key '" + key.str() + "' was registered concurrently");
+    std::uint64_t id = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      entry->reduction = default_reduction_;
+      if (by_key_.count(key)) {
+        return ServeResult<ModelHandle>::failure(
+            ServeStatus::kConflict,
+            "derive: key '" + key.str() + "' was registered concurrently");
+      }
+      id = next_id_++;
+      entries_.emplace(id, std::move(entry));
+      by_key_.emplace(key, id);
     }
-    const std::uint64_t id = next_id_++;
-    entries_.emplace(id, std::move(entry));
-    by_key_.emplace(key, id);
+    on_change_->notify();
     return ModelHandle(id);
   } catch (const std::exception& e) {
     return ServeResult<ModelHandle>::failure(
@@ -284,7 +309,7 @@ ServeResult<core::FineTuneResult> ModelRegistry::refit(const ModelHandle& handle
     return ServeResult<core::FineTuneResult>::failure(ServeStatus::kUnknownModel,
                                                       "refit: unknown handle");
   }
-  return run_refit(entry, runs, config, strategy);
+  return run_refit(entry, runs, config, strategy, *on_change_);
 }
 
 std::shared_future<ServeResult<core::FineTuneResult>> ModelRegistry::refit_async(
@@ -328,10 +353,12 @@ std::shared_future<ServeResult<core::FineTuneResult>> ModelRegistry::refit_async
   }
   // One strand task per queued job: the strand serializes this entry's
   // refits, so a task posted while another runs simply waits its turn.  The
-  // task captures the entry's shared_ptr (plus the store and auto-persist
-  // flag by value) — it survives erase() and registry teardown (the entry's
-  // Strand destructor drains before the entry dies).
-  entry->refit_strand.post([entry, store = store_, auto_persist = auto_persist_] {
+  // task captures the entry's shared_ptr (plus the store, the auto-persist
+  // flag and the change observer by value) — it survives erase() and
+  // registry teardown (the entry's Strand destructor drains before the
+  // entry dies).
+  entry->refit_strand.post([entry, store = store_, auto_persist = auto_persist_,
+                            on_change = on_change_] {
     detail::RefitJob job;
     {
       std::lock_guard<std::mutex> lock(entry->mutex);
@@ -341,7 +368,7 @@ std::shared_future<ServeResult<core::FineTuneResult>> ModelRegistry::refit_async
       entry->refit_running = true;
     }
     ServeResult<core::FineTuneResult> result =
-        run_refit(entry, job.runs, job.config, job.strategy);
+        run_refit(entry, job.runs, job.config, job.strategy, *on_change);
     if (result.ok() && auto_persist->load(std::memory_order_relaxed)) {
       // Mirror the swapped weights into the backing store so a restart
       // serves what refit produced, not the stale pre-refit checkpoint.  A
@@ -527,6 +554,24 @@ std::vector<ModelKey> ModelRegistry::keys() const {
   out.reserve(by_key_.size());
   for (const auto& [key, id] : by_key_) out.push_back(key);
   return out;
+}
+
+std::vector<WeightVersion> ModelRegistry::versions() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<WeightVersion> out;
+  out.reserve(by_key_.size());
+  for (const auto& [key, id] : by_key_) {
+    const auto& entry = entries_.at(id);
+    std::lock_guard<std::mutex> entry_lock(entry->mutex);
+    if (entry->model) {
+      out.push_back(WeightVersion{key, ModelHandle(id), entry->version, entry->refit});
+    }
+  }
+  return out;
+}
+
+void ModelRegistry::set_on_change(std::function<void()> observer) {
+  on_change_->set(std::move(observer));
 }
 
 std::size_t ModelRegistry::size() const {

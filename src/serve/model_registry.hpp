@@ -28,7 +28,10 @@
 //     and serving — never block on the fine-tune.
 //
 // Handles stay valid across hot-swaps and refits; erase() retires one.
-// All operations are thread-safe.
+// Every assignment of an entry's weights (publish, open, derive, refit swap)
+// bumps the entry's weight version — the one record of "these weights
+// changed" that observers such as the exchange catalog read (versions(),
+// set_on_change()).  All operations are thread-safe.
 
 #include <atomic>
 #include <cstdint>
@@ -88,7 +91,32 @@ class ModelHandle {
 /// connection instead of parking a thread on the future.
 using RefitCallback = std::function<void(const ServeResult<core::FineTuneResult>&)>;
 
+/// What the registry records about an entry's current weights (versions()).
+struct WeightVersion {
+  ModelKey key;
+  ModelHandle handle;
+  std::uint64_t version = 0;  ///< bumped on every assignment of the weights
+  bool refit = false;         ///< the current weights came from a refit
+};
+
 namespace detail {
+
+/// The registry's weight-change observer.  Shared with in-flight refit
+/// tasks (they may outlive the registry); notify() and set() serialize on
+/// `mutex`, so once set() returns the previous observer never runs again.
+struct ChangeHook {
+  std::mutex mutex;
+  std::function<void()> observer;
+
+  void notify() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (observer) observer();
+  }
+  void set(std::function<void()> next) {
+    std::lock_guard<std::mutex> lock(mutex);
+    observer = std::move(next);
+  }
+};
 
 /// A queued background refit: the latest requested payload plus the promise
 /// every coalesced caller shares and every coalesced caller's completion
@@ -102,8 +130,8 @@ struct RefitJob {
   std::vector<RefitCallback> callbacks;
 };
 
-/// One served model.  `mutex` guards `base`, `model`, and the refit
-/// bookkeeping (`pending_refit`, `refit_running`); readers (the
+/// One served model.  `mutex` guards `base`, `model`, the weight version,
+/// and the refit bookkeeping (`pending_refit`, `refit_running`); readers (the
 /// PredictionService, the DriftMonitor) hold it only to copy the `model`
 /// pointer, never across a forward pass, and background refits hold it only
 /// to pick up their job and to swap — never across the fine-tune itself.
@@ -120,6 +148,8 @@ struct RegistryEntry {
   mutable std::mutex mutex;
   std::shared_ptr<const nn::Checkpoint> base;  ///< pretrained base for refits
   std::shared_ptr<const core::BellamyModel> model;  ///< current serveable weights
+  std::uint64_t version = 0;  ///< bumped wherever `model` is assigned
+  bool refit = false;         ///< `model` came from a refit swap
   std::optional<RefitJob> pending_refit;  ///< queued, not started (coalescing point)
   bool refit_running = false;             ///< a background refit is executing
   parallel::Strand refit_strand{parallel::ThreadPool::global()};
@@ -155,8 +185,10 @@ class ModelRegistry {
 
   /// Install a fitted model under `key` (snapshot — the caller keeps its
   /// instance).  An existing key keeps its handle and hot-swaps its weights;
-  /// the model's checkpoint becomes the entry's refit base.
-  ServeResult<ModelHandle> publish(const ModelKey& key, const core::BellamyModel& model);
+  /// the model's checkpoint becomes the entry's refit base.  `version`, when
+  /// given, receives the weight version THIS publish produced.
+  ServeResult<ModelHandle> publish(const ModelKey& key, const core::BellamyModel& model,
+                                   std::uint64_t* version = nullptr);
 
   /// Load the stored model for `key` from the backing store.  Re-opening a
   /// key returns its existing handle without touching the store.
@@ -274,6 +306,15 @@ class ModelRegistry {
 
   /// All registered keys, sorted.
   std::vector<ModelKey> keys() const;
+  /// The weight version of every fitted entry, sorted by key.
+  std::vector<WeightVersion> versions() const;
+
+  /// Install the one weight-change observer (null clears it).  It runs after
+  /// every bump of a weight version, outside every registry lock, on the
+  /// thread that made the change (a refit strand included).  It must be
+  /// cheap, must not block, and must not call set_on_change().  Returns
+  /// once no call of the previous observer is in flight.
+  void set_on_change(std::function<void()> observer);
   std::size_t size() const;
 
   /// Entry lookup for the PredictionService (null when unknown/erased).
@@ -292,6 +333,7 @@ class ModelRegistry {
   /// store) by value because a strand task may outlive the registry itself.
   std::shared_ptr<std::atomic<bool>> auto_persist_ =
       std::make_shared<std::atomic<bool>>(false);
+  std::shared_ptr<detail::ChangeHook> on_change_ = std::make_shared<detail::ChangeHook>();
   std::uint64_t next_id_ = 1;
   reduce::ReductionConfig default_reduction_;  ///< copied into new entries
   std::map<std::uint64_t, std::shared_ptr<detail::RegistryEntry>> entries_;

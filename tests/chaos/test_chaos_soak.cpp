@@ -133,7 +133,7 @@ TEST(ChaosSoak, MeshWithFlappingPeersConvergesBitIdenticallyOnceHealed) {
     for (int i = 0; i < kNodes; ++i) {
       const serve::ModelKey key{"sgd", "soak-" + std::to_string(i)};
       ASSERT_TRUE(nodes[static_cast<std::size_t>(i)]
-                      ->ex.publish(key, f.models[static_cast<std::size_t>(i)])
+                      ->registry.publish(key, f.models[static_cast<std::size_t>(i)])
                       .ok());
       keys.push_back(key);
       expected.push_back(

@@ -3,7 +3,7 @@
 // timeout tax), a failed half-open probe re-opens it, and after the peer
 // revives EXACTLY ONE successful probe re-admits it — at which point pulls
 // flow again and the mesh converges.  Plus the typed-timeout contract of
-// open() against a peer that accepts and never answers.
+// open_on_miss() against a peer that accepts and never answers.
 //
 // Runs under ASan/UBSan in CI (label "exchange").
 
@@ -114,7 +114,7 @@ TEST(CircuitBreakerRecovery, DeadPeerIsSkippedAndOneProbeReadmitsIt) {
   a.ex.add_peer(flappy);
 
   const serve::ModelKey early{"sgd", "early"};
-  ASSERT_TRUE(b.ex.publish(early, f.pretrained(11)).ok());
+  ASSERT_TRUE(b.registry.publish(early, f.pretrained(11)).ok());
 
   // Healthy round: digest + pull = 2 calls, model lands bit-identically.
   a.ex.sync_now();
@@ -166,7 +166,7 @@ TEST(CircuitBreakerRecovery, DeadPeerIsSkippedAndOneProbeReadmitsIt) {
 
   // Peer revives with something new to offer.
   const serve::ModelKey late{"sgd", "late"};
-  ASSERT_TRUE(b.ex.publish(late, f.pretrained(23)).ok());
+  ASSERT_TRUE(b.registry.publish(late, f.pretrained(23)).ok());
   flappy->down.store(false);
   std::this_thread::sleep_for(milliseconds(250));
 
@@ -213,7 +213,7 @@ TEST(CircuitBreakerRecovery, OpenReturnsTypedTimeoutAgainstASilentPeer) {
   a.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", port, transport_options));
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto opened = a.ex.open({"sgd", "nowhere"});
+  const auto opened = a.ex.open_on_miss({"sgd", "nowhere"});
   const auto elapsed = std::chrono::duration_cast<milliseconds>(
       std::chrono::steady_clock::now() - t0);
 

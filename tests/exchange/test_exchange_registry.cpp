@@ -7,8 +7,10 @@
 //     pulled base — indistinguishable from a local derive(),
 //   * a 3-node mesh converges under concurrent publishes and refits,
 //   * highest stamp wins, EXCEPT an entry the node refit locally (pinned),
-//   * open_or_pretrain pretrains exactly once per mesh — every other node
-//     warm-starts off the seeding node.
+//   * a refit straight through the registry (the drift monitor's and the
+//     console's path) reaches the peers pinned and freshly stamped,
+//   * resolve-through-the-mesh-else-pretrain pretrains exactly once per
+//     mesh — every other node warm-starts off the seeding node.
 
 #include "exchange/exchange.hpp"
 
@@ -92,10 +94,10 @@ TEST(Exchange, PullOnMissServesThePeersExactModel) {
   Node a(quiet()), b(quiet());
   link(a, b);
   const serve::ModelKey key{"sgd", "ctx-a"};
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(3)).ok());
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(3)).ok());
 
-  // b has never seen the key: open() must pull it off a.
-  const auto opened = b.ex.open(key);
+  // b has never seen the key: open_on_miss() must pull it off a.
+  const auto opened = b.ex.open_on_miss(key);
   ASSERT_TRUE(opened.ok()) << opened.error_text();
   EXPECT_TRUE(b.registry.fitted(opened.value()));
 
@@ -111,7 +113,7 @@ TEST(Exchange, PullOnMissServesThePeersExactModel) {
   EXPECT_EQ(a.ex.stats().pulls_served, 1u);
 
   // A second open is a plain local hit — no more pulls.
-  ASSERT_TRUE(b.ex.open(key).ok());
+  ASSERT_TRUE(b.ex.open_on_miss(key).ok());
   EXPECT_EQ(b.ex.stats().pulls_completed, 1u);
 }
 
@@ -123,10 +125,10 @@ TEST(Exchange, SameJobMissWarmStartsBitIdenticalToLocalDerive) {
 
   Node a(quiet()), b(quiet());
   link(a, b);
-  ASSERT_TRUE(a.ex.publish(base_key, base).ok());
+  ASSERT_TRUE(a.registry.publish(base_key, base).ok());
 
   // b asks for a context NOBODY has, but a has the same job: warm start.
-  const auto opened = b.ex.open(want_key);
+  const auto opened = b.ex.open_on_miss(want_key);
   ASSERT_TRUE(opened.ok()) << opened.error_text();
   EXPECT_EQ(b.ex.stats().warm_starts, 1u);
 
@@ -155,13 +157,13 @@ TEST(Exchange, RefitsPropagateAndPinnedEntriesResistClobber) {
   Node a(quiet()), b(quiet());
   link(a, b);
   const serve::ModelKey key{"sgd", "shared"};
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(7)).ok());
-  ASSERT_TRUE(b.ex.open(key).ok());  // pull
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(7)).ok());
+  ASSERT_TRUE(b.ex.open_on_miss(key).ok());  // pull
 
   // b refits on its own runs: pinned at b, fresh stamp, new weights.
   const auto b_handle = b.registry.find(key).value();
   const auto refit =
-      b.ex.refit_async(b_handle, fx.target_runs, quick_finetune()).get();
+      b.registry.refit_async(b_handle, fx.target_runs, quick_finetune()).get();
   ASSERT_TRUE(refit.ok()) << refit.error_text();
   EXPECT_TRUE(b.ex.pinned(key));
   EXPECT_GT(b.ex.stamp_of(key), a.ex.stamp_of(key));
@@ -172,7 +174,7 @@ TEST(Exchange, RefitsPropagateAndPinnedEntriesResistClobber) {
   EXPECT_EQ(a.ex.stamp_of(key), b.ex.stamp_of(key));
 
   // a then REPUBLISHES (its clock has seen b's stamp, so this outranks it).
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(8)).ok());
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(8)).ok());
   ASSERT_GT(a.ex.stamp_of(key), b.ex.stamp_of(key));
   const std::uint64_t b_weights_before = stamp_of_model(b, key);
 
@@ -186,8 +188,60 @@ TEST(Exchange, RefitsPropagateAndPinnedEntriesResistClobber) {
 
   // A republish at b CLEARS the pin (the refit weights were replaced
   // wholesale), so gossip may overwrite again afterwards.
-  ASSERT_TRUE(b.ex.publish(key, fx.pretrained(9)).ok());
+  ASSERT_TRUE(b.registry.publish(key, fx.pretrained(9)).ok());
   EXPECT_FALSE(b.ex.pinned(key));
+}
+
+// The drift monitor and the console refit through the bare registry; the
+// catalog must notice on its own: a fresh stamp, a pin, and peers pulling
+// the refit weights on their next round.
+TEST(Exchange, BareRegistryRefitReachesPeersPinnedAndFreshlyStamped) {
+  Fixture fx;
+  Node a(quiet()), b(quiet());
+  link(a, b);
+  const serve::ModelKey key{"sgd", "drifting"};
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(21)).ok());
+  b.ex.sync_now();
+  ASSERT_EQ(stamp_of_model(b, key), stamp_of_model(a, key));
+  const std::uint64_t published_stamp = a.ex.stamp_of(key);
+  ASSERT_GT(published_stamp, 0u);
+  EXPECT_FALSE(a.ex.pinned(key));
+
+  const auto refit =
+      a.registry.refit_async(a.registry.find(key).value(), fx.target_runs, quick_finetune())
+          .get();
+  ASSERT_TRUE(refit.ok()) << refit.error_text();
+  ASSERT_NE(stamp_of_model(a, key), stamp_of_model(b, key)) << "refit left the weights alone";
+
+  // The resolved future alone implies the new stamp and the pin.
+  EXPECT_GT(a.ex.stamp_of(key), published_stamp);
+  EXPECT_TRUE(a.ex.pinned(key));
+
+  b.ex.sync_now();
+  EXPECT_EQ(stamp_of_model(b, key), stamp_of_model(a, key));
+  EXPECT_EQ(b.ex.stamp_of(key), a.ex.stamp_of(key));
+  EXPECT_FALSE(b.ex.pinned(key));  // b merely pulled it
+
+  // A later, higher-stamped publish elsewhere does not clobber the refit.
+  const std::uint64_t refit_weights = stamp_of_model(a, key);
+  ASSERT_TRUE(b.registry.publish(key, fx.pretrained(22)).ok());
+  ASSERT_GT(b.ex.stamp_of(key), a.ex.stamp_of(key));
+  a.ex.sync_now();
+  EXPECT_EQ(stamp_of_model(a, key), refit_weights);
+  EXPECT_TRUE(a.ex.pinned(key));
+
+  // Erase then re-publish between two digests: a new entry whose weight
+  // version may equal the old one's, so the handle must tell them apart.
+  const serve::ModelKey churn{"sgd", "churn"};
+  ASSERT_TRUE(a.registry.publish(churn, fx.pretrained(23)).ok());
+  b.ex.sync_now();
+  const std::uint64_t first_stamp = a.ex.stamp_of(churn);
+  ASSERT_EQ(b.ex.stamp_of(churn), first_stamp);
+  ASSERT_TRUE(a.registry.erase(a.registry.find(churn).value()).ok());
+  ASSERT_TRUE(a.registry.publish(churn, fx.pretrained(24)).ok());
+  EXPECT_GT(a.ex.stamp_of(churn), first_stamp);
+  b.ex.sync_now();
+  EXPECT_EQ(stamp_of_model(b, churn), stamp_of_model(a, churn));
 }
 
 TEST(Exchange, ThreeNodeMeshConvergesUnderConcurrentPublishesAndRefits) {
@@ -210,16 +264,16 @@ TEST(Exchange, ThreeNodeMeshConvergesUnderConcurrentPublishesAndRefits) {
   std::vector<std::thread> writers;
   for (int i = 0; i < 6; ++i) {
     writers.emplace_back([&, i] {
-      ASSERT_TRUE(nodes[i % 3]->ex.publish(keys[static_cast<std::size_t>(i)], model).ok());
+      ASSERT_TRUE(nodes[i % 3]->registry.publish(keys[static_cast<std::size_t>(i)], model).ok());
     });
   }
   for (std::thread& t : writers) t.join();
 
   // Two concurrent refits on the owners' own entries.
-  auto fa = a.ex.refit_async(a.registry.find(keys[0]).value(), fx.target_runs,
-                             quick_finetune());
-  auto fb = b.ex.refit_async(b.registry.find(keys[1]).value(), fx.target_runs,
-                             quick_finetune());
+  auto fa = a.registry.refit_async(a.registry.find(keys[0]).value(), fx.target_runs,
+                                   quick_finetune());
+  auto fb = b.registry.refit_async(b.registry.find(keys[1]).value(), fx.target_runs,
+                                   quick_finetune());
   ASSERT_TRUE(fa.get().ok());
   ASSERT_TRUE(fb.get().ok());
 
@@ -248,7 +302,7 @@ TEST(Exchange, AdvertiseFastPathPropagatesWithoutExplicitSync) {
   Node a, b;  // advertise_on_update defaults to true
   link(a, b);
   const serve::ModelKey key{"sgd", "gossip"};
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(13)).ok());
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(13)).ok());
 
   // The publish advertises at b, which schedules its own pull — no
   // sync_now() anywhere.  Poll briefly; the path is queue hops, not timers.
@@ -270,31 +324,41 @@ TEST(Exchange, OpenOrPretrainSeedsTheMeshOnce) {
   link(a, b);
   const serve::ModelKey key{"kmeans", "ctx-0"};
 
-  // Nobody has the job: a pretrains once and publishes.
+  // Resolve through the mesh; only when no node has the job, pretrain once
+  // and publish into the registry.
   core::PreTrainConfig pre;
   pre.epochs = 60;
-  const auto seeded = a.ex.open_or_pretrain(key, fx.ds.runs(), pre);
+  const auto resolve_or_pretrain = [&](Node& n) {
+    auto opened = n.ex.open_on_miss(key);
+    if (opened.status() != serve::ServeStatus::kUnknownModel) return opened;
+    core::BellamyModel model(core::BellamyConfig{}, pre.seed);
+    core::pretrain(model, fx.ds.runs(), pre);
+    return n.registry.publish(key, model);
+  };
+
+  // Nobody has the job: a pretrains once and publishes.
+  const auto seeded = resolve_or_pretrain(a);
   ASSERT_TRUE(seeded.ok()) << seeded.error_text();
   EXPECT_TRUE(a.registry.fitted(seeded.value()));
 
   // b now resolves the SAME key with a pull — and a same-job other-context
   // key with a warm start.  No second pretrain anywhere.
-  const auto pulled = b.ex.open_or_pretrain(key, fx.ds.runs(), pre);
+  const auto pulled = resolve_or_pretrain(b);
   ASSERT_TRUE(pulled.ok()) << pulled.error_text();
   EXPECT_EQ(stamp_of_model(b, key), stamp_of_model(a, key));
   EXPECT_EQ(b.ex.stats().pulls_completed, 1u);
 
-  const auto derived = b.ex.open(serve::ModelKey{"kmeans", "ctx-1"});
+  const auto derived = b.ex.open_on_miss(serve::ModelKey{"kmeans", "ctx-1"});
   ASSERT_TRUE(derived.ok()) << derived.error_text();
   EXPECT_EQ(b.ex.stats().warm_starts, 1u);
 }
 
 TEST(Exchange, TypedErrorsForBadKeysAndEmptyMeshes) {
   Node lonely;
-  EXPECT_EQ(lonely.ex.open(serve::ModelKey{"", ""}).status(),
+  EXPECT_EQ(lonely.ex.open_on_miss(serve::ModelKey{"", ""}).status(),
             serve::ServeStatus::kInvalidArgument);
 
-  const auto miss = lonely.ex.open(serve::ModelKey{"sgd", "nowhere"});
+  const auto miss = lonely.ex.open_on_miss(serve::ModelKey{"sgd", "nowhere"});
   EXPECT_EQ(miss.status(), serve::ServeStatus::kUnknownModel);
   EXPECT_NE(miss.message().find("no peers"), std::string::npos) << miss.message();
 
@@ -304,8 +368,8 @@ TEST(Exchange, TypedErrorsForBadKeysAndEmptyMeshes) {
   Fixture fx;
   Node peer;
   lonely.ex.add_peer(std::make_shared<LocalTransport>(peer.ex, "peer"));
-  ASSERT_TRUE(peer.ex.publish(serve::ModelKey{"pagerank", "ctx"}, fx.pretrained(17)).ok());
-  const auto wrong_job = lonely.ex.open(serve::ModelKey{"sgd", "ctx"});
+  ASSERT_TRUE(peer.registry.publish(serve::ModelKey{"pagerank", "ctx"}, fx.pretrained(17)).ok());
+  const auto wrong_job = lonely.ex.open_on_miss(serve::ModelKey{"sgd", "ctx"});
   EXPECT_EQ(wrong_job.status(), serve::ServeStatus::kUnknownModel);
   EXPECT_NE(wrong_job.message().find("peer(s)"), std::string::npos) << wrong_job.message();
 }
@@ -315,14 +379,14 @@ TEST(Exchange, ErasedEntriesLeaveTheCatalog) {
   Node a(quiet()), b(quiet());
   link(a, b);
   const serve::ModelKey key{"sgd", "transient"};
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(19)).ok());
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(19)).ok());
   EXPECT_EQ(a.ex.stats().catalog_size, 1u);
 
   ASSERT_TRUE(a.registry.erase(a.registry.find(key).value()).ok());
   // The next digest self-heals the catalog: nothing advertised, pulls miss.
   EXPECT_TRUE(a.ex.digest_entries().empty());
   EXPECT_EQ(a.ex.pull_model(key).status(), serve::ServeStatus::kUnknownModel);
-  EXPECT_EQ(b.ex.open(key).status(), serve::ServeStatus::kUnknownModel);
+  EXPECT_EQ(b.ex.open_on_miss(key).status(), serve::ServeStatus::kUnknownModel);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //   * a server with no exchange layer answers the three exchange messages
 //     with kInvalidArgument — typed, never a dropped connection,
 //   * an unreachable peer is a typed kShutdown naming the peer,
+//   * a drift-triggered refit (report_run over the wire, refit inside the
+//     registry) reaches a peer within two anti-entropy rounds,
 //   * a node joining the mesh installs the peer's checkpoint byte-for-byte
 //     and warm-starts a new context faster than pretraining one.
 //
@@ -22,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
@@ -56,10 +59,19 @@ struct Fixture {
   data::Dataset ds;
 };
 
+/// Drift monitor that auto-refits (threshold above 0) with a quick recipe.
+serve::DriftOptions auto_refit_drift() {
+  serve::DriftOptions drift;
+  drift.threshold = 0.5;
+  drift.finetune.max_epochs = 80;
+  drift.finetune.patience = 40;
+  return drift;
+}
+
 /// A full serving node on an ephemeral loopback port with its exchange
-/// layer attached — what bellamy_serverd wires up.
+/// layer and drift monitor attached — what bellamy_serverd wires up.
 struct TcpNode {
-  TcpNode() : ex(registry) {
+  TcpNode() : ex(registry), drift(registry, auto_refit_drift()) {
     serve::ServeOptions serve_options;
     serve_options.workers = 2;
     serve_options.flush_deadline = std::chrono::microseconds(200);
@@ -67,6 +79,7 @@ struct TcpNode {
 
     net::ServerOptions server_options;
     server_options.peer_service = &ex;
+    server_options.drift_monitor = &drift;
     server.emplace(registry, *service, server_options);
     std::string error;
     if (!server->start(error)) throw std::runtime_error("server start: " + error);
@@ -83,6 +96,7 @@ struct TcpNode {
 
   serve::ModelRegistry registry;
   ExchangeRegistry ex;
+  serve::DriftMonitor drift;  ///< must outlive the server
   std::optional<serve::PredictionService> service;
   std::optional<net::ServeServer> server;
 };
@@ -91,7 +105,7 @@ TEST(TcpExchange, TransportRoundTripsDigestPullAndAdvertise) {
   Fixture fx;
   TcpNode a;
   const serve::ModelKey key{"sgd", "wire"};
-  ASSERT_TRUE(a.ex.publish(key, fx.pretrained(3)).ok());
+  ASSERT_TRUE(a.registry.publish(key, fx.pretrained(3)).ok());
 
   TcpTransport transport("localhost", a.port());  // hostname: getaddrinfo path
   EXPECT_EQ(transport.name(), "localhost:" + std::to_string(a.port()));
@@ -122,7 +136,7 @@ TEST(TcpExchange, PredictOnMissPullsOverTcpAndServesBitIdentically) {
   const serve::ModelKey key{"sgd", "pulled"};
 
   TcpNode a, b;
-  ASSERT_TRUE(a.ex.publish(key, model).ok());
+  ASSERT_TRUE(a.registry.publish(key, model).ok());
   b.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", a.port()));
 
   // A client of b asks for a model only a has: the server's resolve path
@@ -177,12 +191,12 @@ TEST(TcpExchange, UnreachablePeerIsATypedShutdownNamingThePeer) {
   EXPECT_EQ(digest.status(), serve::ServeStatus::kShutdown);
   EXPECT_NE(digest.message().find("127.0.0.1:1"), std::string::npos) << digest.message();
 
-  // open() on a mesh whose only peer is down degrades to kUnknownModel —
+  // open_on_miss() on a mesh whose only peer is down degrades to kUnknownModel —
   // the unreachable transport never wedges resolution.
   serve::ModelRegistry registry;
   ExchangeRegistry ex(registry);
   ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", 1));
-  EXPECT_EQ(ex.open(serve::ModelKey{"sgd", "x"}).status(),
+  EXPECT_EQ(ex.open_on_miss(serve::ModelKey{"sgd", "x"}).status(),
             serve::ServeStatus::kUnknownModel);
 }
 
@@ -211,16 +225,16 @@ TEST(TcpExchange, JoiningNodeWarmStartsFasterThanPretrainingAndByteIdentically) 
   const util::Timer pretrain_timer;
   core::pretrain(model, history.runs(), pre);
   const double pretrain_ms = pretrain_timer.milliseconds();
-  ASSERT_TRUE(a.ex.publish(seed_key, model).ok());
+  ASSERT_TRUE(a.registry.publish(seed_key, model).ok());
 
   // Node B joins and never pretrains: exact key by TCP pull, new context by
   // pulling the base and deriving from it.
   TcpNode b;
   b.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", a.port()));
-  const auto pulled = b.ex.open(seed_key);
+  const auto pulled = b.ex.open_on_miss(seed_key);
   ASSERT_TRUE(pulled.ok()) << pulled.error_text();
   const util::Timer warm_timer;
-  const auto warm = b.ex.open(fresh_key);
+  const auto warm = b.ex.open_on_miss(fresh_key);
   const double warm_ms = warm_timer.milliseconds();
   ASSERT_TRUE(warm.ok()) << warm.error_text();
 
@@ -230,6 +244,59 @@ TEST(TcpExchange, JoiningNodeWarmStartsFasterThanPretrainingAndByteIdentically) 
   EXPECT_EQ(checkpoint_of(b.registry, fresh_key), origin);
   EXPECT_LT(warm_ms, pretrain_ms) << "warm start " << warm_ms << " ms vs pretrain "
                                   << pretrain_ms << " ms";
+}
+
+// The drift monitor refits inside the registry, behind the server's back.
+// The catalog must still stamp the new weights, so a peer converges onto
+// them on its next anti-entropy round (bound: 2).
+TEST(TcpExchange, DriftTriggeredRefitReachesThePeerWithinTwoSyncRounds) {
+  Fixture fx;
+  const core::BellamyModel model = fx.pretrained(7);
+  const serve::ModelKey key{"sgd", "drifting"};
+
+  TcpNode a, b;
+  ASSERT_TRUE(a.registry.publish(key, model).ok());
+  b.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", a.port()));
+  b.ex.sync_now();
+  const serve::ModelHandle a_handle = a.registry.find(key).value();
+  const std::uint64_t published = a.registry.state_stamp(a_handle);
+  ASSERT_EQ(b.registry.state_stamp(b.registry.find(key).value()), published);
+
+  // Observed runtimes 3x the prediction: relative error 2/3, above 0.5.
+  net::NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", a.port(), error)) << error;
+  bool triggered = false;
+  for (std::size_t i = 0; i < 64 && !triggered; ++i) {
+    data::JobRun run = fx.ds.runs()[i % fx.ds.runs().size()];
+    run.runtime_s = 3.0 * model.predict_one(run);
+    const auto observed = client.report_run(key, run);
+    ASSERT_TRUE(observed.ok()) << observed.error_text();
+    triggered = observed.value().refit_triggered;
+  }
+  client.close();
+  ASSERT_TRUE(triggered) << "skewed reports never triggered a refit";
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (a.registry.state_stamp(a_handle) == published &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const std::uint64_t refit = a.registry.state_stamp(a_handle);
+  ASSERT_NE(refit, published) << "the triggered refit never landed";
+  EXPECT_TRUE(a.ex.pinned(key));
+
+  constexpr int kMaxRounds = 2;
+  int rounds = 0;
+  while (rounds < kMaxRounds && b.registry.state_stamp(b.registry.find(key).value()) != refit) {
+    b.ex.sync_now();
+    ++rounds;
+  }
+  EXPECT_EQ(b.registry.state_stamp(b.registry.find(key).value()), refit)
+      << "b still serves other weights after " << rounds << " sync rounds";
+  EXPECT_TRUE(checkpoint_of(b.registry, key) == checkpoint_of(a.registry, key))
+      << "b's checkpoint text differs from a's";
+  EXPECT_EQ(b.ex.stamp_of(key), a.ex.stamp_of(key));
 }
 
 }  // namespace

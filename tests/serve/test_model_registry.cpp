@@ -285,6 +285,52 @@ TEST(ModelRegistry, EraseRetiresTheHandle) {
   EXPECT_EQ(registry.erase(handle).status(), ServeStatus::kUnknownModel);
 }
 
+// The registry's own record of weight changes: every assignment bumps the
+// entry's version (a refit also sets the refit flag, a publish clears it)
+// and fires the change observer once; unfitted entries are not listed.
+TEST(ModelRegistry, WeightVersionsRecordEveryAssignmentAndNotifyTheObserver) {
+  Fixture fx;
+  ModelRegistry registry;
+  std::atomic<int> changes{0};
+  registry.set_on_change([&] { changes.fetch_add(1); });
+
+  registry.reserve({"sgd", "pending"}).expect();
+  EXPECT_TRUE(registry.versions().empty());
+  EXPECT_EQ(changes.load(), 0);
+
+  std::uint64_t published = 0;
+  const ModelHandle base = registry.publish({"sgd", "a"}, fx.pretrained(1), &published).unwrap();
+  EXPECT_EQ(published, 1u);
+  const ModelHandle derived = registry.derive(base, {"sgd", "b"}).unwrap();
+  EXPECT_EQ(changes.load(), 2);
+
+  ASSERT_TRUE(registry.refit_async(base, fx.target_runs, quick_finetune()).get().ok());
+  EXPECT_EQ(changes.load(), 3);
+  auto versions = registry.versions();
+  ASSERT_EQ(versions.size(), 2u);
+  EXPECT_EQ(versions[0].key.str(), "sgd/a");
+  EXPECT_EQ(versions[0].handle, base);
+  EXPECT_EQ(versions[0].version, 2u);
+  EXPECT_TRUE(versions[0].refit);
+  EXPECT_EQ(versions[1].handle, derived);
+  EXPECT_EQ(versions[1].version, 1u);
+  EXPECT_FALSE(versions[1].refit);
+
+  registry.publish({"sgd", "a"}, fx.pretrained(2), &published).expect();
+  EXPECT_EQ(published, 3u);
+  EXPECT_FALSE(registry.versions()[0].refit);
+
+  // A refit that cannot swap (an unfitted entry) records nothing.
+  EXPECT_FALSE(registry.refit(registry.find({"sgd", "pending"}).value(), {}, quick_finetune())
+                   .ok());
+  EXPECT_EQ(changes.load(), 4);
+
+  registry.set_on_change(nullptr);
+  registry.publish({"sgd", "a"}, fx.pretrained(3)).expect();
+  EXPECT_EQ(changes.load(), 4);
+  EXPECT_EQ(registry.versions()[0].version, 4u);
+}
+
 TEST(ModelRegistry, StoreBackedOpenPersistAndSharing) {
   Fixture fx;
   const std::string dir =
@@ -313,8 +359,11 @@ TEST(ModelRegistry, StoreBackedOpenPersistAndSharing) {
   ASSERT_TRUE(opened.ok()) << opened.error_text();
   EXPECT_EQ(opened.value(), reserved);  // same handle, now serveable
   EXPECT_EQ(consumer.state_stamp(opened.value()), model.state_stamp());
-  // Re-opening the key reuses the materialized entry (same handle).
+  // Re-opening the key reuses the materialized entry (same handle) and
+  // leaves its weight version alone: only the first open assigned weights.
   EXPECT_EQ(consumer.open({"sgd", "v1"}).unwrap(), opened.value());
+  ASSERT_EQ(consumer.versions().size(), 1u);
+  EXPECT_EQ(consumer.versions()[0].version, 1u);
 
   const auto missing = consumer.open({"sgd", "v2"});
   ASSERT_EQ(missing.status(), ServeStatus::kUnknownModel);
