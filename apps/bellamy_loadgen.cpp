@@ -53,6 +53,7 @@
 
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
+#include "flags.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
 #include "util/timer.hpp"
@@ -88,27 +89,19 @@ int main(int argc, char** argv) {
   bool publish = true;
   bool drain_only = false;
   bool drift_smoke = false;
-  int io_timeout_ms = 0;
+  std::chrono::milliseconds io_timeout{0};
 
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (apps::int_flag(arg, "--port", 1, 65535, port) ||
+        apps::int_flag(arg, "--clients", 1, 256, clients) ||
+        apps::int_flag(arg, "--requests", 1, 100'000'000, requests) ||
+        apps::int_flag(arg, "--probes", 10, 100'000'000, probes) ||
+        apps::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout)) {
+      continue;
+    }
     if (std::strncmp(argv[i], "--host=", 7) == 0) {
       host = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      char* end = nullptr;
-      const long v = std::strtol(argv[i] + 7, &end, 10);
-      if (end == argv[i] + 7 || *end != '\0' || v < 1 || v > 65535) {
-        std::fprintf(stderr, "--port expects 1..65535, got '%s'\n", argv[i] + 7);
-        return 2;
-      }
-      port = static_cast<std::uint16_t>(v);
-    } else if (std::strncmp(argv[i], "--clients=", 10) == 0) {
-      clients = std::max(1, std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = std::max(1, std::atoi(argv[i] + 11));
-    } else if (std::strncmp(argv[i], "--probes=", 9) == 0) {
-      probes = std::max(10, std::atoi(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--io-timeout-ms=", 16) == 0) {
-      io_timeout_ms = std::max(0, std::atoi(argv[i] + 16));
     } else if (std::strcmp(argv[i], "--drain") == 0) {
       drain = true;
     } else if (std::strcmp(argv[i], "--no-publish") == 0) {
@@ -130,10 +123,10 @@ int main(int argc, char** argv) {
   // Every connection this process opens shares the same deadline budget:
   // connect, per-op socket stalls, and the end-to-end request timeout.
   net::ClientOptions client_options;
-  client_options.deadlines.connect = std::chrono::milliseconds(io_timeout_ms);
-  client_options.deadlines.read = std::chrono::milliseconds(io_timeout_ms);
-  client_options.deadlines.write = std::chrono::milliseconds(io_timeout_ms);
-  client_options.deadlines.request = std::chrono::milliseconds(io_timeout_ms);
+  client_options.deadlines.connect = io_timeout;
+  client_options.deadlines.read = io_timeout;
+  client_options.deadlines.write = io_timeout;
+  client_options.deadlines.request = io_timeout;
 
   if (drain_only) {  // no model needed just to shut a node down
     net::NetClient control(client_options);

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "exchange/exchange.hpp"
+#include "flags.hpp"
 #include "net/net.hpp"
 #include "reduce/reduction.hpp"
 #include "serve/serve.hpp"
@@ -58,14 +59,6 @@
 using namespace bellamy;
 
 namespace {
-
-/// A TCP port in 1..65535, or 0 when `text` is not one.
-std::uint16_t parse_port(const char* text) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  const bool ok = end != text && *end == '\0' && v >= 1 && v <= 65535;
-  return ok ? static_cast<std::uint16_t>(v) : 0;
-}
 
 void print_help() {
   std::fprintf(stderr,
@@ -267,50 +260,39 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::uint16_t>> peers;
   exchange::ExchangeOptions exchange_options;
   bool auto_persist = false;
-  int io_timeout_ms = 0;
+  std::chrono::milliseconds io_timeout{0};
   int peer_retries = 2;
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kCoverage;  // used iff a budget is set
   serve::DriftOptions drift_options;
 
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      port = parse_port(argv[i] + 7);
-      if (port == 0) {
-        std::fprintf(stderr, "--port expects 1..65535, got '%s'\n", argv[i] + 7);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--store=", 8) == 0) {
+    const char* arg = argv[i];
+    if (apps::int_flag(arg, "--port", 1, 65535, port) ||
+        apps::int_flag(arg, "--workers", 1, 256, options.workers) ||
+        apps::int_flag(arg, "--max-batch", 1, 65536, options.max_batch) ||
+        apps::int_flag(arg, "--max-queue", 1, 1 << 24, options.max_queue) ||
+        apps::int_flag(arg, "--deadline-us", 0, 3'600'000'000LL, options.flush_deadline) ||
+        apps::int_flag(arg, "--sync-ms", 1, 86'400'000, exchange_options.sync_interval) ||
+        apps::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout) ||
+        apps::int_flag(arg, "--peer-retries", 0, 100, peer_retries) ||
+        apps::int_flag(arg, "--refit-budget", 0, 1'000'000, reduction.budget)) {
+      continue;
+    }
+    if (std::strncmp(argv[i], "--store=", 8) == 0) {
       store_dir = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      options.workers = std::max(1, std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--max-batch=", 12) == 0) {
-      options.max_batch = std::max(1, std::atoi(argv[i] + 12));
-    } else if (std::strncmp(argv[i], "--max-queue=", 12) == 0) {
-      options.max_queue = std::max(1, std::atoi(argv[i] + 12));
-    } else if (std::strncmp(argv[i], "--deadline-us=", 14) == 0) {
-      options.flush_deadline = std::chrono::microseconds(std::atoi(argv[i] + 14));
     } else if (std::strncmp(argv[i], "--peer=", 7) == 0) {
       const std::string spec = argv[i] + 7;
       const auto colon = spec.rfind(':');
-      const std::uint16_t peer_port =
-          colon == std::string::npos ? 0 : parse_port(spec.c_str() + colon + 1);
-      if (colon == 0 || peer_port == 0) {
+      long long peer_port = 0;
+      if (colon == 0 || colon == std::string::npos ||
+          !apps::parse_int_in(spec.c_str() + colon + 1, 1, 65535, peer_port)) {
         std::fprintf(stderr, "--peer expects HOST:PORT, got '%s'\n", spec.c_str());
         return 2;
       }
-      peers.emplace_back(spec.substr(0, colon), peer_port);
-    } else if (std::strncmp(argv[i], "--sync-ms=", 10) == 0) {
-      exchange_options.sync_interval =
-          std::chrono::milliseconds(std::max(1, std::atoi(argv[i] + 10)));
-    } else if (std::strncmp(argv[i], "--io-timeout-ms=", 16) == 0) {
-      io_timeout_ms = std::max(0, std::atoi(argv[i] + 16));
-    } else if (std::strncmp(argv[i], "--peer-retries=", 15) == 0) {
-      peer_retries = std::max(0, std::atoi(argv[i] + 15));
+      peers.emplace_back(spec.substr(0, colon), static_cast<std::uint16_t>(peer_port));
     } else if (std::strcmp(argv[i], "--auto-persist") == 0) {
       auto_persist = true;
-    } else if (std::strncmp(argv[i], "--refit-budget=", 15) == 0) {
-      reduction.budget = static_cast<std::size_t>(std::max(0, std::atoi(argv[i] + 15)));
     } else if (std::strncmp(argv[i], "--refit-policy=", 15) == 0) {
       const auto parsed = reduce::parse_policy(argv[i] + 15);
       if (!parsed.has_value()) {
@@ -376,10 +358,10 @@ int main(int argc, char** argv) {
   // that dial it; only the outbound sync loop needs peers.
   exchange::ExchangeRegistry exchange_node(registry, exchange_options);
   exchange::TransportOptions transport_options;
-  transport_options.deadlines.connect = std::chrono::milliseconds(io_timeout_ms);
-  transport_options.deadlines.read = std::chrono::milliseconds(io_timeout_ms);
-  transport_options.deadlines.write = std::chrono::milliseconds(io_timeout_ms);
-  transport_options.deadlines.request = std::chrono::milliseconds(io_timeout_ms);
+  transport_options.deadlines.connect = io_timeout;
+  transport_options.deadlines.read = io_timeout;
+  transport_options.deadlines.write = io_timeout;
+  transport_options.deadlines.request = io_timeout;
   transport_options.retry.max_attempts = 1 + peer_retries;
   for (const auto& [host, peer_port] : peers) {
     exchange_node.add_peer(
@@ -395,8 +377,8 @@ int main(int argc, char** argv) {
   server_options.port = port;
   server_options.peer_service = &exchange_node;
   server_options.drift_monitor = &drift_monitor;
-  server_options.deadlines.read = std::chrono::milliseconds(io_timeout_ms);
-  server_options.deadlines.write = std::chrono::milliseconds(io_timeout_ms);
+  server_options.deadlines.read = io_timeout;
+  server_options.deadlines.write = io_timeout;
   net::ServeServer server(registry, service, server_options);
   std::string error;
   if (!server.start(error)) {

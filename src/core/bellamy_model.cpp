@@ -46,46 +46,45 @@ BellamyModel::BellamyModel(BellamyConfig config, std::uint64_t seed)
 }
 
 void BellamyModel::build(std::uint64_t dropout_seed) {
-  using nn::Activation;
   const auto& c = config_;
 
   // f: scale-out modeling, 3 -> hidden -> F, SELU, biased.
   auto& f1 = f_.emplace<nn::Linear>(c.scaleout_input, c.scaleout_hidden, true, c.init, rng_,
                                     "f.l1");
-  f_.add(nn::make_activation(Activation::kSelu));
+  f_.emplace<nn::Selu>();
   auto& f2 =
       f_.emplace<nn::Linear>(c.scaleout_hidden, c.scaleout_out, true, c.init, rng_, "f.l2");
-  f_.add(nn::make_activation(Activation::kSelu));
+  f_.emplace<nn::Selu>();
   f_linears_ = {&f1, &f2};
 
   // g: encoder, N -> hidden -> M, SELU, no bias, dropout between layers.
   g_.emplace<nn::Linear>(c.property_dim, c.encoder_hidden, false, c.init, rng_, "g.l1");
-  g_.add(nn::make_activation(Activation::kSelu));
+  g_.emplace<nn::Selu>();
   {
     auto drop = std::make_unique<nn::AlphaDropout>(c.dropout, util::Rng(dropout_seed));
     g_dropout_ = drop.get();
     g_.add(std::move(drop));
   }
   g_.emplace<nn::Linear>(c.encoder_hidden, c.code_dim, false, c.init, rng_, "g.l2");
-  g_.add(nn::make_activation(Activation::kSelu));
+  g_.emplace<nn::Selu>();
 
   // h: decoder, M -> hidden -> N, no bias, tanh output (§IV-A).
   h_.emplace<nn::Linear>(c.code_dim, c.encoder_hidden, false, c.init, rng_, "h.l1");
-  h_.add(nn::make_activation(Activation::kSelu));
+  h_.emplace<nn::Selu>();
   {
     auto drop = std::make_unique<nn::AlphaDropout>(c.dropout, util::Rng(dropout_seed ^ 0x9e37ULL));
     h_dropout_ = drop.get();
     h_.add(std::move(drop));
   }
   h_.emplace<nn::Linear>(c.encoder_hidden, c.property_dim, false, c.init, rng_, "h.l2");
-  h_.add(nn::make_activation(Activation::kTanh));
+  h_.emplace<nn::Tanh>();
 
   // z: predictor, combined -> hidden -> 1, SELU, biased.
   auto& z1 = z_.emplace<nn::Linear>(c.combined_dim(), c.predictor_hidden, true, c.init, rng_,
                                     "z.l1");
-  z_.add(nn::make_activation(Activation::kSelu));
+  z_.emplace<nn::Selu>();
   auto& z2 = z_.emplace<nn::Linear>(c.predictor_hidden, 1, true, c.init, rng_, "z.l2");
-  z_.add(nn::make_activation(Activation::kSelu));
+  z_.emplace<nn::Selu>();
   z_linears_ = {&z1, &z2};
 }
 

@@ -40,7 +40,7 @@ struct ContenderSpec {
   Kind kind = Kind::kNnls;
   std::string name;
   std::uint64_t seed = 0;                            ///< kBellamyLocal
-  std::shared_ptr<const nn::Checkpoint> checkpoint;  ///< kBellamyPretrained
+  std::shared_ptr<const nn::Checkpoint> checkpoint = nullptr;  ///< kBellamyPretrained
   core::ReuseStrategy strategy = core::ReuseStrategy::kPartialUnfreeze;
 };
 

@@ -12,7 +12,6 @@ std::shared_ptr<net::NetClient> TcpTransport::ensure_connected(std::string& erro
   if (client_ && client_->connected()) return client_;
   net::ClientOptions client_options;
   client_options.deadlines = options_.deadlines;
-  client_options.fault_injector = options_.fault_injector;
   auto fresh = std::make_shared<net::NetClient>(std::move(client_options));
   if (!fresh->connect(host_, port_, error)) return nullptr;
   client_ = std::move(fresh);

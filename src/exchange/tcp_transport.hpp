@@ -45,8 +45,6 @@ struct TransportOptions {
   /// Per-call retry budget on transport failures.  max_attempts = 1 (the
   /// default) keeps every call single-shot.
   util::RetryPolicy retry{.max_attempts = 1};
-  /// Chaos seam installed on the dialed socket (tests only).
-  std::shared_ptr<net::FaultInjector> fault_injector;
 };
 
 class TcpTransport final : public PeerTransport {

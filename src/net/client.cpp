@@ -72,7 +72,6 @@ bool NetClient::connect(const std::string& host, std::uint16_t port, std::string
       socket_deadlines.write = options_.deadlines.request;
   }
   sock_.set_deadlines(socket_deadlines);
-  if (options_.fault_injector) sock_.set_fault_injector(options_.fault_injector);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     open_ = true;

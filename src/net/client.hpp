@@ -58,8 +58,6 @@ struct ClientOptions {
   /// Dial retry policy for connect().  max_attempts = 1 (the default here)
   /// keeps connect() single-shot.
   util::RetryPolicy dial_retry{.max_attempts = 1};
-  /// Chaos seam: installed on the connected socket (tests only).
-  std::shared_ptr<FaultInjector> fault_injector;
 };
 
 class NetClient {

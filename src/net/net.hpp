@@ -27,7 +27,6 @@
 // before the registry (same ordering rule as the in-process stack).
 
 #include "net/client.hpp"          // IWYU pragma: export
-#include "net/fault_injector.hpp"  // IWYU pragma: export
 #include "net/server.hpp"          // IWYU pragma: export
 #include "net/socket.hpp"          // IWYU pragma: export
 #include "net/wire.hpp"            // IWYU pragma: export

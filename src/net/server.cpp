@@ -125,7 +125,6 @@ void ServeServer::accept_loop() {
     }
     if (draining_.load()) continue;  // socket closes immediately: not accepting
     client.set_deadlines(options_.deadlines);
-    if (options_.fault_injector) client.set_fault_injector(options_.fault_injector);
     auto conn = std::make_shared<Connection>(std::move(client));
     accepted_.fetch_add(1);
     open_.fetch_add(1);

@@ -94,8 +94,6 @@ struct ServerOptions {
   /// fine — the reader waits for the FIRST byte of a frame without budget —
   /// but a peer that goes silent mid-frame is cut off after `read`.
   DeadlineOptions deadlines;
-  /// Chaos seam installed on every accepted socket (tests only).
-  std::shared_ptr<FaultInjector> fault_injector;
 };
 
 /// Monotonic counters; draining flips once and stays.

@@ -14,10 +14,7 @@
 
 #include <algorithm>
 #include <mutex>
-#include <thread>
 #include <vector>
-
-#include "net/fault_injector.hpp"
 
 namespace bellamy::net {
 
@@ -77,8 +74,7 @@ void ignore_sigpipe() {
 Socket::Socket(Socket&& other) noexcept
     : fd_(other.fd_),
       read_timeout_(other.read_timeout_),
-      write_timeout_(other.write_timeout_),
-      faults_(std::move(other.faults_)) {
+      write_timeout_(other.write_timeout_) {
   other.fd_ = -1;
 }
 
@@ -88,7 +84,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     fd_ = other.fd_;
     read_timeout_ = other.read_timeout_;
     write_timeout_ = other.write_timeout_;
-    faults_ = std::move(other.faults_);
     other.fd_ = -1;
   }
   return *this;
@@ -99,19 +94,7 @@ void Socket::set_deadlines(const DeadlineOptions& deadlines) {
   write_timeout_ = deadlines.write;
 }
 
-void Socket::set_fault_injector(std::shared_ptr<FaultInjector> faults) {
-  faults_ = std::move(faults);
-}
-
 IoStatus Socket::read_exact(void* buf, std::size_t size) const {
-  Fault fault;
-  if (faults_) fault = faults_->next(FaultOp::kRead);
-  if (fault.kind == FaultKind::kDelay) std::this_thread::sleep_for(fault.delay);
-  if (fault.kind == FaultKind::kDisconnect) {
-    shutdown_both();
-    return IoStatus::kClosed;
-  }
-
   auto* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
   while (got < size) {
@@ -129,40 +112,11 @@ IoStatus Socket::read_exact(void* buf, std::size_t size) const {
     if (n < 0 && errno == EINTR) continue;
     return IoStatus::kClosed;  // 0 = orderly EOF, < 0 = error; the frame is gone
   }
-  if (fault.kind == FaultKind::kGarble) faults_->garble(p, size);
   return IoStatus::kOk;
 }
 
 IoStatus Socket::write_all(const void* buf, std::size_t size) const {
   const auto* p = static_cast<const std::uint8_t*>(buf);
-  std::vector<std::uint8_t> garbled;
-
-  Fault fault;
-  if (faults_) fault = faults_->next(FaultOp::kWrite);
-  switch (fault.kind) {
-    case FaultKind::kDelay:
-      std::this_thread::sleep_for(fault.delay);
-      break;
-    case FaultKind::kDrop:
-      // The bytes vanish: the local caller believes the write landed, the
-      // peer's deadline discovers it never did.
-      return IoStatus::kOk;
-    case FaultKind::kTruncate:
-      // Half a frame leaves, then the stream breaks — the peer sees a runt
-      // frame followed by EOF.
-      size = size / 2;
-      break;
-    case FaultKind::kGarble:
-      garbled.assign(p, p + size);
-      faults_->garble(garbled.data(), garbled.size());
-      p = garbled.data();
-      break;
-    case FaultKind::kDisconnect:
-      shutdown_both();
-      return IoStatus::kClosed;
-    case FaultKind::kNone:
-      break;
-  }
 
   // Nonblocking sends with a poll on EAGAIN: a blocking send() of a large
   // buffer parks until EVERY byte is queued, which would let a peer that
@@ -184,10 +138,6 @@ IoStatus Socket::write_all(const void* buf, std::size_t size) const {
       if (waited != IoStatus::kOk) return waited;
       continue;
     }
-    return IoStatus::kClosed;
-  }
-  if (fault.kind == FaultKind::kTruncate) {
-    shutdown_both();
     return IoStatus::kClosed;
   }
   return IoStatus::kOk;

@@ -15,11 +15,6 @@
 // EINTR-safe.  A zero budget means "wait forever" — the pre-deadline
 // behavior, still the default.
 //
-// FAULTS: set_fault_injector() arms the chaos seam — reads and writes
-// consult the injector and can be delayed, truncated, garbled, dropped, or
-// turned into a disconnect, deterministically from the injector's seed.
-// Never armed in production paths; the chaos tests own it.
-//
 // Error contract matches the rest of the net layer: expected network
 // conditions (peer closed, connect refused, deadline elapsed) are return
 // values, never exceptions.  SIGPIPE cannot kill the process: sends use
@@ -28,12 +23,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace bellamy::net {
-
-class FaultInjector;
 
 /// Outcome of a bounded socket op.
 enum class IoStatus : std::uint8_t {
@@ -78,9 +70,6 @@ class Socket {
   /// Install the read/write stall budgets (DeadlineOptions::read / write).
   void set_deadlines(const DeadlineOptions& deadlines);
 
-  /// Arm the chaos seam: subsequent reads/writes consult `faults`.
-  void set_fault_injector(std::shared_ptr<FaultInjector> faults);
-
   /// Read exactly `size` bytes.  kClosed on EOF or error (a clean peer
   /// close mid-frame and a reset look the same to a frame reader: the
   /// connection is over); kTimeout when the read stall budget elapses with
@@ -109,7 +98,6 @@ class Socket {
   int fd_ = -1;
   std::chrono::milliseconds read_timeout_{0};
   std::chrono::milliseconds write_timeout_{0};
-  std::shared_ptr<FaultInjector> faults_;
 };
 
 /// Wait-forever sentinel for wait_readable.

@@ -18,31 +18,6 @@ void check_shapes(const Matrix& pred, const Matrix& target, const char* name) {
 // Each loss is one pass that writes the per-element gradient and sums the
 // per-element terms sequentially; the value is that sum over N.
 
-LossResult mse_loss(const Matrix& pred, const Matrix& target) {
-  check_shapes(pred, target, "mse_loss");
-  const double n = static_cast<double>(pred.size());
-  const double inv_n = 1.0 / n;
-  LossResult res;
-  res.grad = Matrix(pred.rows(), pred.cols());
-  const double* p = pred.data();
-  const double* t = target.data();
-  double* grad = res.grad.data();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double e = p[i] - t[i];
-    acc += e * e;
-    grad[i] = (2.0 * e) * inv_n;
-  }
-  res.value = acc / n;
-  return res;
-}
-
-LossResult huber_loss(const Matrix& pred, const Matrix& target, double delta) {
-  LossResult res;
-  res.value = huber_loss(pred, target, delta, &res.grad);
-  return res;
-}
-
 double huber_loss(const Matrix& pred, const Matrix& target, double delta, Matrix* grad) {
   check_shapes(pred, target, "huber_loss");
   if (delta <= 0.0) throw std::invalid_argument("huber_loss: delta must be > 0");
@@ -66,12 +41,6 @@ double huber_loss(const Matrix& pred, const Matrix& target, double delta, Matrix
     }
   }
   return acc / n;
-}
-
-LossResult mae_loss(const Matrix& pred, const Matrix& target) {
-  LossResult res;
-  res.value = mae_loss(pred, target, &res.grad);
-  return res;
 }
 
 double mae_loss(const Matrix& pred, const Matrix& target, Matrix* grad) {

@@ -1,9 +1,6 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/simd.hpp"
@@ -34,14 +31,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
 }
 
 Matrix Matrix::zeros(std::size_t rows, std::size_t cols) { return Matrix(rows, cols, 0.0); }
-Matrix Matrix::ones(std::size_t rows, std::size_t cols) { return Matrix(rows, cols, 1.0); }
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::randn(std::size_t rows, std::size_t cols, util::Rng& rng, double mean,
                      double stddev) {
   Matrix m(rows, cols);
@@ -54,58 +43,6 @@ Matrix Matrix::rand_uniform(std::size_t rows, std::size_t cols, util::Rng& rng, 
   Matrix m(rows, cols);
   for (double& v : m.data_) v = rng.uniform(lo, hi);
   return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at(" + std::to_string(r) + "," + std::to_string(c) +
-                            ") on " + shape_str());
-  }
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  return const_cast<Matrix*>(this)->at(r, c);
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  if (r >= rows_) throw std::out_of_range("Matrix::row " + std::to_string(r));
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("Matrix::row " + std::to_string(r));
-  return {data_.data() + r * cols_, cols_};
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::reshaped(std::size_t rows, std::size_t cols) const {
-  if (rows * cols != data_.size()) {
-    throw std::invalid_argument("Matrix::reshaped: size mismatch " + shape_str() + " -> " +
-                                std::to_string(rows) + "x" + std::to_string(cols));
-  }
-  return Matrix(rows, cols, data_);
-}
-
-Matrix Matrix::slice_rows(std::size_t begin, std::size_t end) const {
-  if (begin > end || end > rows_) throw std::out_of_range("Matrix::slice_rows");
-  Matrix out(end - begin, cols_);
-  std::copy(data_.begin() + static_cast<std::ptrdiff_t>(begin * cols_),
-            data_.begin() + static_cast<std::ptrdiff_t>(end * cols_), out.data_.begin());
-  return out;
-}
-
-Matrix Matrix::slice_cols(std::size_t begin, std::size_t end) const {
-  Matrix out;
-  slice_cols_into(begin, end, out);
-  return out;
 }
 
 void Matrix::slice_cols_into(std::size_t begin, std::size_t end, Matrix& out) const {
@@ -132,45 +69,6 @@ void Matrix::gather_rows_into(std::span<const std::size_t> indices, Matrix& out)
   }
 }
 
-Matrix Matrix::hcat(const Matrix& a, const Matrix& b) {
-  if (a.rows_ != b.rows_) {
-    throw std::invalid_argument("Matrix::hcat: row mismatch " + a.shape_str() + " vs " +
-                                b.shape_str());
-  }
-  Matrix out(a.rows_, a.cols_ + b.cols_);
-  for (std::size_t r = 0; r < a.rows_; ++r) {
-    std::copy_n(a.data_.data() + r * a.cols_, a.cols_, out.data_.data() + r * out.cols_);
-    std::copy_n(b.data_.data() + r * b.cols_, b.cols_,
-                out.data_.data() + r * out.cols_ + a.cols_);
-  }
-  return out;
-}
-
-Matrix Matrix::vcat(const Matrix& a, const Matrix& b) {
-  if (a.cols_ != b.cols_ && !a.empty() && !b.empty()) {
-    throw std::invalid_argument("Matrix::vcat: col mismatch " + a.shape_str() + " vs " +
-                                b.shape_str());
-  }
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  Matrix out(a.rows_ + b.rows_, a.cols_);
-  std::copy(a.data_.begin(), a.data_.end(), out.data_.begin());
-  std::copy(b.data_.begin(), b.data_.end(),
-            out.data_.begin() + static_cast<std::ptrdiff_t>(a.data_.size()));
-  return out;
-}
-
-void Matrix::set_cols(std::size_t col_begin, const Matrix& src) {
-  if (src.rows_ != rows_ || col_begin + src.cols_ > cols_) {
-    throw std::invalid_argument("Matrix::set_cols: " + src.shape_str() + " into " +
-                                shape_str() + " at col " + std::to_string(col_begin));
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    std::copy_n(src.data_.data() + r * src.cols_, src.cols_,
-                data_.data() + r * cols_ + col_begin);
-  }
-}
-
 void Matrix::check_same_shape(const Matrix& other, const char* op) const {
   if (!same_shape(other)) {
     throw std::invalid_argument(std::string("Matrix::") + op + ": shape mismatch " +
@@ -184,25 +82,10 @@ Matrix& Matrix::operator+=(const Matrix& rhs) {
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  check_same_shape(rhs, "operator-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator*=(double s) {
   for (double& v : data_) v *= s;
   return *this;
 }
-
-Matrix Matrix::hadamard(const Matrix& rhs) const {
-  check_same_shape(rhs, "hadamard");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < out.data_.size(); ++i) out.data_[i] *= rhs.data_[i];
-  return out;
-}
-
-void Matrix::fill(double value) { std::fill(data_.begin(), data_.end(), value); }
 
 namespace {
 
@@ -306,95 +189,15 @@ Matrix Matrix::matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Matrix::matmul_tn(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  matmul_tn_into(a, b, out);
-  return out;
-}
-
-Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
-  Matrix out;
-  matmul_nt_into(a, b, out);
-  return out;
-}
-
-Matrix Matrix::matmul_ref(const Matrix& a, const Matrix& b) {
-  if (a.cols_ != b.rows_) {
-    throw std::invalid_argument("Matrix::matmul_ref: inner dim mismatch " + a.shape_str() +
-                                " * " + b.shape_str());
-  }
-  Matrix out(a.rows_, b.cols_, 0.0);
-  // ikj loop order: streams through b and out rows contiguously.
-  for (std::size_t i = 0; i < a.rows_; ++i) {
-    const double* arow = a.data_.data() + i * a.cols_;
-    double* orow = out.data_.data() + i * out.cols_;
-    for (std::size_t k = 0; k < a.cols_; ++k) {
-      const double aik = arow[k];
-      const double* brow = b.data_.data() + k * b.cols_;
-      for (std::size_t j = 0; j < b.cols_; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_tn_ref(const Matrix& a, const Matrix& b) {
-  if (a.rows_ != b.rows_) {
-    throw std::invalid_argument("Matrix::matmul_tn_ref: dim mismatch " + a.shape_str() +
-                                "ᵀ * " + b.shape_str());
-  }
-  Matrix out(a.cols_, b.cols_, 0.0);
-  for (std::size_t k = 0; k < a.rows_; ++k) {
-    const double* arow = a.data_.data() + k * a.cols_;
-    const double* brow = b.data_.data() + k * b.cols_;
-    for (std::size_t i = 0; i < a.cols_; ++i) {
-      const double aki = arow[i];
-      double* orow = out.data_.data() + i * out.cols_;
-      for (std::size_t j = 0; j < b.cols_; ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::matmul_nt_ref(const Matrix& a, const Matrix& b) {
-  if (a.cols_ != b.cols_) {
-    throw std::invalid_argument("Matrix::matmul_nt_ref: dim mismatch " + a.shape_str() +
-                                " * " + b.shape_str() + "ᵀ");
-  }
-  Matrix out(a.rows_, b.rows_, 0.0);
-  for (std::size_t i = 0; i < a.rows_; ++i) {
-    const double* arow = a.data_.data() + i * a.cols_;
-    double* orow = out.data_.data() + i * out.cols_;
-    for (std::size_t j = 0; j < b.rows_; ++j) {
-      const double* brow = b.data_.data() + j * b.cols_;
-      double dot = 0.0;
-      for (std::size_t k = 0; k < a.cols_; ++k) dot += arow[k] * brow[k];
-      orow[j] = dot;
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::add_row_broadcast(const Matrix& row_vec) const {
-  Matrix out = *this;
-  out.add_row_inplace(row_vec);
-  return out;
-}
-
 void Matrix::add_row_inplace(const Matrix& row_vec) {
   if (row_vec.rows_ != 1 || row_vec.cols_ != cols_) {
-    throw std::invalid_argument("Matrix::add_row_broadcast: " + row_vec.shape_str() +
+    throw std::invalid_argument("Matrix::add_row_inplace: " + row_vec.shape_str() +
                                 " onto " + shape_str());
   }
   for (std::size_t r = 0; r < rows_; ++r) {
     double* orow = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) orow[c] += row_vec.data_[c];
   }
-}
-
-Matrix Matrix::colwise_sum() const {
-  Matrix out;
-  colwise_sum_into(out);
-  return out;
 }
 
 void Matrix::colwise_sum_into(Matrix& out) const {
@@ -405,82 +208,8 @@ void Matrix::colwise_sum_into(Matrix& out) const {
   }
 }
 
-Matrix Matrix::colwise_mean() const {
-  Matrix out = colwise_sum();
-  if (rows_ > 0) out *= 1.0 / static_cast<double>(rows_);
-  return out;
-}
-
-Matrix Matrix::mean_of(std::span<const Matrix> ms) {
-  if (ms.empty()) throw std::invalid_argument("Matrix::mean_of: empty span");
-  Matrix out = ms[0];
-  for (std::size_t i = 1; i < ms.size(); ++i) out += ms[i];
-  out *= 1.0 / static_cast<double>(ms.size());
-  return out;
-}
-
-double Matrix::sum() const {
-  double s = 0.0;
-  for (double v : data_) s += v;
-  return s;
-}
-
-double Matrix::mean() const { return data_.empty() ? 0.0 : sum() / static_cast<double>(data_.size()); }
-
-double Matrix::min() const {
-  if (data_.empty()) throw std::runtime_error("Matrix::min on empty matrix");
-  return *std::min_element(data_.begin(), data_.end());
-}
-
-double Matrix::max() const {
-  if (data_.empty()) throw std::runtime_error("Matrix::max on empty matrix");
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-double Matrix::squared_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return s;
-}
-
-double Matrix::norm() const { return std::sqrt(squared_norm()); }
-
-double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
-  a.check_same_shape(b, "max_abs_diff");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.data_.size(); ++i) {
-    m = std::max(m, std::abs(a.data_[i] - b.data_[i]));
-  }
-  return m;
-}
-
-bool Matrix::operator==(const Matrix& other) const {
-  return same_shape(other) && data_ == other.data_;
-}
-
 std::string Matrix::shape_str() const {
   return "(" + std::to_string(rows_) + "x" + std::to_string(cols_) + ")";
 }
-
-std::string Matrix::to_string(int max_rows, int max_cols) const {
-  std::ostringstream os;
-  os << "[";
-  const auto rlim = std::min<std::size_t>(rows_, static_cast<std::size_t>(max_rows));
-  const auto clim = std::min<std::size_t>(cols_, static_cast<std::size_t>(max_cols));
-  for (std::size_t r = 0; r < rlim; ++r) {
-    os << (r ? ", [" : "[");
-    for (std::size_t c = 0; c < clim; ++c) {
-      if (c) os << ", ";
-      os << (*this)(r, c);
-    }
-    if (clim < cols_) os << ", ...";
-    os << "]";
-  }
-  if (rlim < rows_) os << ", ...";
-  os << "]";
-  return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) { return os << m.to_string(); }
 
 }  // namespace bellamy::nn

@@ -13,8 +13,7 @@
 // the inference forward and the training forward, which also stores the
 // derivative from the same exp lane, so the SELU backward is a plain
 // multiply and computes no exp.  Every other element-wise loop (Matrix
-// arithmetic, relu/sigmoid, the loss gradients) is a plain loop at its only
-// caller.
+// arithmetic, the loss gradients) is a plain loop at its only caller.
 //
 // Determinism contract:
 //  * gemm_tile: both twins give every C element its k contributions in

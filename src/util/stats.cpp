@@ -67,46 +67,4 @@ std::vector<double> ecdf(std::span<const double> xs, std::span<const double> thr
   return out;
 }
 
-std::vector<std::pair<double, double>> ecdf_steps(std::span<const double> xs) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<std::pair<double, double>> steps;
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i + 1 < sorted.size() && sorted[i + 1] == sorted[i]) continue;
-    steps.emplace_back(sorted[i], static_cast<double>(i + 1) / n);
-  }
-  return steps;
-}
-
-std::vector<double> min_max_normalize(std::span<const double> xs) {
-  std::vector<double> out(xs.begin(), xs.end());
-  if (xs.empty()) return out;
-  const double lo = min(xs);
-  const double hi = max(xs);
-  const double range = hi - lo;
-  for (double& x : out) x = range > 0.0 ? (x - lo) / range : 0.0;
-  return out;
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 }  // namespace bellamy::util

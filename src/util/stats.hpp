@@ -2,9 +2,7 @@
 // Descriptive statistics helpers used by the evaluation harness and the
 // benchmark report generators (mean/median/stddev/percentiles/eCDF).
 
-#include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace bellamy::util {
@@ -33,30 +31,5 @@ double coeff_of_variation(std::span<const double> xs);
 
 /// Empirical CDF evaluated at the given thresholds: fraction of xs <= t.
 std::vector<double> ecdf(std::span<const double> xs, std::span<const double> thresholds);
-
-/// Step points of the eCDF: sorted unique values with cumulative probability.
-std::vector<std::pair<double, double>> ecdf_steps(std::span<const double> xs);
-
-/// Normalize values into [0, 1] by (x - min) / (max - min); constant input -> all 0.
-std::vector<double> min_max_normalize(std::span<const double> xs);
-
-/// Online mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< unbiased; 0 for n < 2
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace bellamy::util

@@ -5,12 +5,12 @@
 //     flaps (hard outages).  Across >= 5 fault schedules the mesh must
 //     converge BIT-IDENTICALLY once the network heals, with zero hung
 //     threads (the test finishing IS the proof — every sync_now() returns).
-//   * SOCKET SOAK — a real ServeServer whose accepted sockets degrade
-//     through the injector (delays, dropped writes, truncated frames, hard
-//     disconnects) against deadline-carrying clients.  Every request must
-//     resolve exactly once — ok with the right bits or a typed failure,
-//     never junk, never a hang — and after healing a clean client reads
-//     bit-identical predictions.
+//   * SOCKET SOAK — a real ServeServer behind a FaultProxy whose forwarded
+//     chunks degrade through the injector (delays, dropped chunks, truncated
+//     frames, hard disconnects) in both directions, against
+//     deadline-carrying clients.  Every request must resolve exactly once —
+//     ok with the right bits or a typed failure, never junk, never a hang —
+//     and after healing a clean client reads bit-identical predictions.
 //
 // Garble runs at BOTH layers: every wire frame now carries a trailing
 // FNV-1a checksum, so a garbled frame can no longer decode into a valid
@@ -39,6 +39,8 @@
 #include "exchange/exchange.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
+#include "support/chaos_transport.hpp"
+#include "support/fault_proxy.hpp"
 
 namespace bellamy {
 namespace {
@@ -194,10 +196,12 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
   net::ServerOptions server_options;
   server_options.deadlines.read = milliseconds(500);
   server_options.deadlines.write = milliseconds(500);
-  server_options.fault_injector = faults;
   net::ServeServer server(registry, service, server_options);
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
+  // Every client dials the proxy; the server's own sockets stay clean.
+  net::FaultProxy proxy(server.port(), faults);
+  ASSERT_TRUE(proxy.start(error)) << error;
 
   const serve::ModelKey key{"sgd", "chaos"};
   ASSERT_TRUE(registry.publish(key, model).ok());
@@ -223,12 +227,12 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
     threads.emplace_back([&] {
       auto client = std::make_unique<net::NetClient>(client_options);
       std::string dial_error;
-      bool connected = client->connect("127.0.0.1", server.port(), dial_error);
+      bool connected = client->connect("127.0.0.1", proxy.port(), dial_error);
       for (int i = 0; i < kRequests; ++i) {
         const int x = 1 + i % 30;
         if (!connected) {  // the last fault killed the stream: redial
           client = std::make_unique<net::NetClient>(client_options);
-          connected = client->connect("127.0.0.1", server.port(), dial_error);
+          connected = client->connect("127.0.0.1", proxy.port(), dial_error);
           if (!connected) continue;
         }
         const auto r = client->predict(key, query(x));
@@ -255,7 +259,7 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
   // Healed: a clean client reads the exact model bits the chaos never touched.
   faults->set_enabled(false);
   net::NetClient clean(client_options);
-  ASSERT_TRUE(clean.connect("127.0.0.1", server.port(), error)) << error;
+  ASSERT_TRUE(clean.connect("127.0.0.1", proxy.port(), error)) << error;
   for (int x = 1; x <= 30; ++x) {
     const auto r = clean.predict(key, query(x));
     ASSERT_TRUE(r.ok()) << "x=" << x << ": " << r.error_text();
@@ -268,6 +272,7 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
   EXPECT_EQ(metrics.value().requests, metrics.value().responses);
 
   clean.close();
+  proxy.stop();
   server.stop();
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/c3o_generator.hpp"
+#include "support/matrix_testing.hpp"
 
 namespace bellamy::core {
 namespace {

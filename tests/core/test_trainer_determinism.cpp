@@ -10,6 +10,7 @@
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "nn/serialize.hpp"
+#include "support/matrix_testing.hpp"
 
 namespace bellamy::core {
 namespace {

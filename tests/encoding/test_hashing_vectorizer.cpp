@@ -111,7 +111,9 @@ TEST_P(HashingVectorizerSweep, RandomStringsNormalizedAndStable) {
     EXPECT_EQ(v.size(), hv.config().num_features);
     const double norm = l2norm(v);
     // Strings of only spaces hash to nothing; anything else must be unit norm.
-    if (norm > 0.0) EXPECT_NEAR(norm, 1.0, 1e-12) << s;
+    if (norm > 0.0) {
+      EXPECT_NEAR(norm, 1.0, 1e-12) << s;
+    }
     EXPECT_EQ(v, hv.transform(s)) << s;
   }
 }

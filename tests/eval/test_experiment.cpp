@@ -8,8 +8,8 @@
 #include "data/bell_generator.hpp"
 #include "data/c3o_generator.hpp"
 #include "data/ground_truth.hpp"
-#include "eval/reduction_sweep.hpp"
 #include "eval/report.hpp"
+#include "support/reduction_sweep.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::eval {
@@ -99,9 +99,15 @@ TEST_F(CrossContextFixture, TasksAreInterpolationAndExtrapolation) {
 
 TEST_F(CrossContextFixture, BaselinesRespectMinimumPoints) {
   for (const auto& r : result_->evals) {
-    if (r.model == "Bell") EXPECT_GE(r.num_points, 3u);
-    if (r.model == "NNLS") EXPECT_GE(r.num_points, 1u);
-    if (r.model == "Bellamy (local)") EXPECT_GE(r.num_points, 1u);
+    if (r.model == "Bell") {
+      EXPECT_GE(r.num_points, 3u);
+    }
+    if (r.model == "NNLS") {
+      EXPECT_GE(r.num_points, 1u);
+    }
+    if (r.model == "Bellamy (local)") {
+      EXPECT_GE(r.num_points, 1u);
+    }
   }
 }
 

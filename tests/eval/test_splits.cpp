@@ -70,8 +70,12 @@ TEST(Splits, TestPointsNeverInTrainingSet) {
   const auto splits = generate_splits(runs, 4, 50, rng);
   for (const auto& s : splits) {
     const std::set<std::size_t> train(s.train.begin(), s.train.end());
-    if (s.interpolation_test) EXPECT_FALSE(train.count(*s.interpolation_test));
-    if (s.extrapolation_test) EXPECT_FALSE(train.count(*s.extrapolation_test));
+    if (s.interpolation_test) {
+      EXPECT_FALSE(train.count(*s.interpolation_test));
+    }
+    if (s.extrapolation_test) {
+      EXPECT_FALSE(train.count(*s.extrapolation_test));
+    }
   }
 }
 

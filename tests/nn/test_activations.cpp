@@ -4,11 +4,14 @@
 
 #include <cmath>
 
-#include "nn/gradcheck.hpp"
+#include "support/gradcheck.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
 namespace {
+
+// Scalar SELU through the production module.
+double selu(double x) { return Selu().infer(Matrix{{x}})(0, 0); }
 
 TEST(Selu, PositiveBranchIsScaledIdentity) {
   EXPECT_NEAR(selu(2.0), kSeluScale * 2.0, 1e-12);
@@ -22,14 +25,6 @@ TEST(Selu, NegativeBranchSaturates) {
 TEST(Selu, ContinuousAtZero) {
   EXPECT_NEAR(selu(1e-12), selu(-1e-12), 1e-9);
   EXPECT_NEAR(selu(0.0), 0.0, 1e-15);
-}
-
-TEST(Selu, DerivativeMatchesFiniteDifference) {
-  for (double x : {-2.0, -0.5, 0.3, 1.7}) {
-    const double h = 1e-7;
-    const double numeric = (selu(x + h) - selu(x - h)) / (2.0 * h);
-    EXPECT_NEAR(selu_derivative(x), numeric, 1e-6) << "at x=" << x;
-  }
 }
 
 TEST(Selu, SelfNormalizingFixedPointProperty) {
@@ -69,55 +64,6 @@ TEST(TanhModule, GradCheck) {
   util::Rng rng(3);
   Tanh act;
   EXPECT_TRUE(grad_check(act, Matrix::randn(3, 5, rng)).ok(1e-6));
-}
-
-TEST(ReluModule, ForwardClampsNegatives) {
-  Relu act;
-  const Matrix y = act.forward(Matrix{{-2.0, 0.0, 3.0}});
-  EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(y(0, 2), 3.0);
-}
-
-TEST(ReluModule, GradCheckAwayFromKink) {
-  util::Rng rng(4);
-  Relu act;
-  // Shift inputs away from 0 so finite differences are valid.
-  Matrix x = Matrix::randn(4, 4, rng);
-  x.apply_inplace([](double v) { return v + (v >= 0.0 ? 0.5 : -0.5); });
-  EXPECT_TRUE(grad_check(act, x).ok(1e-6));
-}
-
-TEST(SigmoidModule, ForwardValues) {
-  Sigmoid act;
-  const Matrix y = act.forward(Matrix{{0.0}});
-  EXPECT_DOUBLE_EQ(y(0, 0), 0.5);
-}
-
-TEST(SigmoidModule, GradCheck) {
-  util::Rng rng(5);
-  Sigmoid act;
-  EXPECT_TRUE(grad_check(act, Matrix::randn(3, 3, rng)).ok(1e-6));
-}
-
-TEST(IdentityModule, PassThrough) {
-  Identity act;
-  const Matrix x{{1.0, -2.0}};
-  EXPECT_EQ(act.forward(x), x);
-  EXPECT_EQ(act.backward(x), x);
-}
-
-TEST(ActivationFactory, CreatesEveryKind) {
-  for (auto kind : {Activation::kSelu, Activation::kTanh, Activation::kRelu,
-                    Activation::kSigmoid, Activation::kIdentity}) {
-    auto act = make_activation(kind);
-    ASSERT_NE(act, nullptr);
-    EXPECT_NO_THROW(act->forward(Matrix(1, 1, 0.3)));
-  }
-}
-
-TEST(ActivationFactory, Names) {
-  EXPECT_STREQ(activation_name(Activation::kSelu), "selu");
-  EXPECT_STREQ(activation_name(Activation::kTanh), "tanh");
 }
 
 }  // namespace

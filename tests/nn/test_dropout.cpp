@@ -6,6 +6,7 @@
 #include <set>
 
 #include "nn/activations.hpp"
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -93,7 +94,7 @@ TEST(AlphaDropout, BackwardMasksGradient) {
   drop.set_training(true);
   const Matrix x(5, 5, 1.0);
   const Matrix y = drop.forward(x);
-  const Matrix grad = drop.backward(Matrix::ones(5, 5));
+  const Matrix grad = drop.backward(Matrix(5, 5, 1.0));
   // Gradient is a * mask: zero exactly where dropped, constant a where kept.
   for (std::size_t r = 0; r < 5; ++r) {
     for (std::size_t c = 0; c < 5; ++c) {
@@ -134,7 +135,7 @@ TEST(AlphaDropout, DropFractionMatchesRate) {
   drop.set_training(true);
   const Matrix x(100, 100, 1.0);
   drop.forward(x);
-  const Matrix grad = drop.backward(Matrix::ones(100, 100));
+  const Matrix grad = drop.backward(Matrix(100, 100, 1.0));
   int zeros = 0;
   for (std::size_t i = 0; i < grad.size(); ++i) {
     if (grad.data()[i] == 0.0) ++zeros;

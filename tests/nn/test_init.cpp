@@ -4,13 +4,14 @@
 
 #include <cmath>
 
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
 namespace {
 
 double sample_variance(const Matrix& m) {
-  const double mean = m.mean();
+  const double mean = nn::mean(m);
   double var = 0.0;
   for (std::size_t i = 0; i < m.size(); ++i) {
     const double d = m.data()[i] - mean;
@@ -25,7 +26,7 @@ TEST(Init, HeNormalVariance) {
   const Matrix w = make_weights(Init::kHeNormal, 256, fan_in, rng);
   EXPECT_NEAR(sample_variance(w), 2.0 / static_cast<double>(fan_in),
               0.15 * 2.0 / static_cast<double>(fan_in));
-  EXPECT_NEAR(w.mean(), 0.0, 0.01);
+  EXPECT_NEAR(mean(w), 0.0, 0.01);
 }
 
 TEST(Init, LeCunNormalVariance) {
@@ -45,7 +46,7 @@ TEST(Init, XavierNormalVariance) {
 TEST(Init, ZerosAreZero) {
   util::Rng rng(4);
   const Matrix w = make_weights(Init::kZeros, 5, 5, rng);
-  EXPECT_DOUBLE_EQ(w.squared_norm(), 0.0);
+  EXPECT_DOUBLE_EQ(squared_norm(w), 0.0);
 }
 
 TEST(Init, ShapeIsFanOutByFanIn) {

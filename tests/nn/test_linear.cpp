@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/gradcheck.hpp"
+#include "support/gradcheck.hpp"
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -82,11 +83,13 @@ TEST(Linear, BackwardAccumulatesGradients) {
   Linear layer(2, 2, true, Init::kHeNormal, rng);
   const Matrix x = Matrix::randn(3, 2, rng);
   const Matrix y = layer.forward(x);
-  layer.backward(Matrix::ones(3, 2));
+  layer.backward(Matrix(3, 2, 1.0));
   const Matrix first = layer.weight().grad;
   layer.forward(x);
-  layer.backward(Matrix::ones(3, 2));
-  EXPECT_LT(Matrix::max_abs_diff(layer.weight().grad, first * 2.0), 1e-12);
+  layer.backward(Matrix(3, 2, 1.0));
+  Matrix twice = first;
+  twice *= 2.0;
+  EXPECT_LT(max_abs_diff(layer.weight().grad, twice), 1e-12);
   (void)y;
 }
 
@@ -94,9 +97,9 @@ TEST(Linear, ZeroGradClears) {
   util::Rng rng(10);
   Linear layer(2, 2, true, Init::kHeNormal, rng);
   layer.forward(Matrix::randn(1, 2, rng));
-  layer.backward(Matrix::ones(1, 2));
+  layer.backward(Matrix(1, 2, 1.0));
   layer.zero_grad();
-  EXPECT_DOUBLE_EQ(layer.weight().grad.squared_norm(), 0.0);
+  EXPECT_DOUBLE_EQ(squared_norm(layer.weight().grad), 0.0);
 }
 
 TEST(Linear, BackwardShapeMismatchThrows) {
@@ -110,11 +113,11 @@ TEST(Linear, BackwardShapeMismatchThrows) {
 TEST(Linear, ReinitializeChangesWeightsZeroesBias) {
   util::Rng rng(12);
   Linear layer(4, 4, true, Init::kHeNormal, rng);
-  layer.bias().value.fill(7.0);
+  layer.bias().value.apply_inplace([](double) { return 7.0; });
   const Matrix before = layer.weight().value;
   layer.reinitialize(Init::kHeNormal, rng);
-  EXPECT_GT(Matrix::max_abs_diff(before, layer.weight().value), 1e-9);
-  EXPECT_DOUBLE_EQ(layer.bias().value.squared_norm(), 0.0);
+  EXPECT_GT(max_abs_diff(before, layer.weight().value), 1e-9);
+  EXPECT_DOUBLE_EQ(squared_norm(layer.bias().value), 0.0);
 }
 
 TEST(Linear, TrainableFlagToggles) {

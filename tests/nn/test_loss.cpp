@@ -2,46 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
 namespace {
 
-TEST(MseLoss, ValueAndGradient) {
-  const Matrix pred{{1.0, 2.0}};
-  const Matrix target{{0.0, 4.0}};
-  const auto res = mse_loss(pred, target);
-  EXPECT_DOUBLE_EQ(res.value, (1.0 + 4.0) / 2.0);
-  EXPECT_DOUBLE_EQ(res.grad(0, 0), 2.0 * 1.0 / 2.0);
-  EXPECT_DOUBLE_EQ(res.grad(0, 1), 2.0 * -2.0 / 2.0);
+// A loss value with its gradient, through the forms the model trains with
+// (they write the gradient into a caller's buffer).
+struct LossResult {
+  double value = 0.0;
+  Matrix grad;
+};
+
+LossResult huber_loss(const Matrix& pred, const Matrix& target, double delta = 1.0) {
+  LossResult res;
+  res.value = nn::huber_loss(pred, target, delta, &res.grad);
+  return res;
 }
 
-TEST(MseLoss, PerfectPredictionZero) {
-  const Matrix m{{3.0}, {4.0}};
-  const auto res = mse_loss(m, m);
-  EXPECT_DOUBLE_EQ(res.value, 0.0);
-  EXPECT_DOUBLE_EQ(res.grad.squared_norm(), 0.0);
-}
-
-TEST(MseLoss, ShapeMismatchThrows) {
-  EXPECT_THROW(mse_loss(Matrix(1, 2), Matrix(2, 1)), std::invalid_argument);
-}
-
-TEST(MseLoss, GradientMatchesFiniteDifference) {
-  util::Rng rng(1);
-  Matrix pred = Matrix::randn(3, 2, rng);
-  const Matrix target = Matrix::randn(3, 2, rng);
-  const auto res = mse_loss(pred, target);
-  const double eps = 1e-7;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double orig = pred.data()[i];
-    pred.data()[i] = orig + eps;
-    const double up = mse_loss(pred, target).value;
-    pred.data()[i] = orig - eps;
-    const double down = mse_loss(pred, target).value;
-    pred.data()[i] = orig;
-    EXPECT_NEAR(res.grad.data()[i], (up - down) / (2.0 * eps), 1e-6);
-  }
+LossResult mae_loss(const Matrix& pred, const Matrix& target) {
+  LossResult res;
+  res.value = nn::mae_loss(pred, target, &res.grad);
+  return res;
 }
 
 TEST(HuberLoss, QuadraticRegion) {
@@ -83,8 +66,8 @@ TEST(HuberLoss, MatchesMseForSmallErrors) {
   Matrix pred = Matrix::rand_uniform(2, 3, rng, -0.4, 0.4);
   const Matrix target = Matrix::zeros(2, 3);
   const auto huber = huber_loss(pred, target, 1.0);
-  const auto mse = mse_loss(pred, target);
-  EXPECT_NEAR(huber.value, 0.5 * mse.value, 1e-12);
+  const double mse = squared_norm(pred) / static_cast<double>(pred.size());
+  EXPECT_NEAR(huber.value, 0.5 * mse, 1e-12);
 }
 
 TEST(HuberLoss, InvalidDeltaThrows) {
@@ -94,7 +77,8 @@ TEST(HuberLoss, InvalidDeltaThrows) {
 
 TEST(HuberLoss, GradientMatchesFiniteDifference) {
   util::Rng rng(3);
-  Matrix pred = Matrix::randn(2, 2, rng) * 2.0;  // spans both regions
+  Matrix pred = Matrix::randn(2, 2, rng);
+  pred *= 2.0;  // spans both regions
   const Matrix target = Matrix::zeros(2, 2);
   const auto res = huber_loss(pred, target, 1.0);
   const double eps = 1e-7;
@@ -120,7 +104,6 @@ TEST(MaeLoss, ValueAndSignGradient) {
 }
 
 TEST(Losses, EmptyInputThrows) {
-  EXPECT_THROW(mse_loss(Matrix(), Matrix()), std::invalid_argument);
   EXPECT_THROW(huber_loss(Matrix(), Matrix()), std::invalid_argument);
   EXPECT_THROW(mae_loss(Matrix(), Matrix()), std::invalid_argument);
 }

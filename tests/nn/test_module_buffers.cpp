@@ -26,6 +26,7 @@
 #include "nn/dropout.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -138,7 +139,7 @@ TEST(ModuleBuffers, BackwardDoesNotDependOnTheCallersInput) {
     ModulePtr m = make(kind);
     auto owned = std::make_unique<Matrix>(x);
     m->forward(*owned);
-    owned->fill(std::numeric_limits<double>::quiet_NaN());
+    owned->apply_inplace([](double) { return std::numeric_limits<double>::quiet_NaN(); });
     owned.reset();
     EXPECT_EQ(m->backward(g), want) << name(kind);
     const auto got_params = param_grads(*m);

@@ -4,8 +4,9 @@
 
 #include "nn/activations.hpp"
 #include "nn/dropout.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/linear.hpp"
+#include "support/gradcheck.hpp"
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -14,10 +15,10 @@ namespace {
 Sequential make_mlp(util::Rng& rng, bool with_dropout = false) {
   Sequential seq;
   seq.emplace<Linear>(3, 8, true, Init::kHeNormal, rng, "l1");
-  seq.add(make_activation(Activation::kSelu));
+  seq.emplace<Selu>();
   if (with_dropout) seq.add(std::make_unique<AlphaDropout>(0.2, rng.fork()));
   seq.emplace<Linear>(8, 2, true, Init::kHeNormal, rng, "l2");
-  seq.add(make_activation(Activation::kSelu));
+  seq.emplace<Selu>();
   return seq;
 }
 
@@ -82,7 +83,7 @@ TEST(Sequential, TrainingModeIsStochasticWithDropout) {
   const Matrix x = Matrix::randn(8, 3, rng);
   const Matrix y1 = seq.forward(x);
   const Matrix y2 = seq.forward(x);
-  EXPECT_GT(Matrix::max_abs_diff(y1, y2), 0.0);
+  EXPECT_GT(max_abs_diff(y1, y2), 0.0);
 }
 
 TEST(Sequential, ModuleAccess) {
@@ -137,7 +138,7 @@ TEST(Sequential, BackwardParamsMatchesBackwardBitForBit) {
       if (got[i]->trainable) {
         EXPECT_EQ(got[i]->grad, want[i]->grad) << got[i]->name;
       } else {
-        EXPECT_EQ(got[i]->grad.squared_norm(), 0.0) << got[i]->name;
+        EXPECT_EQ(squared_norm(got[i]->grad), 0.0) << got[i]->name;
       }
     }
   }
@@ -161,12 +162,12 @@ TEST(Sequential, BackwardMatchesChainRule) {
   const Matrix x = Matrix::randn(4, 2, rng);
   const Matrix manual = l2.forward(a1.forward(l1.forward(x)));
   const Matrix packed = seq.forward(x);
-  EXPECT_LT(Matrix::max_abs_diff(manual, packed), 1e-12);
+  EXPECT_LT(max_abs_diff(manual, packed), 1e-12);
 
-  const Matrix grad_out = Matrix::ones(4, 1);
+  const Matrix grad_out = Matrix(4, 1, 1.0);
   const Matrix manual_grad = l1.backward(a1.backward(l2.backward(grad_out)));
   const Matrix packed_grad = seq.backward(grad_out);
-  EXPECT_LT(Matrix::max_abs_diff(manual_grad, packed_grad), 1e-12);
+  EXPECT_LT(max_abs_diff(manual_grad, packed_grad), 1e-12);
 }
 
 }  // namespace

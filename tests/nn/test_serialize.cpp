@@ -10,6 +10,7 @@
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "support/matrix_testing.hpp"
 #include "util/rng.hpp"
 
 namespace bellamy::nn {
@@ -108,7 +109,7 @@ TEST(StoreRestoreParameters, RoundTripThroughModule) {
   util::Rng rng(2);
   Sequential net;
   net.emplace<Linear>(3, 4, true, Init::kHeNormal, rng, "a");
-  net.add(make_activation(Activation::kSelu));
+  net.emplace<Selu>();
   net.emplace<Linear>(4, 2, true, Init::kHeNormal, rng, "b");
 
   Checkpoint ckpt;
@@ -123,10 +124,10 @@ TEST(StoreRestoreParameters, RoundTripThroughModule) {
   util::Rng rng2(99);
   Sequential net2;
   net2.emplace<Linear>(3, 4, true, Init::kHeNormal, rng2, "a");
-  net2.add(make_activation(Activation::kSelu));
+  net2.emplace<Selu>();
   net2.emplace<Linear>(4, 2, true, Init::kHeNormal, rng2, "b");
   restore_parameters(ckpt, net2);
-  EXPECT_LT(Matrix::max_abs_diff(net.forward(x), net2.forward(x)), 1e-15);
+  EXPECT_LT(max_abs_diff(net.forward(x), net2.forward(x)), 1e-15);
 }
 
 TEST(StoreRestoreParameters, ShapeMismatchThrows) {

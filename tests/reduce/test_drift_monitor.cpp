@@ -145,7 +145,9 @@ TEST(DriftMonitor, TriggersExactlyOncePerEpisodeAndRearmsAfterRecovery) {
       triggers += 1;
       EXPECT_EQ(obs.value().reports, 3u) << "trigger before/after min_reports boundary";
     }
-    if (i < 2) EXPECT_FALSE(obs.value().refit_triggered) << "min_reports ignored";
+    if (i < 2) {
+      EXPECT_FALSE(obs.value().refit_triggered) << "min_reports ignored";
+    }
   }
   EXPECT_EQ(triggers, 1u);
   EXPECT_EQ(monitor.stats(fx.handle).refits, 1u);

@@ -1,4 +1,4 @@
-#include "net/fault_injector.hpp"
+#include "support/fault_injector.hpp"
 
 #include <algorithm>
 
@@ -23,7 +23,7 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan), rng_state_(plan.seed
 
 std::uint64_t FaultInjector::draw_locked() { return splitmix64(rng_state_); }
 
-Fault FaultInjector::next(FaultOp op) {
+Fault FaultInjector::next() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled_) return Fault{};
 
@@ -40,13 +40,6 @@ Fault FaultInjector::next(FaultOp op) {
     kind = FaultKind::kGarble;
   } else if (u < (edge += plan_.disconnect_prob)) {
     kind = FaultKind::kDisconnect;
-  }
-
-  // Reads cannot drop or truncate what the peer already sent; degrade so
-  // the draw count (and thus the rest of the schedule) stays seed-stable.
-  if (op == FaultOp::kRead) {
-    if (kind == FaultKind::kDrop) kind = FaultKind::kDelay;
-    if (kind == FaultKind::kTruncate) kind = FaultKind::kDisconnect;
   }
 
   Fault fault;

@@ -1,14 +1,14 @@
 #pragma once
 // FaultInjector: the deterministic chaos seam of the net layer.
 //
-// A seeded schedule of network misbehavior, injectable at the two
-// boundaries where bytes change hands:
+// A seeded schedule of network misbehavior, applied at the two boundaries
+// where bytes change hands:
 //
-//   * net::Socket::set_fault_injector — every read/write first asks the
-//     injector what happens to it: nothing, an added delay, a truncated
-//     write (half the bytes leave, then the stream breaks), garbled bytes,
-//     a silently dropped write (the peer's deadline finds out), or a hard
-//     disconnect.
+//   * net::FaultProxy — every chunk forwarded between a client and a server
+//     first asks the injector what happens to it: nothing, an added delay, a
+//     truncated write (half the bytes leave, then the stream breaks),
+//     garbled bytes, a silently dropped write (the peer's deadline finds
+//     out), or a hard disconnect.
 //   * exchange::ChaosTransport — the PeerTransport decorator applies the
 //     same schedule at whole-call granularity for socketless mesh tests.
 //
@@ -29,12 +29,10 @@
 
 namespace bellamy::net {
 
-enum class FaultOp : std::uint8_t { kRead, kWrite, kCall };
-
 enum class FaultKind : std::uint8_t {
   kNone,
   kDelay,       ///< sleep, then proceed normally
-  kDrop,        ///< pretend the write happened; send nothing (writes/calls only)
+  kDrop,        ///< pretend the write happened; send nothing
   kTruncate,    ///< emit a prefix of the bytes, then break the stream
   kGarble,      ///< flip bytes in flight (the receiver sees protocol garbage)
   kDisconnect,  ///< break the stream immediately
@@ -60,10 +58,8 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
 
-  /// Draw the fate of one operation.  Read ops never see kDrop/kTruncate
-  /// (a TCP read cannot un-receive bytes); those draws degrade to kDelay /
-  /// kDisconnect respectively so the schedule length stays seed-stable.
-  Fault next(FaultOp op);
+  /// Draw the fate of one operation (a forwarded chunk or a peer call).
+  Fault next();
 
   /// Garble helper: flip deterministic bits of `buf` (at least one byte).
   void garble(std::uint8_t* buf, std::size_t size);

@@ -1,12 +1,14 @@
-#include "nn/gradcheck.hpp"
+#include "support/gradcheck.hpp"
 
 #include <cmath>
+
+#include "support/matrix_testing.hpp"
 
 namespace bellamy::nn {
 
 namespace {
 std::pair<double, Matrix> default_loss(const Matrix& y) {
-  return {0.5 * y.squared_norm(), y};
+  return {0.5 * squared_norm(y), y};
 }
 }  // namespace
 

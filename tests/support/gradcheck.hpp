@@ -1,6 +1,6 @@
 #pragma once
-// Finite-difference gradient verification, used heavily by the test suite to
-// certify every layer's backward() against central differences.
+// Finite-difference gradient verification: the test suite certifies every
+// layer's backward() against central differences with it.
 
 #include <functional>
 

@@ -1,4 +1,4 @@
-#include "eval/reduction_sweep.hpp"
+#include "support/reduction_sweep.hpp"
 
 #include <algorithm>
 #include <chrono>

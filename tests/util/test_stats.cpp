@@ -82,48 +82,5 @@ TEST(Stats, EcdfAtThresholds) {
   EXPECT_DOUBLE_EQ(probs[3], 1.0);
 }
 
-TEST(Stats, EcdfStepsCollapseDuplicates) {
-  const std::vector<double> xs{1.0, 1.0, 2.0};
-  const auto steps = ecdf_steps(xs);
-  ASSERT_EQ(steps.size(), 2u);
-  EXPECT_DOUBLE_EQ(steps[0].first, 1.0);
-  EXPECT_NEAR(steps[0].second, 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(steps[1].first, 2.0);
-  EXPECT_DOUBLE_EQ(steps[1].second, 1.0);
-}
-
-TEST(Stats, MinMaxNormalize) {
-  const std::vector<double> xs{2.0, 4.0, 6.0};
-  const auto normed = min_max_normalize(xs);
-  EXPECT_DOUBLE_EQ(normed[0], 0.0);
-  EXPECT_DOUBLE_EQ(normed[1], 0.5);
-  EXPECT_DOUBLE_EQ(normed[2], 1.0);
-}
-
-TEST(Stats, MinMaxNormalizeConstantInput) {
-  const std::vector<double> xs{5.0, 5.0};
-  const auto normed = min_max_normalize(xs);
-  EXPECT_DOUBLE_EQ(normed[0], 0.0);
-  EXPECT_DOUBLE_EQ(normed[1], 0.0);
-}
-
-TEST(RunningStats, MatchesBatchStatistics) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0, -2.0};
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), xs.size());
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), -2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 5.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
 }  // namespace
 }  // namespace bellamy::util
