@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -88,14 +90,48 @@ void BellamyModel::build(std::uint64_t dropout_seed) {
   z_linears_ = {&z1, &z2};
 }
 
-BellamyEncodedRuns BellamyModel::encode_runs(const std::vector<data::JobRun>& runs) const {
+namespace {
+
+// The seven fields essential_properties and optional_properties read: runs
+// with equal fields yield the same property list, so encode_runs keys its
+// context dedup on exactly these.
+auto context_fields(const data::JobRun& r) {
+  return std::tie(r.node_type, r.job_parameters, r.dataset_size_mb, r.data_characteristics,
+                  r.memory_mb, r.cpu_cores, r.algorithm);
+}
+
+struct ContextHash {
+  std::size_t operator()(const data::JobRun* run) const {
+    return std::apply([](const auto&... f) {
+      std::size_t h = 0;
+      ((h = (h ^ std::hash<std::decay_t<decltype(f)>>{}(f)) * 0x100000001b3ULL), ...);
+      return h;
+    }, context_fields(*run));
+  }
+};
+
+struct SameContext {
+  bool operator()(const data::JobRun* a, const data::JobRun* b) const {
+    return context_fields(*a) == context_fields(*b);
+  }
+};
+
+}  // namespace
+
+void BellamyModel::require_normalization(const char* caller) const {
+  if (!norm_fitted_) {
+    throw std::logic_error(std::string(caller) + ": fit_normalization was never called "
+                                                 "(pre-train or load a checkpoint first)");
+  }
+}
+
+BellamyEncodedRuns BellamyModel::encode_runs(std::span<const data::JobRun> runs) const {
   if (runs.empty()) throw std::invalid_argument("BellamyModel::encode_runs: no runs");
-  // Runs routinely share context properties (a scale-out sweep varies only
-  // x), so the vectorization is memoized per distinct value and the stacked
-  // property matrix stores each distinct vector exactly once.  encode_cached
-  // returns a stable reference per distinct value, so the address doubles as
-  // the row's identity.
-  encoding::PropertyEncodeCache encode_cache;
+  // Runs routinely share a context (a scale-out sweep varies only x), so a
+  // run whose context was seen before copies that run's prop_row block; only
+  // a new context is vectorized.  Within new contexts each distinct property
+  // value is vectorized once, and the stacked property matrix stores its
+  // vector exactly once, in first-use order.
   const std::size_t r = runs.size();
   const std::size_t ppr = config_.props_per_sample();
   static std::atomic<std::uint64_t> next_encode_id{1};
@@ -105,8 +141,9 @@ BellamyEncodedRuns BellamyModel::encode_runs(const std::vector<data::JobRun>& ru
   encoded.scaleout_raw = nn::Matrix(r, 3);
   encoded.targets_raw = nn::Matrix(r, 1);
   encoded.prop_row.resize(r * ppr);
-  std::unordered_map<const std::vector<double>*, std::size_t> unique_index;
-  std::vector<const std::vector<double>*> unique_rows;
+  std::unordered_map<const data::JobRun*, std::size_t, ContextHash, SameContext> context_run;
+  std::unordered_map<encoding::PropertyValue, std::size_t> value_row;
+  std::vector<std::vector<double>> rows;
   for (std::size_t i = 0; i < r; ++i) {
     const auto& run = runs[i];
     if (run.scale_out < 1) {
@@ -118,22 +155,26 @@ BellamyEncodedRuns BellamyModel::encode_runs(const std::vector<data::JobRun>& ru
     encoded.scaleout_raw(i, 2) = x;
     encoded.targets_raw(i, 0) = run.runtime_s;
 
+    auto slot = encoded.prop_row.begin() + static_cast<std::ptrdiff_t>(i * ppr);
+    const auto [seen, is_new] = context_run.try_emplace(&run, i);
+    if (!is_new) {
+      const auto first = encoded.prop_row.begin() + static_cast<std::ptrdiff_t>(seen->second * ppr);
+      std::copy(first, first + static_cast<std::ptrdiff_t>(ppr), slot);
+      continue;
+    }
     const auto ess = essential_properties(run);
     const auto opt = optional_properties(run);
-    std::size_t slot = i * ppr;
     for (const auto* props : {&ess, &opt}) {
       for (const auto& p : *props) {
-        const std::vector<double>& vec = property_encoder_.encode_cached(p, encode_cache);
-        const auto [it, inserted] = unique_index.try_emplace(&vec, unique_rows.size());
-        if (inserted) unique_rows.push_back(&vec);
-        encoded.prop_row[slot++] = it->second;
+        const auto [it, inserted] = value_row.try_emplace(p, rows.size());
+        if (inserted) rows.push_back(property_encoder_.encode(it->first));
+        *slot++ = it->second;
       }
     }
   }
-  encoded.properties = nn::Matrix(unique_rows.size(), config_.property_dim);
-  for (std::size_t row = 0; row < unique_rows.size(); ++row) {
-    const auto& vec = *unique_rows[row];
-    for (std::size_t j = 0; j < vec.size(); ++j) encoded.properties(row, j) = vec[j];
+  encoded.properties = nn::Matrix(rows.size(), config_.property_dim);
+  for (std::size_t row = 0; row < rows.size(); ++row) {
+    for (std::size_t j = 0; j < rows[row].size(); ++j) encoded.properties(row, j) = rows[row][j];
   }
   return encoded;
 }
@@ -289,10 +330,7 @@ BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
 
 BellamyModel::ForwardView BellamyModel::forward_pass(const BellamyBatch& batch, bool training,
                                                      bool decode) {
-  if (!norm_fitted_) {
-    throw std::logic_error("BellamyModel::forward: fit_normalization was never called "
-                           "(pre-train or load a checkpoint first)");
-  }
+  require_normalization("BellamyModel::forward");
   set_training(training);
 
   ForwardView fw{};
@@ -300,7 +338,7 @@ BellamyModel::ForwardView BellamyModel::forward_pass(const BellamyBatch& batch, 
   const nn::Matrix& e = f_.forward(ws_.scaleout);        // (B x F)
   fw.codes = &g_.forward(batch.properties);              // (U x M) unique rows only
   if (decode) fw.reconstruction = &h_.forward(*fw.codes);  // (U x N)
-  assemble_combined(e, *fw.codes, batch.prop_row, ws_.combined);
+  assemble_combined(e, {}, *fw.codes, batch.prop_row, ws_.combined);
 
   fw.prediction_norm = &z_.forward(ws_.combined);  // (B x 1)
   ws_.prediction_raw = *fw.prediction_norm;
@@ -420,18 +458,17 @@ BellamyLoss BellamyModel::evaluate(const BellamyBatch& batch, double reconstruct
 
 std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>& runs) const {
   if (runs.empty()) return {};
-  if (!norm_fitted_) {
-    throw std::logic_error("BellamyModel::predict_batch: fit_normalization was never called "
-                           "(pre-train or load a checkpoint first)");
-  }
-  // Very large batches go memory-bound in a single stacked pass on one core
-  // (the B=4096 dip), so they are split into contiguous chunks across the
-  // global ThreadPool.  On a 4-vCPU Xeon host that is 1.6-2.8x the serial
-  // pass at B=4096 (benchmark/'s parallel.chunked_over_serial, measured on
-  // the sweep workload).  Every output row's arithmetic is
-  // independent of the batch it rides in and every chunk writes a disjoint
-  // output range, so the chunked result is bit-identical under any schedule
-  // (chunks only need to run exactly once).
+  require_normalization("BellamyModel::predict_batch");
+  // Very large batches are split into contiguous chunks across the global
+  // ThreadPool.  What a single B=4096 pass loses is allocator churn, not
+  // memory bandwidth: its (B x width) temporaries cross glibc's mmap
+  // threshold, so every call faults in fresh pages (~420-560 minor page
+  // faults per serial call on a 4-vCPU Xeon host, ~7-10 per chunked call).
+  // benchmark/'s parallel.chunked_over_serial measures the ratio on the
+  // sweep workload.  Every output row's arithmetic is independent of the
+  // batch it rides in and every chunk writes a disjoint output range, so the
+  // chunked result is bit-identical under any schedule (chunks only need to
+  // run exactly once).
   if (predict_chunk_threshold_ > 0 && runs.size() >= predict_chunk_threshold_ &&
       parallel::ThreadPool::global().size() > 1) {
     return predict_batch_chunked(runs);
@@ -439,19 +476,21 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   return predict_batch_serial(runs);
 }
 
-void BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
+void BellamyModel::assemble_combined(const nn::Matrix& e, std::span<const std::size_t> e_row,
+                                     const nn::Matrix& codes,
                                      const std::vector<std::size_t>& prop_row,
                                      nn::Matrix& combined) const {
-  const std::size_t b = e.rows();
   const std::size_t m = config_.num_essential;
   const std::size_t n = config_.num_optional;
   const std::size_t M = config_.code_dim;
   const std::size_t F = config_.scaleout_out;
   const std::size_t ppr = config_.props_per_sample();
+  const std::size_t b = prop_row.size() / ppr;
 
   combined.resize(b, config_.combined_dim());  // every element is written below
   for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t j = 0; j < F; ++j) combined(i, j) = e(i, j);
+    const std::size_t erow = e_row.empty() ? i : e_row[i];
+    for (std::size_t j = 0; j < F; ++j) combined(i, j) = e(erow, j);
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t crow = prop_row[i * ppr + p];
       for (std::size_t j = 0; j < M; ++j) combined(i, F + p * M + j) = codes(crow, j);
@@ -464,23 +503,31 @@ void BellamyModel::assemble_combined(const nn::Matrix& e, const nn::Matrix& code
   }
 }
 
-std::vector<double> BellamyModel::predict_batch_serial(
-    const std::vector<data::JobRun>& runs) const {
+std::vector<double> BellamyModel::predict_batch_serial(std::span<const data::JobRun> runs) const {
   // Inference needs the property codes but never the reconstruction, so the
   // decoder h is skipped entirely.  encode_runs dedups the property rows, so
-  // the encoder g runs over the UNIQUE rows only and the codes are gathered
-  // back per sample — the encoder cost is O(distinct properties), not
-  // O(B * (m+n)).  Row-wise the arithmetic is identical to the stacked
-  // forward, so predictions match the per-sample path bit for bit.
+  // the encoder g runs over the UNIQUE rows only, and f runs once per
+  // distinct scale-out; both are gathered back per sample.  Only z costs
+  // O(B).  Every module is row-wise, so each row's arithmetic is identical
+  // to the stacked forward and predictions match the per-sample path bit
+  // for bit.
   const BellamyEncodedRuns encoded = encode_runs(runs);
+  std::unordered_map<int, std::size_t> scale_index;  // scale-out -> row of e
+  std::vector<std::size_t> first_run;                // run that introduced each row
+  std::vector<std::size_t> e_row(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto [it, inserted] = scale_index.try_emplace(runs[i].scale_out, first_run.size());
+    if (inserted) first_run.push_back(i);
+    e_row[i] = it->second;
+  }
 
   nn::Matrix xs;
-  normalize_scaleout(encoded.scaleout_raw, xs);
-  const nn::Matrix e = f_.infer(xs);                      // (B x F)
+  normalize_scaleout(encoded.scaleout_raw.gather_rows(first_run), xs);
+  const nn::Matrix e = f_.infer(xs);                      // (S x F), S distinct scale-outs
   const nn::Matrix codes = g_.infer(encoded.properties);  // (U x M)
 
   nn::Matrix combined;
-  assemble_combined(e, codes, encoded.prop_row, combined);
+  assemble_combined(e, e_row, codes, encoded.prop_row, combined);
   const nn::Matrix prediction = z_.infer(combined);  // (B x 1)
   std::vector<double> out(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) out[i] = denormalize_target(prediction(i, 0));
@@ -528,11 +575,7 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
                                                         parallel::ThreadPool* pool,
                                                         std::size_t num_chunks) const {
   if (runs.empty()) return {};
-  if (!norm_fitted_) {
-    throw std::logic_error(
-        "BellamyModel::predict_batch_chunked: fit_normalization was never called "
-        "(pre-train or load a checkpoint first)");
-  }
+  require_normalization("BellamyModel::predict_batch_chunked");
   parallel::ThreadPool& p = pool ? *pool : parallel::ThreadPool::global();
   const std::size_t b = runs.size();
   const std::size_t chunks = std::min(b, num_chunks ? num_chunks : std::max<std::size_t>(
@@ -542,7 +585,8 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
   // inline instead of competing for them.
   if (chunks <= 1 || p.owns_current_thread()) return predict_batch_serial(runs);
 
-  // Inference caches nothing, so every chunk reads this model directly.
+  // Inference caches nothing, so every chunk reads this model directly, and
+  // its queries in place: a chunk is a subspan, nothing is copied.
   const std::size_t chunk_size = (b + chunks - 1) / chunks;
   std::vector<double> out(b);
   parallel::parallel_for(
@@ -551,9 +595,7 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
         const std::size_t begin = c * chunk_size;
         if (begin >= b) return;
         const std::size_t end = std::min(b, begin + chunk_size);
-        const std::vector<data::JobRun> slice(runs.begin() + static_cast<std::ptrdiff_t>(begin),
-                                              runs.begin() + static_cast<std::ptrdiff_t>(end));
-        const auto preds = predict_batch_serial(slice);
+        const auto preds = predict_batch_serial(std::span(runs).subspan(begin, end - begin));
         std::copy(preds.begin(), preds.end(), out.begin() + static_cast<std::ptrdiff_t>(begin));
       },
       &p);
@@ -565,7 +607,8 @@ std::vector<double> BellamyModel::predict(const std::vector<data::JobRun>& runs)
 }
 
 double BellamyModel::predict_one(const data::JobRun& run) const {
-  return predict_batch({run})[0];
+  require_normalization("BellamyModel::predict_one");
+  return predict_batch_serial(std::span(&run, 1))[0];
 }
 
 std::vector<nn::Parameter*> BellamyModel::parameters() {

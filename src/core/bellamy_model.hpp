@@ -122,9 +122,10 @@ class BellamyModel {
 
   // ---- data preparation ----------------------------------------------------
   /// Encode a set of runs once (scale-out features, targets, property vectors
-  /// deduplicated across the set).  Feed the result to gather_batch to form
-  /// mini-batches without re-encoding.
-  BellamyEncodedRuns encode_runs(const std::vector<data::JobRun>& runs) const;
+  /// deduplicated across the set).  Runs whose seven property fields are all
+  /// equal share one context and are vectorized once.  Feed the result to
+  /// gather_batch to form mini-batches without re-encoding.
+  BellamyEncodedRuns encode_runs(std::span<const data::JobRun> runs) const;
 
   /// Assemble the mini-batch of the given run indices from an encoded set.
   /// The batch references only the property rows its samples use, with
@@ -170,15 +171,16 @@ class BellamyModel {
   void release_training_workspace();
 
   /// Predict runtimes in seconds (eval mode) for a whole batch in a single
-  /// forward pass: all queries are encoded into one stacked property matrix
-  /// and one scale-out matrix, so the network runs once regardless of batch
-  /// size.  Repeated property values across queries are vectorized once.
-  /// Batches of at least predict_chunk_threshold() queries are split into
-  /// contiguous chunks across the global ThreadPool; chunked results are
-  /// bit-identical to the single-pass path.  An empty batch yields an empty
-  /// vector.  Inference is const: it goes through nn::Module::infer and
-  /// caches nothing, so any number of threads may predict on one model at
-  /// once (but not while another thread trains it).
+  /// forward pass.  Work that depends only on a distinct context or a
+  /// distinct scale-out is done once per batch: each context is vectorized
+  /// once, the encoder g runs over the distinct property rows and f over the
+  /// distinct scale-outs; only z runs once per query.  Batches of at least
+  /// predict_chunk_threshold() queries are split into contiguous chunks
+  /// across the global ThreadPool; chunked results are bit-identical to the
+  /// single-pass path.  An empty batch yields an empty vector.  Inference is
+  /// const: it goes through nn::Module::infer and caches nothing, so any
+  /// number of threads may predict on one model at once (but not while
+  /// another thread trains it).
   std::vector<double> predict_batch(const std::vector<data::JobRun>& runs) const;
   /// Alias for predict_batch (historical name).
   std::vector<double> predict(const std::vector<data::JobRun>& runs) const;
@@ -257,6 +259,8 @@ class BellamyModel {
   };
 
   void build(std::uint64_t dropout_seed);
+  /// Throws std::logic_error naming `caller` unless fit_normalization ran.
+  void require_normalization(const char* caller) const;
   /// forward(), with the decoder h run only when `decode` is set (its output
   /// feeds nothing but the reconstruction term).  Fills ws_.scaleout,
   /// ws_.combined and ws_.prediction_raw.
@@ -264,11 +268,12 @@ class BellamyModel {
   void normalize_scaleout(const nn::Matrix& raw, nn::Matrix& out) const;
   void normalize_targets(const nn::Matrix& raw, nn::Matrix& out) const;
   double denormalize_target(double network_value) const;
-  std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs) const;
+  std::vector<double> predict_batch_serial(std::span<const data::JobRun> runs) const;
   /// The z input per sample: r = e ++ essential codes ++ mean(optional
-  /// codes), with the codes gathered from the unique rows through prop_row.
-  void assemble_combined(const nn::Matrix& e, const nn::Matrix& codes,
-                         const std::vector<std::size_t>& prop_row,
+  /// codes), with the codes gathered from the unique rows through prop_row
+  /// and e's row through `e_row` (empty: sample i reads row i of e).
+  void assemble_combined(const nn::Matrix& e, std::span<const std::size_t> e_row,
+                         const nn::Matrix& codes, const std::vector<std::size_t>& prop_row,
                          nn::Matrix& combined) const;
   /// Weighted (by row multiplicity) reconstruction MSE over the batch's
   /// unique property rows — equal to the MSE over the stacked matrix.  Fills

@@ -27,19 +27,4 @@ std::vector<double> Binarizer::transform(std::uint64_t value) const {
   return bits;
 }
 
-std::uint64_t Binarizer::inverse(const std::vector<double>& bits) const {
-  if (bits.size() != num_bits_) {
-    throw std::invalid_argument("Binarizer::inverse: expected " + std::to_string(num_bits_) +
-                                " bits, got " + std::to_string(bits.size()));
-  }
-  std::uint64_t value = 0;
-  for (double b : bits) {
-    if (b != 0.0 && b != 1.0) {
-      throw std::invalid_argument("Binarizer::inverse: non-binary entry");
-    }
-    value = (value << 1) | (b == 1.0 ? 1ULL : 0ULL);
-  }
-  return value;
-}
-
 }  // namespace bellamy::encoding

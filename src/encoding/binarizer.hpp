@@ -17,9 +17,6 @@ class Binarizer {
   /// value does not fit into num_bits.
   std::vector<double> transform(std::uint64_t value) const;
 
-  /// Inverse of transform (for tests / debugging).
-  std::uint64_t inverse(const std::vector<double>& bits) const;
-
   /// Largest encodable value (2^num_bits - 1).
   std::uint64_t max_value() const;
 

@@ -57,32 +57,4 @@ std::vector<double> PropertyEncoder::encode(const PropertyValue& value) const {
   return out;
 }
 
-const std::vector<double>& PropertyEncoder::encode_cached(const PropertyValue& value,
-                                                          PropertyEncodeCache& cache) const {
-  // The '#'/'$' prefix keeps the two variant alternatives from colliding
-  // ("25" as text vs 25 as number — they happen to encode identically, but
-  // the cache should not rely on that).
-  std::string key;
-  if (std::holds_alternative<std::uint64_t>(value)) {
-    key = '#' + std::to_string(std::get<std::uint64_t>(value));
-  } else {
-    key = '$' + std::get<std::string>(value);
-  }
-  auto it = cache.by_key_.find(key);
-  if (it != cache.by_key_.end()) {
-    ++cache.hits_;
-    return it->second;
-  }
-  return cache.by_key_.emplace(std::move(key), encode(value)).first->second;
-}
-
-nn::Matrix PropertyEncoder::encode_all(const std::vector<PropertyValue>& values) const {
-  nn::Matrix m(values.size(), config_.vector_size);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const auto v = encode(values[i]);
-    for (std::size_t j = 0; j < v.size(); ++j) m(i, j) = v[j];
-  }
-  return m;
-}
-
 }  // namespace bellamy::encoding

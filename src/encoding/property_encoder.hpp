@@ -9,13 +9,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "encoding/binarizer.hpp"
 #include "encoding/hashing_vectorizer.hpp"
-#include "nn/matrix.hpp"
 
 namespace bellamy::encoding {
 
@@ -26,26 +24,6 @@ using PropertyValue = std::variant<std::uint64_t, std::string>;
 /// True if the string is all digits (such strings take the binarizer path,
 /// e.g. "25" max iterations, "19353" MB — see Fig. 4's examples).
 bool looks_numeric(const std::string& s);
-
-/// Memoization table for PropertyEncoder::encode_cached.  Batched prediction
-/// stacks the property vectors of every query; queries frequently share a
-/// context (resource-selection sweeps vary only the scale-out), so the same
-/// property values recur row after row.  The cache is plain per-call-site
-/// state — not thread-safe, share one per batch, not across threads.
-class PropertyEncodeCache {
- public:
-  std::size_t size() const { return by_key_.size(); }
-  std::size_t hits() const { return hits_; }
-  void clear() {
-    by_key_.clear();
-    hits_ = 0;
-  }
-
- private:
-  friend class PropertyEncoder;
-  std::unordered_map<std::string, std::vector<double>> by_key_;
-  std::size_t hits_ = 0;
-};
 
 class PropertyEncoder {
  public:
@@ -59,14 +37,6 @@ class PropertyEncoder {
 
   /// Encode one property into a length-N vector.
   std::vector<double> encode(const PropertyValue& value) const;
-
-  /// encode() with memoization; returns a reference owned by `cache` (valid
-  /// until the cache is mutated or destroyed).
-  const std::vector<double>& encode_cached(const PropertyValue& value,
-                                           PropertyEncodeCache& cache) const;
-
-  /// Encode a whole property list into a (#props x N) matrix, one row each.
-  nn::Matrix encode_all(const std::vector<PropertyValue>& values) const;
 
   std::size_t vector_size() const { return config_.vector_size; }
 

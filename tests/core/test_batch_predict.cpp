@@ -14,6 +14,7 @@
 #include "data/c3o_generator.hpp"
 #include "eval/experiment.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/rng.hpp"
 
 namespace bellamy::core {
 namespace {
@@ -175,6 +176,40 @@ TEST(BatchPredict, ChunkedSingleChunkAndEmptyEdges) {
   EXPECT_EQ(model.predict_batch_chunked(queries, &pool, 1), serial);
   // More chunks than queries degenerates to one query per chunk.
   EXPECT_EQ(model.predict_batch_chunked(queries, &pool, 64), serial);
+}
+
+// The resource-selection shape: a few contexts, each swept over scale-outs
+// that repeat, shuffled so runs of one context are scattered.  Chunked and
+// serial batches share per-context and per-scale-out work across queries;
+// every prediction must still equal predict_one's bit for bit.
+TEST(BatchPredict, SweepShapedBatchMatchesPredictOneBitForBit) {
+  Fixture fx;
+  BellamyModel model = quick_pretrained(fx.rest, 29);
+  std::vector<data::JobRun> queries;
+  for (const data::ContextGroup& group : fx.ds.contexts()) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      for (int x = 1; x <= 16; ++x) {
+        data::JobRun q = group.runs.front();
+        q.scale_out = x;
+        queries.push_back(std::move(q));
+      }
+    }
+  }
+  ASSERT_GE(fx.ds.contexts().size(), 3u);
+  util::Rng rng(31);
+  rng.shuffle(queries);
+
+  model.set_predict_chunk_threshold(0);
+  const auto serial = model.predict_batch(queries);
+  parallel::ThreadPool pool(3);
+  const auto chunked = model.predict_batch_chunked(queries, &pool, 5);
+  ASSERT_EQ(serial.size(), queries.size());
+  ASSERT_EQ(chunked.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const double one = model.predict_one(queries[i]);
+    EXPECT_EQ(serial[i], one) << "query " << i;
+    EXPECT_EQ(chunked[i], one) << "query " << i;
+  }
 }
 
 // Tiny end-to-end experiment used by the determinism checks below.

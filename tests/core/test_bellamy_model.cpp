@@ -126,6 +126,65 @@ TEST(BellamyModel, GatherBatchRefillMatchesAFreshGather) {
   }
 }
 
+// encode_runs shares one prop_row block between runs of the same context.
+// A context is all seven property fields, so a run that differs from
+// another in any single one of them, including the optional memory, cores
+// and algorithm that JobRun::context_key() leaves out, must get its own row
+// for that field, and every row must be the encoder's vector of its value.
+TEST(BellamyModel, EncodeRunsSeparatesRunsThatDifferInAnyOneProperty) {
+  BellamyModel model(BellamyConfig{}, 1);
+  const data::JobRun base = make_run(4);
+  std::vector<data::JobRun> runs{base};
+  const std::vector<void (*)(data::JobRun&)> edits{
+      [](data::JobRun& r) { r.node_type = "r4.2xlarge"; },
+      [](data::JobRun& r) { r.job_parameters = "30"; },
+      [](data::JobRun& r) { r.dataset_size_mb = 14540; },
+      [](data::JobRun& r) { r.data_characteristics = "features-200-sparse"; },
+      [](data::JobRun& r) { r.memory_mb = 65536; },
+      [](data::JobRun& r) { r.cpu_cores = 16; },
+      [](data::JobRun& r) { r.algorithm = "kmeans"; },
+  };
+  for (const auto& edit : edits) {
+    data::JobRun run = base;
+    edit(run);
+    runs.push_back(run);
+  }
+  runs.push_back(make_run(6));  // the base context again: shares every row
+
+  const auto encoded = model.encode_runs(runs);
+  const std::size_t ppr = BellamyConfig{}.props_per_sample();
+  ASSERT_EQ(ppr, edits.size());
+  EXPECT_EQ(encoded.properties.rows(), 2 * ppr);  // the base's rows + one per edit
+  const auto row_of = [&](std::size_t run, std::size_t slot) {
+    return encoded.prop_row[run * ppr + slot];
+  };
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    for (std::size_t slot = 0; slot < ppr; ++slot) {
+      if (slot == k) {
+        EXPECT_NE(row_of(1 + k, slot), row_of(0, slot)) << "edit " << k;
+      } else {
+        EXPECT_EQ(row_of(1 + k, slot), row_of(0, slot)) << "edit " << k << " slot " << slot;
+      }
+    }
+  }
+  for (std::size_t slot = 0; slot < ppr; ++slot) {
+    EXPECT_EQ(row_of(runs.size() - 1, slot), row_of(0, slot)) << "slot " << slot;
+  }
+
+  const encoding::PropertyEncoder encoder(
+      encoding::PropertyEncoder::Config{BellamyConfig{}.property_dim, {}});
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    auto props = essential_properties(runs[i]);
+    for (auto& p : optional_properties(runs[i])) props.push_back(std::move(p));
+    for (std::size_t slot = 0; slot < ppr; ++slot) {
+      const std::vector<double> want = encoder.encode(props[slot]);
+      std::vector<double> got(encoded.properties.cols());
+      for (std::size_t j = 0; j < got.size(); ++j) got[j] = encoded.properties(row_of(i, slot), j);
+      EXPECT_EQ(got, want) << "run " << i << " slot " << slot;
+    }
+  }
+}
+
 TEST(BellamyModel, MakeBatchScaleoutFeatures) {
   BellamyModel model(BellamyConfig{}, 1);
   const auto batch = model.make_batch({make_run(4)});

@@ -1,8 +1,11 @@
-// Heap allocations of a steady-state training step.  Modules write into
-// buffers they own, BellamyModel keeps one training workspace, and the
-// training loops refill one BellamyBatch, so once the first epoch has sized
-// every buffer a step should allocate (next to) nothing.  This binary
-// replaces the global operator new with a counting one to hold that line.
+// Heap allocations of a steady-state training step and of a batched
+// prediction.  Modules write into buffers they own, BellamyModel keeps one
+// training workspace, and the training loops refill one BellamyBatch, so
+// once the first epoch has sized every buffer a step should allocate (next
+// to) nothing.  A prediction does its per-context and per-scale-out work once
+// per distinct value, so its allocations must not grow with queries that
+// repeat them.  This binary replaces the global operator new with a counting
+// one to hold both lines.
 //
 // Sanitizer runtimes interpose the allocator themselves, so the count is
 // meaningless there and the tests skip.
@@ -130,6 +133,46 @@ TEST(TrainAllocations, FullBatchFinetuneEpochAtBatch3) {
     if (epoch > 0) worst = std::max(worst, allocations() - before);
   }
   EXPECT_LE(worst, kMaxAllocationsPerStep);
+}
+
+// A sweep batch repeats a few contexts and scale-outs many times.  Encoding
+// and the f forward work per distinct value, so repeating every query four
+// times must not add a heap allocation.  Encoding every run on its own would
+// allocate per query and make the B=2048 count about four times the B=512
+// one.
+TEST(PredictAllocations, RepeatedQueriesAddNoAllocations) {
+#ifdef BELLAMY_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns the allocator";
+#endif
+  data::C3OGeneratorConfig cfg;
+  cfg.seed = 5;
+  const data::Dataset ds = data::C3OGenerator(cfg).generate_algorithm("sgd", 8);
+  const auto groups = ds.contexts();
+  ASSERT_EQ(groups.size(), 8u);
+  BellamyModel model(BellamyConfig{}, 6);
+  model.fit_normalization(ds.runs());
+  model.set_predict_chunk_threshold(0);  // one serial pass, no pool
+
+  std::vector<data::JobRun> once;
+  for (const data::ContextGroup& group : groups) {
+    for (int x = 1; x <= 64; ++x) {
+      data::JobRun q = group.runs.front();
+      q.scale_out = x;
+      once.push_back(std::move(q));
+    }
+  }
+  std::vector<data::JobRun> four;
+  for (int repeat = 0; repeat < 4; ++repeat) four.insert(four.end(), once.begin(), once.end());
+
+  const auto allocations_of = [&](const std::vector<data::JobRun>& batch) {
+    model.predict_batch(batch);  // warm up
+    const long before = allocations();
+    model.predict_batch(batch);
+    return allocations() - before;
+  };
+  const long single = allocations_of(once);
+  const long repeated = allocations_of(four);
+  EXPECT_LE(repeated, single) << "B=" << once.size() << " vs B=" << four.size();
 }
 
 }  // namespace

@@ -67,20 +67,6 @@ TEST(PropertyEncoder, DistinctPropertiesDistinctVectors) {
             enc.encode(PropertyValue{std::uint64_t{19353}}));
 }
 
-TEST(PropertyEncoder, EncodeAllStacksRows) {
-  PropertyEncoder enc;
-  const std::vector<PropertyValue> props{PropertyValue{std::string("m4.2xlarge")},
-                                         PropertyValue{std::uint64_t{25}},
-                                         PropertyValue{std::uint64_t{19353}}};
-  const nn::Matrix m = enc.encode_all(props);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 40u);
-  EXPECT_DOUBLE_EQ(m(0, 0), PropertyEncoder::kLambdaHasher);
-  EXPECT_DOUBLE_EQ(m(1, 0), PropertyEncoder::kLambdaBinarizer);
-  const auto row2 = enc.encode(props[2]);
-  for (std::size_t j = 0; j < 40; ++j) EXPECT_DOUBLE_EQ(m(2, j), row2[j]);
-}
-
 TEST(PropertyEncoder, CustomVectorSize) {
   PropertyEncoder::Config cfg;
   cfg.vector_size = 17;
@@ -100,39 +86,6 @@ TEST(PropertyEncoder, LooksNumeric) {
   EXPECT_FALSE(looks_numeric("12.3"));
   EXPECT_FALSE(looks_numeric("abc"));
   EXPECT_FALSE(looks_numeric(""));
-}
-
-TEST(PropertyEncoder, CachedEncodeMatchesUncachedAndCountsHits) {
-  PropertyEncoder enc;
-  PropertyEncodeCache cache;
-  const std::vector<PropertyValue> values{
-      PropertyValue{std::string("m4.2xlarge")}, PropertyValue{std::uint64_t{4096}},
-      PropertyValue{std::string("m4.2xlarge")},  // repeat -> hit
-      PropertyValue{std::uint64_t{4096}},        // repeat -> hit
-      PropertyValue{std::string("4096")},        // text, distinct cache entry
-  };
-  for (const auto& v : values) {
-    EXPECT_EQ(enc.encode_cached(v, cache), enc.encode(v));
-  }
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.hits(), 2u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(PropertyEncoder, CachedReferencesStayValidAcrossInserts) {
-  // predict_batch keys unique property rows by the cached vector's address,
-  // so references handed out earlier must survive later insertions.
-  PropertyEncoder enc;
-  PropertyEncodeCache cache;
-  const auto& first = enc.encode_cached(PropertyValue{std::string("sgd")}, cache);
-  const std::vector<double> copy = first;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    enc.encode_cached(PropertyValue{i}, cache);
-  }
-  EXPECT_EQ(first, copy);
-  EXPECT_EQ(&enc.encode_cached(PropertyValue{std::string("sgd")}, cache), &first);
 }
 
 TEST(PropertyEncoder, ValuesStayInTanhRange) {
