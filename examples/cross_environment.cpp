@@ -3,12 +3,9 @@
 // hardware, software stack and noise profile.  Compares the four reuse
 // strategies and a from-scratch local model on the new environment.
 //
-// The reuse strategies run through the serve facade: ONE published base
-// handle, one derive()d handle per strategy — all five share the same
-// pretrained checkpoint object — each refit with a different strategy and
-// queried through the shared PredictionService.  The local model keeps the
-// legacy BellamyPredictor path, showing both worlds answer through the same
-// data::RuntimeModel interface.
+// One pre-training run feeds every strategy: each predictor shares the same
+// stored checkpoint object and fine-tunes its own fresh copy of it (the
+// recipe a serving registry's refit runs too).
 
 #include <cstdio>
 #include <memory>
@@ -19,7 +16,7 @@
 #include "data/bell_generator.hpp"
 #include "data/c3o_generator.hpp"
 #include "eval/metrics.hpp"
-#include "serve/serve.hpp"
+#include "nn/serialize.hpp"
 
 using namespace bellamy;
 
@@ -52,9 +49,7 @@ int main() {
   fine.max_epochs = 600;
   fine.patience = 300;
 
-  serve::ModelRegistry registry;
-  serve::PredictionService service(registry);
-  const serve::ModelHandle base = registry.publish({"grep", "cloud"}, pretrained).unwrap();
+  const auto checkpoint = std::make_shared<const nn::Checkpoint>(pretrained.to_checkpoint());
 
   struct Row {
     std::string name;
@@ -71,7 +66,7 @@ int main() {
 
   auto evaluate = [&](const std::string& name, data::RuntimeModel& pred, double fit_seconds,
                       std::size_t epochs) {
-    const auto predicted = pred.predict_batch(queries);  // one micro-batched pass
+    const auto predicted = pred.predict_batch(queries);  // one stacked pass
     eval::ErrorAccumulator acc;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       acc.add(predicted[i], queries[i].runtime_s);
@@ -88,11 +83,7 @@ int main() {
   for (const auto strategy :
        {core::ReuseStrategy::kPartialUnfreeze, core::ReuseStrategy::kFullUnfreeze,
         core::ReuseStrategy::kPartialReset, core::ReuseStrategy::kFullReset}) {
-    // A handle per strategy, all sharing the base checkpoint object.
-    const serve::ModelHandle handle =
-        registry.derive(base, {"grep", core::strategy_name(strategy)}).unwrap();
-    serve::ServingModel pred(registry, service, handle, fine, strategy,
-                             core::strategy_name(strategy));
+    core::BellamyPredictor pred(checkpoint, fine, strategy, core::strategy_name(strategy));
     pred.fit(observed);
     evaluate(core::strategy_name(strategy), pred, pred.last_fit().fit_seconds,
              pred.last_fit().epochs_run);

@@ -3,18 +3,18 @@
 // models to choose the smallest cluster that meets the target — and compare
 // what Bellamy picks against the NNLS baseline and the ground truth.
 //
-// Bellamy runs through the serve facade here: the pre-trained model is
-// published into a ModelRegistry and queried through the micro-batching
-// PredictionService, with serve::ServingModel adapting the handle back to
-// the data::RuntimeModel interface select_scaleout expects.
+// Bellamy is a core::BellamyPredictor: it fine-tunes a fresh copy of the
+// pre-trained model on the observed runs and answers select_scaleout's
+// candidate sweep through the data::RuntimeModel interface, in one stacked
+// forward pass.
 
 #include <cstdio>
 
 #include "baselines/ernest.hpp"
+#include "core/predictor.hpp"
 #include "core/resource_selector.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
-#include "serve/serve.hpp"
 
 using namespace bellamy;
 
@@ -32,22 +32,17 @@ int main() {
     observed.push_back(target_ctx.runs[i]);
   }
 
-  // Bellamy: pre-train on the other contexts, publish, refit on the 3 runs.
+  // Bellamy: pre-train on the other contexts, fine-tune on the 3 runs.
   core::BellamyModel pretrained(core::BellamyConfig{}, 4);
   core::PreTrainConfig pre;
   pre.epochs = 300;
   core::pretrain(pretrained, rest.runs(), pre);
 
-  serve::ModelRegistry registry;
-  serve::PredictionService service(registry);
-  const serve::ModelHandle handle =
-      registry.publish({"kmeans", target_ctx.key}, pretrained).unwrap();
-
   core::FineTuneConfig fine;
   fine.max_epochs = 600;
   fine.patience = 300;
-  serve::ServingModel bellamy(registry, service, handle, fine);
-  bellamy.fit(observed);  // registry refit + hot-swap behind the adapter
+  core::BellamyPredictor bellamy(pretrained, fine);
+  bellamy.fit(observed);
 
   // Baseline: NNLS on the same three runs.
   baselines::ErnestModel nnls;

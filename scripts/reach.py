@@ -8,6 +8,7 @@ with the same flags given on the cmake command line) in a temporary
 directory, then runs the PRODUCTION REACH SET:
 
   * the ten bench/ paper programs with --no-cache;
+  * the four examples/ programs (CI's examples smoke run);
   * the serverd/loadgen legs of CI, run by the script CI runs
     (scripts/serve-legs.sh): the loopback leg, and the two-node exchange leg
     (crash, restart, pull-on-miss and drift);
@@ -104,6 +105,8 @@ def production(work):
     cwd.mkdir(exist_ok=True)
     for exe in sorted((build_dir / "bench").iterdir()):
         run([exe, "--no-cache"], cwd=cwd, timeout=3600, stdout=subprocess.DEVNULL)
+    for exe in sorted((build_dir / "examples").iterdir()):
+        run([exe], cwd=cwd, timeout=3600, stdout=subprocess.DEVNULL)
     serve_legs(build_dir)
     for w in WORKLOADS:
         run([work / "bench" / "bellamy_bench", f"--workload={w}", "--seed=1",

@@ -602,10 +602,6 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
   return out;
 }
 
-std::vector<double> BellamyModel::predict(const std::vector<data::JobRun>& runs) const {
-  return predict_batch(runs);
-}
-
 double BellamyModel::predict_one(const data::JobRun& run) const {
   require_normalization("BellamyModel::predict_one");
   return predict_batch_serial(std::span(&run, 1))[0];

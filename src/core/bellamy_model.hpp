@@ -182,8 +182,6 @@ class BellamyModel {
   /// number of threads may predict on one model at once (but not while
   /// another thread trains it).
   std::vector<double> predict_batch(const std::vector<data::JobRun>& runs) const;
-  /// Alias for predict_batch (historical name).
-  std::vector<double> predict(const std::vector<data::JobRun>& runs) const;
   double predict_one(const data::JobRun& run) const;
 
   /// Explicitly chunked prediction over `pool` (nullptr = global pool) in

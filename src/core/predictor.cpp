@@ -46,16 +46,7 @@ void BellamyPredictor::fit(const std::vector<data::JobRun>& runs) {
   util::Timer timer;
   if (pretrained_) {
     model_.emplace(BellamyModel::from_checkpoint(*pretrained_checkpoint_));
-    FineTuneConfig cfg = apply_reuse_strategy(strategy_, *model_, finetune_config_);
-    if (runs.empty()) {
-      // Direct reuse without any context data (paper: "a pre-trained Bellamy
-      // model can be directly applied in a new context without any seen data
-      // points").
-      last_fit_ = FineTuneResult{};
-      last_fit_.fit_seconds = timer.seconds();
-      return;
-    }
-    last_fit_ = finetune(*model_, runs, cfg);
+    last_fit_ = reuse_pretrained(*model_, runs, strategy_, finetune_config_);
   } else {
     if (runs.empty()) {
       throw std::invalid_argument("BellamyPredictor(local)::fit: needs >= 1 training point");
@@ -77,14 +68,6 @@ std::vector<double> BellamyPredictor::predict_batch(const std::vector<data::JobR
 BellamyModel& BellamyPredictor::model() { return fitted_model("model"); }
 
 const BellamyModel& BellamyPredictor::model() const { return fitted_model("model"); }
-
-std::uint64_t BellamyPredictor::state_stamp() const noexcept {
-  try {
-    return model_ ? model_->state_stamp() : 0;
-  } catch (...) {
-    return 0;  // state_stamp never throws in practice; keep the noexcept honest
-  }
-}
 
 const BellamyModel& BellamyPredictor::fitted_model(const char* caller) const {
   if (!model_) {

@@ -54,12 +54,6 @@ class BellamyPredictor : public data::RuntimeModel {
   BellamyModel& model();
   const BellamyModel& model() const;
 
-  /// Introspection for service layers that must not use exceptions as
-  /// control flow: whether fit() has produced a model, and the stamp of its
-  /// serveable state (0 until fitted; see BellamyModel::state_stamp).
-  bool fitted() const noexcept { return model_.has_value(); }
-  std::uint64_t state_stamp() const noexcept;
-
  private:
   /// Throws a descriptive std::runtime_error if fit() was never called.
   const BellamyModel& fitted_model(const char* caller) const;

@@ -72,4 +72,13 @@ FineTuneConfig apply_reuse_strategy(ReuseStrategy strategy, BellamyModel& model,
   return base;
 }
 
+FineTuneResult reuse_pretrained(BellamyModel& model, const std::vector<data::JobRun>& runs,
+                                ReuseStrategy strategy, const FineTuneConfig& config) {
+  // Paper: "a pre-trained Bellamy model can be directly applied in a new
+  // context without any seen data points" — a reset here would serve
+  // untrained weights.
+  if (runs.empty()) return FineTuneResult{};
+  return finetune(model, runs, apply_reuse_strategy(strategy, model, config));
+}
+
 }  // namespace bellamy::core

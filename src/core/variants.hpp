@@ -14,6 +14,7 @@
 // The auto-encoder parameters are never changed by any reuse strategy.
 
 #include <string>
+#include <vector>
 
 #include "core/bellamy_model.hpp"
 #include "core/trainer.hpp"
@@ -47,5 +48,13 @@ BellamyModel make_scenario_model(PretrainScenario scenario, const data::Dataset&
 /// FineTuneConfig flags).
 FineTuneConfig apply_reuse_strategy(ReuseStrategy strategy, BellamyModel& model,
                                     FineTuneConfig base);
+
+/// Bellamy's reuse recipe, the one path from a pre-trained checkpoint to a
+/// context model: `model` is a fresh copy of the checkpoint; apply the reuse
+/// strategy to it, then fine-tune it on `runs`.  With no runs the copy is
+/// left untouched whatever the strategy — the pre-trained weights are reused
+/// directly — and a default FineTuneResult comes back.
+FineTuneResult reuse_pretrained(BellamyModel& model, const std::vector<data::JobRun>& runs,
+                                ReuseStrategy strategy, const FineTuneConfig& config);
 
 }  // namespace bellamy::core

@@ -114,8 +114,8 @@ struct ExchangeStats {
 
 /// One node of the exchange mesh.  Implements net::PeerService, so the same
 /// object answers the wire messages when handed to a ServeServer
-/// (ServerOptions::peer_service) and the in-process calls when wrapped in a
-/// LocalTransport.  Thread-safe throughout.  Publish and refit through the
+/// (ServerOptions::peer_service) and direct calls from an in-process
+/// transport.  Thread-safe throughout.  Publish and refit through the
 /// registry itself; this node notices every weight change on its own.
 class ExchangeRegistry final : public net::PeerService {
  public:

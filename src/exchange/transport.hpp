@@ -3,13 +3,10 @@
 //
 // The ExchangeRegistry never sees sockets — it speaks to peers through this
 // three-call interface (digest / pull / advertise), which is exactly the
-// exchange subset of the wire protocol.  Two implementations:
-//
-//   * LocalTransport (here)  — calls another node's PeerService directly,
-//     in-process.  Deterministic, no sockets, no threads of its own: the
-//     transport tests and the 3-node convergence tests run on it.
-//   * TcpTransport (tcp_transport.hpp) — rides a NetClient to a real
-//     bellamy_serverd, redialing a peer that restarted.
+// exchange subset of the wire protocol.  TcpTransport (tcp_transport.hpp)
+// rides a NetClient to a real bellamy_serverd, redialing a peer that
+// restarted; the tests add an in-process LocalTransport
+// (tests/support/local_transport.hpp).
 //
 // Error contract matches the serve layer: peer-unreachable and peer-side
 // failures are typed ServeResults, never exceptions.
@@ -25,7 +22,7 @@
 namespace bellamy::exchange {
 
 // The exchange layer's value types ARE the wire types: what a transport
-// moves is what the protocol encodes, so Local and Tcp cannot drift apart.
+// moves is what the protocol encodes, so transports cannot drift apart.
 using net::DigestEntry;
 using net::PulledCheckpoint;
 
@@ -58,23 +55,6 @@ class PeerTransport {
   /// Transport-level retries burned so far (TcpTransport's redial loop; 0
   /// for transports that never retry).
   virtual std::uint64_t retries() const { return 0; }
-};
-
-/// In-process peer: forwards straight to the target node's PeerService (the
-/// same interface its ServeServer would call on an inbound frame).  The
-/// target must outlive this transport.
-class LocalTransport final : public PeerTransport {
- public:
-  explicit LocalTransport(net::PeerService& target, std::string name = "local");
-
-  serve::ServeResult<std::vector<DigestEntry>> digest() override;
-  serve::ServeResult<PulledCheckpoint> pull(const serve::ModelKey& key) override;
-  serve::ServeResult<serve::Unit> advertise(const std::vector<DigestEntry>& entries) override;
-  std::string name() const override;
-
- private:
-  net::PeerService& target_;
-  std::string name_;
 };
 
 }  // namespace bellamy::exchange

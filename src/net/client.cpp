@@ -49,15 +49,8 @@ bool NetClient::connect(const std::string& host, std::uint16_t port, std::string
     error = "already connected";
     return false;
   }
-  util::RetrySchedule schedule(options_.dial_retry);
-  while (true) {
-    sock_ = tcp_connect(host, port, options_.deadlines.connect, error);
-    if (sock_) break;
-    std::chrono::milliseconds delay{0};
-    if (!schedule.next_delay(delay)) return false;
-    dial_retries_ += 1;
-    std::this_thread::sleep_for(delay);
-  }
+  sock_ = tcp_connect(host, port, options_.deadlines.connect, error);
+  if (!sock_) return false;
   // A mid-frame stall must not outlive the request guarantee: the reader
   // thread is the one that expires pending deadlines, so if it parks inside
   // read_exact (e.g. a garbled length prefix promising bytes that never

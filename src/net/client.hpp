@@ -22,8 +22,8 @@
 // When `request` is set but `read`/`write` are not, the socket stall
 // budgets default to the request budget — otherwise a mid-frame stall
 // (e.g. a corrupted length prefix) would park the reader, and with it
-// every pending deadline, past any bound.  `dial_retry` retries connect()
-// with seeded exponential backoff.
+// every pending deadline, past any bound.  connect() dials once; redialing
+// is the caller's policy (exchange::TcpTransport::with_retry).
 //
 // refit() is synchronous from the caller's view but non-blocking on the
 // server: the RefitResponse is pushed when the background fine-tune lands,
@@ -48,16 +48,12 @@
 #include "serve/model_registry.hpp"
 #include "serve/prediction_service.hpp"
 #include "serve/serve_result.hpp"
-#include "util/retry.hpp"
 
 namespace bellamy::net {
 
 struct ClientOptions {
   /// Socket + per-request budgets; all 0 (unbounded) by default.
   DeadlineOptions deadlines;
-  /// Dial retry policy for connect().  max_attempts = 1 (the default here)
-  /// keeps connect() single-shot.
-  util::RetryPolicy dial_retry{.max_attempts = 1};
 };
 
 class NetClient {
@@ -70,14 +66,11 @@ class NetClient {
   NetClient& operator=(const NetClient&) = delete;
 
   /// Connect to host:port (hostname or numeric address; resolved via
-  /// getaddrinfo, IPv4 preferred), bounded by the connect deadline and
-  /// retried per dial_retry.  False with the reason in `error`.  A
-  /// NetClient connects once; make a new one to reconnect.
+  /// getaddrinfo, IPv4 preferred), bounded by the connect deadline.  False
+  /// with the reason in `error`.  A NetClient connects once; make a new one
+  /// to reconnect.
   bool connect(const std::string& host, std::uint16_t port, std::string& error);
   bool connected() const;
-
-  /// Dial retries burned by connect() (0 when the first attempt landed).
-  std::uint64_t dial_retries() const { return dial_retries_; }
 
   /// Close the connection; every pending request fails with kShutdown.
   /// Idempotent; the destructor calls it.
@@ -171,7 +164,6 @@ class NetClient {
   mutable std::mutex state_mutex_;  ///< guards pending_ / open_
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t dial_retries_ = 0;
   bool open_ = false;
 };
 

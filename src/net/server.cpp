@@ -13,6 +13,11 @@ namespace bellamy::net {
 
 namespace {
 
+/// Outbound queue bound per connection (responses not yet written).  A
+/// client that stops reading blocks its own reader once this many responses
+/// are parked — per-connection flow control.
+constexpr std::size_t kMaxPipeline = 256;
+
 ResponseHead head_of(std::uint64_t request_id, serve::ServeStatus status,
                      std::string message = {}) {
   ResponseHead head;
@@ -179,7 +184,7 @@ void ServeServer::reader_loop(const std::shared_ptr<Connection>& conn) {
   // is queued, then close.
   Connection::Outbound close_marker;
   close_marker.kind = Connection::Outbound::Kind::kClose;
-  conn->push(std::move(close_marker), options_.max_pipeline + 1);
+  conn->push(std::move(close_marker), kMaxPipeline + 1);
   if (conn->threads_done.fetch_add(1) + 1 == 2) note_connection_closed();
 }
 
@@ -196,7 +201,7 @@ template <typename Resp>
 bool ServeServer::reply(const std::shared_ptr<Connection>& conn, const Resp& resp) {
   Connection::Outbound item;
   item.bytes = encode_frame(resp);
-  return conn->push(std::move(item), options_.max_pipeline);
+  return conn->push(std::move(item), kMaxPipeline);
 }
 
 bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameView& frame) {
@@ -217,7 +222,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       // May block on the handle's bounded lane: service backpressure lands
       // on this connection's reader, which is the point.
       item.future = service_.predict_async(handle.value(), req.query);
-      return conn->push(std::move(item), options_.max_pipeline);
+      return conn->push(std::move(item), kMaxPipeline);
     }
 
     case MsgType::kPredictManyRequest: {
@@ -236,7 +241,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       for (const data::JobRun& query : req.queries) {
         item.futures.push_back(service_.predict_async(handle.value(), query));
       }
-      return conn->push(std::move(item), options_.max_pipeline);
+      return conn->push(std::move(item), kMaxPipeline);
     }
 
     case MsgType::kPublishRequest: {
@@ -431,7 +436,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       Connection::Outbound item;
       item.kind = Connection::Outbound::Kind::kDrain;
       item.request_id = req.request_id;
-      conn->push(std::move(item), options_.max_pipeline + 1);
+      conn->push(std::move(item), kMaxPipeline + 1);
       begin_drain();
       return false;  // reader done; writer closes after the DrainResponse
     }

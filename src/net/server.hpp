@@ -77,10 +77,6 @@ struct ServerOptions {
   /// Port to listen on (loopback only); 0 = kernel-assigned ephemeral port,
   /// readable via port() after start().
   std::uint16_t port = 0;
-  /// Outbound queue bound per connection (responses not yet written).  A
-  /// client that stops reading blocks its own reader once this many
-  /// responses are parked — per-connection flow control.
-  std::size_t max_pipeline = 256;
   /// Optional exchange-layer hook.  Null = this node answers digest/pull/
   /// advertise with kInvalidArgument and misses stay misses.  Must outlive
   /// the server.

@@ -103,9 +103,4 @@ void Strand::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && !draining_; });
 }
 
-std::size_t Strand::depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + (draining_ ? 1 : 0);
-}
-
 }  // namespace bellamy::parallel

@@ -53,9 +53,6 @@ class Strand {
   /// ThreadPool::try_run_pending_task).
   void wait_idle();
 
-  /// Queued + running tasks right now (0 = idle).  Snapshot only.
-  std::size_t depth() const;
-
  private:
   /// Run queued tasks until the queue is empty, then retire the drainer.
   /// At most one drain loop is in flight per strand — that is the mutual
@@ -63,7 +60,7 @@ class Strand {
   void drain();
 
   ThreadPool& pool_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   bool draining_ = false;

@@ -5,14 +5,6 @@
 
 namespace bellamy::parallel {
 
-// Idle accounting.  A task is counted in pending_ from the moment submit
-// queues it until its body has returned, and both edges happen under
-// mutex_.  wait_idle therefore cannot observe a task that was popped (queue
-// empty) but is still running, whichever thread — worker or external helper
-// — popped it (tests/parallel/test_thread_pool.cpp:
-// WaitIdleSeesTaskClaimedByExternalHelper).  An "empty queue && no active
-// worker" test would miss exactly that window.
-
 namespace {
 // Owning pool of the current thread (nullptr outside any pool worker).
 thread_local const ThreadPool* t_current_pool = nullptr;
@@ -48,16 +40,8 @@ void ThreadPool::enqueue(Task task) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) throw std::runtime_error("ThreadPool::submit after shutdown");
     tasks_.push(std::move(task));
-    ++pending_;
   }
   cv_.notify_one();
-}
-
-void ThreadPool::run(Task& task) {
-  task();  // exceptions are captured by the packaged_task wrapper
-  task = nullptr;  // drop captures before the task stops counting as pending
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (--pending_ == 0) idle_cv_.notify_all();
 }
 
 void ThreadPool::worker_loop() {
@@ -71,7 +55,7 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    run(task);
+    task();  // exceptions are captured by the packaged_task wrapper
   }
 }
 
@@ -83,27 +67,8 @@ bool ThreadPool::try_run_pending_task() {
     task = std::move(tasks_.front());
     tasks_.pop();
   }
-  run(task);
+  task();
   return true;
-}
-
-void ThreadPool::wait_idle() {
-  if (owns_current_thread()) {
-    // Helping wait: parking a worker here could deadlock (with one worker
-    // nobody else would drain the queue).  Yield covers the tail where the
-    // remaining tasks are running on other threads.
-    while (pending_approx() > 0) {
-      if (!try_run_pending_task()) std::this_thread::yield();
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-std::size_t ThreadPool::pending_approx() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
 }
 
 ThreadPool& ThreadPool::global() {

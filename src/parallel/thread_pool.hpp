@@ -1,8 +1,8 @@
 #pragma once
 // Fixed-size thread pool with one shared FIFO task queue.
 //
-// One mutex guards the queue, the pending count and the shutdown flag; one
-// condition variable wakes workers, another wakes wait_idle().  The model's
+// One mutex guards the queue and the shutdown flag; one condition variable
+// wakes workers.  Callers wait on the futures submit() returns.  The model's
 // fan-outs are a handful of coarse tasks (predict chunks, refit strands,
 // cross-validation splits — the paper used Ray Tune for the latter), so a
 // lock-free scheduler buys nothing measurable here.  Exceptions thrown by
@@ -54,14 +54,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Block until all currently queued and running tasks finish — including
-  /// tasks they spawn before the pending count reaches zero, and tasks a
-  /// helping thread claimed via try_run_pending_task but has not finished
-  /// (the count covers claimed-but-running work, not just the queue).
-  /// Called from a worker of THIS pool it helps (drains tasks inline)
-  /// instead of parking, so it is deadlock-free at any nesting depth.
-  void wait_idle();
-
   /// True when called from one of THIS pool's worker threads.  Code that
   /// fans out over a pool and then blocks on the results from inside the
   /// same pool must drain tasks while it waits (see try_run_pending_task) —
@@ -77,10 +69,6 @@ class ThreadPool {
   /// nested parallel_for.
   bool try_run_pending_task();
 
-  /// Queued-or-running task count right now.  Snapshot, for tests and
-  /// metrics only.
-  std::size_t pending_approx() const;
-
   /// Process-wide default pool (lazily constructed, hardware concurrency).
   static ThreadPool& global();
 
@@ -88,18 +76,12 @@ class ThreadPool {
   using Task = std::function<void()>;
 
   void enqueue(Task task);
-  /// Run a task already popped under the lock, then retire it.
-  void run(Task& task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;       ///< queue non-empty or stopping
-  std::condition_variable idle_cv_;  ///< pending_ reached zero
+  std::mutex mutex_;
+  std::condition_variable cv_;  ///< queue non-empty or stopping
   std::queue<Task> tasks_;
-  /// Queued + running.  Incremented at submit, decremented only after the
-  /// task body returned, whichever thread ran it.
-  std::size_t pending_ = 0;
   bool stopping_ = false;
 };
 

@@ -46,13 +46,11 @@ ServeResult<core::FineTuneResult> run_refit(
     reduction = entry->reduction;
   }
   try {
-    // Same recipe as BellamyPredictor::fit, so refit results are
-    // bit-identical to the legacy path given the same config.
     auto fresh = core::BellamyModel::from_checkpoint(*base);
 
     // Training-data reduction: map the full history to a bounded coreset
     // BEFORE the fine-tune.  Loss-aware scoring runs against the fresh base
-    // copy while it still carries the published weights (apply_reuse_strategy
+    // copy while it still carries the published weights (the reuse strategy
     // may re-initialize components below).
     const std::vector<data::JobRun>* train = &runs;
     std::vector<data::JobRun> coreset;
@@ -63,10 +61,10 @@ ServeResult<core::FineTuneResult> run_refit(
       train = &coreset;
     }
 
-    const core::FineTuneConfig cfg = core::apply_reuse_strategy(strategy, fresh, config);
-    core::FineTuneResult result;
+    // The recipe BellamyPredictor::fit runs too, so a refit is bit-identical
+    // to a pre-trained predictor's fit on the same (reduced) runs.
     util::Timer timer;
-    if (!train->empty()) result = core::finetune(fresh, *train, cfg);
+    core::FineTuneResult result = core::reuse_pretrained(fresh, *train, strategy, config);
     result.fit_seconds = timer.seconds();
     auto serving = std::make_shared<const core::BellamyModel>(std::move(fresh));
 
@@ -185,7 +183,8 @@ ServeResult<ModelHandle> ModelRegistry::open(const ModelKey& key) {
       if (entry->model) {
         return ModelHandle(it->second);  // already materialized; share it
       }
-      // A reserve()d route: fall through and materialize it from the store.
+      // No model yet (a racing publish or open is still filling the
+      // entry): fall through and materialize it from the store.
     }
   }
   if (!store_) {
@@ -231,12 +230,6 @@ ServeResult<ModelHandle> ModelRegistry::open(const ModelKey& key) {
   }
 }
 
-ServeResult<ModelHandle> ModelRegistry::reserve(const ModelKey& key) {
-  if (auto bad = validate_key(key); !bad.ok()) return bad;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entry_for_key_locked(key).first;
-}
-
 ServeResult<ModelHandle> ModelRegistry::derive(const ModelHandle& base, const ModelKey& key) {
   if (auto bad = validate_key(key); !bad.ok()) return bad;
   const auto source = resolve(base);
@@ -263,7 +256,7 @@ ServeResult<ModelHandle> ModelRegistry::derive(const ModelHandle& base, const Mo
   }
   try {
     // Build the entry fully populated BEFORE it becomes visible, then insert
-    // or reject under one lock — a publish/reserve racing onto the same key
+    // or reject under one lock — a publish or open racing onto the same key
     // must never be clobbered silently.
     auto entry = std::make_shared<detail::RegistryEntry>();
     entry->key = key;
@@ -412,29 +405,6 @@ bool ModelRegistry::refit_pending(const ModelHandle& handle) const noexcept {
   }
 }
 
-ServeResult<Unit> ModelRegistry::set_reduction(const ModelHandle& handle,
-                                               const reduce::ReductionConfig& config) {
-  const auto entry = resolve(handle);
-  if (!entry) {
-    return ServeResult<Unit>::failure(ServeStatus::kUnknownModel,
-                                      "set_reduction: unknown handle");
-  }
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  entry->reduction = config;
-  return ok();
-}
-
-reduce::ReductionConfig ModelRegistry::reduction(const ModelHandle& handle) const noexcept {
-  try {
-    const auto entry = resolve(handle);
-    if (!entry) return {};
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    return entry->reduction;
-  } catch (...) {
-    return {};
-  }
-}
-
 reduce::ReductionReport ModelRegistry::last_reduction(
     const ModelHandle& handle) const noexcept {
   try {
@@ -462,11 +432,6 @@ std::pair<std::uint64_t, std::uint64_t> ModelRegistry::reduction_counters(
 void ModelRegistry::set_default_reduction(const reduce::ReductionConfig& config) {
   std::lock_guard<std::mutex> lock(mutex_);
   default_reduction_ = config;
-}
-
-reduce::ReductionConfig ModelRegistry::default_reduction() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return default_reduction_;
 }
 
 ServeResult<Unit> ModelRegistry::persist(const ModelHandle& handle) {

@@ -156,7 +156,7 @@ struct RegistryEntry {
 
   /// Training-data reduction applied on the refit strand before finetune
   /// (seeded at entry creation from the registry default; see
-  /// set_reduction()).  `last_reduction` / the counters record what refits
+  /// set_default_reduction()).  `last_reduction` / the counters record what refits
   /// actually dropped — all guarded by `mutex`.
   reduce::ReductionConfig reduction;
   reduce::ReductionReport last_reduction;
@@ -194,10 +194,6 @@ class ModelRegistry {
   /// key returns its existing handle without touching the store.
   ServeResult<ModelHandle> open(const ModelKey& key);
 
-  /// Pre-register `key` with no model yet (requests answer kNotFitted until
-  /// a publish).  Useful to reserve routes before models arrive.
-  ServeResult<ModelHandle> reserve(const ModelKey& key);
-
   /// New handle for `key` sharing `base`'s pretrained checkpoint (the
   /// checkpoint object itself, not a copy); starts as a direct-reuse model.
   ServeResult<ModelHandle> derive(const ModelHandle& base, const ModelKey& key);
@@ -206,11 +202,12 @@ class ModelRegistry {
   ServeResult<ModelHandle> find(const ModelKey& key) const;
 
   /// Fine-tune a fresh copy of the entry's base checkpoint on `runs` under
-  /// `strategy` and hot-swap it in.  Empty `runs` = direct reuse (reset to
-  /// the base weights).  Serving continues on the old weights until the
-  /// swap.  BLOCKS the caller for the full fine-tune; prefer refit_async()
-  /// inside serving loops.  Fails with kConflict when a publish replaced the
-  /// base checkpoint mid-fine-tune (retry against the new base if desired).
+  /// `strategy` (core::reuse_pretrained) and hot-swap it in.  Empty `runs` =
+  /// direct reuse (reset to the base weights, whatever the strategy).
+  /// Serving continues on the old weights until the swap.  BLOCKS the caller
+  /// for the full fine-tune; prefer refit_async() inside serving loops.
+  /// Fails with kConflict when a publish replaced the base checkpoint
+  /// mid-fine-tune (retry against the new base if desired).
   ServeResult<core::FineTuneResult> refit(
       const ModelHandle& handle, const std::vector<data::JobRun>& runs,
       const core::FineTuneConfig& config,
@@ -248,17 +245,6 @@ class ModelRegistry {
   /// True while the handle has a background refit queued or running.
   bool refit_pending(const ModelHandle& handle) const noexcept;
 
-  /// Install the training-data reduction applied before every subsequent
-  /// refit of this handle (refit and refit_async alike, on the refit
-  /// strand): the run history is mapped to a coreset of at most
-  /// `config.budget` runs by the seeded policy, loss-aware scoring against
-  /// the fresh base copy, BEFORE finetune sees it.  An inactive config
-  /// (kNone or budget 0) restores full-history refits.
-  ServeResult<Unit> set_reduction(const ModelHandle& handle,
-                                  const reduce::ReductionConfig& config);
-  /// The handle's current reduction config (default-constructed when the
-  /// handle is unknown).
-  reduce::ReductionConfig reduction(const ModelHandle& handle) const noexcept;
   /// What the handle's LAST reduced refit dropped (kept_runs == 0 until an
   /// active-policy refit swaps in).
   reduce::ReductionReport last_reduction(const ModelHandle& handle) const noexcept;
@@ -266,11 +252,15 @@ class ModelRegistry {
   std::pair<std::uint64_t, std::uint64_t> reduction_counters(
       const ModelHandle& handle) const noexcept;
 
-  /// Reduction config seeded into every FUTURE entry (publish/open/reserve/
-  /// derive); existing entries keep theirs.  What `bellamy_serverd
-  /// --refit-budget/--refit-policy` installs before any model arrives.
+  /// Training-data reduction seeded into every FUTURE entry (publish/open/
+  /// derive); existing entries keep theirs.  Every refit of such an entry
+  /// (refit and refit_async alike, on the refit strand) first maps the run
+  /// history to a coreset of at most `config.budget` runs by the seeded
+  /// policy, loss-aware scoring against the fresh base copy, BEFORE the
+  /// fine-tune sees it.  An inactive config (kNone or budget 0) means
+  /// full-history refits.  What `bellamy_serverd --refit-budget/
+  /// --refit-policy` installs before any model arrives.
   void set_default_reduction(const reduce::ReductionConfig& config);
-  reduce::ReductionConfig default_reduction() const;
 
   /// Save the entry's current weights to the backing store under its key.
   ServeResult<Unit> persist(const ModelHandle& handle);
@@ -300,7 +290,7 @@ class ModelRegistry {
   bool fitted(const ModelHandle& handle) const noexcept;
   std::uint64_t state_stamp(const ModelHandle& handle) const noexcept;
 
-  /// The entry's shared pretrained checkpoint (null when reserve()d).
+  /// The entry's shared pretrained checkpoint (null when unknown).
   /// Exposed so tests can certify checkpoint sharing across handles.
   std::shared_ptr<const nn::Checkpoint> base_checkpoint(const ModelHandle& handle) const;
 

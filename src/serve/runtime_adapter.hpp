@@ -1,6 +1,6 @@
 #pragma once
 // Legacy-boundary wrappers: drive any data::RuntimeModel (NNLS, Bell,
-// Bellamy, ServingModel) with typed outcomes instead of
+// Bellamy) with typed outcomes instead of
 // catch-as-control-flow — a fit rejected as degenerate or a query outside a
 // model's domain comes back as a ServeStatus, not a std::exception.  The
 // eval harness runs its contenders through these; deliberately a leaf

@@ -15,10 +15,11 @@
 //   auto refit = registry.refit_async(handle, observed, fine); // background
 //   double seconds = service.predict(handle, query).unwrap();  // any thread
 //
-// Every operation returns a ServeResult instead of throwing; ServingModel
-// adapts a handle back to the exception-based data::RuntimeModel interface
-// for the evaluation harness and the resource selector.  The scheduler
-// (static flush deadline, QoS lanes, cross-handle EDF dispatch,
+// Every operation returns a ServeResult instead of throwing.  The evaluation
+// harness and the resource selector speak the exception-based
+// data::RuntimeModel interface, through core::BellamyPredictor; a refit and
+// BellamyPredictor::fit run one reuse recipe (core::reuse_pretrained).  The
+// scheduler (static flush deadline, QoS lanes, cross-handle EDF dispatch,
 // background refits) is documented in docs/ARCHITECTURE.md.
 //
 // The service must be stopped/destroyed before the registry, and the
@@ -29,4 +30,3 @@
 #include "serve/prediction_service.hpp"  // IWYU pragma: export
 #include "serve/runtime_adapter.hpp"     // IWYU pragma: export
 #include "serve/serve_result.hpp"        // IWYU pragma: export
-#include "serve/serving_model.hpp"       // IWYU pragma: export

@@ -41,6 +41,7 @@
 #include "serve/serve.hpp"
 #include "support/chaos_transport.hpp"
 #include "support/fault_proxy.hpp"
+#include "support/local_transport.hpp"
 
 namespace bellamy {
 namespace {

@@ -396,7 +396,7 @@ TEST(BellamyModel, PredictDenormalizesToSeconds) {
   BellamyModel model(BellamyConfig{}, 8);
   const auto runs = small_context();
   model.fit_normalization(runs);
-  const auto preds = model.predict(runs);
+  const auto preds = model.predict_batch(runs);
   ASSERT_EQ(preds.size(), runs.size());
   // Untrained predictions are near the target mean (network outputs ~0).
   double mean_rt = 0.0;
@@ -409,10 +409,10 @@ TEST(BellamyModel, CheckpointRoundTripPreservesPredictions) {
   BellamyModel model(BellamyConfig{}, 9);
   const auto runs = small_context();
   model.fit_normalization(runs);
-  const auto before = model.predict(runs);
+  const auto before = model.predict_batch(runs);
   const nn::Checkpoint ckpt = model.to_checkpoint();
   BellamyModel restored = BellamyModel::from_checkpoint(ckpt);
-  const auto after = restored.predict(runs);
+  const auto after = restored.predict_batch(runs);
   for (std::size_t i = 0; i < before.size(); ++i) {
     EXPECT_DOUBLE_EQ(before[i], after[i]);
   }
@@ -538,11 +538,11 @@ TEST(BellamyModel, SnapshotRestoreRoundTrip) {
   const auto runs = small_context();
   model.fit_normalization(runs);
   const auto snap = model.snapshot_parameters();
-  const auto before = model.predict(runs);
+  const auto before = model.predict_batch(runs);
   model.reinit_f();
   model.reinit_z();
   model.restore_parameters(snap);
-  const auto after = model.predict(runs);
+  const auto after = model.predict_batch(runs);
   for (std::size_t i = 0; i < before.size(); ++i) EXPECT_DOUBLE_EQ(before[i], after[i]);
 }
 
@@ -550,7 +550,7 @@ TEST(BellamyModel, NormalizationDegenerateSinglePoint) {
   // One training point: feature range collapses; must not divide by zero.
   BellamyModel model(BellamyConfig{}, 14);
   model.fit_normalization({make_run(4, 100.0)});
-  const auto pred = model.predict({make_run(8, 0.0)});
+  const auto pred = model.predict_batch({make_run(8, 0.0)});
   EXPECT_TRUE(std::isfinite(pred[0]));
 }
 
@@ -562,7 +562,7 @@ TEST(BellamyModel, RawTargetModeSkipsStandardization) {
   model.fit_normalization(runs);
   // In raw mode the untrained network predicts values near 0 seconds, not
   // near the target mean — the scale must be learned.
-  const auto preds = model.predict(runs);
+  const auto preds = model.predict_batch(runs);
   for (double p : preds) EXPECT_LT(std::abs(p), 50.0);
 }
 
@@ -573,8 +573,8 @@ TEST(BellamyModel, RawTargetModeSurvivesCheckpoint) {
   model.fit_normalization(small_context());
   BellamyModel restored = BellamyModel::from_checkpoint(model.to_checkpoint());
   EXPECT_FALSE(restored.config().standardize_target);
-  const auto a = model.predict(small_context());
-  const auto b = restored.predict(small_context());
+  const auto a = model.predict_batch(small_context());
+  const auto b = restored.predict_batch(small_context());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 

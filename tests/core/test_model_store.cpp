@@ -43,8 +43,8 @@ TEST_F(ModelStoreTest, SaveLoadRoundTrip) {
 
   BellamyModel loaded = store.load("grep", "c3o-full");
   const auto ds = data::C3OGenerator().generate_algorithm("grep", 1);
-  const auto a = model.predict(ds.runs());
-  const auto b = loaded.predict(ds.runs());
+  const auto a = model.predict_batch(ds.runs());
+  const auto b = loaded.predict_batch(ds.runs());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
@@ -135,8 +135,8 @@ TEST_F(ModelStoreTest, FailedSavePreservesTheExistingModel) {
 
   BellamyModel loaded = store.load("sgd", "v");
   const auto ds = data::C3OGenerator().generate_algorithm("grep", 1);
-  const auto a = original.predict(ds.runs());
-  const auto b = loaded.predict(ds.runs());
+  const auto a = original.predict_batch(ds.runs());
+  const auto b = loaded.predict_batch(ds.runs());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
@@ -180,8 +180,8 @@ TEST_F(ModelStoreTest, OverwriteReplacesModel) {
   store.save(second, "sgd", "v");
   BellamyModel loaded = store.load("sgd", "v");
   const auto ds = data::C3OGenerator().generate_algorithm("grep", 1);
-  const auto a = second.predict(ds.runs());
-  const auto b = loaded.predict(ds.runs());
+  const auto a = second.predict_batch(ds.runs());
+  const auto b = loaded.predict_batch(ds.runs());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 

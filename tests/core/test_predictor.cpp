@@ -65,12 +65,19 @@ TEST(BellamyPredictor, LocalPredictBeforeFitThrows) {
 TEST(BellamyPredictor, PretrainedAcceptsZeroPoints) {
   Fixture fx;
   const BellamyModel pretrained = quick_pretrained(fx.rest, 4);
-  BellamyPredictor pred(pretrained, quick_finetune());
-  EXPECT_EQ(pred.min_training_points(), 0u);
-  pred.fit({});  // direct reuse, no fine-tuning
-  const double p = pred.predict(fx.target_runs[0]);
-  EXPECT_TRUE(std::isfinite(p));
-  EXPECT_EQ(pred.last_fit().epochs_run, 0u);
+  // Direct reuse serves the pre-trained weights: with no runs to relearn
+  // from, a reset strategy must not leave re-initialized (untrained) f/z.
+  for (const ReuseStrategy strategy :
+       {ReuseStrategy::kPartialUnfreeze, ReuseStrategy::kFullReset}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    BellamyPredictor pred(pretrained, quick_finetune(), strategy);
+    EXPECT_EQ(pred.min_training_points(), 0u);
+    pred.fit({});  // direct reuse, no fine-tuning
+    const double p = pred.predict(fx.target_runs[0]);
+    EXPECT_TRUE(std::isfinite(p));
+    EXPECT_EQ(pred.last_fit().epochs_run, 0u);
+    EXPECT_EQ(p, pretrained.predict_one(fx.target_runs[0]));
+  }
 }
 
 TEST(BellamyPredictor, RepeatedFitsAreIndependent) {
@@ -141,26 +148,15 @@ TEST(BellamyPredictor, ModelAccessorThrowsBeforeFit) {
   }
 }
 
-TEST(BellamyPredictor, NoexceptIntrospectionAndConstAccess) {
-  // The serve layer introspects predictors without exceptions as control
-  // flow: fitted()/state_stamp() are noexcept and answer honestly before
-  // AND after fit; model() has a const overload with the same throw contract.
+TEST(BellamyPredictor, ConstModelAccess) {
+  // model() has a const overload with the same throw contract.
   Fixture fx;
   BellamyPredictor pred(BellamyConfig{}, quick_finetune(), 11);
-  EXPECT_FALSE(pred.fitted());
-  EXPECT_EQ(pred.state_stamp(), 0u);
-  static_assert(noexcept(pred.fitted()));
-  static_assert(noexcept(pred.state_stamp()));
-
   const BellamyPredictor& const_unfitted = pred;
   EXPECT_THROW(const_unfitted.model(), std::runtime_error);
 
   pred.fit({fx.target_runs.begin(), fx.target_runs.begin() + 4});
-  EXPECT_TRUE(pred.fitted());
-  EXPECT_NE(pred.state_stamp(), 0u);
-
   const BellamyPredictor& const_fitted = pred;
-  EXPECT_EQ(const_fitted.model().state_stamp(), pred.state_stamp());
   EXPECT_EQ(&const_fitted.model(), &pred.model());
 }
 

@@ -19,6 +19,7 @@
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "net/socket.hpp"
+#include "support/local_transport.hpp"
 
 namespace bellamy::exchange {
 namespace {

@@ -23,6 +23,7 @@
 
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
+#include "support/local_transport.hpp"
 
 namespace bellamy::exchange {
 namespace {

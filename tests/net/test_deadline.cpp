@@ -7,8 +7,7 @@
 //     pending request even with no request budget set,
 //   * read/write stall budgets on raw sockets return kTimeout,
 //   * a write to a peer that closed returns kClosed and cannot kill the
-//     process via SIGPIPE,
-//   * connect() retries per ClientOptions::dial_retry with seeded backoff.
+//     process via SIGPIPE.
 //
 // Runs under ASan/UBSan in CI (label "net").
 
@@ -243,26 +242,6 @@ TEST(Robustness, WriteToClosedPeerReturnsClosedWithoutSigpipeDeath) {
     status = client.write_all(chunk.data(), chunk.size());
   }
   EXPECT_EQ(status, IoStatus::kClosed);
-}
-
-TEST(Robustness, ConnectRetriesPerDialPolicy) {
-  // Grab an ephemeral port and release it: connecting to it now fails fast.
-  std::uint16_t dead_port = 0;
-  {
-    std::string error;
-    Socket listener = tcp_listen(0, dead_port, error);
-    ASSERT_TRUE(listener) << error;
-  }
-
-  ClientOptions options;
-  options.dial_retry.max_attempts = 3;
-  options.dial_retry.initial_backoff = milliseconds(1);
-  options.dial_retry.max_backoff = milliseconds(4);
-  NetClient client(options);
-  std::string error;
-  EXPECT_FALSE(client.connect("127.0.0.1", dead_port, error));
-  EXPECT_EQ(client.dial_retries(), 2u);  // 3 attempts = 2 retries
-  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

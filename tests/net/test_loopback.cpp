@@ -329,16 +329,15 @@ TEST(Loopback, DriftTriggeredReducedRefitLandsOverTheWire) {
   drift.finetune = quick_finetune();
   Loopback loop(drift);
   const serve::ModelKey key{"sgd", "driftrefit"};
-  NetClient client;
-  loop.connect(client);
-  ASSERT_TRUE(client.publish(key, *loop.model).ok());
-
   // Bound the triggered fine-tune through the entry's reduction config.
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kCoverage;
   reduction.budget = 6;
-  ASSERT_TRUE(
-      loop.registry.set_reduction(loop.registry.find(key).unwrap(), reduction).ok());
+  loop.registry.set_default_reduction(reduction);
+
+  NetClient client;
+  loop.connect(client);
+  ASSERT_TRUE(client.publish(key, *loop.model).ok());
 
   // Skewed runtimes (3x the prediction) until the monitor fires.
   bool triggered = false;

@@ -3,12 +3,12 @@
 //
 // The seeded soak mixes every submission path the rest of the codebase
 // exercises — external submits, worker-recursive submits, nested
-// parallel_for, Strand bursts, concurrent wait_idle — across 1/2/4/8
-// workers, and asserts the pool's three load-bearing properties:
+// parallel_for, Strand bursts — across 1/2/4/8 workers, and asserts the
+// pool's three load-bearing properties:
 //
 //   1. exactly-once execution (every task id claimed once, none lost),
-//   2. no lost wakeups (every wait_idle returns within a bounded wall-clock
-//      budget — a missed notify would park a waiter forever),
+//   2. no lost wakeups (every task finishes within a bounded wall-clock
+//      budget — a missed notify would leave a queued task unrun forever),
 //   3. bit-identical parallel_map results vs serial (integer arithmetic,
 //      summed serially afterwards, so any scheduling of the chunks must
 //      produce the same bits).
@@ -46,24 +46,19 @@ struct SplitMix64 {
   std::uint64_t below(std::uint64_t bound) { return next() % bound; }
 };
 
-// wait_idle with a wall-clock budget: a lost wakeup parks the waiter
-// forever, so "returns within the budget" IS the no-lost-wakeup assertion.
-// The budget is generous (single-core CI under TSan is ~10x slow) but
-// bounded — a hang fails the test instead of timing out the ctest run.
-void wait_idle_bounded(ThreadPool& pool, std::chrono::seconds budget) {
-  std::atomic<bool> returned{false};
-  std::thread waiter([&] {
-    pool.wait_idle();
-    returned.store(true);
-  });
+// Wait until `finished` tasks reach `target` within a wall-clock budget: a
+// lost wakeup leaves a queued task unrun forever, so "reaches the target
+// within the budget" IS the no-lost-wakeup assertion.  The budget is
+// generous (single-core CI under TSan is ~10x slow) but bounded — a hang
+// fails the test instead of timing out the ctest run.
+void wait_finished_bounded(const std::atomic<std::size_t>& finished, std::size_t target,
+                           std::chrono::seconds budget) {
   const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+  while (finished.load() < target && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(returned.load())
-      << "wait_idle did not return within " << budget.count()
-      << "s — lost wakeup or lost task";
-  waiter.join();
+  ASSERT_GE(finished.load(), target)
+      << "tasks did not finish within " << budget.count() << "s — lost wakeup or lost task";
 }
 
 class PoolStress : public ::testing::TestWithParam<std::uint64_t> {};
@@ -82,6 +77,13 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
   std::vector<std::atomic<std::uint32_t>> runs(kIds);
   for (auto& r : runs) r.store(0);
   std::atomic<std::size_t> next_id{0};
+  // Task bodies that have returned; every claimed id below kIds is
+  // submitted exactly once, so the soak is drained at kIds.
+  std::atomic<std::size_t> finished{0};
+  struct CountOnReturn {
+    std::atomic<std::size_t>& finished;
+    ~CountOnReturn() { finished.fetch_add(1); }
+  };
   // Strand mutual-exclusion probes: a strand's tasks must never overlap, so
   // in_flight must be 0 on entry for every task.
   std::atomic<int> strand_a_in_flight{0};
@@ -103,6 +105,7 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
   // maybe runs a nested parallel_for from inside the pool.
   std::function<void(std::size_t, std::uint64_t)> task_body =
       [&](std::size_t id, std::uint64_t stream) {
+        const CountOnReturn count_on_return{finished};
         mark(id);
         if (id >= kIds) return;
         SplitMix64 local{stream};
@@ -177,22 +180,20 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
   for (std::size_t i = 0; i < kReduceN; ++i) serial_sum += value(i);
 
   go.store(true);
-  // Main thread interleaves: nested-free parallel_map calls and bounded
-  // wait_idle probes while the external submitters and workers churn.
+  // Main thread interleaves nested-free parallel_map calls while the
+  // external submitters and workers churn.
   for (int probe = 0; probe < 4; ++probe) {
     const auto values = parallel_map(indices, value, &pool);
     std::uint64_t parallel_sum = 0;
     for (const auto v : values) parallel_sum += v;
     EXPECT_EQ(parallel_sum, serial_sum) << "parallel_map diverged from serial";
-    wait_idle_bounded(pool, std::chrono::seconds(120));
   }
 
   for (auto& t : external) t.join();
   // Everything submitted; drain and verify exactly-once.
-  wait_idle_bounded(pool, std::chrono::seconds(120));
+  wait_finished_bounded(finished, kIds, std::chrono::seconds(120));
   strand_a.wait_idle();
   strand_b.wait_idle();
-  wait_idle_bounded(pool, std::chrono::seconds(120));
 
   EXPECT_EQ(strand_order_violations.load(), 0)
       << "strand tasks overlapped (serialization broken)";
@@ -216,43 +217,19 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(TwentySeeds, PoolStress,
                          ::testing::Range<std::uint64_t>(0, 20));
 
-// Concurrent wait_idle from several threads at once: all must return, and
-// none may return while any task is still pending.
-TEST(PoolStressFocused, ConcurrentWaitIdleAllReturnAfterLastTask) {
-  ThreadPool pool(4);
-  std::atomic<std::uint32_t> done{0};
-  constexpr std::uint32_t kTasks = 512;
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    pool.submit([&done] {
-      std::this_thread::yield();
-      done.fetch_add(1);
-    });
-  }
-  std::atomic<int> premature{0};
-  std::vector<std::thread> waiters;
-  for (int w = 0; w < 4; ++w) {
-    waiters.emplace_back([&] {
-      pool.wait_idle();
-      if (done.load() != kTasks) premature.fetch_add(1);
-    });
-  }
-  for (auto& t : waiters) t.join();
-  EXPECT_EQ(premature.load(), 0) << "wait_idle returned before all tasks finished";
-  EXPECT_EQ(done.load(), kTasks);
-}
-
 // Submit/park churn: tiny batches with full drains in between is the worst
 // case for sleep/wake (every batch must wake a parked worker).
 // A lost wakeup hangs a batch; the bounded wait converts that into a fail.
 TEST(PoolStressFocused, RepeatedDrainCyclesNeverLoseAWakeup) {
   ThreadPool pool(2);
-  std::atomic<std::uint32_t> done{0};
+  std::atomic<std::size_t> done{0};
   for (int cycle = 0; cycle < 500; ++cycle) {
     for (int i = 0; i < 4; ++i) {
       pool.submit([&done] { done.fetch_add(1); });
     }
-    wait_idle_bounded(pool, std::chrono::seconds(60));
-    ASSERT_EQ(done.load(), static_cast<std::uint32_t>((cycle + 1) * 4));
+    const auto drained = static_cast<std::size_t>((cycle + 1) * 4);
+    wait_finished_bounded(done, drained, std::chrono::seconds(60));
+    ASSERT_EQ(done.load(), drained);
   }
 }
 
@@ -276,7 +253,6 @@ TEST(PoolStressFocused, DeeplyNestedParallelForCompletesOnEveryWorkerCount) {
         },
         &pool);
     EXPECT_EQ(leaf_hits.load(), 64u) << "workers=" << workers;
-    pool.wait_idle();
   }
 }
 

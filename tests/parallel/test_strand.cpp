@@ -35,7 +35,6 @@ TEST(Strand, RunsTasksInPostOrderWithoutOverlap) {
   EXPECT_FALSE(overlapped.load());
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
   for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(strand.depth(), 0u);
 }
 
 TEST(Strand, IndependentStrandsProgressConcurrently) {

@@ -52,19 +52,6 @@ TEST(ThreadPool, ZeroThreadsUsesHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      done.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 10);
-}
-
 TEST(ThreadPool, TasksRunConcurrently) {
   ThreadPool pool(2);
   std::atomic<int> in_flight{0};
@@ -108,7 +95,7 @@ TEST(ThreadPool, TryRunPendingTaskFromExternalThread) {
   ThreadPool pool(1);
   std::atomic<bool> blocker_started{false};
   std::atomic<bool> release{false};
-  pool.submit([&] {  // occupy the only worker
+  auto blocker = pool.submit([&] {  // occupy the only worker
     blocker_started.store(true);
     while (!release.load()) std::this_thread::yield();
   });
@@ -122,50 +109,7 @@ TEST(ThreadPool, TryRunPendingTaskFromExternalThread) {
   }
   EXPECT_EQ(ran.load(), 4);  // helper drained everything the worker couldn't
   release.store(true);
-  pool.wait_idle();
-}
-
-// REGRESSION (wait_idle vs helping claims).  The mutex-queue pool tracked
-// idleness as "queue empty && active == 0", where a helping thread bumped
-// `active` in a separate critical section from its pop: wait_idle could
-// observe the window where a task was already CLAIMED by a helper (queue
-// empty) but not yet COUNTED (active still 0) and return while the task was
-// running.  The pool counts a task as pending_ from submit until after its
-// body returns, no matter which thread runs it.  Reintroducing the two-phase
-// accounting makes this test fail:
-// wait_idle would return with `done` still false while the helper sleeps
-// inside the task.
-TEST(ThreadPool, WaitIdleSeesTaskClaimedByExternalHelper) {
-  ThreadPool pool(1);
-  std::atomic<bool> blocker_started{false};
-  std::atomic<bool> worker_release{false};
-  pool.submit([&] {  // park the only worker in a task
-    blocker_started.store(true);
-    while (!worker_release.load()) std::this_thread::yield();
-  });
-  // The helper below must claim the SLEEPER, not the blocker: wait until
-  // the worker owns the blocker before submitting anything else.
-  while (!blocker_started.load()) std::this_thread::yield();
-
-  std::atomic<bool> claimed{false};
-  std::atomic<bool> done{false};
-  pool.submit([&claimed, &done] {
-    claimed.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    done.store(true);
-  });
-
-  // External helper claims the second task (the worker is occupied).
-  std::thread helper([&pool] { pool.try_run_pending_task(); });
-  while (!claimed.load()) std::this_thread::yield();
-
-  // The helper is now INSIDE the task and the queue is empty.  wait_idle
-  // must still block until the claimed task's body finishes.
-  worker_release.store(true);
-  pool.wait_idle();
-  EXPECT_TRUE(done.load())
-      << "wait_idle returned while a helper-claimed task was still running";
-  helper.join();
+  blocker.get();
 }
 
 TEST(ThreadPool, ExternalSubmittersFromManyThreadsRunExactlyOnce) {
@@ -176,21 +120,24 @@ TEST(ThreadPool, ExternalSubmittersFromManyThreadsRunExactlyOnce) {
   std::vector<std::atomic<std::uint8_t>> ran(kThreads * kPerThread);
   for (auto& r : ran) r.store(0);
   std::vector<std::thread> submitters;
+  std::vector<std::vector<std::future<void>>> futures(kThreads);
   std::atomic<int> double_runs{0};
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const int id = t * kPerThread + i;
-        pool.submit([&, id] {
+        futures[static_cast<std::size_t>(t)].push_back(pool.submit([&, id] {
           if (ran[static_cast<std::size_t>(id)].fetch_add(1) != 0) {
             double_runs.fetch_add(1);
           }
-        });
+        }));
       }
     });
   }
   for (auto& s : submitters) s.join();
-  pool.wait_idle();
+  for (auto& per_thread : futures) {
+    for (auto& f : per_thread) f.get();
+  }
   EXPECT_EQ(double_runs.load(), 0);
   int executed = 0;
   for (auto& r : ran) executed += r.load();
@@ -199,8 +146,9 @@ TEST(ThreadPool, ExternalSubmittersFromManyThreadsRunExactlyOnce) {
 
 TEST(ThreadPool, WorkerRecursiveSubmitCompletesOnSingleWorker) {
   // A task submitting from inside the pool queues its children behind
-  // itself; with one worker, that worker must run every descendant before
-  // the pool can go idle.
+  // itself; with one worker, that worker must run every descendant.  A
+  // node counts itself before it spawns, so the count reaching the tree
+  // size means no task is left to submit more.
   ThreadPool pool(1);
   std::atomic<int> ran{0};
   std::function<void(int)> spawn = [&](int depth) {
@@ -211,7 +159,10 @@ TEST(ThreadPool, WorkerRecursiveSubmitCompletesOnSingleWorker) {
     }
   };
   pool.submit(spawn, 6).get();
-  pool.wait_idle();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (ran.load() < (1 << 7) - 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_EQ(ran.load(), (1 << 7) - 1);  // full binary tree of depth 6
 }
 

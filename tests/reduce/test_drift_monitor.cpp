@@ -227,7 +227,8 @@ TEST(DriftMonitor, TriggeredRefitLandsThroughTheEntrysReduction) {
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kCoverage;
   reduction.budget = 8;
-  ASSERT_TRUE(fx.registry.set_reduction(fx.handle, reduction).ok());
+  fx.registry.set_default_reduction(reduction);
+  const ModelHandle handle = fx.registry.publish({"sgd", "drift-reduced"}, *fx.model).unwrap();
 
   DriftOptions options = episode_options(0.5);
   options.finetune.max_epochs = 5;  // a real (tiny) fine-tune this time
@@ -235,10 +236,10 @@ TEST(DriftMonitor, TriggeredRefitLandsThroughTheEntrysReduction) {
   options.min_reports = 12;  // trigger only once the window exceeds the budget
   DriftMonitor monitor(fx.registry, options);
 
-  const std::uint64_t stamp = fx.registry.state_stamp(fx.handle);
+  const std::uint64_t stamp = fx.registry.state_stamp(handle);
   bool triggered = false;
   for (std::size_t i = 0; i < 20 && !triggered; ++i) {
-    const auto obs = monitor.report(fx.handle, fx.observed(i, 3.0));
+    const auto obs = monitor.report(handle, fx.observed(i, 3.0));
     ASSERT_TRUE(obs.ok()) << obs.error_text();
     triggered = obs.value().refit_triggered;
   }
@@ -246,17 +247,17 @@ TEST(DriftMonitor, TriggeredRefitLandsThroughTheEntrysReduction) {
 
   // The refit runs on a background strand: poll (bounded) for the swap.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (fx.registry.reduction_counters(fx.handle).first == 0) {
+  while (fx.registry.reduction_counters(handle).first == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "drift refit never landed";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_NE(fx.registry.state_stamp(fx.handle), stamp);
+  EXPECT_NE(fx.registry.state_stamp(handle), stamp);
 
-  const reduce::ReductionReport report = fx.registry.last_reduction(fx.handle);
+  const reduce::ReductionReport report = fx.registry.last_reduction(handle);
   EXPECT_EQ(report.policy, reduce::ReductionPolicy::kCoverage);
   EXPECT_LE(report.kept_runs, reduction.budget);
   EXPECT_GT(report.input_runs, report.kept_runs);
-  EXPECT_EQ(fx.registry.reduction_counters(fx.handle).second, report.dropped_runs);
+  EXPECT_EQ(fx.registry.reduction_counters(handle).second, report.dropped_runs);
 }
 
 TEST(DriftMonitor, AnnotateCopiesCountersIntoMetrics) {

@@ -11,6 +11,7 @@
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "serve/serve.hpp"
+#include "support/registry_testing.hpp"
 
 namespace bellamy::serve {
 namespace {
@@ -90,7 +91,8 @@ TEST(ModelRegistry, EmptyKeyPartsRejected) {
   ModelRegistry registry;
   EXPECT_EQ(registry.publish({"", "ctx"}, fx.pretrained(1)).status(),
             ServeStatus::kInvalidArgument);
-  EXPECT_EQ(registry.reserve({"sgd", ""}).status(), ServeStatus::kInvalidArgument);
+  EXPECT_EQ(registry.derive(ModelHandle{}, {"sgd", ""}).status(),
+            ServeStatus::kInvalidArgument);
 }
 
 TEST(ModelRegistry, DeriveSharesTheBaseCheckpointObject) {
@@ -111,27 +113,34 @@ TEST(ModelRegistry, DeriveSharesTheBaseCheckpointObject) {
             ServeStatus::kUnknownModel);
 }
 
+constexpr core::ReuseStrategy kStrategies[] = {
+    core::ReuseStrategy::kPartialUnfreeze, core::ReuseStrategy::kFullUnfreeze,
+    core::ReuseStrategy::kPartialReset, core::ReuseStrategy::kFullReset};
+
 TEST(ModelRegistry, RefitMatchesTheLegacyPredictorBitExactly) {
   Fixture fx;
   ModelRegistry registry;
   const core::BellamyModel model = fx.pretrained(4);
   const ModelHandle handle = registry.publish({"sgd", "ctx"}, model).unwrap();
+  PredictionService service(registry);
 
   const std::vector<data::JobRun> observed(fx.target_runs.begin(), fx.target_runs.begin() + 3);
-  const auto refit = registry.refit(handle, observed, quick_finetune());
-  ASSERT_TRUE(refit.ok()) << refit.error_text();
-  EXPECT_GT(refit.value().epochs_run, 0u);
+  for (const core::ReuseStrategy strategy : kStrategies) {
+    SCOPED_TRACE(core::strategy_name(strategy));
+    const auto refit = registry.refit(handle, observed, quick_finetune(), strategy);
+    ASSERT_TRUE(refit.ok()) << refit.error_text();
+    EXPECT_GT(refit.value().epochs_run, 0u);
 
-  // Same recipe, legacy path: restart from the checkpoint, same strategy,
-  // same config.  Predictions must agree bit-for-bit.
-  core::BellamyPredictor legacy(model, quick_finetune());
-  legacy.fit(observed);
-
-  PredictionService service(registry);
-  for (std::size_t i = 4; i < 8; ++i) {
-    const auto served = service.predict(handle, fx.target_runs[i]);
-    ASSERT_TRUE(served.ok()) << served.error_text();
-    EXPECT_EQ(served.value(), legacy.predict(fx.target_runs[i]));
+    // Same recipe, legacy path: restart from the checkpoint, same strategy,
+    // same config.  Epochs and predictions must agree bit-for-bit.
+    core::BellamyPredictor legacy(model, quick_finetune(), strategy);
+    legacy.fit(observed);
+    EXPECT_EQ(refit.value().epochs_run, legacy.last_fit().epochs_run);
+    for (std::size_t i = 4; i < 8; ++i) {
+      const auto served = service.predict(handle, fx.target_runs[i]);
+      ASSERT_TRUE(served.ok()) << served.error_text();
+      EXPECT_EQ(served.value(), legacy.predict(fx.target_runs[i]));
+    }
   }
 }
 
@@ -142,11 +151,15 @@ TEST(ModelRegistry, RefitWithoutRunsResetsToTheBaseWeights) {
   const std::uint64_t base_stamp = registry.state_stamp(handle);
 
   const std::vector<data::JobRun> observed(fx.target_runs.begin(), fx.target_runs.begin() + 3);
-  registry.refit(handle, observed, quick_finetune()).expect();
-  EXPECT_NE(registry.state_stamp(handle), base_stamp);
+  for (const core::ReuseStrategy strategy : kStrategies) {
+    SCOPED_TRACE(core::strategy_name(strategy));
+    registry.refit(handle, observed, quick_finetune()).expect();
+    EXPECT_NE(registry.state_stamp(handle), base_stamp);
 
-  registry.refit(handle, {}, quick_finetune()).expect();  // direct reuse
-  EXPECT_EQ(registry.state_stamp(handle), base_stamp);
+    // Direct reuse: no runs to relearn from, so no strategy may reset.
+    registry.refit(handle, {}, quick_finetune(), strategy).expect();
+    EXPECT_EQ(registry.state_stamp(handle), base_stamp);
+  }
 }
 
 TEST(ModelRegistry, RefitAsyncMatchesTheBlockingRefitBitExactly) {
@@ -252,21 +265,21 @@ TEST(ModelRegistry, RefitAsyncTypedErrors) {
   EXPECT_FALSE(registry.refit_pending(ModelHandle{}));
 
   // No base checkpoint yet: same kNotFitted the blocking path reports.
-  const ModelHandle reserved = registry.reserve({"sgd", "pending"}).unwrap();
-  auto unfitted = registry.refit_async(reserved, {}, quick_finetune());
+  const ModelHandle unfitted_handle = unfitted_entry(registry, {"sgd", "pending"});
+  auto unfitted = registry.refit_async(unfitted_handle, {}, quick_finetune());
   EXPECT_EQ(unfitted.get().status(), ServeStatus::kNotFitted);
 }
 
-TEST(ModelRegistry, ReserveIsUnfittedUntilPublish) {
+TEST(ModelRegistry, EntryWithoutWeightsIsUnfittedUntilPublish) {
   Fixture fx;
   ModelRegistry registry;
-  const ModelHandle handle = registry.reserve({"sgd", "pending"}).unwrap();
+  const ModelHandle handle = unfitted_entry(registry, {"sgd", "pending"});
   EXPECT_FALSE(registry.fitted(handle));
   EXPECT_EQ(registry.state_stamp(handle), 0u);
   EXPECT_EQ(registry.base_checkpoint(handle), nullptr);
   EXPECT_EQ(registry.refit(handle, {}, quick_finetune()).status(), ServeStatus::kNotFitted);
 
-  // publish onto the reserved key keeps the handle and makes it serveable.
+  // publish onto the key keeps the handle and makes it serveable.
   const ModelHandle same = registry.publish({"sgd", "pending"}, fx.pretrained(6)).unwrap();
   EXPECT_EQ(same, handle);
   EXPECT_TRUE(registry.fitted(handle));
@@ -291,10 +304,10 @@ TEST(ModelRegistry, EraseRetiresTheHandle) {
 TEST(ModelRegistry, WeightVersionsRecordEveryAssignmentAndNotifyTheObserver) {
   Fixture fx;
   ModelRegistry registry;
+  unfitted_entry(registry, {"sgd", "pending"});
   std::atomic<int> changes{0};
   registry.set_on_change([&] { changes.fetch_add(1); });
 
-  registry.reserve({"sgd", "pending"}).expect();
   EXPECT_TRUE(registry.versions().empty());
   EXPECT_EQ(changes.load(), 0);
 
@@ -346,14 +359,15 @@ TEST(ModelRegistry, StoreBackedOpenPersistAndSharing) {
     const ModelHandle handle = provider.publish({"sgd", "v1"}, model).unwrap();
     provider.persist(handle).expect();
     // persisting an unfitted entry is a typed error
-    const ModelHandle empty = provider.reserve({"sgd", "empty"}).unwrap();
+    const ModelHandle empty = unfitted_entry(provider, {"sgd", "empty"});
     EXPECT_EQ(provider.persist(empty).status(), ServeStatus::kNotFitted);
   }
 
   ModelRegistry consumer(store);
-  // A route reserved before the open must still be materialized from the
-  // store (regression: the early-return used to hand back the empty entry).
-  const ModelHandle reserved = consumer.reserve({"sgd", "v1"}).unwrap();
+  // An entry that has no weights yet when the open arrives must still be
+  // materialized from the store (regression: the early-return used to hand
+  // back the empty entry).
+  const ModelHandle reserved = unfitted_entry(consumer, {"sgd", "v1"});
   EXPECT_FALSE(consumer.fitted(reserved));
   const auto opened = consumer.open({"sgd", "v1"});
   ASSERT_TRUE(opened.ok()) << opened.error_text();
@@ -372,37 +386,10 @@ TEST(ModelRegistry, StoreBackedOpenPersistAndSharing) {
 
   ModelRegistry storeless;
   EXPECT_EQ(storeless.open({"sgd", "v1"}).status(), ServeStatus::kInvalidArgument);
-  EXPECT_EQ(storeless.persist(storeless.reserve({"a", "b"}).unwrap()).status(),
+  EXPECT_EQ(storeless.persist(unfitted_entry(storeless, {"a", "b"})).status(),
             ServeStatus::kInvalidArgument);
 
   std::filesystem::remove_all(dir);
-}
-
-TEST(ModelRegistry, ServingModelAdapterDrivesTheFacade) {
-  Fixture fx;
-  ModelRegistry registry;
-  const core::BellamyModel model = fx.pretrained(9);
-  const ModelHandle handle = registry.publish({"sgd", "ctx"}, model).unwrap();
-  PredictionService service(registry);
-
-  ServingModel adapter(registry, service, handle, quick_finetune(),
-                       core::ReuseStrategy::kPartialUnfreeze, "Bellamy(serve)");
-  EXPECT_EQ(adapter.name(), "Bellamy(serve)");
-  EXPECT_EQ(adapter.min_training_points(), 0u);
-
-  const std::vector<data::JobRun> observed(fx.target_runs.begin(), fx.target_runs.begin() + 3);
-  adapter.fit(observed);
-  EXPECT_GT(adapter.last_fit().epochs_run, 0u);
-
-  core::BellamyPredictor legacy(model, quick_finetune());
-  legacy.fit(observed);
-  const std::vector<data::JobRun> queries(fx.target_runs.begin() + 4,
-                                          fx.target_runs.begin() + 8);
-  const auto via_adapter = adapter.predict_batch(queries);
-  const auto via_legacy = legacy.predict_batch(queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(via_adapter[i], via_legacy[i]);
-  }
 }
 
 TEST(ModelRegistry, RefitCallbackFiresAfterTheSwapWithTheFutureResult) {
@@ -545,13 +532,11 @@ TEST(ModelRegistry, AutoPersistFailureSurfacesAsStoreErrorButTheSwapLands) {
 TEST(ModelRegistry, RefitHonorsTheEntrysReductionConfig) {
   Fixture fx;
   ModelRegistry registry;
-  const ModelHandle handle = registry.publish({"sgd", "ctx"}, fx.pretrained(1)).unwrap();
-
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kRecency;
   reduction.budget = 6;
-  ASSERT_TRUE(registry.set_reduction(handle, reduction).ok());
-  EXPECT_EQ(registry.reduction(handle).budget, 6u);
+  registry.set_default_reduction(reduction);
+  const ModelHandle handle = registry.publish({"sgd", "ctx"}, fx.pretrained(1)).unwrap();
 
   ASSERT_GT(fx.target_runs.size(), reduction.budget);
   const auto result = registry.refit(handle, fx.target_runs, quick_finetune());
@@ -589,10 +574,11 @@ TEST(ModelRegistry, ReductionCountersUntouchedWhenInactiveOrEmpty) {
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kUniform;
   reduction.budget = 4;
-  ASSERT_TRUE(registry.set_reduction(handle, reduction).ok());
-  ASSERT_TRUE(registry.refit(handle, {}, quick_finetune()).ok());
-  EXPECT_EQ(registry.reduction_counters(handle).first, 0u);
-  EXPECT_EQ(registry.last_reduction(handle).kept_runs, 0u);
+  registry.set_default_reduction(reduction);
+  const ModelHandle reduced = registry.publish({"sgd", "reduced"}, fx.pretrained(1)).unwrap();
+  ASSERT_TRUE(registry.refit(reduced, {}, quick_finetune()).ok());
+  EXPECT_EQ(registry.reduction_counters(reduced).first, 0u);
+  EXPECT_EQ(registry.last_reduction(reduced).kept_runs, 0u);
 }
 
 TEST(ModelRegistry, DefaultReductionIsInheritedByNewEntriesOnly) {
@@ -605,21 +591,24 @@ TEST(ModelRegistry, DefaultReductionIsInheritedByNewEntriesOnly) {
   def.policy = reduce::ReductionPolicy::kCoverage;
   def.budget = 10;
   registry.set_default_reduction(def);
-  EXPECT_EQ(registry.default_reduction().budget, 10u);
+  ASSERT_GT(fx.target_runs.size(), def.budget);
 
+  // An entry's config shows in what its refits keep.
+  const auto kept_by_refit = [&](const ModelHandle& handle) {
+    registry.refit(handle, fx.target_runs, quick_finetune()).expect();
+    return registry.last_reduction(handle);
+  };
   const ModelHandle after = registry.publish({"sgd", "after"}, fx.pretrained(2)).unwrap();
-  EXPECT_EQ(registry.reduction(after).policy, reduce::ReductionPolicy::kCoverage);
-  EXPECT_EQ(registry.reduction(after).budget, 10u);
+  const reduce::ReductionReport after_report = kept_by_refit(after);
+  EXPECT_EQ(after_report.policy, reduce::ReductionPolicy::kCoverage);
+  EXPECT_EQ(after_report.kept_runs, 10u);
   // Entries created before the default was set keep their config.
-  EXPECT_EQ(registry.reduction(before).policy, reduce::ReductionPolicy::kNone);
+  kept_by_refit(before);
+  EXPECT_EQ(registry.reduction_counters(before).first, 0u);
 
   // Derived handles inherit the default too.
   const ModelHandle derived = registry.derive(after, {"sgd", "derived"}).unwrap();
-  EXPECT_EQ(registry.reduction(derived).budget, 10u);
-
-  // set_reduction on an unknown handle is typed.
-  EXPECT_EQ(registry.set_reduction(ModelHandle{}, def).status(),
-            ServeStatus::kUnknownModel);
+  EXPECT_EQ(kept_by_refit(derived).kept_runs, 10u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/variants.hpp"
 #include "data/c3o_generator.hpp"
 #include "serve/serve.hpp"
+#include "support/registry_testing.hpp"
 
 namespace bellamy::serve {
 namespace {
@@ -194,7 +195,7 @@ TEST(PredictionService, TypedErrorsForUnknownAndUnfittedHandles) {
   EXPECT_EQ(service.predict(ModelHandle{}, query).status(), ServeStatus::kUnknownModel);
   EXPECT_EQ(service.metrics(ModelHandle{}).status(), ServeStatus::kUnknownModel);
 
-  const ModelHandle reserved = registry.reserve({"sgd", "pending"}).unwrap();
+  const ModelHandle reserved = unfitted_entry(registry, {"sgd", "pending"});
   const auto r = service.predict(reserved, query);
   ASSERT_EQ(r.status(), ServeStatus::kNotFitted);
   EXPECT_NE(r.message().find("sgd/pending"), std::string::npos) << r.message();
