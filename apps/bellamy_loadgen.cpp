@@ -53,9 +53,9 @@
 
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
-#include "flags.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 using namespace bellamy;
@@ -93,11 +93,11 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (apps::int_flag(arg, "--port", 1, 65535, port) ||
-        apps::int_flag(arg, "--clients", 1, 256, clients) ||
-        apps::int_flag(arg, "--requests", 1, 100'000'000, requests) ||
-        apps::int_flag(arg, "--probes", 10, 100'000'000, probes) ||
-        apps::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout)) {
+    if (util::int_flag(arg, "--port", 1, 65535, port) ||
+        util::int_flag(arg, "--clients", 1, 256, clients) ||
+        util::int_flag(arg, "--requests", 1, 100'000'000, requests) ||
+        util::int_flag(arg, "--probes", 10, 100'000'000, probes) ||
+        util::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout)) {
       continue;
     }
     if (std::strncmp(argv[i], "--host=", 7) == 0) {
@@ -123,10 +123,7 @@ int main(int argc, char** argv) {
   // Every connection this process opens shares the same deadline budget:
   // connect, per-op socket stalls, and the end-to-end request timeout.
   net::ClientOptions client_options;
-  client_options.deadlines.connect = io_timeout;
-  client_options.deadlines.read = io_timeout;
-  client_options.deadlines.write = io_timeout;
-  client_options.deadlines.request = io_timeout;
+  client_options.io_timeout = io_timeout;
 
   if (drain_only) {  // no model needed just to shut a node down
     net::NetClient control(client_options);

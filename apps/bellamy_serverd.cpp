@@ -51,10 +51,10 @@
 #include <vector>
 
 #include "exchange/exchange.hpp"
-#include "flags.hpp"
 #include "net/net.hpp"
 #include "reduce/reduction.hpp"
 #include "serve/serve.hpp"
+#include "util/flags.hpp"
 
 using namespace bellamy;
 
@@ -128,21 +128,14 @@ void console_loop(net::ServeServer& server, serve::ModelRegistry& registry,
           std::fprintf(stderr, "  %s\n", handle.error_text().c_str());
           continue;
         }
-        const auto metrics = service.metrics(handle.value());
+        // The snapshot the wire MetricsResponse carries.
+        const auto metrics = serve::model_metrics(service, registry, drift, handle.value());
         if (!metrics.ok()) {
           std::fprintf(stderr, "  %s\n", metrics.error_text().c_str());
           continue;
         }
-        // Same annotation the wire MetricsResponse gets: drift counters from
-        // the monitor, reduction counters from the registry entry.
-        serve::ServeMetrics m = metrics.value();
-        if (drift != nullptr) drift->annotate(handle.value(), m);
-        const auto [reductions, dropped] = registry.reduction_counters(handle.value());
-        m.reductions = reductions;
-        m.reduction_runs_dropped = dropped;
-        m.reduction_last_kept = registry.last_reduction(handle.value()).kept_runs;
-        print_metrics(m);
-        print_drift(m);
+        print_metrics(metrics.value());
+        print_drift(metrics.value());
       } else {
         const net::ServerStats s = server.stats();
         std::fprintf(stderr,
@@ -268,15 +261,15 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (apps::int_flag(arg, "--port", 1, 65535, port) ||
-        apps::int_flag(arg, "--workers", 1, 256, options.workers) ||
-        apps::int_flag(arg, "--max-batch", 1, 65536, options.max_batch) ||
-        apps::int_flag(arg, "--max-queue", 1, 1 << 24, options.max_queue) ||
-        apps::int_flag(arg, "--deadline-us", 0, 3'600'000'000LL, options.flush_deadline) ||
-        apps::int_flag(arg, "--sync-ms", 1, 86'400'000, exchange_options.sync_interval) ||
-        apps::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout) ||
-        apps::int_flag(arg, "--peer-retries", 0, 100, peer_retries) ||
-        apps::int_flag(arg, "--refit-budget", 0, 1'000'000, reduction.budget)) {
+    if (util::int_flag(arg, "--port", 1, 65535, port) ||
+        util::int_flag(arg, "--workers", 1, 256, options.workers) ||
+        util::int_flag(arg, "--max-batch", 1, 65536, options.max_batch) ||
+        util::int_flag(arg, "--max-queue", 1, 1 << 24, options.max_queue) ||
+        util::int_flag(arg, "--deadline-us", 0, 3'600'000'000LL, options.flush_deadline) ||
+        util::int_flag(arg, "--sync-ms", 1, 86'400'000, exchange_options.sync_interval) ||
+        util::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout) ||
+        util::int_flag(arg, "--peer-retries", 0, 100, peer_retries) ||
+        util::int_flag(arg, "--refit-budget", 0, 1'000'000, reduction.budget)) {
       continue;
     }
     if (std::strncmp(argv[i], "--store=", 8) == 0) {
@@ -286,7 +279,7 @@ int main(int argc, char** argv) {
       const auto colon = spec.rfind(':');
       long long peer_port = 0;
       if (colon == 0 || colon == std::string::npos ||
-          !apps::parse_int_in(spec.c_str() + colon + 1, 1, 65535, peer_port)) {
+          !util::parse_int_in(spec.c_str() + colon + 1, 1, 65535, peer_port)) {
         std::fprintf(stderr, "--peer expects HOST:PORT, got '%s'\n", spec.c_str());
         return 2;
       }
@@ -358,10 +351,7 @@ int main(int argc, char** argv) {
   // that dial it; only the outbound sync loop needs peers.
   exchange::ExchangeRegistry exchange_node(registry, exchange_options);
   exchange::TransportOptions transport_options;
-  transport_options.deadlines.connect = io_timeout;
-  transport_options.deadlines.read = io_timeout;
-  transport_options.deadlines.write = io_timeout;
-  transport_options.deadlines.request = io_timeout;
+  transport_options.io_timeout = io_timeout;
   transport_options.retry.max_attempts = 1 + peer_retries;
   for (const auto& [host, peer_port] : peers) {
     exchange_node.add_peer(
@@ -377,8 +367,7 @@ int main(int argc, char** argv) {
   server_options.port = port;
   server_options.peer_service = &exchange_node;
   server_options.drift_monitor = &drift_monitor;
-  server_options.deadlines.read = io_timeout;
-  server_options.deadlines.write = io_timeout;
+  server_options.io_timeout = io_timeout;
   net::ServeServer server(registry, service, server_options);
   std::string error;
   if (!server.start(error)) {

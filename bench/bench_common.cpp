@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "data/bell_generator.hpp"
 #include "data/c3o_generator.hpp"
+#include "util/flags.hpp"
 #include "util/string_utils.hpp"
 
 namespace bellamy::bench {
@@ -16,17 +18,16 @@ BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (util::int_flag(argv[i], "--seed", 0, std::numeric_limits<long long>::max(), opts.seed) ||
+        util::int_flag(argv[i], "--threads", 1, 256, opts.eval_threads)) {
+      continue;
+    }
     if (arg == "--paper-scale") {
       opts.paper_scale = true;
     } else if (arg == "--no-cache") {
       opts.no_cache = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opts.seed = std::stoull(arg.substr(7));
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       opts.cache_dir = arg.substr(12);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opts.eval_threads = std::stoull(arg.substr(10));
-      if (opts.eval_threads == 0) opts.eval_threads = 1;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--paper-scale] [--no-cache] [--seed=N] [--cache-dir=DIR] "

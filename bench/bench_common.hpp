@@ -7,6 +7,10 @@
 //                   defaults that finish in minutes
 //   --no-cache      recompute even if a cached experiment result exists
 //   --seed=N        master seed (default 2021)
+//   --threads=N     split-evaluation worker threads, 1..256 (default 1)
+//
+// A --seed or --threads value that is not an integer in range is refused
+// with a message naming the flag (exit status 2).
 //
 // The fig5/fig6/fig7/time-to-fit binaries all consume the *same* underlying
 // cross-context experiment, so its result is cached on disk after the first

@@ -7,7 +7,8 @@ Configures a `--coverage -O0` build of the repository (and of benchmark/,
 with the same flags given on the cmake command line) in a temporary
 directory, then runs the PRODUCTION REACH SET:
 
-  * the ten bench/ paper programs with --no-cache;
+  * the ten bench/ paper programs with --no-cache, and fig6_interpolation_mae
+    once more at --threads=2 (CI's threaded leg: split evaluation on a pool);
   * the four examples/ programs (CI's examples smoke run);
   * the serverd/loadgen legs of CI, run by the script CI runs
     (scripts/serve-legs.sh): the loopback leg, and the two-node exchange leg
@@ -105,6 +106,8 @@ def production(work):
     cwd.mkdir(exist_ok=True)
     for exe in sorted((build_dir / "bench").iterdir()):
         run([exe, "--no-cache"], cwd=cwd, timeout=3600, stdout=subprocess.DEVNULL)
+    run([build_dir / "bench" / "fig6_interpolation_mae", "--no-cache", "--threads=2"], cwd=cwd,
+        timeout=3600, stdout=subprocess.DEVNULL)
     for exe in sorted((build_dir / "examples").iterdir()):
         run([exe], cwd=cwd, timeout=3600, stdout=subprocess.DEVNULL)
     serve_legs(build_dir)

@@ -41,10 +41,6 @@ double InterpolationModel::predict_scaleout(double scale_out) const {
   return y0 + slope * (scale_out - x0);
 }
 
-double InterpolationModel::predict(const data::JobRun& query) {
-  return predict_scaleout(static_cast<double>(query.scale_out));
-}
-
 std::vector<double> InterpolationModel::predict_batch(const std::vector<data::JobRun>& queries) {
   std::vector<double> out;
   out.reserve(queries.size());
@@ -102,10 +98,6 @@ void BellModel::fit(const std::vector<data::JobRun>& runs) {
     use_parametric_ = true;
     selected_ = "parametric";
   }
-}
-
-double BellModel::predict(const data::JobRun& query) {
-  return use_parametric_ ? parametric_.predict(query) : non_parametric_.predict(query);
 }
 
 std::vector<double> BellModel::predict_batch(const std::vector<data::JobRun>& queries) {

@@ -9,6 +9,7 @@
 // the paper notes "Bell requires at least three data points".
 
 #include <map>
+#include <string>
 
 #include "baselines/ernest.hpp"
 #include "data/runtime_model.hpp"
@@ -20,10 +21,8 @@ namespace bellamy::baselines {
 class InterpolationModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
   std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
   std::size_t min_training_points() const override { return 2; }
-  std::string name() const override { return "interp"; }
 
   double predict_scaleout(double scale_out) const;
 
@@ -34,11 +33,9 @@ class InterpolationModel : public data::RuntimeModel {
 class BellModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
   /// Delegates the whole batch to the CV-selected sub-model in one call.
   std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
   std::size_t min_training_points() const override { return 3; }
-  std::string name() const override { return "Bell"; }
 
   /// Which sub-model the cross-validation selected ("parametric" or
   /// "non-parametric"); meaningful after fit().

@@ -37,10 +37,6 @@ double ErnestModel::predict_scaleout(double scale_out) const {
   return r;
 }
 
-double ErnestModel::predict(const data::JobRun& query) {
-  return predict_scaleout(static_cast<double>(query.scale_out));
-}
-
 std::vector<double> ErnestModel::predict_batch(const std::vector<data::JobRun>& queries) {
   std::vector<double> out;
   out.reserve(queries.size());

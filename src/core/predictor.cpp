@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/timer.hpp"
@@ -8,35 +9,30 @@
 namespace bellamy::core {
 
 BellamyPredictor::BellamyPredictor(BellamyConfig model_config, FineTuneConfig finetune_config,
-                                   std::uint64_t seed, std::string name)
+                                   std::uint64_t seed)
     : model_config_(model_config),
       finetune_config_(finetune_config),
       pretrained_(false),
-      seed_(seed),
-      name_(std::move(name)) {
+      seed_(seed) {
   // The local variant trains f and z together from scratch — the staged
   // unlock only makes sense when z sits on top of a pre-trained f.
   finetune_config_.unlock_f_immediately = true;
 }
 
 BellamyPredictor::BellamyPredictor(const BellamyModel& pretrained,
-                                   FineTuneConfig finetune_config, ReuseStrategy strategy,
-                                   std::string name)
+                                   FineTuneConfig finetune_config, ReuseStrategy strategy)
     : model_config_(pretrained.config()),
       finetune_config_(finetune_config),
       strategy_(strategy),
       pretrained_checkpoint_(std::make_shared<const nn::Checkpoint>(pretrained.to_checkpoint())),
-      pretrained_(true),
-      name_(std::move(name)) {}
+      pretrained_(true) {}
 
 BellamyPredictor::BellamyPredictor(std::shared_ptr<const nn::Checkpoint> pretrained_checkpoint,
-                                   FineTuneConfig finetune_config, ReuseStrategy strategy,
-                                   std::string name)
+                                   FineTuneConfig finetune_config, ReuseStrategy strategy)
     : finetune_config_(finetune_config),
       strategy_(strategy),
       pretrained_checkpoint_(std::move(pretrained_checkpoint)),
-      pretrained_(true),
-      name_(std::move(name)) {
+      pretrained_(true) {
   if (!pretrained_checkpoint_) {
     throw std::invalid_argument("BellamyPredictor: null pretrained checkpoint");
   }
@@ -57,10 +53,6 @@ void BellamyPredictor::fit(const std::vector<data::JobRun>& runs) {
   last_fit_.fit_seconds = timer.seconds();
 }
 
-double BellamyPredictor::predict(const data::JobRun& query) {
-  return fitted_model("predict").predict_one(query);
-}
-
 std::vector<double> BellamyPredictor::predict_batch(const std::vector<data::JobRun>& queries) {
   return fitted_model("predict_batch").predict_batch(queries);
 }
@@ -72,9 +64,9 @@ const BellamyModel& BellamyPredictor::model() const { return fitted_model("model
 const BellamyModel& BellamyPredictor::fitted_model(const char* caller) const {
   if (!model_) {
     // Dereferencing the empty optional here would be UB; fail loudly with
-    // enough context to identify the offending predictor.
-    throw std::runtime_error("BellamyPredictor::" + std::string(caller) + ": '" + name_ +
-                             "' has no fitted model — call fit() first");
+    // the call that needed the model.
+    throw std::runtime_error("BellamyPredictor::" + std::string(caller) +
+                             ": no fitted model — call fit() first");
   }
   return *model_;
 }

@@ -9,7 +9,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "core/bellamy_model.hpp"
 #include "core/trainer.hpp"
@@ -23,13 +22,12 @@ class BellamyPredictor : public data::RuntimeModel {
  public:
   /// Local variant: fresh model per fit, seeded deterministically.
   BellamyPredictor(BellamyConfig model_config, FineTuneConfig finetune_config,
-                   std::uint64_t seed, std::string name = "Bellamy(local)");
+                   std::uint64_t seed);
 
   /// Pre-trained variant: every fit restarts from this model's checkpoint and
   /// applies the given reuse strategy before fine-tuning.
   BellamyPredictor(const BellamyModel& pretrained, FineTuneConfig finetune_config,
-                   ReuseStrategy strategy = ReuseStrategy::kPartialUnfreeze,
-                   std::string name = "Bellamy(pretrained)");
+                   ReuseStrategy strategy = ReuseStrategy::kPartialUnfreeze);
 
   /// Pre-trained variant from a stored checkpoint, shared rather than
   /// copied.  This is the cheap constructor for fan-out paths that build
@@ -37,15 +35,12 @@ class BellamyPredictor : public data::RuntimeModel {
   /// no model is materialized until fit().
   BellamyPredictor(std::shared_ptr<const nn::Checkpoint> pretrained_checkpoint,
                    FineTuneConfig finetune_config,
-                   ReuseStrategy strategy = ReuseStrategy::kPartialUnfreeze,
-                   std::string name = "Bellamy(pretrained)");
+                   ReuseStrategy strategy = ReuseStrategy::kPartialUnfreeze);
 
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
   /// One stacked forward pass through the fitted network for all queries.
   std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
   std::size_t min_training_points() const override { return pretrained_ ? 0 : 1; }
-  std::string name() const override { return name_; }
 
   /// Statistics of the most recent fit (epochs, wall time, best MAE).
   const FineTuneResult& last_fit() const { return last_fit_; }
@@ -65,7 +60,6 @@ class BellamyPredictor : public data::RuntimeModel {
   std::shared_ptr<const nn::Checkpoint> pretrained_checkpoint_;
   bool pretrained_ = false;
   std::uint64_t seed_ = 0;
-  std::string name_;
   std::optional<BellamyModel> model_;
   FineTuneResult last_fit_;
 };

@@ -4,15 +4,6 @@
 
 namespace bellamy::core {
 
-const char* scenario_name(PretrainScenario s) {
-  switch (s) {
-    case PretrainScenario::kLocal: return "local";
-    case PretrainScenario::kFiltered: return "filtered";
-    case PretrainScenario::kFull: return "full";
-  }
-  return "?";
-}
-
 const char* strategy_name(ReuseStrategy s) {
   switch (s) {
     case ReuseStrategy::kPartialUnfreeze: return "partial-unfreeze";
@@ -36,18 +27,6 @@ data::Dataset pretraining_corpus(PretrainScenario scenario, const data::Dataset&
           .exclude_context(target_context.context_key());
   }
   throw std::invalid_argument("pretraining_corpus: unknown scenario");
-}
-
-BellamyModel make_scenario_model(PretrainScenario scenario, const data::Dataset& history,
-                                 const data::JobRun& target_context,
-                                 const BellamyConfig& model_config,
-                                 const PreTrainConfig& pretrain_config, std::uint64_t seed) {
-  BellamyModel model(model_config, seed);
-  if (scenario == PretrainScenario::kLocal) return model;
-  const data::Dataset corpus = pretraining_corpus(scenario, history, target_context);
-  if (corpus.empty()) return model;  // degenerate history: behave like local
-  pretrain(model, corpus.runs(), pretrain_config);
-  return model;
 }
 
 FineTuneConfig apply_reuse_strategy(ReuseStrategy strategy, BellamyModel& model,

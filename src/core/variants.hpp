@@ -25,7 +25,6 @@ namespace bellamy::core {
 enum class PretrainScenario { kLocal, kFiltered, kFull };
 enum class ReuseStrategy { kPartialUnfreeze, kFullUnfreeze, kPartialReset, kFullReset };
 
-const char* scenario_name(PretrainScenario s);
 const char* strategy_name(ReuseStrategy s);
 
 /// Select the pre-training corpus for a target context under a scenario:
@@ -35,13 +34,6 @@ const char* strategy_name(ReuseStrategy s);
 /// kLocal -> empty.
 data::Dataset pretraining_corpus(PretrainScenario scenario, const data::Dataset& history,
                                  const data::JobRun& target_context);
-
-/// Build a model for the scenario: pre-trained on the corpus for kFiltered /
-/// kFull, freshly initialized for kLocal (or when the corpus is empty).
-BellamyModel make_scenario_model(PretrainScenario scenario, const data::Dataset& history,
-                                 const data::JobRun& target_context,
-                                 const BellamyConfig& model_config,
-                                 const PreTrainConfig& pretrain_config, std::uint64_t seed);
 
 /// Mutate `model` and derive the fine-tune configuration implementing the
 /// reuse strategy (resets re-initialize components; unfreeze choices map to

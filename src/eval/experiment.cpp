@@ -14,7 +14,6 @@
 #include "eval/splits.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
-#include "serve/runtime_adapter.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -30,11 +29,11 @@ struct Contender {
   core::BellamyPredictor* bellamy = nullptr;  ///< non-null for Bellamy variants
 };
 
-/// Deterministic recipe for (re)building one contender.  The threaded path
-/// evaluates splits on independent contender instances; because every fit()
-/// restarts from the captured seed / checkpoint, an instance built from the
-/// same spec produces bit-identical predictions no matter which thread (or
-/// how many times) it is built.
+/// Deterministic recipe for building one contender.  Every split evaluates
+/// its own contender instances; because every fit() restarts from the
+/// captured seed / checkpoint, an instance built from the same spec produces
+/// bit-identical predictions no matter which thread (or how many times) it
+/// is built.
 struct ContenderSpec {
   enum class Kind { kNnls, kBell, kBellamyLocal, kBellamyPretrained };
   Kind kind = Kind::kNnls;
@@ -58,15 +57,14 @@ std::vector<Contender> make_contenders(const std::vector<ContenderSpec>& specs,
         out.push_back({spec.name, std::make_unique<baselines::BellModel>(), nullptr});
         break;
       case ContenderSpec::Kind::kBellamyLocal: {
-        auto pred = std::make_unique<core::BellamyPredictor>(model_config, finetune, spec.seed,
-                                                             spec.name);
+        auto pred = std::make_unique<core::BellamyPredictor>(model_config, finetune, spec.seed);
         auto* handle = pred.get();
         out.push_back({spec.name, std::move(pred), handle});
         break;
       }
       case ContenderSpec::Kind::kBellamyPretrained: {
-        auto pred = std::make_unique<core::BellamyPredictor>(spec.checkpoint, finetune,
-                                                             spec.strategy, spec.name);
+        auto pred =
+            std::make_unique<core::BellamyPredictor>(spec.checkpoint, finetune, spec.strategy);
         auto* handle = pred.get();
         out.push_back({spec.name, std::move(pred), handle});
         break;
@@ -98,10 +96,13 @@ void evaluate_split(const std::vector<data::JobRun>& runs, const Split& split,
   for (auto& c : contenders) {
     if (train.size() < c.model->min_training_points()) continue;
     util::Timer fit_timer;
-    // The serve-layer wrappers fold the RuntimeModel exception contract into
-    // typed results, so an unusable split (e.g. degenerate NNLS) is a status
-    // branch here, not a catch block.
-    if (!serve::try_fit(*c.model, train).ok()) continue;
+    // A model rejects a split it cannot use (e.g. degenerate NNLS) by
+    // throwing; that contender sits this split out.
+    try {
+      c.model->fit(train);
+    } catch (const std::exception&) {
+      continue;
+    }
 
     FitRecord fit;
     fit.algorithm = algorithm;
@@ -113,16 +114,16 @@ void evaluate_split(const std::vector<data::JobRun>& runs, const Split& split,
 
     std::vector<double> predicted;
     std::vector<bool> answered(queries.size(), true);
-    if (auto batch = serve::try_predict_batch(*c.model, queries); batch.ok()) {
-      predicted = batch.take();
-    } else {
-      // Batch failed as a whole — fall back per query so one unanswerable
-      // query does not drop the records of its sibling.
+    try {
+      predicted = c.model->predict_batch(queries);
+    } catch (const std::exception&) {
+      // Batch failed as a whole — ask one query at a time so one
+      // unanswerable query does not drop the records of its sibling.
       predicted.assign(queries.size(), 0.0);
       for (std::size_t i = 0; i < queries.size(); ++i) {
-        if (auto one = serve::try_predict(*c.model, queries[i]); one.ok()) {
-          predicted[i] = one.value();
-        } else {
+        try {
+          predicted[i] = c.model->predict_batch({queries[i]}).at(0);
+        } catch (const std::exception&) {
           answered[i] = false;
         }
       }
@@ -152,37 +153,32 @@ struct SplitTask {
   Split split;
 };
 
-/// Evaluate all splits of one context: serially on the shared contender set
-/// when `pool` is null, otherwise fanned out over the pool with per-split
-/// contender instances rebuilt from `specs`.  Records are appended to `out`
-/// in deterministic split order either way.
+/// Evaluate all splits of one context, each on its own contenders built
+/// from `specs`: fanned out over `pool`, or in order on the calling thread
+/// when `pool` is null.  Records are appended to `out` in split order either
+/// way.
 void evaluate_context(const std::vector<data::JobRun>& runs,
                       const std::vector<SplitTask>& split_tasks, const std::string& algorithm,
                       const std::string& context_key, const std::vector<ContenderSpec>& specs,
                       const core::BellamyConfig& model_config,
                       const core::FineTuneConfig& finetune, parallel::ThreadPool* pool,
                       ExperimentResult& out) {
-  if (!pool) {
+  const auto evaluate = [&](const SplitTask& task) {
     auto contenders = make_contenders(specs, model_config, finetune);
-    for (const SplitTask& task : split_tasks) {
-      evaluate_split(runs, task.split, task.num_points, algorithm, context_key, contenders,
-                     out);
-    }
-    return;
-  }
+    ExperimentResult local;
+    evaluate_split(runs, task.split, task.num_points, algorithm, context_key, contenders,
+                   local);
+    return local;
+  };
   // parallel_map returns partials in split_tasks order no matter how the
-  // pool schedules the tasks (each writes its own slot), so the
-  // concatenation below is as deterministic as the serial branch above.
-  const std::vector<ExperimentResult> partials = parallel::parallel_map(
-      split_tasks,
-      [&](const SplitTask& task) {
-        auto contenders = make_contenders(specs, model_config, finetune);
-        ExperimentResult local;
-        evaluate_split(runs, task.split, task.num_points, algorithm, context_key, contenders,
-                       local);
-        return local;
-      },
-      pool);
+  // pool schedules the tasks (each writes its own slot).
+  std::vector<ExperimentResult> partials;
+  if (pool) {
+    partials = parallel::parallel_map(split_tasks, evaluate, pool);
+  } else {
+    partials.reserve(split_tasks.size());
+    for (const SplitTask& task : split_tasks) partials.push_back(evaluate(task));
+  }
   for (const ExperimentResult& partial : partials) {
     out.evals.insert(out.evals.end(), partial.evals.begin(), partial.evals.end());
     out.fits.insert(out.fits.end(), partial.fits.begin(), partial.fits.end());

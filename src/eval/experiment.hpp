@@ -62,11 +62,11 @@ struct CrossContextConfig {
   /// benchmark runs bound single-core pre-training cost.
   std::size_t pretrain_sample_cap = 0;
   std::uint64_t seed = 2021;
-  /// Worker threads for cross-validation split evaluation.  <= 1 runs the
-  /// serial reference path.  N > 1 fans independent splits out over a
-  /// ThreadPool; every split rebuilds its contenders from the same
-  /// deterministic seeds / checkpoints, so records are bit-identical to the
-  /// serial path (fit wall-times differ, predictions do not).
+  /// Worker threads for cross-validation split evaluation.  <= 1 evaluates
+  /// the splits in order on the calling thread; N > 1 fans them out over a
+  /// ThreadPool.  Every split builds its contenders from the same
+  /// deterministic seeds / checkpoints, so records are bit-identical at any
+  /// thread count (fit wall-times differ, predictions do not).
   std::size_t eval_threads = 1;
 };
 

@@ -11,7 +11,7 @@ std::shared_ptr<net::NetClient> TcpTransport::ensure_connected(std::string& erro
   std::lock_guard<std::mutex> lock(mutex_);
   if (client_ && client_->connected()) return client_;
   net::ClientOptions client_options;
-  client_options.deadlines = options_.deadlines;
+  client_options.io_timeout = options_.io_timeout;
   auto fresh = std::make_shared<net::NetClient>(std::move(client_options));
   if (!fresh->connect(host_, port_, error)) return nullptr;
   client_ = std::move(fresh);

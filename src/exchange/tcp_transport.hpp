@@ -16,8 +16,8 @@
 //     with no exchange layer) pass through untouched and do NOT drop the
 //     connection: the peer answered, retrying cannot change its mind.
 //
-// Every call is bounded by TransportOptions::deadlines (connect bounds the
-// dial, request bounds each call end-to-end), so a peer that accepts and
+// Every call is bounded by TransportOptions::io_timeout (it bounds the dial,
+// every socket stall and each call end to end), so a peer that accepts and
 // then goes silent costs a typed kTimeout, never a hung sync strand.
 //
 // Thread-safe: one mutex serializes dial/teardown; the underlying NetClient
@@ -39,9 +39,9 @@
 namespace bellamy::exchange {
 
 struct TransportOptions {
-  /// Budgets handed to the NetClient (connect / read / write / request).
-  /// All 0 = unbounded, the pre-deadline behavior.
-  net::DeadlineOptions deadlines;
+  /// The NetClient's I/O timeout (ClientOptions::io_timeout); 0 (the
+  /// default) = unbounded.
+  std::chrono::milliseconds io_timeout{0};
   /// Per-call retry budget on transport failures.  max_attempts = 1 (the
   /// default) keeps every call single-shot.
   util::RetryPolicy retry{.max_attempts = 1};

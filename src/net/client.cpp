@@ -49,22 +49,14 @@ bool NetClient::connect(const std::string& host, std::uint16_t port, std::string
     error = "already connected";
     return false;
   }
-  sock_ = tcp_connect(host, port, options_.deadlines.connect, error);
+  sock_ = tcp_connect(host, port, options_.io_timeout, error);
   if (!sock_) return false;
   // A mid-frame stall must not outlive the request guarantee: the reader
   // thread is the one that expires pending deadlines, so if it parks inside
   // read_exact (e.g. a garbled length prefix promising bytes that never
   // arrive — the u32 prefix is outside the frame checksum) with no socket
-  // budget, every pending request hangs with it.  With a request budget but
-  // no explicit read/write budget, bound socket stalls by the request budget.
-  DeadlineOptions socket_deadlines = options_.deadlines;
-  if (options_.deadlines.request.count() > 0) {
-    if (socket_deadlines.read.count() <= 0)
-      socket_deadlines.read = options_.deadlines.request;
-    if (socket_deadlines.write.count() <= 0)
-      socket_deadlines.write = options_.deadlines.request;
-  }
-  sock_.set_deadlines(socket_deadlines);
+  // budget, every pending request hangs with it.
+  sock_.set_io_timeout(options_.io_timeout);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     open_ = true;
@@ -109,9 +101,8 @@ void NetClient::send_request(Req& req, Deliver deliver) {
     }
     Pending entry;
     entry.deliver = deliver;
-    entry.deadline = options_.deadlines.request.count() > 0
-                         ? Clock::now() + options_.deadlines.request
-                         : Clock::time_point::max();
+    entry.deadline = options_.io_timeout.count() > 0 ? Clock::now() + options_.io_timeout
+                                                     : Clock::time_point::max();
     pending_.emplace(req.request_id, std::move(entry));
   }
   const std::vector<std::uint8_t> frame = encode_frame(req);
@@ -142,15 +133,15 @@ std::chrono::milliseconds NetClient::reader_wait() const {
   // or close() will wake it.  With a budget, never sleep past the nearest
   // pending deadline; with no pending, tick at the budget so a request sent
   // DURING the sleep still expires within 2x its deadline.
-  if (options_.deadlines.request.count() <= 0) return kWaitForever;
+  if (options_.io_timeout.count() <= 0) return kWaitForever;
   std::lock_guard<std::mutex> lock(state_mutex_);
   auto nearest = Clock::time_point::max();
   for (const auto& [id, entry] : pending_) nearest = std::min(nearest, entry.deadline);
-  if (nearest == Clock::time_point::max()) return options_.deadlines.request;
+  if (nearest == Clock::time_point::max()) return options_.io_timeout;
   const auto left =
       std::chrono::duration_cast<std::chrono::milliseconds>(nearest - Clock::now());
   return std::max(std::chrono::milliseconds{1},
-                  std::min(left, options_.deadlines.request));
+                  std::min(left, options_.io_timeout));
 }
 
 void NetClient::expire_overdue() {

@@ -13,22 +13,21 @@
 // kShutdown / kInternalError with the transport reason in the message, and
 // a lost connection fails ALL pending requests — nothing hangs.
 //
-// DEADLINES (ClientOptions::deadlines): `connect` bounds the dial, `read`/
-// `write` bound socket stalls, and `request` is the end-to-end budget per
-// request — a request whose response has not been matched within it fails
-// with the typed kTimeout (the eventual late response, if any, is dropped
-// by id).  Expiry is checked at `request` granularity, so a timed-out
-// request resolves within 2x the configured budget in the worst case.
-// When `request` is set but `read`/`write` are not, the socket stall
-// budgets default to the request budget — otherwise a mid-frame stall
-// (e.g. a corrupted length prefix) would park the reader, and with it
-// every pending deadline, past any bound.  connect() dials once; redialing
-// is the caller's policy (exchange::TcpTransport::with_retry).
+// DEADLINES (ClientOptions::io_timeout): one budget bounds the dial, every
+// socket stall, and each request end to end — a request whose response has
+// not been matched within it fails with the typed kTimeout (the eventual
+// late response, if any, is dropped by id).  Expiry is checked at budget
+// granularity, so a timed-out request resolves within 2x the budget in the
+// worst case.  The socket stall bound matters as much as the request one:
+// without it a mid-frame stall (e.g. a corrupted length prefix) would park
+// the reader, and with it every pending deadline.  connect() dials once;
+// redialing is the caller's policy (exchange::TcpTransport::with_retry).
 //
 // refit() is synchronous from the caller's view but non-blocking on the
 // server: the RefitResponse is pushed when the background fine-tune lands,
 // and may arrive long after (and out of order with) later predict traffic.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -52,8 +51,9 @@
 namespace bellamy::net {
 
 struct ClientOptions {
-  /// Socket + per-request budgets; all 0 (unbounded) by default.
-  DeadlineOptions deadlines;
+  /// Budget of the dial, of every socket stall and of each request end to
+  /// end; 0 (the default) = unbounded.
+  std::chrono::milliseconds io_timeout{0};
 };
 
 class NetClient {
@@ -66,7 +66,7 @@ class NetClient {
   NetClient& operator=(const NetClient&) = delete;
 
   /// Connect to host:port (hostname or numeric address; resolved via
-  /// getaddrinfo, IPv4 preferred), bounded by the connect deadline.  False
+  /// getaddrinfo, IPv4 preferred), bounded by the I/O timeout.  False
   /// with the reason in `error`.  A NetClient connects once; make a new one
   /// to reconnect.
   bool connect(const std::string& host, std::uint16_t port, std::string& error);

@@ -129,7 +129,7 @@ void ServeServer::accept_loop() {
       break;  // listener shut down (drain/stop) or unusable
     }
     if (draining_.load()) continue;  // socket closes immediately: not accepting
-    client.set_deadlines(options_.deadlines);
+    client.set_io_timeout(options_.io_timeout);
     auto conn = std::make_shared<Connection>(std::move(client));
     accepted_.fetch_add(1);
     open_.fetch_add(1);
@@ -302,21 +302,10 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       if (!handle.ok()) {
         resp.head = head_of(req.request_id, handle.status(), handle.message());
       } else {
-        const auto metrics = service_.metrics(handle.value());
+        const auto metrics =
+            serve::model_metrics(service_, registry_, options_.drift_monitor, handle.value());
         resp.head = head_of(req.request_id, metrics.status(), metrics.message());
-        if (metrics.ok()) {
-          resp.metrics = metrics.value();
-          // Refit-economics counters ride the same snapshot: drift from the
-          // monitor (when one is wired), reduction from the registry entry.
-          if (options_.drift_monitor != nullptr) {
-            options_.drift_monitor->annotate(handle.value(), resp.metrics);
-          }
-          const auto [reductions, dropped] = registry_.reduction_counters(handle.value());
-          resp.metrics.reductions = reductions;
-          resp.metrics.reduction_runs_dropped = dropped;
-          resp.metrics.reduction_last_kept =
-              registry_.last_reduction(handle.value()).kept_runs;
-        }
+        if (metrics.ok()) resp.metrics = metrics.value();
       }
       return reply(conn, resp);
     }

@@ -34,6 +34,7 @@
 // answered in the right one.  parse errors are counted in ServerStats.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -85,11 +86,11 @@ struct ServerOptions {
   /// feedback -> error EWMA -> auto-queued reduced refits).  Null = the
   /// report_run path answers kInvalidArgument.  Must outlive the server.
   serve::DriftMonitor* drift_monitor = nullptr;
-  /// Socket stall budgets applied to every accepted connection (read/write;
-  /// connect/request are client-side and ignored here).  An idle client is
-  /// fine — the reader waits for the FIRST byte of a frame without budget —
-  /// but a peer that goes silent mid-frame is cut off after `read`.
-  DeadlineOptions deadlines;
+  /// Stall budget of every read and write on an accepted connection; 0 (the
+  /// default) = wait forever.  An idle client is fine — the reader waits for
+  /// the FIRST byte of a frame without budget — but a peer that goes silent
+  /// mid-frame, or stops draining its responses, is cut off after it.
+  std::chrono::milliseconds io_timeout{0};
 };
 
 /// Monotonic counters; draining flips once and stays.

@@ -72,9 +72,7 @@ void ignore_sigpipe() {
 }
 
 Socket::Socket(Socket&& other) noexcept
-    : fd_(other.fd_),
-      read_timeout_(other.read_timeout_),
-      write_timeout_(other.write_timeout_) {
+    : fd_(other.fd_), io_timeout_(other.io_timeout_) {
   other.fd_ = -1;
 }
 
@@ -82,26 +80,22 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = other.fd_;
-    read_timeout_ = other.read_timeout_;
-    write_timeout_ = other.write_timeout_;
+    io_timeout_ = other.io_timeout_;
     other.fd_ = -1;
   }
   return *this;
 }
 
-void Socket::set_deadlines(const DeadlineOptions& deadlines) {
-  read_timeout_ = deadlines.read;
-  write_timeout_ = deadlines.write;
-}
+void Socket::set_io_timeout(std::chrono::milliseconds timeout) { io_timeout_ = timeout; }
 
 IoStatus Socket::read_exact(void* buf, std::size_t size) const {
   auto* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
   while (got < size) {
-    if (read_timeout_.count() > 0) {
-      // Stall budget: each wait allows read_timeout_ of silence; progress
+    if (io_timeout_.count() > 0) {
+      // Stall budget: each wait allows io_timeout_ of silence; progress
       // below restarts it on the next lap.
-      const IoStatus waited = wait_for(fd_, POLLIN, read_timeout_);
+      const IoStatus waited = wait_for(fd_, POLLIN, io_timeout_);
       if (waited != IoStatus::kOk) return waited;
     }
     const ssize_t n = ::recv(fd_, p + got, size - got, 0);
@@ -134,7 +128,7 @@ IoStatus Socket::write_all(const void* buf, std::size_t size) const {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       const IoStatus waited = wait_for(
           fd_, POLLOUT,
-          write_timeout_.count() > 0 ? write_timeout_ : std::chrono::milliseconds(-1));
+          io_timeout_.count() > 0 ? io_timeout_ : std::chrono::milliseconds(-1));
       if (waited != IoStatus::kOk) return waited;
       continue;
     }

@@ -7,13 +7,12 @@
 // to it.
 //
 // DEADLINES: every blocking primitive is bounded when asked.  A Socket
-// carries read/write STALL budgets (DeadlineOptions): an op times out when
-// the peer makes no progress for that long, and returns the typed
-// IoStatus::kTimeout instead of blocking forever.  The budget resets on
-// progress, so a big frame trickling in steadily never times out, while a
-// peer that goes silent mid-frame does.  All waits are poll-based and
-// EINTR-safe.  A zero budget means "wait forever" — the pre-deadline
-// behavior, still the default.
+// carries one STALL budget (set_io_timeout) for its reads and writes: an op
+// times out when the peer makes no progress for that long, and returns the
+// typed IoStatus::kTimeout instead of blocking forever.  The budget resets
+// on progress, so a big frame trickling in steadily never times out, while
+// a peer that goes silent mid-frame does.  All waits are poll-based and
+// EINTR-safe.  A zero budget means "wait forever", the default.
 //
 // Error contract matches the rest of the net layer: expected network
 // conditions (peer closed, connect refused, deadline elapsed) are return
@@ -36,20 +35,6 @@ enum class IoStatus : std::uint8_t {
 
 const char* to_string(IoStatus status);
 
-/// Time budgets for the blocking ops, plumbed from ServerOptions /
-/// ClientOptions / TransportOptions down to the sockets.  0 = unbounded.
-struct DeadlineOptions {
-  /// Budget for tcp_connect (dial + TCP handshake), per resolved address.
-  std::chrono::milliseconds connect{0};
-  /// Stall budget per read: timeout when NO bytes arrive for this long.
-  std::chrono::milliseconds read{0};
-  /// Stall budget per write: timeout when the send buffer stays full.
-  std::chrono::milliseconds write{0};
-  /// Client-side end-to-end budget per request (send -> response matched).
-  /// Consumed by NetClient, not by the socket itself.
-  std::chrono::milliseconds request{0};
-};
-
 /// Owning socket fd.  Move-only; the destructor closes.  An invalid Socket
 /// holds fd -1.
 class Socket {
@@ -67,8 +52,10 @@ class Socket {
   explicit operator bool() const { return valid(); }
   int fd() const { return fd_; }
 
-  /// Install the read/write stall budgets (DeadlineOptions::read / write).
-  void set_deadlines(const DeadlineOptions& deadlines);
+  /// Install the stall budget of every read and write: a read times out
+  /// when no bytes arrive for this long, a write when the send buffer stays
+  /// full for this long.  0 = wait forever.
+  void set_io_timeout(std::chrono::milliseconds timeout);
 
   /// Read exactly `size` bytes.  kClosed on EOF or error (a clean peer
   /// close mid-frame and a reset look the same to a frame reader: the
@@ -96,8 +83,7 @@ class Socket {
 
  private:
   int fd_ = -1;
-  std::chrono::milliseconds read_timeout_{0};
-  std::chrono::milliseconds write_timeout_{0};
+  std::chrono::milliseconds io_timeout_{0};
 };
 
 /// Wait-forever sentinel for wait_readable.

@@ -117,4 +117,18 @@ std::vector<data::JobRun> DriftMonitor::history(const ModelHandle& handle) const
   return it == states_.end() ? std::vector<data::JobRun>{} : it->second.history;
 }
 
+ServeResult<ServeMetrics> model_metrics(const PredictionService& service,
+                                        const ModelRegistry& registry, const DriftMonitor* drift,
+                                        const ModelHandle& handle) {
+  ServeResult<ServeMetrics> metrics = service.metrics(handle);
+  if (!metrics.ok()) return metrics;
+  ServeMetrics m = metrics.take();
+  if (drift != nullptr) drift->annotate(handle, m);
+  const auto [reductions, dropped] = registry.reduction_counters(handle);
+  m.reductions = reductions;
+  m.reduction_runs_dropped = dropped;
+  m.reduction_last_kept = registry.last_reduction(handle).kept_runs;
+  return m;
+}
+
 }  // namespace bellamy::serve

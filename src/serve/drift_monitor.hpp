@@ -81,7 +81,7 @@ class DriftMonitor {
   DriftStats stats(const ModelHandle& handle) const;
 
   /// Copy drift counters into a ServeMetrics snapshot (leaves every other
-  /// field alone) — the glue between the monitor and the wire metrics.
+  /// field alone).
   void annotate(const ModelHandle& handle, ServeMetrics& metrics) const;
 
   /// The bounded observed-run window a triggered refit would train on.
@@ -103,5 +103,13 @@ class DriftMonitor {
   mutable std::mutex mutex_;
   std::map<std::uint64_t, State> states_;
 };
+
+/// One model's metrics snapshot, as the wire MetricsRequest and a stats
+/// console report it: the service's serving counters, the drift counters of
+/// `drift` (left zero when null) and the registry entry's reduction counters.
+/// Fails as PredictionService::metrics does for an unknown handle.
+ServeResult<ServeMetrics> model_metrics(const PredictionService& service,
+                                        const ModelRegistry& registry, const DriftMonitor* drift,
+                                        const ModelHandle& handle);
 
 }  // namespace bellamy::serve

@@ -16,8 +16,9 @@
 //   double seconds = service.predict(handle, query).unwrap();  // any thread
 //
 // Every operation returns a ServeResult instead of throwing.  The evaluation
-// harness and the resource selector speak the exception-based
-// data::RuntimeModel interface, through core::BellamyPredictor; a refit and
+// harness and the resource selector do not go through this layer: they call
+// the exception-based data::RuntimeModel interface (fit / predict_batch)
+// directly, Bellamy through core::BellamyPredictor; a refit and
 // BellamyPredictor::fit run one reuse recipe (core::reuse_pretrained).  The
 // scheduler (static flush deadline, QoS lanes, cross-handle EDF dispatch,
 // background refits) is documented in docs/ARCHITECTURE.md.
@@ -28,5 +29,4 @@
 #include "serve/drift_monitor.hpp"       // IWYU pragma: export
 #include "serve/model_registry.hpp"      // IWYU pragma: export
 #include "serve/prediction_service.hpp"  // IWYU pragma: export
-#include "serve/runtime_adapter.hpp"     // IWYU pragma: export
 #include "serve/serve_result.hpp"        // IWYU pragma: export

@@ -8,7 +8,7 @@
 // human-readable message, so a service loop can branch on WHY a request
 // failed (retry a kShutdown, drop a kUnknownModel, alert on kStoreError)
 // without string matching.  unwrap() converts back to the exception contract
-// at legacy boundaries (data::RuntimeModel adapters).
+// where a caller wants one (examples, tests).
 
 #include <optional>
 #include <stdexcept>
@@ -85,8 +85,8 @@ class [[nodiscard]] ServeResult {
     return ok() ? *value_ : std::move(fallback);
   }
 
-  /// Legacy boundary: payload on success, std::runtime_error(message)
-  /// otherwise — the contract data::RuntimeModel callers already expect.
+  /// Exception boundary: payload on success, std::runtime_error(message)
+  /// otherwise.
   T unwrap() {
     if (!ok()) throw std::runtime_error(error_text());
     return std::move(*value_);

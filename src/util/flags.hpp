@@ -1,14 +1,15 @@
 #pragma once
-// Checked integer flags for the apps.  A value a program cannot honour is
-// refused with a message naming the flag, never replaced: `--workers=abc`
-// must not quietly run one worker, nor `--deadline-us=-5` one microsecond.
+// Checked integer flags for the command-line programs (apps/ and bench/).  A
+// value a program cannot honour is refused with a message naming the flag,
+// never replaced: `--workers=abc` must not quietly run one worker, nor
+// `--threads=0` one thread.
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-namespace bellamy::apps {
+namespace bellamy::util {
 
 /// `text` as a base-10 integer in [lo, hi]; false when it is not one (empty,
 /// trailing characters, out of range).
@@ -38,4 +39,4 @@ bool int_flag(const char* arg, const char* name, long long lo, long long hi, T& 
   return true;
 }
 
-}  // namespace bellamy::apps
+}  // namespace bellamy::util

@@ -71,7 +71,7 @@ TEST(BellModel, SelectsParametricOnErnestShapedData) {
   BellModel m;
   m.fit(runs);
   EXPECT_EQ(m.selected(), "parametric");
-  EXPECT_NEAR(m.predict(run_at(6, 0.0)),
+  EXPECT_NEAR(m.predict_batch({run_at(6, 0.0)})[0],
               20.0 + 100.0 + 3.0 * std::log(6.0) + 6.0, 5.0);
 }
 
@@ -88,7 +88,7 @@ TEST(BellModel, SelectsNonParametricOnDenseIrregularData) {
   m.fit(runs);
   EXPECT_EQ(m.selected(), "non-parametric");
   // Knot means: x=10 -> 100.5, x=12 -> 70.5; interpolation at 11 -> 85.5.
-  EXPECT_NEAR(m.predict(run_at(11, 0.0)), 85.5, 5.0);
+  EXPECT_NEAR(m.predict_batch({run_at(11, 0.0)})[0], 85.5, 5.0);
 }
 
 TEST(BellModel, PredictionsFollowSelectedModel) {
@@ -98,13 +98,8 @@ TEST(BellModel, PredictionsFollowSelectedModel) {
   m.fit(runs);
   // Whatever was selected, in-sample predictions stay near the data.
   for (const auto& r : runs) {
-    EXPECT_NEAR(m.predict(r), r.runtime_s, 20.0);
+    EXPECT_NEAR(m.predict_batch({r})[0], r.runtime_s, 20.0);
   }
-}
-
-TEST(BellModel, NameIsBell) {
-  BellModel m;
-  EXPECT_EQ(m.name(), "Bell");
 }
 
 TEST(BellModel, HandlesRepeatedScaleOutsInCv) {
@@ -114,7 +109,7 @@ TEST(BellModel, HandlesRepeatedScaleOutsInCv) {
                                  run_at(6, 52.0),  run_at(10, 40.0), run_at(10, 41.0)};
   BellModel m;
   EXPECT_NO_THROW(m.fit(runs));
-  EXPECT_GT(m.predict(run_at(4, 0.0)), 0.0);
+  EXPECT_GT(m.predict_batch({run_at(4, 0.0)})[0], 0.0);
 }
 
 }  // namespace

@@ -195,8 +195,7 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
   serve::PredictionService service(registry, serve_options);
 
   net::ServerOptions server_options;
-  server_options.deadlines.read = milliseconds(500);
-  server_options.deadlines.write = milliseconds(500);
+  server_options.io_timeout = milliseconds(500);
   net::ServeServer server(registry, service, server_options);
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
@@ -216,8 +215,7 @@ TEST(ChaosSoak, SocketFaultsEveryRequestResolvesExactlyOnceAndHealsClean) {
   for (int x = 1; x <= 30; ++x) want[static_cast<std::size_t>(x)] = model.predict_one(query(x));
 
   net::ClientOptions client_options;
-  client_options.deadlines.connect = milliseconds(2000);
-  client_options.deadlines.request = milliseconds(500);
+  client_options.io_timeout = milliseconds(500);
 
   constexpr int kClients = 3;
   constexpr int kRequests = 60;

@@ -1,7 +1,7 @@
 // The batched prediction engine's contract: predict_batch must equal the
-// per-sample predict loop (to 1e-9) for every RuntimeModel — Bellamy, Ernest
-// and Bell — including the B=0 and B=1 edges, and threaded split evaluation
-// must be bit-identical to the serial reference path.
+// per-sample loop (to 1e-9) for every RuntimeModel — Bellamy, Ernest and
+// Bell — including the B=0 and B=1 edges, and threaded split evaluation must
+// be bit-identical to the serial reference path.
 
 #include <gtest/gtest.h>
 
@@ -48,12 +48,14 @@ BellamyModel quick_pretrained(const data::Dataset& corpus, std::uint64_t seed) {
   return model;
 }
 
+/// `scalar_of(query)` is the model's per-sample answer to one query.
+template <typename Scalar>
 void expect_batch_matches_loop(data::RuntimeModel& model,
-                               const std::vector<data::JobRun>& queries) {
+                               const std::vector<data::JobRun>& queries, Scalar scalar_of) {
   const auto batched = model.predict_batch(queries);
   ASSERT_EQ(batched.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const double scalar = model.predict(queries[i]);
+    const double scalar = scalar_of(queries[i]);
     EXPECT_TRUE(std::isfinite(batched[i]));
     EXPECT_NEAR(batched[i], scalar, 1e-9) << "query " << i;
   }
@@ -64,7 +66,8 @@ TEST(BatchPredict, BellamyMatchesPerSampleLoop) {
   const BellamyModel pretrained = quick_pretrained(fx.rest, 3);
   BellamyPredictor pred(pretrained, quick_finetune());
   pred.fit({fx.target_runs.begin(), fx.target_runs.begin() + 4});
-  expect_batch_matches_loop(pred, fx.target_runs);
+  expect_batch_matches_loop(pred, fx.target_runs,
+                            [&](const data::JobRun& q) { return pred.model().predict_one(q); });
 }
 
 TEST(BatchPredict, BellamyModelDirectBatch) {
@@ -81,14 +84,17 @@ TEST(BatchPredict, ErnestMatchesPerSampleLoop) {
   Fixture fx;
   baselines::ErnestModel model;
   model.fit(fx.target_runs);
-  expect_batch_matches_loop(model, fx.target_runs);
+  expect_batch_matches_loop(model, fx.target_runs, [&](const data::JobRun& q) {
+    return model.predict_scaleout(static_cast<double>(q.scale_out));
+  });
 }
 
 TEST(BatchPredict, BellMatchesPerSampleLoop) {
   Fixture fx;
   baselines::BellModel model;
   model.fit(fx.target_runs);
-  expect_batch_matches_loop(model, fx.target_runs);
+  expect_batch_matches_loop(model, fx.target_runs,
+                            [&](const data::JobRun& q) { return model.predict_batch({q})[0]; });
 }
 
 TEST(BatchPredict, EmptyBatchYieldsEmptyVector) {
@@ -116,7 +122,7 @@ TEST(BatchPredict, SingleElementBatchMatchesScalar) {
   const std::vector<data::JobRun> one{fx.target_runs[0]};
   const auto batched = pred.predict_batch(one);
   ASSERT_EQ(batched.size(), 1u);
-  EXPECT_NEAR(batched[0], pred.predict(fx.target_runs[0]), 1e-9);
+  EXPECT_NEAR(batched[0], pred.model().predict_one(fx.target_runs[0]), 1e-9);
 }
 
 // ---- chunked large-batch prediction ----------------------------------------

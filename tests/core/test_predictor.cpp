@@ -44,7 +44,7 @@ TEST(BellamyPredictor, LocalFitAndPredict) {
   BellamyPredictor pred(BellamyConfig{}, quick_finetune(), 1);
   EXPECT_EQ(pred.min_training_points(), 1u);
   pred.fit({fx.target_runs.begin(), fx.target_runs.begin() + 4});
-  const double p = pred.predict(fx.target_runs[5]);
+  const double p = pred.model().predict_one(fx.target_runs[5]);
   EXPECT_TRUE(std::isfinite(p));
   EXPECT_GT(pred.last_fit().epochs_run, 0u);
 }
@@ -58,7 +58,6 @@ TEST(BellamyPredictor, LocalPredictBeforeFitThrows) {
   BellamyPredictor pred(BellamyConfig{}, quick_finetune(), 3);
   data::JobRun q;
   q.scale_out = 4;
-  EXPECT_THROW(pred.predict(q), std::runtime_error);
   EXPECT_THROW(pred.predict_batch({q}), std::runtime_error);
 }
 
@@ -73,7 +72,7 @@ TEST(BellamyPredictor, PretrainedAcceptsZeroPoints) {
     BellamyPredictor pred(pretrained, quick_finetune(), strategy);
     EXPECT_EQ(pred.min_training_points(), 0u);
     pred.fit({});  // direct reuse, no fine-tuning
-    const double p = pred.predict(fx.target_runs[0]);
+    const double p = pred.model().predict_one(fx.target_runs[0]);
     EXPECT_TRUE(std::isfinite(p));
     EXPECT_EQ(pred.last_fit().epochs_run, 0u);
     EXPECT_EQ(p, pretrained.predict_one(fx.target_runs[0]));
@@ -96,8 +95,8 @@ TEST(BellamyPredictor, RepeatedFitsAreIndependent) {
   BellamyPredictor direct(pretrained, quick_finetune());
   direct.fit(split_b);
 
-  const double pa = chained.predict(fx.target_runs[10]);
-  const double pb = direct.predict(fx.target_runs[10]);
+  const double pa = chained.model().predict_one(fx.target_runs[10]);
+  const double pb = direct.model().predict_one(fx.target_runs[10]);
   EXPECT_DOUBLE_EQ(pa, pb);
 }
 
@@ -108,7 +107,8 @@ TEST(BellamyPredictor, LocalRefitsAreDeterministic) {
   BellamyPredictor b(BellamyConfig{}, quick_finetune(), 42);
   a.fit(split);
   b.fit(split);
-  EXPECT_DOUBLE_EQ(a.predict(fx.target_runs[8]), b.predict(fx.target_runs[8]));
+  EXPECT_DOUBLE_EQ(a.model().predict_one(fx.target_runs[8]),
+                   b.model().predict_one(fx.target_runs[8]));
 }
 
 TEST(BellamyPredictor, StrategiesProduceDifferentModels) {
@@ -121,29 +121,20 @@ TEST(BellamyPredictor, StrategiesProduceDifferentModels) {
   keep.fit(split);
   reset.fit(split);
   // Full reset relearns f/z from scratch — almost surely a different model.
-  EXPECT_NE(keep.predict(fx.target_runs[9]), reset.predict(fx.target_runs[9]));
-}
-
-TEST(BellamyPredictor, NamesArePropagated) {
-  Fixture fx;
-  BellamyPredictor local(BellamyConfig{}, quick_finetune(), 7, "Bellamy (local)");
-  EXPECT_EQ(local.name(), "Bellamy (local)");
-  const BellamyModel pretrained = quick_pretrained(fx.rest, 8);
-  BellamyPredictor full(pretrained, quick_finetune(), ReuseStrategy::kPartialUnfreeze,
-                        "Bellamy (full)");
-  EXPECT_EQ(full.name(), "Bellamy (full)");
+  EXPECT_NE(keep.model().predict_one(fx.target_runs[9]),
+            reset.model().predict_one(fx.target_runs[9]));
 }
 
 TEST(BellamyPredictor, ModelAccessorThrowsBeforeFit) {
   // Regression: before the fit, the optional holding the model is empty —
   // the accessor must throw a descriptive runtime_error, not dereference it.
-  BellamyPredictor pred(BellamyConfig{}, quick_finetune(), 9, "Bellamy (unfitted)");
+  BellamyPredictor pred(BellamyConfig{}, quick_finetune(), 9);
   try {
     pred.model();
     FAIL() << "model() on an unfitted predictor must throw";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("Bellamy (unfitted)"), std::string::npos) << what;
+    EXPECT_NE(what.find("BellamyPredictor::model"), std::string::npos) << what;
     EXPECT_NE(what.find("fit()"), std::string::npos) << what;
   }
 }

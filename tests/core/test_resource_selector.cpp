@@ -13,12 +13,15 @@ namespace {
 class FakeModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>&) override {}
-  double predict(const data::JobRun& q) override {
-    const double x = q.scale_out;
-    return 600.0 / x + 10.0 * x;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override {
+    std::vector<double> out;
+    for (const data::JobRun& q : queries) {
+      const double x = q.scale_out;
+      out.push_back(600.0 / x + 10.0 * x);
+    }
+    return out;
   }
   std::size_t min_training_points() const override { return 0; }
-  std::string name() const override { return "fake"; }
 };
 
 data::JobRun context_template() {

@@ -15,9 +15,6 @@ data::Dataset corpus() {
 }
 
 TEST(Variants, Names) {
-  EXPECT_STREQ(scenario_name(PretrainScenario::kLocal), "local");
-  EXPECT_STREQ(scenario_name(PretrainScenario::kFiltered), "filtered");
-  EXPECT_STREQ(scenario_name(PretrainScenario::kFull), "full");
   EXPECT_STREQ(strategy_name(ReuseStrategy::kPartialUnfreeze), "partial-unfreeze");
   EXPECT_STREQ(strategy_name(ReuseStrategy::kFullUnfreeze), "full-unfreeze");
   EXPECT_STREQ(strategy_name(ReuseStrategy::kPartialReset), "partial-reset");
@@ -59,33 +56,39 @@ TEST(PretrainingCorpus, FilteredIsSubsetOfFull) {
   }
 }
 
-TEST(MakeScenarioModel, LocalIsUntrained) {
+// Step one of the cross-context experiment: pre-train on the scenario's
+// corpus, or keep the fresh model when that corpus is empty.
+
+TEST(ScenarioPretraining, LocalIsUntrained) {
   const auto ds = corpus();
   const auto target = ds.runs().front();
-  BellamyModel model = make_scenario_model(PretrainScenario::kLocal, ds, target,
-                                           BellamyConfig{}, PreTrainConfig{}, 1);
+  BellamyModel model(BellamyConfig{}, 1);
+  const auto local = pretraining_corpus(PretrainScenario::kLocal, ds, target);
+  if (!local.empty()) pretrain(model, local.runs(), PreTrainConfig{});
   EXPECT_FALSE(model.normalization_fitted());
 }
 
-TEST(MakeScenarioModel, FullIsPretrained) {
+TEST(ScenarioPretraining, FullIsPretrained) {
   const auto ds = corpus();
   const auto target = ds.runs().front();
   PreTrainConfig pre;
   pre.epochs = 30;
-  BellamyModel model =
-      make_scenario_model(PretrainScenario::kFull, ds, target, BellamyConfig{}, pre, 2);
+  BellamyModel model(BellamyConfig{}, 2);
+  const auto full = pretraining_corpus(PretrainScenario::kFull, ds, target);
+  if (!full.empty()) pretrain(model, full.runs(), pre);
   EXPECT_TRUE(model.normalization_fitted());
 }
 
-TEST(MakeScenarioModel, EmptyFilteredCorpusFallsBackToLocal) {
+TEST(ScenarioPretraining, EmptyFilteredCorpusFallsBackToLocal) {
   // A dataset with only the target context: filtered corpus is empty.
   const auto ds = corpus();
   const auto target = ds.runs().front();
   const auto only_target = ds.filter_context(target.context_key());
   PreTrainConfig pre;
   pre.epochs = 10;
-  BellamyModel model = make_scenario_model(PretrainScenario::kFiltered, only_target, target,
-                                           BellamyConfig{}, pre, 3);
+  BellamyModel model(BellamyConfig{}, 3);
+  const auto filtered = pretraining_corpus(PretrainScenario::kFiltered, only_target, target);
+  if (!filtered.empty()) pretrain(model, filtered.runs(), pre);
   EXPECT_FALSE(model.normalization_fitted());
 }
 

@@ -208,8 +208,7 @@ TEST(CircuitBreakerRecovery, OpenReturnsTypedTimeoutAgainstASilentPeer) {
   Node a(options);
 
   TransportOptions transport_options;
-  transport_options.deadlines.connect = milliseconds(2000);
-  transport_options.deadlines.request = milliseconds(500);
+  transport_options.io_timeout = milliseconds(500);
   transport_options.retry.max_attempts = 1;  // single-shot: measure ONE deadline
   a.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", port, transport_options));
 

@@ -180,7 +180,7 @@ TEST(EndToEnd, NnlsBaselineSanityOnGeneratedData) {
     baselines::ErnestModel model;
     model.fit(group.runs);
     eval::ErrorAccumulator acc;
-    for (const auto& r : group.runs) acc.add(model.predict(r), r.runtime_s);
+    for (const auto& r : group.runs) acc.add(model.predict_batch({r})[0], r.runtime_s);
     EXPECT_LT(acc.stats().mre, 0.25) << group.key;
   }
 }

@@ -105,8 +105,7 @@ TEST(Deadline, SilentPeerCostsTypedTimeoutWithinTwiceTheBudget) {
   SilentPeer peer;
 
   ClientOptions options;
-  options.deadlines.connect = milliseconds(2000);
-  options.deadlines.request = milliseconds(500);
+  options.io_timeout = milliseconds(500);
   NetClient client(options);
   std::string error;
   ASSERT_TRUE(client.connect("127.0.0.1", peer.port, error)) << error;
@@ -129,7 +128,7 @@ TEST(Deadline, PipelinedRequestsAllTimeOutIndependently) {
   SilentPeer peer;
 
   ClientOptions options;
-  options.deadlines.request = milliseconds(300);
+  options.io_timeout = milliseconds(300);
   NetClient client(options);
   std::string error;
   ASSERT_TRUE(client.connect("127.0.0.1", peer.port, error)) << error;
@@ -172,9 +171,7 @@ TEST(Deadline, ReadStallBudgetReturnsTimeout) {
   Socket sock = tcp_connect("127.0.0.1", peer.port, milliseconds(2000), error);
   ASSERT_TRUE(sock) << error;
 
-  DeadlineOptions deadlines;
-  deadlines.read = milliseconds(150);
-  sock.set_deadlines(deadlines);
+  sock.set_io_timeout(milliseconds(150));
 
   std::uint8_t byte = 0;
   const auto t0 = steady_clock::now();
@@ -191,9 +188,7 @@ TEST(Deadline, WriteStallBudgetReturnsTimeoutWhenThePeerNeverReads) {
   Socket sock = tcp_connect("127.0.0.1", peer.port, milliseconds(2000), error);
   ASSERT_TRUE(sock) << error;
 
-  DeadlineOptions deadlines;
-  deadlines.write = milliseconds(150);
-  sock.set_deadlines(deadlines);
+  sock.set_io_timeout(milliseconds(150));
 
   // Far more than loopback buffering absorbs: the send buffer fills, the
   // peer never drains it, and the stall budget fires.

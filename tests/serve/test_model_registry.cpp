@@ -139,7 +139,7 @@ TEST(ModelRegistry, RefitMatchesTheLegacyPredictorBitExactly) {
     for (std::size_t i = 4; i < 8; ++i) {
       const auto served = service.predict(handle, fx.target_runs[i]);
       ASSERT_TRUE(served.ok()) << served.error_text();
-      EXPECT_EQ(served.value(), legacy.predict(fx.target_runs[i]));
+      EXPECT_EQ(served.value(), legacy.model().predict_one(fx.target_runs[i]));
     }
   }
 }
@@ -183,7 +183,7 @@ TEST(ModelRegistry, RefitAsyncMatchesTheBlockingRefitBitExactly) {
   for (std::size_t i = 4; i < 8; ++i) {
     const auto served = service.predict(handle, fx.target_runs[i]);
     ASSERT_TRUE(served.ok()) << served.error_text();
-    EXPECT_EQ(served.value(), legacy.predict(fx.target_runs[i]));
+    EXPECT_EQ(served.value(), legacy.model().predict_one(fx.target_runs[i]));
   }
 }
 
@@ -223,8 +223,8 @@ TEST(ModelRegistry, RefitAsyncCoalescesWhileQueuedAndServesTheLatestPayload) {
   PredictionService service(registry);
   const data::JobRun probe = fx.target_runs[5];
   const double served = service.predict(handle, probe).unwrap();
-  EXPECT_EQ(served, on_latest.predict(probe));
-  EXPECT_NE(served, on_first.predict(probe));
+  EXPECT_EQ(served, on_latest.model().predict_one(probe));
+  EXPECT_NE(served, on_first.model().predict_one(probe));
 }
 
 // Regression: erasing a handle (or tearing the registry down) while its
