@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
                  skewed);
 
     // Phase 3 — the background refit must LAND.  drift_refits increments at
-    // queue time; the reduction counter only moves once the refit strand has
+    // queue time; the reduction counter only moves once the refit drain task has
     // actually reduced the window and swapped, so THAT is what we poll (the
     // smoke therefore requires a serverd running with --refit-budget).
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);

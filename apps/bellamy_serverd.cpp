@@ -4,9 +4,9 @@
 //                                [--max-batch=N] [--deadline-us=N]
 //                                [--max-queue=N]
 //                                [--peer=HOST:PORT]... [--sync-ms=N]
-//                                [--io-timeout-ms=N] [--peer-retries=N]
-//                                [--auto-persist] [--refit-budget=N]
-//                                [--refit-policy=NAME] [--drift-threshold=X]
+//                                [--io-timeout-ms=N] [--auto-persist]
+//                                [--refit-budget=N] [--refit-policy=NAME]
+//                                [--drift-threshold=X]
 //
 // Wires ModelStore -> ModelRegistry -> PredictionService -> net::ServeServer
 // and serves until drained (wire DrainRequest or console `drain`).  With
@@ -29,10 +29,10 @@
 //
 // --io-timeout-ms bounds every socket stall (server reads/writes AND peer
 // dials/calls): a peer or client that goes silent mid-frame costs a typed
-// timeout, never a hung thread.  0 (the default) = wait forever.
-// --peer-retries is the per-call retry budget against peers (redial +
-// exponential backoff); per-peer circuit breakers stop the sync loop from
-// hammering a dead node regardless.
+// timeout, never a hung thread.  0 (the default) = wait forever.  Peer
+// calls are single-shot: a failed one is retried by the next sync round,
+// and per-peer circuit breakers stop the sync loop from hammering a dead
+// node.
 //
 // stdin is an admin console (type `help`); EOF on stdin keeps serving — the
 // daemon can run detached with stdin closed.  Exit code 0 after a graceful
@@ -226,11 +226,10 @@ void console_loop(net::ServeServer& server, serve::ModelRegistry& registry,
       for (const exchange::PeerStats& p : x.peers) {
         std::fprintf(stderr,
                      "  peer %s: breaker %s  ok %llu  fail %llu  skip %llu  trips %llu  "
-                     "probes %llu  retries %llu\n",
+                     "probes %llu\n",
                      p.name.c_str(), p.breaker_state, (unsigned long long)p.successes,
                      (unsigned long long)p.failures, (unsigned long long)p.skips,
-                     (unsigned long long)p.trips, (unsigned long long)p.probes,
-                     (unsigned long long)p.retries);
+                     (unsigned long long)p.trips, (unsigned long long)p.probes);
       }
     } else if (cmd == "drain") {
       std::fprintf(stderr, "draining...\n");
@@ -254,7 +253,6 @@ int main(int argc, char** argv) {
   exchange::ExchangeOptions exchange_options;
   bool auto_persist = false;
   std::chrono::milliseconds io_timeout{0};
-  int peer_retries = 2;
   reduce::ReductionConfig reduction;
   reduction.policy = reduce::ReductionPolicy::kCoverage;  // used iff a budget is set
   serve::DriftOptions drift_options;
@@ -268,7 +266,6 @@ int main(int argc, char** argv) {
         util::int_flag(arg, "--deadline-us", 0, 3'600'000'000LL, options.flush_deadline) ||
         util::int_flag(arg, "--sync-ms", 1, 86'400'000, exchange_options.sync_interval) ||
         util::int_flag(arg, "--io-timeout-ms", 0, 86'400'000, io_timeout) ||
-        util::int_flag(arg, "--peer-retries", 0, 100, peer_retries) ||
         util::int_flag(arg, "--refit-budget", 0, 1'000'000, reduction.budget)) {
       continue;
     }
@@ -309,8 +306,8 @@ int main(int argc, char** argv) {
                    "usage: %s [--port=N] [--store=DIR] [--workers=N] [--max-batch=N]\n"
                    "          [--deadline-us=N] [--max-queue=N]\n"
                    "          [--peer=HOST:PORT]... [--sync-ms=N] [--io-timeout-ms=N]\n"
-                   "          [--peer-retries=N] [--auto-persist] [--refit-budget=N]\n"
-                   "          [--refit-policy=NAME] [--drift-threshold=X]\n",
+                   "          [--auto-persist] [--refit-budget=N] [--refit-policy=NAME]\n"
+                   "          [--drift-threshold=X]\n",
                    argv[0]);
       return 2;
     }
@@ -352,7 +349,6 @@ int main(int argc, char** argv) {
   exchange::ExchangeRegistry exchange_node(registry, exchange_options);
   exchange::TransportOptions transport_options;
   transport_options.io_timeout = io_timeout;
-  transport_options.retry.max_attempts = 1 + peer_retries;
   for (const auto& [host, peer_port] : peers) {
     exchange_node.add_peer(
         std::make_shared<exchange::TcpTransport>(host, peer_port, transport_options));

@@ -17,12 +17,15 @@
 #             gets the models published; node B (PORT_B, peered at A via a
 #             HOSTNAME, which exercises the getaddrinfo client path) must
 #             serve the same jobs bit-identically WITHOUT any publish of its
-#             own.  Then node B is kill -9'd mid-mesh (A's deadlines,
-#             retries and breaker absorb the dead peer) and a RESTARTED B
-#             must re-converge from an empty registry.  Which path each leg
+#             own, then drains normally (so a coverage build writes its
+#             counts).  A second B is started and kill -9'd mid-mesh: A has
+#             no --peer, so nothing on A dials B, and A must keep serving
+#             its own clients through the crash.  A RESTARTED B must then
+#             re-converge from an empty registry.  Which path each leg
 #             exercises:
 #               * first B leg   ANTI-ENTROPY: B syncs every 200 ms, so its
 #                 models are installed before loadgen asks for them;
+#               * second B      CRASH: kill -9 while it syncs against A;
 #               * restarted B   PULL-ON-MISS: B's sync period is longer than
 #                 the job, so every model arrives through open_on_miss
 #                 while loadgen's requests wait on it;
@@ -58,7 +61,7 @@ case "$leg" in
   two-node)
     port_a="$3"
     port_b="${4:?two-node needs PORT_A and PORT_B}"
-    io=(--io-timeout-ms=2000 --peer-retries=2)
+    io=(--io-timeout-ms=2000)
     "$serverd" --port="$port_a" --workers=2 "${io[@]}" \
       --drift-threshold=0.5 --refit-budget=4 --refit-policy=coverage < /dev/null &
     node_a=$!
@@ -71,8 +74,14 @@ case "$leg" in
       --requests=128 --clients=2 --probes=50
     timeout 300 "$loadgen" --host=localhost --port="$port_b" \
       --no-publish --requests=128 --clients=2 --probes=50
-    # Crash node B outright; node A must keep serving while its peer is a
-    # connection-refused hole in the mesh.
+    timeout 60 "$loadgen" --port="$port_b" --drain-only
+    timeout 30 tail --pid="$node_b" -f /dev/null
+    # Start a second B and crash it outright; node A must keep serving while
+    # its former peer is a connection-refused hole in the mesh.
+    "$serverd" --port="$port_b" --workers=2 \
+      --peer=localhost:"$port_a" --sync-ms=200 "${io[@]}" < /dev/null &
+    node_b=$!
+    sleep 1
     kill -9 "$node_b"
     wait "$node_b" 2>/dev/null || true
     timeout 300 "$loadgen" --port="$port_a" \

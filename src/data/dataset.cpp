@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "util/rng.hpp"
@@ -65,10 +66,6 @@ std::vector<ContextGroup> Dataset::contexts() const {
   return out;
 }
 
-Dataset Dataset::filter_context(const std::string& context_key) const {
-  return filter([&](const JobRun& r) { return r.context_key() == context_key; });
-}
-
 Dataset Dataset::exclude_context(const std::string& context_key) const {
   return filter([&](const JobRun& r) { return r.context_key() != context_key; });
 }
@@ -86,12 +83,6 @@ Dataset Dataset::filter_dissimilar(const JobRun& reference) const {
   });
 }
 
-std::size_t Dataset::num_unique_experiments() const {
-  std::set<std::pair<std::string, int>> cells;
-  for (const auto& r : runs_) cells.emplace(r.context_key(), r.scale_out);
-  return cells.size();
-}
-
 Dataset Dataset::sample(std::size_t n, util::Rng& rng) const {
   if (n >= runs_.size()) return *this;
   const auto idx = rng.sample_without_replacement(runs_.size(), n);
@@ -99,18 +90,6 @@ Dataset Dataset::sample(std::size_t n, util::Rng& rng) const {
   out.reserve(n);
   for (std::size_t i : idx) out.push_back(runs_[i]);
   return Dataset(std::move(out));
-}
-
-std::map<int, double> Dataset::mean_runtime_by_scaleout() const {
-  std::map<int, std::pair<double, std::size_t>> acc;
-  for (const auto& r : runs_) {
-    auto& [sum, n] = acc[r.scale_out];
-    sum += r.runtime_s;
-    ++n;
-  }
-  std::map<int, double> out;
-  for (const auto& [x, sn] : acc) out[x] = sn.first / static_cast<double>(sn.second);
-  return out;
 }
 
 }  // namespace bellamy::data

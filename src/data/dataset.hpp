@@ -4,7 +4,6 @@
 // the "filtered" pre-training selection of §IV-C.1 (keep only contexts that
 // are as different as possible from a reference context).
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -59,8 +58,6 @@ class Dataset {
   std::vector<ContextGroup> contexts() const;
   std::size_t num_contexts() const { return contexts().size(); }
 
-  /// Runs from exactly one context.
-  Dataset filter_context(const std::string& context_key) const;
   /// Every run except the given context.
   Dataset exclude_context(const std::string& context_key) const;
 
@@ -69,14 +66,8 @@ class Dataset {
   /// differ from `reference`, and the dataset size differs by >= 20 %.
   Dataset filter_dissimilar(const JobRun& reference) const;
 
-  /// Number of unique (context, scale-out) experiment cells.
-  std::size_t num_unique_experiments() const;
-
   /// Random subset of n runs (all runs if n >= size), in random order.
   Dataset sample(std::size_t n, util::Rng& rng) const;
-
-  /// Mean runtime per scale-out across all runs (for Fig. 2-style summaries).
-  std::map<int, double> mean_runtime_by_scaleout() const;
 
  private:
   std::vector<JobRun> runs_;

@@ -1,6 +1,7 @@
 #include "exchange/exchange_registry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -12,9 +13,10 @@ namespace bellamy::exchange {
 
 ExchangeRegistry::ExchangeRegistry(serve::ModelRegistry& registry, ExchangeOptions options)
     : registry_(registry), options_(options) {
-  // The advertise fast path.  Posting only: the observer may run under
+  sync_thread_ = std::thread([this] { sync_loop(); });
+  // The advertise fast path.  Flagging only: the observer may run under
   // install_remote's catalog hold, so it must never take mutex_ itself.
-  if (options_.advertise_on_update) registry_.set_on_change([this] { post_advertise(); });
+  if (options_.advertise_on_update) registry_.set_on_change([this] { schedule_advertise(); });
 }
 
 ExchangeRegistry::~ExchangeRegistry() { stop(); }
@@ -268,7 +270,6 @@ serve::ServeResult<serve::ModelHandle> ExchangeRegistry::install_remote(
 }
 
 void ExchangeRegistry::sync_once() {
-  sync_rounds_.fetch_add(1);
   for (const auto& peer : peers_snapshot()) {
     auto digest = guarded(*peer, [&] { return peer->transport->digest(); });
     if (!digest.ok()) continue;  // unreachable / circuit open: next round retries
@@ -299,56 +300,88 @@ void ExchangeRegistry::sync_once() {
   }
 }
 
-void ExchangeRegistry::schedule_sync() {
-  if (!sync_queued_.exchange(true)) {
-    sync_strand_.post([this] {
-      sync_queued_.store(false);
-      sync_once();
-    });
+void ExchangeRegistry::advertise_once() {
+  const std::vector<DigestEntry> entries = digest_entries();
+  for (const auto& peer : peers_snapshot()) {
+    // Best-effort; digests catch stragglers, open circuits are skipped.
+    (void)guarded(*peer, [&] { return peer->transport->advertise(entries); });
   }
 }
 
-void ExchangeRegistry::post_advertise() {
-  sync_strand_.post([this] {
-    const std::vector<DigestEntry> entries = digest_entries();
-    for (const auto& peer : peers_snapshot()) {
-      // Best-effort; digests catch stragglers, open circuits are skipped.
-      (void)guarded(*peer, [&] { return peer->transport->advertise(entries); });
+// Both notify under the lock: they run on other threads (server readers, a
+// peer's sync thread through an in-process transport, the registry's
+// observer), and once such a caller lets go of the lock, stop() may finish
+// and the node, its condition variable included, may be destroyed.
+void ExchangeRegistry::schedule_sync() {
+  std::lock_guard<std::mutex> lock(sync_mutex_);
+  round_requested_ = true;
+  sync_cv_.notify_all();
+}
+
+void ExchangeRegistry::schedule_advertise() {
+  std::lock_guard<std::mutex> lock(sync_mutex_);
+  advertise_requested_ = true;
+  sync_cv_.notify_all();
+}
+
+void ExchangeRegistry::sync_loop() {
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  while (!stopping_) {
+    if (advertise_requested_) {
+      advertise_requested_ = false;
+      lock.unlock();
+      advertise_once();
+      lock.lock();
+      continue;
     }
-  });
+    const auto now = std::chrono::steady_clock::now();
+    if (round_requested_ || (periodic_ && now >= next_tick_)) {
+      round_requested_ = false;
+      if (periodic_) next_tick_ = now + options_.sync_interval;
+      ++rounds_begun_;
+      lock.unlock();
+      sync_once();
+      lock.lock();
+      ++rounds_done_;
+      sync_cv_.notify_all();  // sync_now() callers
+      continue;
+    }
+    if (periodic_) {
+      sync_cv_.wait_until(lock, next_tick_);
+    } else {
+      sync_cv_.wait(lock);
+    }
+  }
 }
 
 void ExchangeRegistry::start_sync() {
-  std::lock_guard<std::mutex> lock(timer_mutex_);
-  if (timer_running_ || stopping_) return;
-  timer_running_ = true;
-  timer_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(timer_mutex_);
-    while (!stopping_) {
-      if (timer_cv_.wait_for(lock, options_.sync_interval, [this] { return stopping_; })) {
-        break;
-      }
-      schedule_sync();
-    }
-  });
+  {
+    std::lock_guard<std::mutex> lock(sync_mutex_);
+    if (periodic_) return;
+    periodic_ = true;
+    next_tick_ = std::chrono::steady_clock::now() + options_.sync_interval;
+  }
+  sync_cv_.notify_all();
 }
 
 void ExchangeRegistry::sync_now() {
-  sync_strand_.post([this] { sync_once(); });
-  sync_strand_.wait_idle();
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  const std::uint64_t round = rounds_begun_ + 1;  // the next round to begin
+  round_requested_ = true;
+  sync_cv_.notify_all();
+  sync_cv_.wait(lock, [&] { return stopping_ || rounds_done_ >= round; });
 }
 
 void ExchangeRegistry::stop() {
-  // Returns once no observer call is in flight: nothing posts onto the sync
-  // strand after this, so the drain below is final.
+  // Returns once no observer call is in flight: nothing flags the sync
+  // thread after this.
   if (options_.advertise_on_update) registry_.set_on_change(nullptr);
   {
-    std::lock_guard<std::mutex> lock(timer_mutex_);
+    std::lock_guard<std::mutex> lock(sync_mutex_);
     stopping_ = true;
   }
-  timer_cv_.notify_all();
-  if (timer_.joinable()) timer_.join();
-  sync_strand_.wait_idle();
+  sync_cv_.notify_all();
+  if (sync_thread_.joinable()) sync_thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +407,10 @@ ExchangeStats ExchangeRegistry::stats() {
   s.pulls_served = pulls_served_.load();
   s.pulls_completed = pulls_completed_.load();
   s.warm_starts = warm_starts_.load();
-  s.sync_rounds = sync_rounds_.load();
+  {
+    std::lock_guard<std::mutex> lock(sync_mutex_);
+    s.sync_rounds = rounds_begun_;
+  }
   s.conflicts_skipped = conflicts_skipped_.load();
   s.breaker_skips = breaker_skips_.load();
   s.peer_failures = peer_failures_.load();
@@ -388,7 +424,6 @@ ExchangeStats ExchangeRegistry::stats() {
     const auto counters = peer->breaker.counters();
     p.trips = counters.trips;
     p.probes = counters.probes;
-    p.retries = peer->transport->retries();
     s.peers.push_back(std::move(p));
   }
   std::lock_guard<std::mutex> lock(mutex_);

@@ -32,11 +32,13 @@
 // console, from the drift monitor or from an in-process caller of the
 // registry.
 //
-// ANTI-ENTROPY: start_sync() runs a periodic digest-compare-pull round
-// against every peer on a dedicated parallel::Strand — a timer thread only
-// POSTS rounds, the strand runs them, so sync work never blocks a caller
-// and never overlaps itself.  Advertise messages from peers schedule the
-// same round (coalesced while one is pending).
+// ANTI-ENTROPY: each node owns one sync thread, started with the node.  It
+// runs every digest-compare-pull round and every outbound advertise, so
+// peer I/O never blocks a caller, never occupies a shared pool worker and
+// never overlaps itself.  It sleeps on one condition variable and wakes for
+// a requested round (a peer's advertise, sync_now()), a pending advertise
+// of this node's own changes, the periodic tick once start_sync() has run,
+// and stop(); requests filed while one is pending coalesce.
 //
 // CONFLICT RULE: highest stamp wins, with one carve-out — an entry this
 // node REFIT locally is pinned and never clobbered by a remote pull.  The
@@ -49,10 +51,12 @@
 // Transport calls (peer I/O) are NEVER made while holding the catalog
 // mutex; install_remote holds it across the catalog re-check plus the
 // registry publish so a losing pull cannot clobber a winning one.  The
-// advertise fast path is the registry's change observer: it only posts an
-// advertise onto the sync strand and takes no catalog mutex, so it may fire
-// under install_remote's hold without inverting the order.  stop() clears
-// it; once stop() returns no call to it is in flight.
+// advertise fast path is the registry's change observer: it only flags the
+// sync thread and takes no catalog mutex, so it may fire under
+// install_remote's hold without inverting the order.  The sync mutex is a
+// leaf: never held across the catalog or registry locks or peer I/O.
+// stop() clears the observer; once stop() returns no call to it is in
+// flight.
 
 #include <atomic>
 #include <chrono>
@@ -66,7 +70,6 @@
 
 #include "exchange/transport.hpp"
 #include "net/server.hpp"
-#include "parallel/strand.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/serve_result.hpp"
 #include "util/circuit_breaker.hpp"
@@ -96,7 +99,6 @@ struct PeerStats {
   std::uint64_t skips = 0;      ///< calls skipped while the circuit was open
   std::uint64_t trips = 0;      ///< closed/half-open -> open transitions
   std::uint64_t probes = 0;     ///< half-open probes admitted
-  std::uint64_t retries = 0;    ///< transport-level redial retries
 };
 
 /// Monotonic counters (stats()).
@@ -128,7 +130,7 @@ class ExchangeRegistry final : public net::PeerService {
   ExchangeRegistry& operator=(const ExchangeRegistry&) = delete;
 
   /// Add a peer this node will sync against.  Peers are contacted from the
-  /// sync strand and from open_on_miss() callers; add before start_sync()
+  /// sync thread and from open_on_miss() callers; add before start_sync()
   /// or any time after (thread-safe).
   void add_peer(std::shared_ptr<PeerTransport> peer);
   std::size_t peer_count() const;
@@ -145,11 +147,13 @@ class ExchangeRegistry final : public net::PeerService {
 
   /// Start the periodic background sync (no-op when already running).
   void start_sync();
-  /// Run one full digest-compare-pull round against every peer and wait for
-  /// it (deterministic convergence in tests; console `sync`).
+  /// Request a digest-compare-pull round against every peer and wait until
+  /// a round that began after this call has finished, or the node has
+  /// stopped (deterministic convergence in tests; console `sync`).
   void sync_now();
-  /// Clear the registry's change observer, stop the timer and drain the
-  /// sync strand.  Idempotent; the destructor calls it.
+  /// Clear the registry's change observer and join the sync thread once its
+  /// current round or advertise ends; requests still pending are dropped.
+  /// Idempotent; the destructor calls it.
   void stop();
 
   // -- introspection --
@@ -222,14 +226,17 @@ class ExchangeRegistry final : public net::PeerService {
   serve::ServeResult<serve::ModelHandle> install_remote(const serve::ModelKey& key,
                                                         std::uint64_t stamp,
                                                         const std::string& checkpoint_text);
-  /// One digest-compare-pull round against every peer (runs on the strand).
+  /// One digest-compare-pull round against every peer (sync thread only).
   void sync_once();
-  /// Post a sync round on the strand, coalescing with any round already
-  /// queued (safe from reader threads and the timer alike).
+  /// Advertise the current catalog to every peer, best-effort (sync thread
+  /// only).
+  void advertise_once();
+  /// Ask the sync thread for a round / an advertise (coalesced with one
+  /// already pending; safe from reader threads and the change observer).
   void schedule_sync();
-  /// Post an advertise of the current catalog to every peer (best-effort,
-  /// on the strand).
-  void post_advertise();
+  void schedule_advertise();
+  /// The sync thread's body.
+  void sync_loop();
   std::vector<std::shared_ptr<Peer>> peers_snapshot() const;
 
   serve::ModelRegistry& registry_;
@@ -240,22 +247,24 @@ class ExchangeRegistry final : public net::PeerService {
   std::uint64_t clock_ = 0;
   std::vector<std::shared_ptr<Peer>> peers_;
 
-  parallel::Strand sync_strand_{parallel::ThreadPool::global()};
-  std::atomic<bool> sync_queued_{false};  ///< coalesces pending sync rounds
-
-  std::thread timer_;
-  std::mutex timer_mutex_;
-  std::condition_variable timer_cv_;
-  bool timer_running_ = false;
-  bool stopping_ = false;
-
   std::atomic<std::uint64_t> pulls_served_{0};
   std::atomic<std::uint64_t> pulls_completed_{0};
   std::atomic<std::uint64_t> warm_starts_{0};
-  std::atomic<std::uint64_t> sync_rounds_{0};
   std::atomic<std::uint64_t> conflicts_skipped_{0};
   std::atomic<std::uint64_t> breaker_skips_{0};
   std::atomic<std::uint64_t> peer_failures_{0};
+
+  /// The sync thread's requests and progress.  sync_mutex_ is a leaf lock.
+  std::mutex sync_mutex_;
+  std::condition_variable sync_cv_;  ///< wakes the sync thread and sync_now()
+  bool round_requested_ = false;
+  bool advertise_requested_ = false;
+  bool periodic_ = false;  ///< start_sync() ran: rounds also come at next_tick_
+  std::chrono::steady_clock::time_point next_tick_;
+  bool stopping_ = false;
+  std::uint64_t rounds_begun_ = 0;
+  std::uint64_t rounds_done_ = 0;
+  std::thread sync_thread_;  ///< declared last: sync_loop() reads every member above
 };
 
 }  // namespace bellamy::exchange

@@ -24,18 +24,18 @@ void TcpTransport::drop(const std::shared_ptr<net::NetClient>& client) {
 }
 
 serve::ServeResult<std::vector<DigestEntry>> TcpTransport::digest() {
-  return with_retry<std::vector<DigestEntry>>(
+  return call<std::vector<DigestEntry>>(
       [](net::NetClient& client) { return client.digest(); });
 }
 
 serve::ServeResult<PulledCheckpoint> TcpTransport::pull(const serve::ModelKey& key) {
-  return with_retry<PulledCheckpoint>(
+  return call<PulledCheckpoint>(
       [&key](net::NetClient& client) { return client.pull_model(key); });
 }
 
 serve::ServeResult<serve::Unit> TcpTransport::advertise(
     const std::vector<DigestEntry>& entries) {
-  return with_retry<serve::Unit>(
+  return call<serve::Unit>(
       [&entries](net::NetClient& client) { return client.advertise(entries); });
 }
 

@@ -51,10 +51,6 @@ class PeerTransport {
 
   /// Peer name for log and error messages ("local:b", "host:7113").
   virtual std::string name() const = 0;
-
-  /// Transport-level retries burned so far (TcpTransport's redial loop; 0
-  /// for transports that never retry).
-  virtual std::uint64_t retries() const { return 0; }
 };
 
 }  // namespace bellamy::exchange

@@ -62,7 +62,7 @@ struct ServeServer::Connection : std::enable_shared_from_this<Connection> {
     return true;
   }
 
-  /// Event-side push (refit completions): never blocks — the refit strand
+  /// Event-side push (refit completions): never blocks — a refit drain task
   /// must not stall on a slow client — so these bypass the pipeline bound.
   /// Events are rare and small; the bound exists to stop request floods.
   bool push_event(std::vector<std::uint8_t> bytes) {
@@ -402,7 +402,7 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
         if (!handle.ok()) {
           resp.head = head_of(req.request_id, handle.status(), handle.message());
         } else {
-          // May queue a refit on the entry's strand; the report itself is one
+          // May queue a background refit; the report itself is one
           // single-run prediction, cheap enough for the reader thread.
           const auto observed = options_.drift_monitor->report(handle.value(), req.run);
           resp.head = head_of(req.request_id, observed.status(), observed.message());

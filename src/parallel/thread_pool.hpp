@@ -3,7 +3,7 @@
 //
 // One mutex guards the queue and the shutdown flag; one condition variable
 // wakes workers.  Callers wait on the futures submit() returns.  The model's
-// fan-outs are a handful of coarse tasks (predict chunks, refit strands,
+// fan-outs are a handful of coarse tasks (predict chunks, refit drain tasks,
 // cross-validation splits — the paper used Ray Tune for the latter), so a
 // lock-free scheduler buys nothing measurable here.  Exceptions thrown by
 // tasks are captured and rethrown to the caller via the returned

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "parallel/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace bellamy::serve {
@@ -117,6 +118,61 @@ ServeResult<Unit> persist_to_store(const std::shared_ptr<detail::RegistryEntry>&
     return ServeResult<Unit>::failure(ServeStatus::kInvalidArgument, e.what());
   } catch (const std::exception& e) {
     return ServeResult<Unit>::failure(ServeStatus::kStoreError, e.what());
+  }
+}
+
+/// The drain task of one entry: take the job in its pending-refit slot, run
+/// it, resolve its future and then its callbacks, and loop until the slot is
+/// empty.  refit_async() starts at most one per entry (`refit_draining`), so
+/// the handle's fine-tunes never overlap and a job filed meanwhile starts
+/// only after the callbacks of the one before.  noexcept: an escaping
+/// exception terminates rather than leave the entry owned by a task that is
+/// gone (no later refit of the handle would ever run).
+void drain_refits(const std::shared_ptr<detail::RegistryEntry>& entry,
+                  const std::shared_ptr<core::ModelStore>& store,
+                  const std::atomic<bool>& auto_persist, detail::ChangeHook& on_change) noexcept {
+  for (;;) {
+    detail::RefitJob job;
+    {
+      std::lock_guard<std::mutex> lock(entry->mutex);
+      if (!entry->pending_refit) {
+        entry->refit_draining = false;
+        return;
+      }
+      job = std::move(*entry->pending_refit);
+      entry->pending_refit.reset();
+      entry->refit_running = true;
+    }
+    ServeResult<core::FineTuneResult> result =
+        run_refit(entry, job.runs, job.config, job.strategy, on_change);
+    if (result.ok() && auto_persist.load(std::memory_order_relaxed)) {
+      // Mirror the swapped weights into the backing store so a restart
+      // serves what refit produced, not the stale pre-refit checkpoint.  A
+      // persist failure downgrades the shared result to kStoreError but the
+      // swap above has already landed — serving is never rolled back.
+      if (const ServeResult<Unit> persisted = persist_to_store(entry, store); !persisted.ok()) {
+        result = ServeResult<core::FineTuneResult>::failure(
+            ServeStatus::kStoreError, "refit '" + entry->key.str() +
+                                          "': weights swapped, but auto-persist failed: " +
+                                          persisted.error_text());
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(entry->mutex);
+      entry->refit_running = false;
+    }
+    // Future first (waiters unblock even if a callback throws), then every
+    // coalesced caller's completion hook, after the swap is visible to
+    // serving.
+    job.promise->set_value(result);
+    for (const RefitCallback& callback : job.callbacks) {
+      try {
+        callback(result);
+      } catch (...) {
+        // A notification hook must never take down the drain task (and with
+        // it a pool worker); the result already reached the future.
+      }
+    }
   }
 }
 
@@ -315,11 +371,12 @@ std::shared_future<ServeResult<core::FineTuneResult>> ModelRegistry::refit_async
     failed.set_value(ServeResult<core::FineTuneResult>::failure(
         ServeStatus::kUnknownModel, "refit_async: unknown handle"));
     auto future = failed.get_future().share();
-    if (on_complete) on_complete(future.get());  // inline: there is no strand to ride
+    if (on_complete) on_complete(future.get());  // inline: there is no entry to drain
     return future;
   }
 
   std::shared_future<ServeResult<core::FineTuneResult>> future;
+  bool start_drain = false;
   {
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->pending_refit) {
@@ -343,54 +400,19 @@ std::shared_future<ServeResult<core::FineTuneResult>> ModelRegistry::refit_async
     if (on_complete) job.callbacks.push_back(std::move(on_complete));
     future = job.future;
     entry->pending_refit = std::move(job);
+    start_drain = !entry->refit_draining;
+    entry->refit_draining = true;
   }
-  // One strand task per queued job: the strand serializes this entry's
-  // refits, so a task posted while another runs simply waits its turn.  The
-  // task captures the entry's shared_ptr (plus the store, the auto-persist
-  // flag and the change observer by value) — it survives erase() and
-  // registry teardown (the entry's Strand destructor drains before the
-  // entry dies).
-  entry->refit_strand.post([entry, store = store_, auto_persist = auto_persist_,
-                            on_change = on_change_] {
-    detail::RefitJob job;
-    {
-      std::lock_guard<std::mutex> lock(entry->mutex);
-      if (!entry->pending_refit) return;  // defensive; the job rode an earlier task
-      job = std::move(*entry->pending_refit);
-      entry->pending_refit.reset();
-      entry->refit_running = true;
-    }
-    ServeResult<core::FineTuneResult> result =
-        run_refit(entry, job.runs, job.config, job.strategy, *on_change);
-    if (result.ok() && auto_persist->load(std::memory_order_relaxed)) {
-      // Mirror the swapped weights into the backing store so a restart
-      // serves what refit produced, not the stale pre-refit checkpoint.  A
-      // persist failure downgrades the shared result to kStoreError but the
-      // swap above has already landed — serving is never rolled back.
-      if (const ServeResult<Unit> persisted = persist_to_store(entry, store); !persisted.ok()) {
-        result = ServeResult<core::FineTuneResult>::failure(
-            ServeStatus::kStoreError, "refit '" + entry->key.str() +
-                                          "': weights swapped, but auto-persist failed: " +
-                                          persisted.error_text());
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(entry->mutex);
-      entry->refit_running = false;
-    }
-    // Future first (waiters unblock even if a callback throws), then every
-    // coalesced caller's completion hook, still on the strand, after the
-    // swap is visible to serving.
-    job.promise->set_value(result);
-    for (const RefitCallback& callback : job.callbacks) {
-      try {
-        callback(result);
-      } catch (...) {
-        // A notification hook must never take down the strand (and with it a
-        // pool worker); the result already reached the future.
-      }
-    }
-  });
+  // A drain task already owning the entry picks the job up when its current
+  // one is done.  Otherwise submit one: it owns the entry's shared_ptr (plus
+  // the store, the auto-persist flag and the change observer), so it
+  // survives erase() and registry teardown.
+  if (start_drain) {
+    parallel::ThreadPool::global().submit(
+        [entry, store = store_, auto_persist = auto_persist_, on_change = on_change_] {
+          drain_refits(entry, store, *auto_persist, *on_change);
+        });
+  }
   return future;
 }
 

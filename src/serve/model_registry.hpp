@@ -20,12 +20,13 @@
 //     and predict outside the entry mutex, a swap installs a fresh pointer,
 //     and an in-flight micro-batch keeps the old weights alive until it
 //     finishes while the next one serves the new ones.
-//   * refit_async(...)     — the same recipe, scheduled on the global
-//     ThreadPool instead of the caller's thread.  One Strand per entry
-//     serializes refits of the SAME handle; refits of different handles run
-//     in parallel; a request arriving while one is still QUEUED replaces its
-//     payload and shares its future (duplicate-coalescing).  The caller —
-//     and serving — never block on the fine-tune.
+//   * refit_async(...)     — the same recipe, run on the global ThreadPool
+//     instead of the caller's thread.  The entry's pending-refit slot is its
+//     whole queue: a request arriving while one is still QUEUED replaces its
+//     payload and shares its future (duplicate-coalescing), and one drain
+//     task per entry empties the slot, so refits of the SAME handle never
+//     overlap while refits of different handles run in parallel.  The
+//     caller — and serving — never block on the fine-tune.
 //
 // Handles stay valid across hot-swaps and refits; erase() retires one.
 // Every assignment of an entry's weights (publish, open, derive, refit swap)
@@ -49,7 +50,6 @@
 #include "core/model_store.hpp"
 #include "core/trainer.hpp"
 #include "core/variants.hpp"
-#include "parallel/strand.hpp"
 #include "reduce/reduction.hpp"
 #include "serve/serve_result.hpp"
 
@@ -76,7 +76,6 @@ class ModelHandle {
  public:
   ModelHandle() = default;
   std::uint64_t id() const { return id_; }
-  explicit operator bool() const { return id_ != 0; }
   bool operator==(const ModelHandle& other) const { return id_ == other.id_; }
 
  private:
@@ -85,8 +84,8 @@ class ModelHandle {
   std::uint64_t id_ = 0;
 };
 
-/// Completion hook of a background refit: invoked on the refit strand right
-/// after the hot-swap (or the typed failure), carrying exactly what the
+/// Completion hook of a background refit: invoked by the entry's drain task
+/// right after the hot-swap (or the typed failure), carrying exactly what the
 /// shared_future resolves with.  Lets a server push refit-done events over a
 /// connection instead of parking a thread on the future.
 using RefitCallback = std::function<void(const ServeResult<core::FineTuneResult>&)>;
@@ -131,18 +130,16 @@ struct RefitJob {
 };
 
 /// One served model.  `mutex` guards `base`, `model`, the weight version,
-/// and the refit bookkeeping (`pending_refit`, `refit_running`); readers (the
-/// PredictionService, the DriftMonitor) hold it only to copy the `model`
-/// pointer, never across a forward pass, and background refits hold it only
-/// to pick up their job and to swap — never across the fine-tune itself.
-/// The model behind the pointer is never mutated: publish, open, derive and
-/// refit each install a fresh one.  `refit_strand` serializes this entry's
-/// background refits on the process-wide ThreadPool; tasks capture the
-/// entry's shared_ptr, so an erase()d entry finishes its in-flight refit
-/// harmlessly off-registry.
-/// The strand's ordering is its own (drainer chaining), not the pool's: the
-/// drainer task may run on any worker or helper thread, and refits still
-/// execute one at a time in post order.
+/// and the refit bookkeeping (`pending_refit`, `refit_running`,
+/// `refit_draining`); readers (the PredictionService, the DriftMonitor) hold
+/// it only to copy the `model` pointer, never across a forward pass, and
+/// background refits hold it only to pick up their job and to swap — never
+/// across the fine-tune itself.  The model behind the pointer is never
+/// mutated: publish, open, derive and refit each install a fresh one.
+/// Background refits run on one drain task per entry on the process-wide
+/// ThreadPool (`refit_draining` marks it); the task owns the entry's
+/// shared_ptr, so an erase()d entry finishes its queued refit harmlessly
+/// off-registry.
 struct RegistryEntry {
   ModelKey key;
   mutable std::mutex mutex;
@@ -150,11 +147,11 @@ struct RegistryEntry {
   std::shared_ptr<const core::BellamyModel> model;  ///< current serveable weights
   std::uint64_t version = 0;  ///< bumped wherever `model` is assigned
   bool refit = false;         ///< `model` came from a refit swap
-  std::optional<RefitJob> pending_refit;  ///< queued, not started (coalescing point)
+  std::optional<RefitJob> pending_refit;  ///< the refit queue: one job, not started
   bool refit_running = false;             ///< a background refit is executing
-  parallel::Strand refit_strand{parallel::ThreadPool::global()};
+  bool refit_draining = false;            ///< a drain task owns this entry's refits
 
-  /// Training-data reduction applied on the refit strand before finetune
+  /// Training-data reduction applied before every refit's finetune
   /// (seeded at entry creation from the registry default; see
   /// set_default_reduction()).  `last_reduction` / the counters record what refits
   /// actually dropped — all guarded by `mutex`.
@@ -219,23 +216,24 @@ class ModelRegistry {
   /// identical weights, same kConflict stamp check).  Serving continues on
   /// the old weights until the atomic swap.
   ///
-  /// Scheduling: refits of the same handle are serialized in request order
-  /// (per-entry Strand); refits of different handles run concurrently.
+  /// Scheduling: the entry's pending-refit slot holds at most one queued
+  /// job, and one drain task per entry runs it, then the next one filed
+  /// meanwhile, until the slot is empty — refits of the same handle never
+  /// overlap; refits of different handles run concurrently.
   /// DUPLICATE-COALESCING: while a job is still queued (not yet started), a
   /// new refit_async() on the same handle replaces the queued payload and
   /// returns the SAME future — both callers observe the result of the
   /// latest request.  A job already running is never disturbed; the new
   /// request queues behind it.
   ///
-  /// COMPLETION NOTIFICATION: pass `on_complete` to be called on the refit
-  /// strand right after the swap (or the typed failure) with the same
+  /// COMPLETION NOTIFICATION: pass `on_complete` to be called by the drain
+  /// task right after the swap (or the typed failure) with the same
   /// ServeResult the future resolves with — no thread has to poll the
   /// shared_future.  Every coalesced caller's callback fires (all with the
   /// shared result of the latest payload); callbacks of an unknown handle
   /// fire inline before this returns.  A callback must not block on the
   /// returned future (it resolves before the callbacks run) and should not
-  /// do long work — it executes on the strand, delaying the handle's next
-  /// queued refit.
+  /// do long work — the handle's next queued refit starts only after it.
   std::shared_future<ServeResult<core::FineTuneResult>> refit_async(
       const ModelHandle& handle, std::vector<data::JobRun> runs,
       const core::FineTuneConfig& config,
@@ -254,7 +252,7 @@ class ModelRegistry {
 
   /// Training-data reduction seeded into every FUTURE entry (publish/open/
   /// derive); existing entries keep theirs.  Every refit of such an entry
-  /// (refit and refit_async alike, on the refit strand) first maps the run
+  /// (refit and refit_async alike) first maps the run
   /// history to a coreset of at most `config.budget` runs by the seeded
   /// policy, loss-aware scoring against the fresh base copy, BEFORE the
   /// fine-tune sees it.  An inactive config (kNone or budget 0) means
@@ -266,7 +264,7 @@ class ModelRegistry {
   ServeResult<Unit> persist(const ModelHandle& handle);
 
   /// Opt-in: persist every successful background-refit swap to the backing
-  /// store, on the refit strand, right after the swap.  Without this a
+  /// store, on the entry's drain task, right after the swap.  Without this a
   /// store-backed entry goes silently stale — the swap never reaches disk,
   /// so a restart serves pre-refit weights.  A persist failure surfaces as
   /// kStoreError in the refit's shared result (the swap itself has already
@@ -301,7 +299,7 @@ class ModelRegistry {
 
   /// Install the one weight-change observer (null clears it).  It runs after
   /// every bump of a weight version, outside every registry lock, on the
-  /// thread that made the change (a refit strand included).  It must be
+  /// thread that made the change (a refit drain task included).  It must be
   /// cheap, must not block, and must not call set_on_change().  Returns
   /// once no call of the previous observer is in flight.
   void set_on_change(std::function<void()> observer);
@@ -320,7 +318,7 @@ class ModelRegistry {
   mutable std::mutex mutex_;
   std::shared_ptr<core::ModelStore> store_;
   /// Shared with in-flight refit tasks: they capture the flag (and the
-  /// store) by value because a strand task may outlive the registry itself.
+  /// store) by value because a drain task may outlive the registry itself.
   std::shared_ptr<std::atomic<bool>> auto_persist_ =
       std::make_shared<std::atomic<bool>>(false);
   std::shared_ptr<detail::ChangeHook> on_change_ = std::make_shared<detail::ChangeHook>();

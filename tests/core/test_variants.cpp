@@ -83,7 +83,8 @@ TEST(ScenarioPretraining, EmptyFilteredCorpusFallsBackToLocal) {
   // A dataset with only the target context: filtered corpus is empty.
   const auto ds = corpus();
   const auto target = ds.runs().front();
-  const auto only_target = ds.filter_context(target.context_key());
+  const auto only_target =
+      ds.filter([&](const data::JobRun& r) { return r.context_key() == target.context_key(); });
   PreTrainConfig pre;
   pre.epochs = 10;
   BellamyModel model(BellamyConfig{}, 3);

@@ -73,10 +73,9 @@ TEST(Dataset, ContextGroupScaleOuts) {
   EXPECT_TRUE(found);
 }
 
-TEST(Dataset, FilterAndExcludeContext) {
+TEST(Dataset, ExcludeContext) {
   const Dataset ds = make_dataset();
   const std::string key = ds.runs().front().context_key();
-  EXPECT_EQ(ds.filter_context(key).size(), 3u);
   EXPECT_EQ(ds.exclude_context(key).size(), 3u);
 }
 
@@ -101,19 +100,6 @@ TEST(Dataset, FilterDissimilarSizeThreshold) {
   const Dataset out = ds.filter_dissimilar(ref);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.runs()[0].node_type, "c-node");
-}
-
-TEST(Dataset, NumUniqueExperiments) {
-  const Dataset ds = make_dataset();
-  // Context A has 2 scale-outs, B has 2, C has 1 -> 5 unique cells.
-  EXPECT_EQ(ds.num_unique_experiments(), 5u);
-}
-
-TEST(Dataset, MeanRuntimeByScaleout) {
-  const Dataset ds = make_dataset().filter_algorithm("grep");
-  const auto by_x = ds.mean_runtime_by_scaleout();
-  ASSERT_EQ(by_x.size(), 1u);
-  EXPECT_DOUBLE_EQ(by_x.at(4), 120.0);
 }
 
 TEST(Dataset, AppendCombines) {
@@ -180,7 +166,6 @@ TEST(Dataset, EmptyDatasetBehaviour) {
   EXPECT_TRUE(ds.empty());
   EXPECT_TRUE(ds.contexts().empty());
   EXPECT_TRUE(ds.algorithms().empty());
-  EXPECT_EQ(ds.num_unique_experiments(), 0u);
 }
 
 }  // namespace

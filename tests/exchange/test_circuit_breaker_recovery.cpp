@@ -209,7 +209,6 @@ TEST(CircuitBreakerRecovery, OpenReturnsTypedTimeoutAgainstASilentPeer) {
 
   TransportOptions transport_options;
   transport_options.io_timeout = milliseconds(500);
-  transport_options.retry.max_attempts = 1;  // single-shot: measure ONE deadline
   a.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", port, transport_options));
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -23,7 +24,9 @@
 
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
+#include "net/socket.hpp"
 #include "support/local_transport.hpp"
+#include "support/pool_blockers.hpp"
 
 namespace bellamy::exchange {
 namespace {
@@ -317,6 +320,56 @@ TEST(Exchange, AdvertiseFastPathPropagatesWithoutExplicitSync) {
   // Wait for the install to finish (find() can see the row mid-install).
   b.ex.sync_now();
   EXPECT_EQ(stamp_of_model(b, key), stamp_of_model(a, key));
+}
+
+// Peer I/O runs on the node's own sync thread: a round stuck on a peer that
+// accepts and never answers leaves every worker of the shared pool free for
+// refits and chunked predicts.
+TEST(Exchange, SyncRoundAgainstASilentPeerLeavesEveryPoolWorkerFree) {
+  std::string error;
+  std::uint16_t port = 0;
+  net::Socket listener = net::tcp_listen(0, port, error);
+  ASSERT_TRUE(listener) << error;
+  std::vector<net::Socket> parked;
+  std::atomic<int> accepted{0};
+  std::thread acceptor([&] {
+    while (true) {
+      net::Socket socket = net::tcp_accept(listener);
+      if (!socket) break;
+      parked.push_back(std::move(socket));
+      accepted.fetch_add(1);
+    }
+  });
+
+  Node a(quiet());
+  TransportOptions transport_options;
+  transport_options.io_timeout = std::chrono::milliseconds(3000);
+  a.ex.add_peer(std::make_shared<TcpTransport>("127.0.0.1", port, transport_options));
+
+  // An advertise of a key this node lacks starts a round without blocking
+  // the caller; the round dials the silent peer and waits in its digest.
+  a.ex.on_advertise({DigestEntry{serve::ModelKey{"sgd", "elsewhere"}, 1}});
+  const auto dial_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (accepted.load() == 0 && std::chrono::steady_clock::now() < dial_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(accepted.load(), 1) << "the round never dialed the peer";
+
+  parallel::PoolBlockers blockers;
+  EXPECT_TRUE(blockers.wait_all_started(std::chrono::milliseconds(2000)))
+      << "a pool worker is held by the sync round's peer I/O";
+  blockers.release();
+
+  a.ex.stop();  // waits out the digest's deadline
+  listener.shutdown_both();
+  acceptor.join();
+}
+
+TEST(Exchange, SyncNowAfterStopReturns) {
+  Node a(quiet());
+  a.ex.stop();
+  a.ex.sync_now();  // returning at all is the assertion
+  EXPECT_EQ(a.ex.stats().sync_rounds, 0u);
 }
 
 TEST(Exchange, OpenOrPretrainSeedsTheMeshOnce) {

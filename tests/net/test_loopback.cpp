@@ -352,7 +352,7 @@ TEST(Loopback, DriftTriggeredReducedRefitLandsOverTheWire) {
   }
   ASSERT_TRUE(triggered);
 
-  // The refit runs on a background strand; poll the wire metrics until the
+  // The refit runs on a background drain task; poll the wire metrics until the
   // reduced swap lands.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   serve::ServeMetrics seen;

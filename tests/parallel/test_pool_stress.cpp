@@ -3,7 +3,7 @@
 //
 // The seeded soak mixes every submission path the rest of the codebase
 // exercises — external submits, worker-recursive submits, nested
-// parallel_for, Strand bursts — across 1/2/4/8 workers, and asserts the
+// parallel_for — across 1/2/4/8 workers, and asserts the
 // pool's three load-bearing properties:
 //
 //   1. exactly-once execution (every task id claimed once, none lost),
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
-#include "parallel/strand.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace bellamy::parallel {
@@ -70,8 +69,6 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
   static constexpr std::size_t kWorkerGrid[4] = {1, 2, 4, 8};
   const std::size_t workers = kWorkerGrid[seed % 4];
   ThreadPool pool(workers);
-  Strand strand_a(pool);
-  Strand strand_b(pool);
 
   constexpr std::size_t kIds = 4096;
   std::vector<std::atomic<std::uint32_t>> runs(kIds);
@@ -84,15 +81,6 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
     std::atomic<std::size_t>& finished;
     ~CountOnReturn() { finished.fetch_add(1); }
   };
-  // Strand mutual-exclusion probes: a strand's tasks must never overlap, so
-  // in_flight must be 0 on entry for every task.
-  std::atomic<int> strand_a_in_flight{0};
-  std::atomic<int> strand_b_in_flight{0};
-  std::atomic<std::uint64_t> strand_a_runs{0};
-  std::atomic<std::uint64_t> strand_b_runs{0};
-  std::atomic<std::uint64_t> strand_a_posts{0};
-  std::atomic<std::uint64_t> strand_b_posts{0};
-  std::atomic<int> strand_order_violations{0};
 
   // Claim a fresh task id; returns kIds when the budget is exhausted (the
   // task then just doesn't recurse further).
@@ -122,15 +110,6 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
           parallel_for(
               8, [&](std::size_t) { hits.fetch_add(1); }, &pool);
           EXPECT_EQ(hits.load(), 8u);
-        } else if (shape == 2) {  // strand burst from inside a task
-          strand_a_posts.fetch_add(1);
-          strand_a.post([&] {
-            if (strand_a_in_flight.fetch_add(1) != 0) {
-              strand_order_violations.fetch_add(1);
-            }
-            strand_a_runs.fetch_add(1);
-            strand_a_in_flight.fetch_sub(1);
-          });
         }
       };
 
@@ -149,20 +128,6 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
         const std::size_t id = claim_id();
         if (id >= kIds) break;
         pool.submit(task_body, id, local.next());
-        if (local.below(16) == 0) {
-          // Strand burst from an external thread: three posts that must run
-          // serially even though the pool is saturated.
-          for (int b = 0; b < 3; ++b) {
-            strand_b_posts.fetch_add(1);
-            strand_b.post([&] {
-              if (strand_b_in_flight.fetch_add(1) != 0) {
-                strand_order_violations.fetch_add(1);
-              }
-              strand_b_runs.fetch_add(1);
-              strand_b_in_flight.fetch_sub(1);
-            });
-          }
-        }
         if (local.below(32) == 0) std::this_thread::yield();
       }
     });
@@ -192,13 +157,7 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
   for (auto& t : external) t.join();
   // Everything submitted; drain and verify exactly-once.
   wait_finished_bounded(finished, kIds, std::chrono::seconds(120));
-  strand_a.wait_idle();
-  strand_b.wait_idle();
 
-  EXPECT_EQ(strand_order_violations.load(), 0)
-      << "strand tasks overlapped (serialization broken)";
-  EXPECT_EQ(strand_a_runs.load(), strand_a_posts.load());
-  EXPECT_EQ(strand_b_runs.load(), strand_b_posts.load());
   std::size_t executed = 0;
   for (std::size_t id = 0; id < kIds; ++id) {
     const std::uint32_t n = runs[id].load();

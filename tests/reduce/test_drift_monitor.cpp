@@ -245,7 +245,7 @@ TEST(DriftMonitor, TriggeredRefitLandsThroughTheEntrysReduction) {
   }
   ASSERT_TRUE(triggered);
 
-  // The refit runs on a background strand: poll (bounded) for the swap.
+  // The refit runs on a background drain task: poll (bounded) for the swap.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (fx.registry.reduction_counters(handle).first == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "drift refit never landed";

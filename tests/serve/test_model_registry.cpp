@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "serve/serve.hpp"
+#include "support/pool_blockers.hpp"
 #include "support/registry_testing.hpp"
 
 namespace bellamy::serve {
@@ -54,7 +56,6 @@ TEST(ModelRegistry, PublishFindAndIntrospect) {
   const auto published = registry.publish({"sgd", "ctx-a"}, model);
   ASSERT_TRUE(published.ok()) << published.error_text();
   const ModelHandle handle = published.value();
-  EXPECT_TRUE(static_cast<bool>(handle));
 
   const auto found = registry.find({"sgd", "ctx-a"});
   ASSERT_TRUE(found.ok());
@@ -193,13 +194,11 @@ TEST(ModelRegistry, RefitAsyncCoalescesWhileQueuedAndServesTheLatestPayload) {
   const core::BellamyModel model = fx.pretrained(13);
   const ModelHandle handle = registry.publish({"sgd", "coalesce"}, model).unwrap();
 
-  // Park the entry's refit strand behind a blocker task so the first
-  // refit_async job stays QUEUED (not started) while we file a duplicate.
-  const auto entry = registry.resolve(handle);
-  ASSERT_NE(entry, nullptr);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  entry->refit_strand.post([released] { released.wait(); });
+  // Hold every pool worker so the first refit_async job stays QUEUED (not
+  // started) while we file a duplicate.
+  ASSERT_NE(registry.resolve(handle), nullptr);
+  parallel::PoolBlockers blockers;
+  ASSERT_TRUE(blockers.wait_all_started(std::chrono::seconds(60)));
 
   const std::vector<data::JobRun> first(fx.target_runs.begin(), fx.target_runs.begin() + 2);
   const std::vector<data::JobRun> latest(fx.target_runs.begin(), fx.target_runs.begin() + 4);
@@ -207,7 +206,7 @@ TEST(ModelRegistry, RefitAsyncCoalescesWhileQueuedAndServesTheLatestPayload) {
   EXPECT_TRUE(registry.refit_pending(handle));
   auto f2 = registry.refit_async(handle, latest, quick_finetune());
 
-  release.set_value();
+  blockers.release();
   const auto r1 = f1.get();
   const auto r2 = f2.get();
   ASSERT_TRUE(r1.ok()) << r1.error_text();
@@ -238,22 +237,98 @@ TEST(ModelRegistry, EraseDuringBackgroundRefitFinishesOffRegistry) {
     const ModelHandle handle =
         registry.publish({"sgd", "orphan"}, fx.pretrained(14)).unwrap();
 
-    // Park the strand so the refit is still queued when the handle goes.
-    const auto entry = registry.resolve(handle);
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-    entry->refit_strand.post([released] { released.wait(); });
+    // Hold every pool worker so the refit is still queued when the handle
+    // goes.
+    parallel::PoolBlockers blockers;
+    ASSERT_TRUE(blockers.wait_all_started(std::chrono::seconds(60)));
 
     const std::vector<data::JobRun> observed(fx.target_runs.begin(),
                                              fx.target_runs.begin() + 2);
     future = registry.refit_async(handle, observed, quick_finetune());
     registry.erase(handle).expect();
     EXPECT_EQ(registry.resolve(handle), nullptr);
-    release.set_value();
+    blockers.release();
   }  // registry dies with the refit possibly still in flight
   // The orphaned entry (kept alive by the job's closure) still completes.
   const auto result = future.get();
   EXPECT_TRUE(result.ok()) << result.error_text();
+}
+
+// Each entry has its own drain task, so refits of different handles run at
+// the same time: handle A's completion callback holds A's worker until
+// handle B's callback has fired, which only happens if B's refit runs
+// meanwhile on another worker.
+TEST(ModelRegistry, RefitsOfDifferentHandlesRunConcurrently) {
+  if (parallel::ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs a global pool of two or more workers";
+  }
+  Fixture fx;
+  ModelRegistry registry;
+  const core::BellamyModel model = fx.pretrained(37);
+  const ModelHandle a = registry.publish({"sgd", "concurrent-a"}, model).unwrap();
+  const ModelHandle b = registry.publish({"sgd", "concurrent-b"}, model).unwrap();
+
+  // Shared state, not stack references: a failing wait must not leave a
+  // callback pointing at a finished test.
+  auto b_fired = std::make_shared<std::promise<void>>();
+  std::shared_future<void> b_seen = b_fired->get_future().share();
+  auto a_verdict = std::make_shared<std::promise<bool>>();
+  std::future<bool> a_saw_b = a_verdict->get_future();
+  auto fa = registry.refit_async(
+      a, fx.target_runs, quick_finetune(), core::ReuseStrategy::kPartialUnfreeze,
+      [b_seen, a_verdict](const ServeResult<core::FineTuneResult>&) {
+        a_verdict->set_value(b_seen.wait_for(std::chrono::seconds(60)) ==
+                             std::future_status::ready);
+      });
+  auto fb = registry.refit_async(
+      b, fx.target_runs, quick_finetune(), core::ReuseStrategy::kPartialUnfreeze,
+      [b_fired](const ServeResult<core::FineTuneResult>&) { b_fired->set_value(); });
+
+  EXPECT_TRUE(a_saw_b.get()) << "handle B's refit waited for handle A's";
+  EXPECT_TRUE(fa.get().ok());
+  EXPECT_TRUE(fb.get().ok());
+}
+
+// The drain task re-checks the slot before it retires: a job filed while the
+// previous one still runs (held here in its completion callback) is neither
+// lost nor folded into the finished one — it runs next, on its own payload.
+TEST(ModelRegistry, RefitFiledWhileOneRunsRunsNextWithItsPayload) {
+  Fixture fx;
+  ModelRegistry registry;
+  const core::BellamyModel model = fx.pretrained(41);
+  const ModelHandle handle = registry.publish({"sgd", "refiled"}, model).unwrap();
+
+  auto entered = std::make_shared<std::promise<void>>();
+  std::future<void> in_callback = entered->get_future();
+  auto release = std::make_shared<std::promise<void>>();
+  std::shared_future<void> released = release->get_future().share();
+  const std::vector<data::JobRun> first(fx.target_runs.begin(), fx.target_runs.begin() + 2);
+  const std::vector<data::JobRun> latest(fx.target_runs.begin(), fx.target_runs.begin() + 4);
+  auto f1 = registry.refit_async(
+      handle, first, quick_finetune(), core::ReuseStrategy::kPartialUnfreeze,
+      [entered, released](const ServeResult<core::FineTuneResult>&) {
+        entered->set_value();
+        released.wait_for(std::chrono::seconds(60));
+      });
+  in_callback.wait();  // the first job has swapped and its task still runs
+
+  auto f2 = registry.refit_async(handle, latest, quick_finetune());
+  EXPECT_TRUE(registry.refit_pending(handle));
+  release->set_value();
+  ASSERT_EQ(f2.wait_for(std::chrono::seconds(120)), std::future_status::ready)
+      << "the job filed while one ran never started";
+  const auto r2 = f2.get();
+  ASSERT_TRUE(r2.ok()) << r2.error_text();
+  EXPECT_FALSE(registry.refit_pending(handle));
+  ASSERT_TRUE(f1.get().ok());
+
+  // The served weights are the later payload's: they match a manual
+  // fine-tune on `latest`.
+  core::BellamyPredictor on_latest(model, quick_finetune());
+  on_latest.fit(latest);
+  PredictionService service(registry);
+  const data::JobRun probe = fx.target_runs[5];
+  EXPECT_EQ(service.predict(handle, probe).unwrap(), on_latest.model().predict_one(probe));
 }
 
 TEST(ModelRegistry, RefitAsyncTypedErrors) {
@@ -423,12 +498,10 @@ TEST(ModelRegistry, CoalescedRefitCallbacksAllFireWithTheSharedResult) {
   const core::BellamyModel model = fx.pretrained(31);
   const ModelHandle handle = registry.publish({"sgd", "notify-coalesce"}, model).unwrap();
 
-  // Park the strand so both requests coalesce into one queued job.
-  const auto entry = registry.resolve(handle);
-  ASSERT_NE(entry, nullptr);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  entry->refit_strand.post([released] { released.wait(); });
+  // Hold every pool worker so both requests coalesce into one queued job.
+  ASSERT_NE(registry.resolve(handle), nullptr);
+  parallel::PoolBlockers blockers;
+  ASSERT_TRUE(blockers.wait_all_started(std::chrono::seconds(60)));
 
   std::promise<ServeResult<core::FineTuneResult>> first_seen;
   std::promise<ServeResult<core::FineTuneResult>> second_seen;
@@ -440,7 +513,7 @@ TEST(ModelRegistry, CoalescedRefitCallbacksAllFireWithTheSharedResult) {
   auto f2 = registry.refit_async(
       handle, latest, quick_finetune(), core::ReuseStrategy::kPartialUnfreeze,
       [&](const ServeResult<core::FineTuneResult>& r) { second_seen.set_value(r); });
-  release.set_value();
+  blockers.release();
 
   // ONE fine-tune ran (the latest payload), and BOTH callbacks fired with
   // its result — the coalesced caller is notified, not dropped.
@@ -464,7 +537,7 @@ TEST(ModelRegistry, RefitCallbackOnUnknownHandleFiresInline) {
                                        fired = true;
                                        status = r.status();
                                      });
-  // Inline: no strand exists for an unknown handle, so by the time
+  // Inline: no entry exists for an unknown handle, so by the time
   // refit_async returns the callback already ran.
   EXPECT_TRUE(fired);
   EXPECT_EQ(status, ServeStatus::kUnknownModel);
