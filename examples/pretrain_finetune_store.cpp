@@ -7,20 +7,27 @@
 // persists; the consumer side opens the same store, refits the handle on
 // its own runs (hot-swap), and queries through the PredictionService.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "core/model_store.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
 #include "data/ground_truth.hpp"
 #include "serve/serve.hpp"
+#include "util/hash.hpp"
 
 using namespace bellamy;
 
 int main() {
-  const std::string store_dir =
-      (std::filesystem::temp_directory_path() / "bellamy-shared-models").string();
+  // One store per process: two runs side by side must not share (and then
+  // remove) each other's directory.
+  const std::string store_dir = (std::filesystem::temp_directory_path() /
+                                 ("bellamy-shared-models-" + std::to_string(::getpid())))
+                                    .string();
   auto store = std::make_shared<core::ModelStore>(store_dir);
   std::printf("model store: %s\n\n", store_dir.c_str());
 

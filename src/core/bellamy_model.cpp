@@ -1,7 +1,6 @@
 #include "core/bellamy_model.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -37,7 +36,7 @@ static_assert(std::is_nothrow_move_constructible_v<BellamyModel>);
 BellamyModel::BellamyModel(BellamyConfig config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      property_encoder_(encoding::PropertyEncoder::Config{config.property_dim, {}}) {
+      property_encoder_(config.property_dim) {
   if (config_.num_essential != 4 || config_.num_optional != 3) {
     // The property extraction below follows the fixed C3O schema; other
     // schemas would need custom extractors.
@@ -134,9 +133,7 @@ BellamyEncodedRuns BellamyModel::encode_runs(std::span<const data::JobRun> runs)
   // vector exactly once, in first-use order.
   const std::size_t r = runs.size();
   const std::size_t ppr = config_.props_per_sample();
-  static std::atomic<std::uint64_t> next_encode_id{1};
   BellamyEncodedRuns encoded;
-  encoded.encode_id = next_encode_id.fetch_add(1, std::memory_order_relaxed);
   encoded.num_runs = r;
   encoded.scaleout_raw = nn::Matrix(r, 3);
   encoded.targets_raw = nn::Matrix(r, 1);
@@ -180,16 +177,15 @@ BellamyEncodedRuns BellamyModel::encode_runs(std::span<const data::JobRun> runs)
 }
 
 BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
-                                        std::span<const std::size_t> indices,
-                                        BellamyGatherCache* cache) const {
+                                        std::span<const std::size_t> indices) const {
   BellamyBatch batch;
-  gather_batch(encoded, indices, batch, cache);
+  gather_batch(encoded, indices, batch);
   return batch;
 }
 
 void BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
-                                std::span<const std::size_t> indices, BellamyBatch& batch,
-                                BellamyGatherCache* cache) const {
+                                std::span<const std::size_t> indices,
+                                BellamyBatch& batch) const {
   if (indices.empty()) {
     throw std::invalid_argument("BellamyModel::gather_batch: empty index set");
   }
@@ -230,25 +226,7 @@ void BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
     }
   }
   for (const std::size_t global : used_rows) local_row[global] = kUnused;
-  // Small corpora make consecutive batches hit the same unique-row set
-  // (every batch sees all contexts); a cheap hash compare (verified exactly)
-  // then reuses the previously gathered property block instead of copying
-  // row by row.  Multiplicities still differ per batch and are recomputed.
-  const std::uint64_t rows_hash = util::fnv1a64_bytes(
-      used_rows.data(), used_rows.size() * sizeof(used_rows[0]));
-  if (cache && cache->encode_id == encoded.encode_id && cache->rows_hash == rows_hash &&
-      cache->used_rows == used_rows) {
-    batch.properties = cache->properties;
-    ++cache->reuses;
-  } else {
-    encoded.properties.gather_rows_into(used_rows, batch.properties);
-    if (cache) {
-      cache->encode_id = encoded.encode_id;
-      cache->rows_hash = rows_hash;
-      cache->used_rows = used_rows;
-      cache->properties = batch.properties;
-    }
-  }
+  encoded.properties.gather_rows_into(used_rows, batch.properties);
   batch.prop_weight.assign(used_rows.size(), 0.0);
   for (const std::size_t row : batch.prop_row) batch.prop_weight[row] += 1.0;
 }
@@ -754,12 +732,6 @@ BellamyModel BellamyModel::from_checkpoint(const nn::Checkpoint& ckpt) {
   model.target_std_ = t(0, 1);
   model.norm_fitted_ = ckpt.meta_value("norm_fitted") == "1";
   return model;
-}
-
-void BellamyModel::save(const std::string& path) const { to_checkpoint().save_file(path); }
-
-BellamyModel BellamyModel::load(const std::string& path) {
-  return from_checkpoint(nn::Checkpoint::load_file(path));
 }
 
 std::vector<nn::Matrix> BellamyModel::snapshot_parameters() {

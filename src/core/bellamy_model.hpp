@@ -52,10 +52,6 @@ struct BellamyEncodedRuns {
   nn::Matrix properties;    ///< (U x N) distinct property vectors, first-use order
   std::vector<std::size_t> prop_row;  ///< (R*(m+n)) stacked slot -> row in properties
   std::size_t num_runs = 0;
-  /// Process-unique id of this encoding (assigned by encode_runs).  The
-  /// gather cache keys on it, so re-populating the same object from a
-  /// different corpus can never serve a stale property block.
-  std::uint64_t encode_id = 0;
 };
 
 /// A vectorized mini-batch ready for the network.  Property rows are
@@ -75,22 +71,6 @@ struct BellamyBatch {
   std::size_t num_unique_properties() const { return properties.rows(); }
   /// Materialize the pre-dedup sample-major stacked matrix (B*(m+n) x N).
   nn::Matrix stacked_properties() const { return properties.gather_rows(prop_row); }
-};
-
-/// Optional cross-batch cache for gather_batch.  Small corpora routinely
-/// produce consecutive mini-batches whose samples touch the SAME unique
-/// property rows (every batch sees all contexts), so re-gathering the
-/// (U x N) property block per batch is wasted work.  The cache keys on the
-/// encoded set's property matrix identity plus a hash (and exact compare) of
-/// the batch's used-row list and reuses the previously gathered block on a
-/// match.  One cache serves one encoded set; gather_batch resets it when it
-/// sees a different set.
-struct BellamyGatherCache {
-  std::uint64_t encode_id = 0;  ///< BellamyEncodedRuns::encode_id the cache serves
-  std::uint64_t rows_hash = 0;
-  std::vector<std::size_t> used_rows;
-  nn::Matrix properties;
-  std::uint64_t reuses = 0;  ///< batches served from the cache (stats)
 };
 
 /// Result of one forward pass.  `codes` / `reconstruction` cover the UNIQUE
@@ -129,15 +109,13 @@ class BellamyModel {
 
   /// Assemble the mini-batch of the given run indices from an encoded set.
   /// The batch references only the property rows its samples use, with
-  /// per-batch multiplicities.  With `cache`, consecutive batches that use
-  /// the same unique-row set skip re-gathering the property block.
+  /// per-batch multiplicities.
   BellamyBatch gather_batch(const BellamyEncodedRuns& encoded,
-                            std::span<const std::size_t> indices,
-                            BellamyGatherCache* cache = nullptr) const;
+                            std::span<const std::size_t> indices) const;
   /// gather_batch refilling `batch` in place: a training loop that keeps one
   /// batch reuses its storage, so a steady-state gather allocates nothing.
   void gather_batch(const BellamyEncodedRuns& encoded, std::span<const std::size_t> indices,
-                    BellamyBatch& batch, BellamyGatherCache* cache = nullptr) const;
+                    BellamyBatch& batch) const;
 
   /// encode_runs + gather_batch over all runs (one-shot convenience).
   BellamyBatch make_batch(const std::vector<data::JobRun>& runs) const;
@@ -226,8 +204,6 @@ class BellamyModel {
   // ---- persistence -----------------------------------------------------------
   nn::Checkpoint to_checkpoint() const;
   static BellamyModel from_checkpoint(const nn::Checkpoint& ckpt);
-  void save(const std::string& path) const;
-  static BellamyModel load(const std::string& path);
 
   const BellamyConfig& config() const { return config_; }
 

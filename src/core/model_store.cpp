@@ -43,7 +43,7 @@ void ModelStore::save(const BellamyModel& model, const std::string& algorithm,
   // reader never observes a half-written file.
   const std::string temp = path + ".tmp";
   try {
-    model.save(temp);
+    model.to_checkpoint().save_file(temp);
     fs::rename(temp, path);
   } catch (const std::exception& e) {
     std::error_code discard;

@@ -31,11 +31,8 @@ PreTrainResult pretrain(BellamyModel& model, const std::vector<data::JobRun>& ru
 
   // Encode the whole corpus once (scale-out features, targets, property
   // vectors deduplicated set-wide); every epoch's mini-batches are cheap
-  // index gathers instead of per-sample re-vectorization.  The gather cache
-  // additionally skips re-copying the unique property block when consecutive
-  // batches touch the same rows (the common case for small corpora).
+  // index gathers instead of per-sample re-vectorization.
   const BellamyEncodedRuns encoded = model.encode_runs(runs);
-  BellamyGatherCache gather_cache;
 
   BellamyBatch batch;  // refilled per step, its storage reused
 
@@ -51,7 +48,7 @@ PreTrainResult pretrain(BellamyModel& model, const std::vector<data::JobRun>& ru
       const std::span<const std::size_t> indices(order.data() + begin, end - begin);
 
       optimizer.zero_grad();
-      model.gather_batch(encoded, indices, batch, &gather_cache);
+      model.gather_batch(encoded, indices, batch);
       const BellamyLoss loss = model.train_step(batch, config.reconstruction_weight);
       optimizer.step();
 
@@ -152,7 +149,6 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
     // Opt-in mini-batch loop: the same encode-once/gather path pretrain
     // uses, seeded shuffles per epoch, one optimizer step per mini-batch.
     const BellamyEncodedRuns encoded = model.encode_runs(runs);
-    BellamyGatherCache gather_cache;
     BellamyBatch mini;  // refilled per step, its storage reused
     util::Rng rng(config.seed);
     std::vector<std::size_t> order(runs.size());
@@ -168,7 +164,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
         const std::size_t end = std::min(order.size(), begin + config.batch_size);
         const std::span<const std::size_t> indices(order.data() + begin, end - begin);
         optimizer.zero_grad();
-        model.gather_batch(encoded, indices, mini, &gather_cache);
+        model.gather_batch(encoded, indices, mini);
         model.train_step(mini, recon_weight);
         optimizer.step();
       }

@@ -12,7 +12,7 @@ namespace bellamy::util {
 inline constexpr std::uint64_t kFnv1a64Seed = 0xcbf29ce484222325ULL;
 
 /// 64-bit FNV-1a over raw bytes, chainable via `seed` for multi-part hashes
-/// (parameter stamps, gather-cache keys).
+/// (parameter stamps, wire checksums).
 inline std::uint64_t fnv1a64_bytes(const void* data, std::size_t len,
                                    std::uint64_t seed = kFnv1a64Seed) {
   std::uint64_t h = seed;

@@ -42,14 +42,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view delim) 
   return out;
 }
 
-bool is_unsigned_integer(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
-
 double parse_double(std::string_view s) {
   const std::string str = trim(s);
   try {

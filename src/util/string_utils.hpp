@@ -19,9 +19,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Join with a delimiter.
 std::string join(const std::vector<std::string>& parts, std::string_view delim);
 
-/// True if `s` consists only of ASCII digits (and is non-empty).
-bool is_unsigned_integer(std::string_view s);
-
 /// Parse helpers that throw std::invalid_argument with context on failure.
 double parse_double(std::string_view s);
 long long parse_int(std::string_view s);

@@ -96,8 +96,7 @@ TEST(BellamyModel, GatherBatchMatchesMakeBatch) {
 }
 
 // Training loops refill one batch; each refill must equal a fresh gather,
-// whether the batch shrinks or grows, with or without the cache, and after
-// a gather that threw.
+// whether the batch shrinks or grows, and after a gather that threw.
 TEST(BellamyModel, GatherBatchRefillMatchesAFreshGather) {
   BellamyModel model(BellamyConfig{}, 1);
   data::C3OGeneratorConfig gen;
@@ -108,21 +107,18 @@ TEST(BellamyModel, GatherBatchRefillMatchesAFreshGather) {
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   const std::vector<std::vector<std::size_t>> sequence{
       all, {runs.size() - 1, 0}, {5, 5, 6}, all, {1}};
-  for (const bool cached : {false, true}) {
-    BellamyGatherCache cache;
-    BellamyBatch batch;
-    for (const auto& idx : sequence) {
-      EXPECT_THROW(model.gather_batch(encoded, std::vector<std::size_t>{0, runs.size()}, batch),
-                   std::out_of_range);
-      model.gather_batch(encoded, idx, batch, cached ? &cache : nullptr);
-      const BellamyBatch fresh = model.gather_batch(encoded, idx);
-      EXPECT_EQ(batch.batch_size, fresh.batch_size);
-      EXPECT_EQ(batch.scaleout_raw, fresh.scaleout_raw);
-      EXPECT_EQ(batch.targets_raw, fresh.targets_raw);
-      EXPECT_EQ(batch.properties, fresh.properties);
-      EXPECT_EQ(batch.prop_row, fresh.prop_row);
-      EXPECT_EQ(batch.prop_weight, fresh.prop_weight);
-    }
+  BellamyBatch batch;
+  for (const auto& idx : sequence) {
+    EXPECT_THROW(model.gather_batch(encoded, std::vector<std::size_t>{0, runs.size()}, batch),
+                 std::out_of_range);
+    model.gather_batch(encoded, idx, batch);
+    const BellamyBatch fresh = model.gather_batch(encoded, idx);
+    EXPECT_EQ(batch.batch_size, fresh.batch_size);
+    EXPECT_EQ(batch.scaleout_raw, fresh.scaleout_raw);
+    EXPECT_EQ(batch.targets_raw, fresh.targets_raw);
+    EXPECT_EQ(batch.properties, fresh.properties);
+    EXPECT_EQ(batch.prop_row, fresh.prop_row);
+    EXPECT_EQ(batch.prop_weight, fresh.prop_weight);
   }
 }
 
@@ -171,8 +167,7 @@ TEST(BellamyModel, EncodeRunsSeparatesRunsThatDifferInAnyOneProperty) {
     EXPECT_EQ(row_of(runs.size() - 1, slot), row_of(0, slot)) << "slot " << slot;
   }
 
-  const encoding::PropertyEncoder encoder(
-      encoding::PropertyEncoder::Config{BellamyConfig{}.property_dim, {}});
+  const encoding::PropertyEncoder encoder(BellamyConfig{}.property_dim);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     auto props = essential_properties(runs[i]);
     for (auto& p : optional_properties(runs[i])) props.push_back(std::move(p));
@@ -476,6 +471,21 @@ TEST(BellamyModel, FromCheckpointRejectsWidthsTheValuesCannotBack) {
       EXPECT_THROW(BellamyModel::from_checkpoint(ckpt), std::runtime_error)
           << key << " = " << width;
     }
+  }
+}
+
+// property_dim is the encoder's N: its L = N - 1 bits must fit a 64-bit
+// value and leave at least one bucket, so a checkpoint outside [2, 64] is
+// refused by the encoder before any layer is built.
+TEST(BellamyModel, FromCheckpointRejectsPropertyDimOutsideTheEncoderRange) {
+  BellamyModel model(BellamyConfig{}, 13);
+  model.fit_normalization(small_context());
+  const nn::Checkpoint good = model.to_checkpoint();
+  for (const char* dim : {"0", "1", "65"}) {
+    nn::Checkpoint ckpt = good;
+    ckpt.meta["property_dim"] = dim;
+    EXPECT_THROW(BellamyModel::from_checkpoint(ckpt), std::invalid_argument)
+        << "property_dim = " << dim;
   }
 }
 

@@ -1,11 +1,13 @@
-// Heap allocations of a steady-state training step and of a batched
-// prediction.  Modules write into buffers they own, BellamyModel keeps one
-// training workspace, and the training loops refill one BellamyBatch, so
-// once the first epoch has sized every buffer a step should allocate (next
-// to) nothing.  A prediction does its per-context and per-scale-out work once
-// per distinct value, so its allocations must not grow with queries that
-// repeat them.  This binary replaces the global operator new with a counting
-// one to hold both lines.
+// Heap allocations of a steady-state training step, of a batched prediction
+// and of vectorizing one long property.  Modules write into buffers they
+// own, BellamyModel keeps one training workspace, and the training loops
+// refill one BellamyBatch, so once the first epoch has sized every buffer a
+// step should allocate (next to) nothing.  A prediction does its per-context
+// and per-scale-out work once per distinct value, so its allocations must not
+// grow with queries that repeat them.  The property encoder streams a text
+// once, so the bytes it requests must not grow with the text.  This binary
+// replaces the global operator new with one that counts calls and bytes to
+// hold these lines.
 //
 // Sanitizer runtimes interpose the allocator themselves, so the count is
 // meaningless there and the tests skip.
@@ -18,10 +20,13 @@
 #include <new>
 #include <numeric>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/bellamy_model.hpp"
 #include "data/c3o_generator.hpp"
+#include "encoding/property_encoder.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
@@ -35,10 +40,12 @@
 
 namespace {
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<long>(size), std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -56,6 +63,7 @@ namespace {
 constexpr long kMaxAllocationsPerStep = 8;
 
 long allocations() { return g_allocations.load(std::memory_order_relaxed); }
+long bytes() { return g_bytes.load(std::memory_order_relaxed); }
 
 std::vector<data::JobRun> corpus() {
   data::C3OGeneratorConfig cfg;
@@ -81,7 +89,6 @@ TEST(TrainAllocations, PretrainStepAtBatch64) {
   adam.weight_decay = 1e-3;
   nn::Adam optimizer(model.parameters(), adam);
   const BellamyEncodedRuns encoded = model.encode_runs(runs);
-  BellamyGatherCache cache;
   BellamyBatch batch;
   util::Rng rng(7);
   std::vector<std::size_t> order(runs.size());
@@ -96,7 +103,7 @@ TEST(TrainAllocations, PretrainStepAtBatch64) {
       const long before = allocations();
       optimizer.zero_grad();
       model.gather_batch(encoded, std::span<const std::size_t>(order).subspan(begin, end - begin),
-                         batch, &cache);
+                         batch);
       model.train_step(batch, 1.0);
       optimizer.step();
       if (epoch > 0) {
@@ -173,6 +180,30 @@ TEST(PredictAllocations, RepeatedQueriesAddNoAllocations) {
   const long single = allocations_of(once);
   const long repeated = allocations_of(four);
   EXPECT_LE(repeated, single) << "B=" << once.size() << " vs B=" << four.size();
+}
+
+// A wire PredictRequest or ReportRun may carry a property of megabytes (up
+// to the 64 MB frame cap).  Vectorizing it must cost a fixed amount of
+// memory: materializing the cleaned text and every n-gram as a string
+// requested about 321 MiB per MiB of text.  An all-digit string too long to
+// binarize is hashed the same way, without a copy of it on the way.
+TEST(EncodeAllocations, LongPropertyRequestsMemoryIndependentOfItsLength) {
+#ifdef BELLAMY_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime owns the allocator";
+#endif
+  constexpr std::size_t kLength = std::size_t{1} << 20;
+  constexpr long kMaxBytes = 64 * 1024;
+  const std::string_view pattern = "Spark-Job m4.2xlarge /data/input:v2 ~~ ";
+  std::string text(kLength, ' ');
+  for (std::size_t i = 0; i < kLength; ++i) text[i] = pattern[i % pattern.size()];
+  const encoding::PropertyValue values[] = {text, std::string(kLength, '7')};
+  const encoding::PropertyEncoder encoder;
+  for (const encoding::PropertyValue& value : values) {
+    const long before = bytes();
+    const std::vector<double> row = encoder.encode(value);
+    EXPECT_LE(bytes() - before, kMaxBytes) << std::get<std::string>(value).substr(0, 16);
+    EXPECT_EQ(row[0], encoding::PropertyEncoder::kLambdaHasher);
+  }
 }
 
 }  // namespace

@@ -39,15 +39,6 @@ TEST(StringUtils, JoinRoundTrip) {
   EXPECT_EQ(join({}, "-"), "");
 }
 
-TEST(StringUtils, IsUnsignedInteger) {
-  EXPECT_TRUE(is_unsigned_integer("0"));
-  EXPECT_TRUE(is_unsigned_integer("19353"));
-  EXPECT_FALSE(is_unsigned_integer(""));
-  EXPECT_FALSE(is_unsigned_integer("-3"));
-  EXPECT_FALSE(is_unsigned_integer("3.5"));
-  EXPECT_FALSE(is_unsigned_integer("12a"));
-}
-
 TEST(StringUtils, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("3.5"), 3.5);
   EXPECT_DOUBLE_EQ(parse_double(" -2e3 "), -2000.0);
